@@ -12,6 +12,7 @@ the tag ordering.
 from __future__ import annotations
 
 import json
+import os
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -114,8 +115,20 @@ def from_document(doc: dict) -> Model:
     return Model(encoder, labels, head_doc["kind"], head)
 
 
+def write_atomic(path: str | Path, text: str) -> None:
+    """Write text to a temporary file beside path, then rename it over path,
+    so a failed write never leaves a truncated file at path."""
+    tmp = Path(f"{path}.tmp")
+    try:
+        tmp.write_text(text, encoding="utf-8")
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
 def save(model: Model, path: str | Path) -> None:
-    Path(path).write_text(dumps(model), encoding="utf-8")
+    write_atomic(path, dumps(model))
 
 
 def load(path: str | Path) -> Model:

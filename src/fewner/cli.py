@@ -9,7 +9,6 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
-import os
 import sys
 import time
 from dataclasses import asdict
@@ -80,12 +79,6 @@ def _digest(path: str) -> str:
         raise DataError(f"cannot read {path}: {exc.strerror}") from exc
 
 
-def _write_atomic(path: str, text: str):
-    tmp = f"{path}.tmp"
-    Path(tmp).write_text(text, encoding="utf-8")
-    os.replace(tmp, path)
-
-
 def cmd_stats(args) -> int:
     corpus = _read_corpus(args.conll, args.schema)
     print(stats_json(corpus))
@@ -95,7 +88,7 @@ def cmd_stats(args) -> int:
 def cmd_sample(args) -> int:
     corpus = _read_corpus(args.conll, args.schema)
     sub = sample_fewshot(corpus, args.shots, args.seed)
-    _write_atomic(args.out, write_conll(sub))
+    checkpoint.write_atomic(args.out, write_conll(sub))
     return EXIT_OK
 
 
@@ -125,7 +118,7 @@ def cmd_train(args) -> int:
         digests["source_config"] = _digest(args.source_config)
         inputs["source_config"] = args.source_config
 
-    started = time.time()
+    started = time.monotonic()
     model = run_scheme(
         train_corpus,
         config,
@@ -144,9 +137,9 @@ def cmd_train(args) -> int:
         "inputs": {name: {"path": path, "sha256": digests[name]} for name, path in inputs.items()},
         "checkpoint": args.out,
         "metrics": None,
-        "duration_seconds": time.time() - started,
+        "duration_seconds": time.monotonic() - started,
     }
-    _write_atomic(f"{args.out}.manifest.json", json.dumps(manifest, indent=2))
+    checkpoint.write_atomic(f"{args.out}.manifest.json", json.dumps(manifest, indent=2))
     return EXIT_OK
 
 

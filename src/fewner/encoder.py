@@ -9,6 +9,10 @@ where e[k] is the embedding of token k, a padding embedding beyond the
 sentence ends and an unknown-word embedding for out-of-vocabulary words.
 Both reserved rows are trainable like any other.
 
+The per-sentence encode and encode_backward are the batch core
+(window_indices, encode_windows, encode_windows_backward) applied to one
+sentence; training concatenates the windows of a whole mini-batch.
+
 encode is a pure function: concurrent readers may share one EncoderParams.
 Training mutates the arrays in place and must be serialized externally.
 """
@@ -118,49 +122,60 @@ def init_encoder(vocab, embed_dim: int, hidden_dim: int, seed: int) -> EncoderPa
     )
 
 
-def _window_indices(params: EncoderParams, tokens) -> np.ndarray:
+def window_indices(params: EncoderParams, tokens) -> np.ndarray:
+    """(T, 3) vocabulary rows (left, centre, right) for each token of one
+    sentence, with padding beyond its ends. Rows of several sentences
+    concatenate into one batch."""
     pad = params._index[PAD]
-    idx = [params.token_index(t) for t in tokens]
-    return np.array([pad, *idx, pad], dtype=np.intp)
+    padded = np.array([pad, *map(params.token_index, tokens), pad], dtype=np.intp)
+    return np.stack((padded[:-2], padded[1:-1], padded[2:]), axis=1)
 
 
-def _window_input(params: EncoderParams, padded: np.ndarray) -> np.ndarray:
-    emb = params.embedding_table
-    return np.hstack([emb[padded[:-2]], emb[padded[1:-1]], emb[padded[2:]]])
+def _window_input(params: EncoderParams, windows: np.ndarray) -> np.ndarray:
+    """(N, 3E): the concatenated left, centre and right embeddings."""
+    return params.embedding_table[windows].reshape(len(windows), 3 * params.embed_dim)
+
+
+def encode_windows(params: EncoderParams, windows: np.ndarray) -> np.ndarray:
+    """Representations for a batch of windows; row i is the H-vector of
+    the token whose window is windows[i]."""
+    pre = _window_input(params, windows) @ params.context_weights.T + params.context_bias
+    return np.tanh(pre)
+
+
+def encode_windows_backward(
+    params: EncoderParams, windows: np.ndarray, reprs: np.ndarray, upstream: np.ndarray
+) -> EncoderGrads:
+    """Exact gradients of sum_i upstream[i] . reprs[i] w.r.t. all parameters,
+    where reprs = encode_windows(params, windows).
+
+    The padding embedding accumulates gradient like any other row.
+    """
+    d_pre = upstream * (1.0 - reprs**2)
+    d_weights = d_pre.T @ _window_input(params, windows)
+    d_bias = d_pre.sum(axis=0)
+    d_x = d_pre @ params.context_weights  # (N, 3E)
+    d_emb = np.zeros_like(params.embedding_table)
+    np.add.at(d_emb, windows.ravel(), d_x.reshape(-1, params.embed_dim))
+    return EncoderGrads(d_emb, d_weights, d_bias)
 
 
 def encode(params: EncoderParams, sentence: TokenSequence) -> np.ndarray:
     """Representations for every token; row i is the H-vector of token i."""
-    padded = _window_indices(params, sentence.tokens)
-    pre = _window_input(params, padded) @ params.context_weights.T + params.context_bias
-    return np.tanh(pre)
+    return encode_windows(params, window_indices(params, sentence.tokens))
 
 
 def encode_backward(
     params: EncoderParams, sentence: TokenSequence, upstream: np.ndarray
 ) -> EncoderGrads:
-    """Exact gradients of sum_i upstream[i] . repr[i] w.r.t. all parameters.
-
-    The padding embedding accumulates gradient like any other row.
-    """
+    """Exact gradients of sum_i upstream[i] . repr[i] w.r.t. all parameters."""
     upstream = np.asarray(upstream, dtype=float)
     t = len(sentence)
     if upstream.shape != (t, params.hidden_dim):
         raise ValueError(
             f"upstream shape {upstream.shape} != ({t}, {params.hidden_dim})"
         )
-    padded = _window_indices(params, sentence.tokens)
-    x = _window_input(params, padded)
-    out = np.tanh(x @ params.context_weights.T + params.context_bias)
-    d_pre = upstream * (1.0 - out**2)
-
-    d_weights = d_pre.T @ x
-    d_bias = d_pre.sum(axis=0)
-    d_x = d_pre @ params.context_weights  # (T, 3E)
-
-    e = params.embed_dim
-    d_emb = np.zeros_like(params.embedding_table)
-    np.add.at(d_emb, padded[:-2], d_x[:, :e])
-    np.add.at(d_emb, padded[1:-1], d_x[:, e : 2 * e])
-    np.add.at(d_emb, padded[2:], d_x[:, 2 * e :])
-    return EncoderGrads(d_emb, d_weights, d_bias)
+    windows = window_indices(params, sentence.tokens)
+    return encode_windows_backward(
+        params, windows, encode_windows(params, windows), upstream
+    )

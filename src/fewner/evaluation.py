@@ -25,7 +25,7 @@ from .corpus import (
 )
 from .encoder import EncoderParams, encode
 from .errors import DataError
-from .heads import PrototypeSet, build_multi_prototypes, linear_forward, multi_proto_score
+from .heads import PrototypeSet, build_multi_prototypes, linear_forward, multi_proto_scores
 from .training import TrainConfig, run_scheme
 
 
@@ -120,12 +120,14 @@ def entity_f1(gold: TaggedCorpus, predicted: list[list[str]], schema: str) -> Ev
     return EvalReport(p, r, f, per_type, totals)
 
 
-def _argbest(scores: np.ndarray, labels: list[str], label_order) -> str:
-    """Highest score; exact ties go to the label earliest in label_order."""
-    best = np.max(scores)
-    tied = [labels[i] for i in range(len(labels)) if scores[i] == best]
+def _ranked_argmax(scores: np.ndarray, labels, label_order) -> list[str]:
+    """Per row of scores (one column per label), the highest-scoring label;
+    exact ties go to the label earliest in label_order, and labels outside
+    it rank after every label in it, in their given order."""
     rank = {t: i for i, t in enumerate(label_order)}
-    return min(tied, key=lambda t: rank.get(t, len(rank)))
+    ranked = sorted(range(len(labels)), key=lambda i: rank.get(labels[i], len(rank) + i))
+    best = np.argmax(scores[:, ranked], axis=1)
+    return [labels[ranked[b]] for b in best]
 
 
 def predict_tags(
@@ -134,25 +136,17 @@ def predict_tags(
     """Tags for one sentence: argmax of the linear head, or the nearest
     prototype (highest averaged probability for multi-centroid sets) when
     a PrototypeSet is supplied. Ties break toward the lowest tag-vocabulary
-    index.
+    index. The whole sentence is scored as one matrix.
     """
     reprs = encode(model.encoder, sentence)
     order = model.labels.tag_vocabulary
-    out = []
     if protos is not None:
-        labels = protos.labels
-        for j in range(len(sentence)):
-            scores = multi_proto_score(protos, reprs[j])
-            out.append(_argbest(scores, labels, order))
-        return out
+        return _ranked_argmax(multi_proto_scores(protos, reprs), protos.labels, order)
     if model.head_kind != LINEAR:
         raise DataError(
             "prototype checkpoints carry no head arrays; supply a support set"
         )
-    for j in range(len(sentence)):
-        dist = linear_forward(model.head, reprs[j])
-        out.append(_argbest(dist, list(order), order))
-    return out
+    return _ranked_argmax(linear_forward(model.head, reprs), order, order)
 
 
 def support_prototypes(

@@ -3,7 +3,8 @@
 Two interchangeable heads produce a probability distribution over the tag
 set for each token:
 
-* a linear layer followed by a softmax, trained with cross-entropy;
+* a linear layer followed by a softmax, trained with cross-entropy
+  computed in log space for a whole batch of rows at once;
 * a prototype head that scores a token by its Euclidean distance to one
   centroid per label (the mean of that label's support representations),
   softmaxed over negative distances. The multi-prototype variant keeps
@@ -96,14 +97,46 @@ def _softmax(logits: np.ndarray) -> np.ndarray:
     return exp / exp.sum()
 
 
-def linear_forward(head: LinearHead, repr_vec: np.ndarray) -> np.ndarray:
-    """softmax(W @ repr + b), max-subtracted for stability."""
-    repr_vec = np.asarray(repr_vec, dtype=float)
-    if repr_vec.shape != (head.weights.shape[1],):
+def linear_log_probs(head: LinearHead, reprs: np.ndarray) -> np.ndarray:
+    """Row-wise log softmax(W @ repr + b) for (N, H) reprs, max-shifted."""
+    reprs = np.asarray(reprs, dtype=float)
+    if reprs.ndim != 2 or reprs.shape[1] != head.weights.shape[1]:
         raise ValueError(
-            f"repr shape {repr_vec.shape} != ({head.weights.shape[1]},)"
+            f"reprs shape {reprs.shape} != (N, {head.weights.shape[1]})"
         )
-    return _softmax(head.weights @ repr_vec + head.bias)
+    logits = reprs @ head.weights.T + head.bias
+    shifted = logits - logits.max(axis=1, keepdims=True)
+    return shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
+
+
+def linear_forward(head: LinearHead, repr_vec: np.ndarray) -> np.ndarray:
+    """softmax(W @ repr + b) of one H-vector, or row-wise of an (N, H) matrix."""
+    repr_vec = np.asarray(repr_vec, dtype=float)
+    probs = np.exp(linear_log_probs(head, np.atleast_2d(repr_vec)))
+    return probs[0] if repr_vec.ndim == 1 else probs
+
+
+def linear_loss_grads(
+    head: LinearHead, reprs: np.ndarray, targets: np.ndarray, weights: np.ndarray
+) -> tuple[float, np.ndarray, np.ndarray, np.ndarray]:
+    """sum_i w_i KL(T_i || softmax(W @ reprs[i] + b)) over (N, H) reprs,
+    (N, n_tags) targets and N token weights, computed in log space, with its
+    gradients (dW, db, d_reprs). The logit gradient is w * (softmax - T).
+    """
+    reprs = np.asarray(reprs, dtype=float)
+    targets = np.asarray(targets, dtype=float)
+    weights = np.asarray(weights, dtype=float)
+    log_q = linear_log_probs(head, reprs)
+    if targets.shape != log_q.shape or weights.shape != log_q.shape[:1]:
+        raise ValueError(
+            f"targets {targets.shape} / weights {weights.shape} do not fit {log_q.shape}"
+        )
+    w = weights[:, None]
+    # target entropy term with 0 * log 0 = 0
+    log_t = np.log(np.where(targets > 0.0, targets, 1.0))
+    loss = float(np.sum(w * targets * (log_t - log_q)))
+    d_logits = w * (np.exp(log_q) - targets)
+    return loss, d_logits.T @ reprs, d_logits.sum(axis=0), d_logits @ head.weights
 
 
 def cross_entropy(dist: np.ndarray, target: np.ndarray) -> float:
@@ -123,11 +156,10 @@ def linear_backward(
     head: LinearHead, repr_vec: np.ndarray, target: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Gradients of KL(target || linear_forward) as (dW, db, d_repr)."""
-    dist = linear_forward(head, repr_vec)
-    d_logits = dist - np.asarray(target, dtype=float)
-    d_weights = np.outer(d_logits, repr_vec)
-    d_repr = head.weights.T @ d_logits
-    return d_weights, d_logits, d_repr
+    _, d_weights, d_bias, d_reprs = linear_loss_grads(
+        head, np.atleast_2d(repr_vec), np.atleast_2d(target), np.ones(1)
+    )
+    return d_weights, d_bias, d_reprs[0]
 
 
 def build_prototypes(support_reprs: dict[str, list[np.ndarray]]) -> PrototypeSet:
@@ -243,3 +275,23 @@ def multi_proto_score(protos: PrototypeSet, repr_vec: np.ndarray) -> np.ndarray:
         scores[i] = flat[offset : offset + k].mean()
         offset += k
     return scores / scores.sum()
+
+
+def multi_proto_scores(protos: PrototypeSet, reprs: np.ndarray) -> np.ndarray:
+    """multi_proto_score for every row of (N, H) reprs at once: an
+    (N x all centroids) distance matrix, a row softmax over the negated
+    distances, then each label's mean centroid probability, renormalized.
+    Row i is computed with the same operations as multi_proto_score(reprs[i]).
+    """
+    reprs = np.asarray(reprs, dtype=float)
+    all_cents = np.vstack([cents for _, cents in protos.entries])
+    if reprs.ndim != 2 or reprs.shape[1] != all_cents.shape[1]:
+        raise ValueError(f"reprs shape {reprs.shape} != (N, {all_cents.shape[1]})")
+    neg = -np.linalg.norm(reprs[:, None, :] - all_cents[None, :, :], axis=2)
+    flat = np.exp(neg - neg.max(axis=1, keepdims=True))
+    flat /= flat.sum(axis=1, keepdims=True)
+    bounds = np.cumsum([0] + [cents.shape[0] for _, cents in protos.entries])
+    scores = np.column_stack(
+        [flat[:, a:b].mean(axis=1) for a, b in zip(bounds[:-1], bounds[1:])]
+    )
+    return scores / scores.sum(axis=1, keepdims=True)

@@ -26,14 +26,22 @@ import numpy as np
 
 from .checkpoint import LINEAR, PROTOTYPE, Model
 from .corpus import TaggedCorpus, TokenSequence, split_tag
-from .encoder import EncoderParams, encode, encode_backward, init_encoder
+from .encoder import (
+    EncoderParams,
+    encode,
+    encode_backward,
+    encode_windows,
+    encode_windows_backward,
+    init_encoder,
+    window_indices,
+)
 from .errors import DataError, NumericError
 from .heads import (
     build_prototypes,
     cross_entropy,
     init_linear_head,
-    linear_backward,
     linear_forward,
+    linear_loss_grads,
     proto_backward,
     proto_forward,
 )
@@ -276,7 +284,9 @@ def _train_weighted(
     A token's loss carries its sentence's weight; each batch is normalized
     by the corpus-wide mean token weight times the batch's token count, so
     the weighting between item groups holds across batches and uniform
-    weights reduce to the plain token mean.
+    weights reduce to the plain token mean. Each batch is one encode, one
+    head forward/backward and one encoder backward over the concatenated
+    windows of its sentences.
     """
     n = len(items)
     batches_per_epoch = math.ceil(n / config.batch_size)
@@ -293,6 +303,9 @@ def _train_weighted(
     mean_token_weight = (
         sum(weight * len(sent) for sent, _, weight in items) / total_tokens
     )
+    # the vocabulary is fixed during training, so each item's windows are too
+    windows = [window_indices(encoder, sent.tokens) for sent, _, _ in items]
+    token_weights = [np.full(len(sent), weight) for sent, _, weight in items]
 
     for epoch in range(config.epochs):
         order = list(range(n))
@@ -301,26 +314,19 @@ def _train_weighted(
         epoch_norm = 0.0
         for start in range(0, n, config.batch_size):
             batch = order[start : start + config.batch_size]
-            grads = {k: np.zeros_like(v) for k, v in trainable.items()}
-            batch_loss = 0.0
-            batch_tokens = 0
-            for i in batch:
-                sent, targets, weight = items[i]
-                reprs = encode(encoder, sent)
-                upstream = np.zeros_like(reprs)
-                for j in range(len(sent)):
-                    dist = linear_forward(head, reprs[j])
-                    batch_loss += weight * cross_entropy(dist, targets[j])
-                    d_w, d_b, d_z = linear_backward(head, reprs[j], targets[j])
-                    grads["head.weights"] += weight * d_w
-                    grads["head.bias"] += weight * d_b
-                    upstream[j] = weight * d_z
-                batch_tokens += len(sent)
-                if not config.freeze_encoder:
-                    enc_grads = encode_backward(encoder, sent, upstream)
-                    for k, v in enc_grads.arrays().items():
-                        grads[f"encoder.{k}"] += v
-            norm = mean_token_weight * batch_tokens
+            batch_windows = np.concatenate([windows[i] for i in batch])
+            reprs = encode_windows(encoder, batch_windows)
+            batch_loss, d_w, d_b, upstream = linear_loss_grads(
+                head,
+                reprs,
+                np.concatenate([items[i][1] for i in batch]),
+                np.concatenate([token_weights[i] for i in batch]),
+            )
+            grads = {"head.weights": d_w, "head.bias": d_b}
+            if not config.freeze_encoder:
+                enc_grads = encode_windows_backward(encoder, batch_windows, reprs, upstream)
+                grads.update({f"encoder.{k}": v for k, v in enc_grads.arrays().items()})
+            norm = mean_token_weight * len(batch_windows)
             if norm > 0.0:
                 for g in grads.values():
                     g /= norm
@@ -511,8 +517,7 @@ def generate_soft_labels(teacher: Model, sentences) -> SoftLabelDataset:
     for tokens in sentences:
         tokens = tuple(tokens)
         seq = TokenSequence(tokens, tuple("O" for _ in tokens))
-        reprs = encode(teacher.encoder, seq)
-        probs = np.vstack([linear_forward(teacher.head, reprs[j]) for j in range(len(tokens))])
+        probs = linear_forward(teacher.head, encode(teacher.encoder, seq))
         items.append((tokens, probs))
     return SoftLabelDataset(teacher.labels.tag_vocabulary, items)
 

@@ -12,7 +12,14 @@ import numpy as np
 
 from fewner.cli import main as cli_main
 from fewner.corpus import LabelSet, TaggedCorpus, TokenSequence, sample_fewshot, write_conll
-from fewner.encoder import encode, encode_backward, init_encoder
+from fewner.encoder import (
+    encode,
+    encode_backward,
+    encode_windows,
+    encode_windows_backward,
+    init_encoder,
+    window_indices,
+)
 from fewner.evaluation import entity_f1, evaluate_model, support_prototypes
 from fewner.heads import (
     LinearHead,
@@ -22,6 +29,7 @@ from fewner.heads import (
     cross_entropy,
     linear_backward,
     linear_forward,
+    linear_loss_grads,
     multi_proto_score,
     proto_backward,
     proto_forward,
@@ -44,8 +52,9 @@ def _report(name):
 
 
 def test_gradient_correctness():
-    """Analytic gradients of both heads and the encoder match central
-    finite differences within 1e-4 relative (1e-7 floor), 100+ cases each."""
+    """Analytic gradients of both heads and the encoder, per vector or
+    sentence and batched, match central finite differences within 1e-4
+    relative (1e-7 floor), 100+ cases each."""
     started = time.monotonic()
     rng = random.Random(99)
     np_rng = np.random.default_rng(99)
@@ -71,6 +80,48 @@ def test_gradient_correctness():
         d_w, d_b, d_z = linear_backward(head, z, target)
         numeric = finite_difference(
             lambda: cross_entropy(linear_forward(head, z), target),
+            {"weights": head.weights, "bias": head.bias, "repr": z},
+        )
+        assert_grad_close(d_w, numeric["weights"])
+        assert_grad_close(d_b, numeric["bias"])
+        assert_grad_close(d_z, numeric["repr"])
+
+    for _ in range(100):  # batched encoder core: sentences of different lengths
+        vocab = [f"v{i}" for i in range(rng.randint(2, 5))]
+        params = init_encoder(vocab, 3, 4, seed=rng.randint(0, 10**6))
+        params.context_bias[:] = np_rng.normal(size=4)
+        lengths = rng.sample(range(1, 6), rng.randint(2, 4))
+        windows = np.concatenate(
+            [
+                window_indices(params, [rng.choice(vocab + ["oov"]) for _ in range(n)])
+                for n in lengths
+            ]
+        )
+        upstream = np_rng.normal(size=(len(windows), 4))
+        analytic = encode_windows_backward(
+            params, windows, encode_windows(params, windows), upstream
+        )
+        numeric = finite_difference(
+            lambda: float(np.sum(upstream * encode_windows(params, windows))),
+            params.arrays(),
+        )
+        for name, arr in analytic.arrays().items():
+            assert_grad_close(arr, numeric[name])
+
+    for _ in range(100):  # batched linear head: N > 1 rows, soft targets, unequal weights
+        n = rng.randint(2, 5)
+        head = LinearHead(np_rng.normal(size=(4, 3)), np_rng.normal(size=4))
+        z = np_rng.normal(size=(n, 3))
+        targets = np_rng.dirichlet(np.ones(4), size=n)
+        weights = np_rng.uniform(0.1, 2.0, size=n)
+        loss, d_w, d_b, d_z = linear_loss_grads(head, z, targets, weights)
+        per_row = sum(
+            w * cross_entropy(linear_forward(head, row), t)
+            for w, row, t in zip(weights, z, targets)
+        )
+        assert abs(loss - per_row) <= 1e-10 * max(1.0, per_row)
+        numeric = finite_difference(
+            lambda: linear_loss_grads(head, z, targets, weights)[0],
             {"weights": head.weights, "bias": head.bias, "repr": z},
         )
         assert_grad_close(d_w, numeric["weights"])

@@ -1,3 +1,5 @@
+import os
+
 import numpy as np
 import pytest
 
@@ -52,6 +54,20 @@ class TestRoundTrip:
         doc["format_version"] = 99
         with pytest.raises(DataError):
             checkpoint.from_document(doc)
+
+    def test_failed_replace_leaves_existing_checkpoint_intact(self, tmp_path, monkeypatch):
+        path = tmp_path / "model.json"
+        checkpoint.save(_linear_model(seed=0), path)
+        before = path.read_bytes()
+
+        def failing_replace(src, dst):
+            raise OSError("simulated failure")
+
+        monkeypatch.setattr(os, "replace", failing_replace)
+        with pytest.raises(OSError):
+            checkpoint.save(_linear_model(seed=1), path)
+        assert path.read_bytes() == before
+        assert list(tmp_path.iterdir()) == [path]
 
     def test_garbage_file_rejected(self, tmp_path):
         path = tmp_path / "junk.json"

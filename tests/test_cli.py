@@ -217,6 +217,29 @@ class TestTrainEval:
         )
         assert out.read_bytes() != base.read_bytes()
 
+    def test_extreme_learning_rate_exits_cleanly(self, tmp_path, capsys):
+        # the loss is computed in log space, so a softmax that underflows to 0
+        # at the gold tag gives a large finite loss, not an uncaught error
+        (tmp_path / "train.conll").write_text(
+            write_conll(make_corpus(30, seed=0)), encoding="utf-8"
+        )
+        config = {"seed": 0, "learning_rate": 1e6, "epochs": 2, "batch_size": 4}
+        (tmp_path / "config.json").write_text(json.dumps(config), encoding="utf-8")
+        code = main(
+            [
+                "train",
+                "lc",
+                "--config",
+                str(tmp_path / "config.json"),
+                "--train",
+                str(tmp_path / "train.conll"),
+                "--out",
+                str(tmp_path / "model.json"),
+            ]
+        )
+        assert code in (0, 3)
+        assert "Traceback" not in capsys.readouterr().err
+
 
 class TestProtoinfer:
     def test_k5_single_prototype_inference(self, workdir, capsys):

@@ -5,7 +5,17 @@ import numpy as np
 import pytest
 
 from fewner.corpus import TokenSequence
-from fewner.encoder import PAD, UNK, EncoderParams, encode, encode_backward, init_encoder
+from fewner.encoder import (
+    PAD,
+    UNK,
+    EncoderParams,
+    encode,
+    encode_backward,
+    encode_windows,
+    encode_windows_backward,
+    init_encoder,
+    window_indices,
+)
 from fewner.errors import DataError
 
 from oracles import assert_grad_close, finite_difference
@@ -107,6 +117,36 @@ class TestEncode:
         fwd = encode(params, _sentence(["a", "b", "c"]))
         rev = encode(params, _sentence(["c", "b", "a"]))
         assert not np.allclose(fwd, rev)
+
+
+class TestBatchedWindows:
+    def test_window_rows(self):
+        params = init_encoder(["a", "b"], 2, 2, seed=8)
+        a, b, unk = (params.token_index(t) for t in ("a", "b", "zz"))
+        windows = window_indices(params, ["a", "b", "zz"])
+        assert windows.tolist() == [[0, a, b], [a, b, unk], [b, unk, 0]]
+        assert window_indices(params, []).shape == (0, 3)
+
+    def test_batch_equals_per_sentence(self):
+        rng = random.Random(9)
+        np_rng = np.random.default_rng(10)
+        for _ in range(30):
+            params = _random_encoder(rng)
+            sents = [_random_sentence(rng, params) for _ in range(rng.randint(2, 5))]
+            windows = np.concatenate([window_indices(params, s.tokens) for s in sents])
+            reprs = encode_windows(params, windows)
+            assert np.allclose(
+                reprs, np.vstack([encode(params, s) for s in sents]), rtol=0.0, atol=1e-15
+            )
+            upstream = np_rng.normal(size=reprs.shape)
+            batched = encode_windows_backward(params, windows, reprs, upstream)
+            bounds = np.cumsum([0] + [len(s) for s in sents])
+            for name, arr in batched.arrays().items():
+                summed = sum(
+                    encode_backward(params, s, upstream[lo:hi]).arrays()[name]
+                    for s, lo, hi in zip(sents, bounds[:-1], bounds[1:])
+                )
+                assert np.allclose(arr, summed, rtol=1e-12, atol=1e-15)
 
 
 class TestEncodeBackward:

@@ -23,7 +23,8 @@ from fewner.evaluation import (
     run_experiment,
     support_prototypes,
 )
-from fewner.heads import PrototypeSet
+from fewner.encoder import encode
+from fewner.heads import PrototypeSet, linear_forward, multi_proto_score
 from fewner.training import TrainConfig, train_linear, train_prototype
 
 from builders import word_identity_corpus
@@ -179,6 +180,54 @@ class TestPredictTags:
         model.head.bias[:] = 0.0  # uniform distribution: every tag tied
         sent = corpus.sentences[0]
         assert predict_tags(model, sent) == ["O"] * len(sent)
+
+    def test_matches_per_token_reference(self):
+        # reference: every token scored alone, then the highest score with
+        # exact ties to the label earliest in the tag vocabulary (labels
+        # outside it last, in entry order)
+        rng = random.Random(11)
+        np_rng = np.random.default_rng(12)
+        corpus = word_identity_corpus(20, seed=11, types=("LOC", "ORG", "PER"))
+        model = train_linear(corpus, TrainConfig(seed=11, epochs=0, embed_dim=4, hidden_dim=6))
+        vocab = model.labels.tag_vocabulary
+        rank = {t: i for i, t in enumerate(vocab)}
+        tied_best = 0
+
+        def reference(scores, labels):
+            nonlocal tied_best
+            best = max(scores)
+            tied = [label for label, s in zip(labels, scores) if s == best]
+            tied_best += len(tied) > 1
+            return min(tied, key=lambda t: rank.get(t, len(rank)))
+
+        for _ in range(200):  # multi-prototype sets in shuffled label order
+            sent = rng.choice(corpus.sentences)
+            reprs = encode(model.encoder, sent)
+            labels = [*vocab, "B-MISC", "I-MISC"]
+            rng.shuffle(labels)
+            labels = labels[: rng.randint(2, len(labels))]
+            cents = {t: np_rng.normal(size=(rng.randint(1, 3), 6)) for t in labels}
+            a, b = rng.sample(labels, 2)
+            if rng.random() < 0.5:  # a zero-distance centroid makes the pair win
+                cents[a][0] = reprs[rng.randrange(len(sent))]
+            cents[b] = cents[a].copy()  # a and b tie on every token
+            protos = PrototypeSet([(t, cents[t]) for t in labels])
+            expected = [reference(multi_proto_score(protos, z), labels) for z in reprs]
+            assert predict_tags(model, sent, protos=protos) == expected
+
+        head = model.head
+        for _ in range(100):  # linear head with two identical tag rows
+            sent = rng.choice(corpus.sentences)
+            head.weights[:] = np_rng.normal(size=head.weights.shape)
+            head.bias[:] = np_rng.normal(size=head.bias.shape)
+            i, j = rng.sample(range(len(vocab)), 2)
+            if rng.random() < 0.5:  # the tied pair wins
+                head.bias[i] = 50.0
+            head.weights[j], head.bias[j] = head.weights[i], head.bias[i]
+            reprs = encode(model.encoder, sent)
+            expected = [reference(linear_forward(head, z), vocab) for z in reprs]
+            assert predict_tags(model, sent) == expected
+        assert tied_best > 100
 
     def test_prototype_model_needs_support(self):
         corpus = word_identity_corpus(10, seed=6)

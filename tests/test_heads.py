@@ -14,7 +14,9 @@ from fewner.heads import (
     init_linear_head,
     linear_backward,
     linear_forward,
+    linear_loss_grads,
     multi_proto_score,
+    multi_proto_scores,
     proto_backward,
     proto_forward,
 )
@@ -55,6 +57,17 @@ class TestLinearForward:
         head = LinearHead(np.zeros((2, 3)), np.zeros(2))
         with pytest.raises(ValueError):
             linear_forward(head, np.zeros(4))
+        with pytest.raises(ValueError):
+            linear_forward(head, np.zeros((2, 4)))
+
+    def test_matrix_rows_match_vectors(self):
+        rng = np.random.default_rng(14)
+        head = LinearHead(rng.normal(size=(5, 4)), rng.normal(size=5))
+        reprs = rng.normal(size=(7, 4))
+        batched = linear_forward(head, reprs)
+        assert batched.shape == (7, 5)
+        for row, z in zip(batched, reprs):
+            assert np.allclose(row, linear_forward(head, z), rtol=0.0, atol=1e-15)
 
 
 class TestCrossEntropy:
@@ -114,6 +127,44 @@ class TestLinearBackward:
             assert_grad_close(dw, numeric["weights"])
             assert_grad_close(db, numeric["bias"])
             assert_grad_close(dz, numeric["repr"])
+
+
+class TestLinearLossGrads:
+    def test_loss_is_weighted_sum_of_row_kl(self):
+        rng = np.random.default_rng(15)
+        head = LinearHead(rng.normal(size=(4, 3)), rng.normal(size=4))
+        reprs = rng.normal(size=(6, 3))
+        targets = rng.dirichlet(np.ones(4), size=6)
+        targets[0] = [0.0, 1.0, 0.0, 0.0]  # one-hot rows use 0 log 0 = 0
+        weights = rng.uniform(0.1, 3.0, size=6)
+        loss, _, _, _ = linear_loss_grads(head, reprs, targets, weights)
+        expected = sum(
+            w * cross_entropy(linear_forward(head, z), t)
+            for w, z, t in zip(weights, reprs, targets)
+        )
+        assert loss == pytest.approx(expected, rel=1e-12)
+
+    def test_log_space_at_underflowing_softmax(self):
+        # the gold tag's probability underflows to exactly 0, where the
+        # probability-space cross_entropy has no finite value
+        head = LinearHead(np.array([[1e4], [-1e4]]), np.zeros(2))
+        z = np.array([[1.0]])
+        target = np.array([[0.0, 1.0]])
+        assert linear_forward(head, z)[0, 1] == 0.0
+        with pytest.raises(ValueError):
+            cross_entropy(linear_forward(head, z)[0], target[0])
+        loss, d_w, d_b, d_z = linear_loss_grads(head, z, target, np.ones(1))
+        assert loss == pytest.approx(2e4)
+        assert np.allclose(d_b, [1.0, -1.0])
+        assert np.allclose(d_w, [[1.0], [-1.0]])
+        assert np.allclose(d_z, [[2e4]])
+
+    def test_shape_mismatch(self):
+        head = LinearHead(np.zeros((3, 2)), np.zeros(3))
+        with pytest.raises(ValueError):
+            linear_loss_grads(head, np.zeros((2, 2)), np.zeros((2, 4)), np.ones(2))
+        with pytest.raises(ValueError):
+            linear_loss_grads(head, np.zeros((2, 2)), np.zeros((2, 3)), np.ones(1))
 
 
 class TestBuildPrototypes:
@@ -305,6 +356,22 @@ class TestMultiProtoScore:
         protos = PrototypeSet([("A", np.vstack([c, c])), ("B", np.array([[-1.0, 0.0]]))])
         scores = multi_proto_score(protos, np.array([0.0, 0.0]))
         assert np.allclose(scores, [0.5, 0.5])
+
+    def test_batched_rows_equal_per_vector(self):
+        rng = np.random.default_rng(17)
+        for _ in range(100):
+            protos = PrototypeSet(
+                [(f"L{i}", rng.normal(size=(rng.integers(1, 12), 3))) for i in range(4)]
+            )
+            reprs = rng.normal(size=(rng.integers(1, 9), 3))
+            batched = multi_proto_scores(protos, reprs)
+            for row, z in zip(batched, reprs):
+                assert np.array_equal(row, multi_proto_score(protos, z))
+
+    def test_batched_dimension_mismatch(self):
+        protos = PrototypeSet([("A", np.zeros((2, 3)))])
+        with pytest.raises(ValueError):
+            multi_proto_scores(protos, np.zeros((2, 4)))
 
     def test_sums_to_one(self):
         rng = np.random.default_rng(13)
