@@ -79,6 +79,12 @@ def _digest(path: str) -> str:
         raise DataError(f"cannot read {path}: {exc.strerror}") from exc
 
 
+def _shots(args) -> int:
+    if args.shots < 1:
+        raise DataError(f"--shots must be positive, got {args.shots}")
+    return args.shots
+
+
 def cmd_stats(args) -> int:
     corpus = _read_corpus(args.conll, args.schema)
     print(stats_json(corpus))
@@ -86,8 +92,9 @@ def cmd_stats(args) -> int:
 
 
 def cmd_sample(args) -> int:
+    shots = _shots(args)
     corpus = _read_corpus(args.conll, args.schema)
-    sub = sample_fewshot(corpus, args.shots, args.seed)
+    sub = sample_fewshot(corpus, shots, args.seed)
     checkpoint.write_atomic(args.out, write_conll(sub))
     return EXIT_OK
 
@@ -157,10 +164,11 @@ def cmd_eval(args) -> int:
 
 
 def cmd_protoinfer(args) -> int:
+    shots = _shots(args)
     model = checkpoint.load(args.checkpoint)
     support = _read_corpus(args.support, args.gold_schema)
     test = _read_corpus(args.test, args.gold_schema)
-    protos = support_prototypes(model.encoder, support, shots=args.shots, seed=args.seed)
+    protos = support_prototypes(model.encoder, support, shots=shots, seed=args.seed)
     report = evaluate_model(
         model,
         test,

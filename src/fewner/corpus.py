@@ -12,7 +12,9 @@ from __future__ import annotations
 import json
 import random
 from collections import Counter
+from collections.abc import Container
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from .errors import DataError
 
@@ -97,9 +99,6 @@ class LabelSet:
                 vocab.append(f"{prefix}-{t}")
         object.__setattr__(self, "tag_vocabulary", tuple(vocab))
 
-    def tag_index(self, tag: str) -> int:
-        return self.tag_vocabulary.index(tag)
-
 
 @dataclass(frozen=True)
 class TaggedCorpus:
@@ -120,6 +119,15 @@ class TaggedCorpus:
 
     def __len__(self) -> int:
         return len(self.sentences)
+
+    @cached_property
+    def type_index(self) -> dict[str, tuple[int, ...]]:
+        """Entity type -> ascending indices of the sentences containing it."""
+        index: dict[str, list[int]] = {t: [] for t in self.labels.entity_types}
+        for i, sent in enumerate(self.sentences):
+            for etype in {split_tag(t)[1] for t in sent.tags if t != "O"}:
+                index[etype].append(i)
+        return {t: tuple(rows) for t, rows in index.items()}
 
 
 @dataclass(frozen=True)
@@ -272,6 +280,33 @@ def convert_tags(tags: list[str] | tuple[str, ...], source: str, target: str) ->
     return out
 
 
+def top_up(
+    rng: random.Random,
+    members: tuple[int, ...],
+    bucket: set[int],
+    want: int,
+    exclude: Container[int] = (),
+) -> int:
+    """Draw sentences of `members` (ascending indices of the sentences with
+    one type) into `bucket`, without replacement and avoiding `exclude`,
+    until `want` of the bucket's sentences are members. The draw is
+    rng.sample over the remaining members in ascending order.
+
+    Returns how many members the bucket can reach (those in it plus the
+    candidates); when that is below `want`, nothing is drawn.
+    """
+    have = 0
+    candidates = []
+    for i in members:
+        if i in bucket:
+            have += 1
+        elif i not in exclude:
+            candidates.append(i)
+    if have < want <= have + len(candidates):
+        bucket.update(rng.sample(candidates, want - have))
+    return have + len(candidates)
+
+
 def sample_fewshot(corpus: TaggedCorpus, shots: int, seed: int) -> TaggedCorpus:
     """Select a subcorpus covering every entity type with >= `shots` sentences.
 
@@ -282,25 +317,14 @@ def sample_fewshot(corpus: TaggedCorpus, shots: int, seed: int) -> TaggedCorpus:
     if shots < 1:
         raise ValueError(f"shots must be positive, got {shots}")
     rng = random.Random(seed)
-    type_sets = [
-        {split_tag(t)[1] for t in sent.tags if t != "O"}
-        for sent in corpus.sentences
-    ]
     selected: set[int] = set()
     for etype in corpus.labels.entity_types:
-        have = sum(1 for i in selected if etype in type_sets[i])
-        if have >= shots:
-            continue
-        candidates = [
-            i for i in range(len(corpus.sentences))
-            if i not in selected and etype in type_sets[i]
-        ]
-        if have + len(candidates) < shots:
+        available = top_up(rng, corpus.type_index[etype], selected, shots)
+        if available < shots:
             raise DataError(
-                f"type {etype!r} occurs in only {have + len(candidates)} "
+                f"type {etype!r} occurs in only {available} "
                 f"sentences; cannot sample {shots} shots"
             )
-        selected.update(rng.sample(candidates, shots - have))
     picked = tuple(corpus.sentences[i] for i in sorted(selected))
     return TaggedCorpus(picked, corpus.labels)
 

@@ -7,9 +7,10 @@ set for each token:
   computed in log space for a whole batch of rows at once;
 * a prototype head that scores a token by its Euclidean distance to one
   centroid per label (the mean of that label's support representations),
-  softmaxed over negative distances. The multi-prototype variant keeps
-  several centroids per label, obtained by k-means over the support, and
-  averages the per-centroid probabilities of a label.
+  softmaxed over negative distances, with its loss and gradients computed
+  in log space for a whole episode's query rows at once. The multi-prototype
+  variant keeps several centroids per label, obtained by k-means over the
+  support, and averages the per-centroid probabilities of a label.
 
 Both heads accept soft target distributions; the loss is KL(target || q),
 which for one-hot targets is the usual negative log-likelihood.
@@ -172,18 +173,57 @@ def build_prototypes(support_reprs: dict[str, list[np.ndarray]]) -> PrototypeSet
     return PrototypeSet(entries)
 
 
-def _distances(protos: PrototypeSet, repr_vec: np.ndarray) -> np.ndarray:
-    cents = np.vstack([c[0] for _, c in protos.entries])
-    if repr_vec.shape != (cents.shape[1],):
-        raise ValueError(f"repr shape {repr_vec.shape} != ({cents.shape[1]},)")
-    return np.linalg.norm(cents - repr_vec, axis=1)
+def _proto_log_probs(centroids: np.ndarray, reprs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(N, L) Euclidean distances of reprs to the centroids and the row-wise
+    log softmax of their negation, max-shifted."""
+    if centroids.ndim != 2 or reprs.ndim != 2 or reprs.shape[1] != centroids.shape[1]:
+        raise ValueError(
+            f"reprs {reprs.shape} and centroids {centroids.shape} are not (N, H) and (L, H)"
+        )
+    # one (N, H) difference per centroid, never an (N, L, H) tensor
+    dist = np.stack([np.linalg.norm(reprs - c, axis=1) for c in centroids], axis=1)
+    shifted = dist.min(axis=1, keepdims=True) - dist
+    return dist, shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
+
+
+def proto_loss_grads(
+    centroids: np.ndarray, reprs: np.ndarray, targets: np.ndarray
+) -> tuple[float, np.ndarray, np.ndarray]:
+    """sum_i KL(T_i || softmax(-||reprs[i] - centroids||)) over (N, H) reprs,
+    (L, H) centroids and (N, L) targets, computed in log space, with its
+    gradients (d_reprs, d_centroids).
+
+    With g = softmax - T and w = g / distance (0 at zero distance, where
+    the norm's subgradient is taken as 0), d_reprs = w @ C - rowsum(w) * Q
+    and d_centroids = w.T @ Q - colsum(w) * C.
+    """
+    centroids = np.asarray(centroids, dtype=float)
+    reprs = np.asarray(reprs, dtype=float)
+    targets = np.asarray(targets, dtype=float)
+    dist, log_q = _proto_log_probs(centroids, reprs)
+    if targets.shape != log_q.shape:
+        raise ValueError(f"targets {targets.shape} do not fit {log_q.shape}")
+    # target entropy term with 0 * log 0 = 0
+    log_t = np.log(np.where(targets > 0.0, targets, 1.0))
+    loss = float(np.sum(targets * (log_t - log_q)))
+    w = np.divide(
+        np.exp(log_q) - targets, dist, out=np.zeros_like(dist), where=dist > 0.0
+    )
+    d_reprs = w @ centroids - w.sum(axis=1)[:, None] * reprs
+    d_centroids = w.T @ reprs - w.sum(axis=0)[:, None] * centroids
+    return loss, d_reprs, d_centroids
+
+
+def _single_centroids(protos: PrototypeSet) -> np.ndarray:
+    if not protos.is_single():
+        raise ValueError("proto_forward needs single-centroid entries; use multi_proto_score")
+    return np.vstack([c[0] for _, c in protos.entries])
 
 
 def proto_forward(protos: PrototypeSet, repr_vec: np.ndarray) -> np.ndarray:
     """softmax over negative Euclidean distances to the label centroids."""
-    if not protos.is_single():
-        raise ValueError("proto_forward needs single-centroid entries; use multi_proto_score")
-    return _softmax(-_distances(protos, np.asarray(repr_vec, dtype=float)))
+    repr_vec = np.asarray(repr_vec, dtype=float)
+    return np.exp(_proto_log_probs(_single_centroids(protos), repr_vec[None, :])[1][0])
 
 
 def proto_backward(
@@ -197,18 +237,10 @@ def proto_backward(
     owns that provenance.
     """
     repr_vec = np.asarray(repr_vec, dtype=float)
-    dist = proto_forward(protos, repr_vec)
-    d_neg_d = dist - np.asarray(target, dtype=float)  # d loss / d (-distance)
-    d_repr = np.zeros_like(repr_vec)
-    centroid_grads: dict[str, np.ndarray] = {}
-    for (label, cents), g in zip(protos.entries, d_neg_d):
-        delta = repr_vec - cents[0]
-        norm = np.linalg.norm(delta)
-        direction = delta / norm if norm > 0.0 else np.zeros_like(delta)
-        # distance gradient: d d/d repr = direction, d d/d centroid = -direction
-        d_repr += -g * direction
-        centroid_grads[label] = g * direction
-    return d_repr, centroid_grads
+    _, d_reprs, d_cents = proto_loss_grads(
+        _single_centroids(protos), repr_vec[None, :], np.atleast_2d(target)
+    )
+    return d_reprs[0], dict(zip(protos.labels, d_cents))
 
 
 def _kmeans_seed(points: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:

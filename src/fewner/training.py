@@ -25,26 +25,17 @@ from pathlib import Path
 import numpy as np
 
 from .checkpoint import LINEAR, PROTOTYPE, Model
-from .corpus import TaggedCorpus, TokenSequence, split_tag
+from .corpus import TaggedCorpus, TokenSequence, split_tag, top_up
 from .encoder import (
     EncoderParams,
     encode,
-    encode_backward,
     encode_windows,
     encode_windows_backward,
     init_encoder,
     window_indices,
 )
 from .errors import DataError, NumericError
-from .heads import (
-    build_prototypes,
-    cross_entropy,
-    init_linear_head,
-    linear_forward,
-    linear_loss_grads,
-    proto_backward,
-    proto_forward,
-)
+from .heads import init_linear_head, linear_forward, linear_loss_grads, proto_loss_grads
 
 SCHEMES = ("lc", "proto", "lc+nsp", "proto+nsp", "lc+st", "lc+nsp+st")
 
@@ -102,8 +93,17 @@ class TrainConfig:
         return replace(self, **overrides)
 
 
+# JSON/TOML value types accepted per declared field type; an int is a valid
+# float, but a bool is valid only for bool fields
+_CONFIG_TYPES = {"int": int, "float": (int, float), "bool": bool, "str": str}
+
+
 def load_config(path: str | Path) -> TrainConfig:
-    """Read a TrainConfig from a JSON (or TOML, on Python 3.11+) file."""
+    """Read a TrainConfig from a JSON (or TOML, on Python 3.11+) file.
+
+    Every value must have its field's declared type; a malformed or invalid
+    config raises DataError naming the file.
+    """
     path = Path(path)
     text = path.read_text(encoding="utf-8")
     if path.suffix == ".toml":
@@ -119,11 +119,20 @@ def load_config(path: str | Path) -> TrainConfig:
             raise DataError(f"{path}: invalid config ({exc})") from exc
     if "seed" not in raw:
         raise DataError(f"{path}: config must set a seed")
-    known = set(TrainConfig.__dataclass_fields__)
-    unknown = set(raw) - known
+    fields = TrainConfig.__dataclass_fields__
+    unknown = set(raw) - set(fields)
     if unknown:
         raise DataError(f"{path}: unknown config fields {sorted(unknown)}")
-    return TrainConfig(**raw)
+    for name, value in raw.items():
+        declared = fields[name].type
+        if isinstance(value, bool) != (declared == "bool") or not isinstance(
+            value, _CONFIG_TYPES[declared]
+        ):
+            raise DataError(f"{path}: config field {name!r} must be {declared}, got {value!r}")
+    try:
+        return TrainConfig(**raw)
+    except (ValueError, DataError) as exc:
+        raise DataError(f"{path}: invalid config ({exc})") from exc
 
 
 @dataclass
@@ -136,6 +145,8 @@ class OptimizerState:
     step: int = 0
     first_moment: dict[str, np.ndarray] = field(default_factory=dict)
     second_moment: dict[str, np.ndarray] = field(default_factory=dict)
+    # per block, two work arrays of its shape that adam_step reuses
+    buffers: dict[str, np.ndarray] = field(default_factory=dict, repr=False)
 
     beta1 = 0.9
     beta2 = 0.999
@@ -153,6 +164,7 @@ def init_optimizer(
         total_steps=total_steps,
         first_moment={k: np.zeros_like(v) for k, v in params.items()},
         second_moment={k: np.zeros_like(v) for k, v in params.items()},
+        buffers={k: np.empty((2, *v.shape)) for k, v in params.items()},
     )
 
 
@@ -174,19 +186,31 @@ def adam_step(
     """One Adam update in place; the step's rate comes from lr_at."""
     lr = lr_at(state)
     t = state.step + 1
+    bias1 = 1.0 - state.beta1**t
+    bias2 = 1.0 - state.beta2**t
     for name, p in params.items():
         g = grads[name]
         if not np.all(np.isfinite(g)):
             raise NumericError(f"non-finite gradient in parameter block {name!r}")
         m = state.first_moment[name]
         v = state.second_moment[name]
+        num, den = state.buffers[name]
+        # m = b1 m + (1 - b1) g;  v = b2 v + ((1 - b2) g) g
+        np.multiply(g, 1.0 - state.beta1, out=num)
         m *= state.beta1
-        m += (1.0 - state.beta1) * g
+        m += num
+        np.multiply(g, 1.0 - state.beta2, out=num)
+        num *= g
         v *= state.beta2
-        v += (1.0 - state.beta2) * g * g
-        m_hat = m / (1.0 - state.beta1**t)
-        v_hat = v / (1.0 - state.beta2**t)
-        p -= lr * m_hat / (np.sqrt(v_hat) + state.eps)
+        v += num
+        # p -= (lr m_hat) / (sqrt(v_hat) + eps)
+        np.divide(m, bias1, out=num)
+        num *= lr
+        np.divide(v, bias2, out=den)
+        np.sqrt(den, out=den)
+        den += state.eps
+        num /= den
+        p -= num
     state.step = t
     return params, state
 
@@ -212,31 +236,17 @@ def sample_episode(
         raise DataError(f"corpus has {len(types)} entity types; cannot sample {m_types}")
     rng = random.Random(seed)
     sampled = rng.sample(list(types), m_types)
-    type_sets = [
-        {split_tag(t)[1] for t in sent.tags if t != "O"} for sent in corpus.sentences
-    ]
     support: set[int] = set()
     query: set[int] = set()
-
-    def top_up(bucket: set[int], other: set[int], etype: str, want: int):
-        have = sum(1 for i in bucket if etype in type_sets[i])
-        if have >= want:
-            return
-        candidates = [
-            i
-            for i in range(len(corpus.sentences))
-            if i not in bucket and i not in other and etype in type_sets[i]
-        ]
-        if have + len(candidates) < want:
-            raise DataError(
-                f"type {etype!r}: only {have + len(candidates)} sentences available "
-                f"for {want} required"
-            )
-        bucket.update(rng.sample(candidates, want - have))
-
     for etype in sampled:
-        top_up(support, query, etype, k_support)
-        top_up(query, support, etype, k_query)
+        members = corpus.type_index[etype]
+        for bucket, other, want in ((support, query, k_support), (query, support, k_query)):
+            available = top_up(rng, members, bucket, want, exclude=other)
+            if available < want:
+                raise DataError(
+                    f"type {etype!r}: only {available} sentences available "
+                    f"for {want} required"
+                )
     return Episode(
         support=tuple(corpus.sentences[i] for i in sorted(support)),
         query=tuple(corpus.sentences[i] for i in sorted(query)),
@@ -380,7 +390,9 @@ def train_prototype(
     query representations and the prototype means.
 
     Only the encoder is trained; query tokens whose gold tag falls outside
-    the episode's label space contribute nothing.
+    the episode's label space contribute nothing. Each episode is one encode
+    of its support and query windows, one loss and gradient over all
+    in-scope query tokens and one encoder backward.
     """
     if len(corpus) == 0:
         raise DataError("cannot train on an empty corpus")
@@ -401,6 +413,8 @@ def train_prototype(
         )
     episode_rng = random.Random(config.seed + SEED_EPISODES)
     vocab_order = corpus.labels.tag_vocabulary
+    # the vocabulary is fixed during training, so each sentence's windows are too
+    windows_of = {s: window_indices(encoder, s.tokens) for s in corpus.sentences}
     epoch_losses: list[float] = []
 
     for step in range(total_steps):
@@ -408,55 +422,42 @@ def train_prototype(
             corpus, m_types, config.K, config.K_prime, seed=episode_rng.getrandbits(32)
         )
         in_scope = set(episode.sampled_types)
-        support_reprs = [encode(encoder, s) for s in episode.support]
-        # support provenance per tag label, restricted to the sampled types
-        members: dict[str, list[tuple[int, int]]] = {}
-        for i, sent in enumerate(episode.support):
-            for j, tag in enumerate(sent.tags):
-                etype = split_tag(tag)[1]
-                if etype is None or etype in in_scope:
-                    members.setdefault(tag, []).append((i, j))
-        space = [t for t in vocab_order if t in members]
-        protos = build_prototypes(
-            {t: [support_reprs[i][j] for i, j in members[t]] for t in space}
-        )
+        sentences = episode.support + episode.query
+        windows = np.concatenate([windows_of[s] for s in sentences])
+        reprs = encode_windows(encoder, windows)
+        tags = [tag for s in sentences for tag in s.tags]
+        n_support = sum(len(s) for s in episode.support)
+        # label space: the support's tags of the sampled types plus "O"
+        present = {
+            t for t in tags[:n_support] if t == "O" or split_tag(t)[1] in in_scope
+        }
+        space = [t for t in vocab_order if t in present]
         label_pos = {t: k for k, t in enumerate(space)}
-
-        support_up = [np.zeros_like(r) for r in support_reprs]
-        query_reprs = [encode(encoder, s) for s in episode.query]
-        query_up = [np.zeros_like(r) for r in query_reprs]
-        centroid_grads = {t: np.zeros(encoder.hidden_dim) for t in space}
-        n_tokens = 0
-        loss = 0.0
-        for i, sent in enumerate(episode.query):
-            for j, tag in enumerate(sent.tags):
-                if tag not in label_pos:
-                    continue
-                target = np.zeros(len(space))
-                target[label_pos[tag]] = 1.0
-                dist = proto_forward(protos, query_reprs[i][j])
-                loss += cross_entropy(dist, target)
-                d_z, c_grads = proto_backward(protos, query_reprs[i][j], target)
-                query_up[i][j] = d_z
-                for t, g in c_grads.items():
-                    centroid_grads[t] += g
-                n_tokens += 1
+        row_label = np.array([label_pos.get(t, -1) for t in tags])
+        support_label = row_label[:n_support]
+        query_rows = n_support + np.flatnonzero(row_label[n_support:] >= 0)
+        n_tokens = len(query_rows)
         if n_tokens == 0:
             continue
+        centroids = np.stack(
+            [reprs[:n_support][support_label == k].mean(axis=0) for k in range(len(space))]
+        )
+        targets = np.zeros((n_tokens, len(space)))
+        targets[np.arange(n_tokens), row_label[query_rows]] = 1.0
+        loss, d_query, d_centroids = proto_loss_grads(centroids, reprs[query_rows], targets)
         epoch_losses.append(loss / n_tokens)
-        for t in space:
-            share = centroid_grads[t] / len(members[t])
-            for i, j in members[t]:
-                support_up[i][j] += share
 
-        grads = {k: np.zeros_like(v) for k, v in trainable.items()}
-        for sent, up in zip(episode.support + episode.query, support_up + query_up):
-            if not np.any(up):
-                continue
-            enc_grads = encode_backward(encoder, sent, up / n_tokens)
-            for k, v in enc_grads.arrays().items():
-                grads[f"encoder.{k}"] += v
-        adam_step(state, trainable, grads)
+        # a centroid is the mean of its support rows, so each of them gets
+        # the centroid's gradient divided by the label's support count
+        upstream = np.zeros_like(reprs)
+        upstream[query_rows] = d_query
+        members = np.flatnonzero(support_label >= 0)
+        member_label = support_label[members]
+        counts = np.bincount(member_label, minlength=len(space))
+        upstream[members] = (d_centroids / counts[:, None])[member_label]
+        upstream /= n_tokens
+        enc_grads = encode_windows_backward(encoder, windows, reprs, upstream)
+        adam_step(state, trainable, {f"encoder.{k}": v for k, v in enc_grads.arrays().items()})
         if on_epoch is not None and (step + 1) % iters_per_epoch == 0:
             mean_loss = sum(epoch_losses) / len(epoch_losses) if epoch_losses else 0.0
             on_epoch((step + 1) // iters_per_epoch - 1, mean_loss)

@@ -2,12 +2,23 @@
 
 These deliberately use different mechanics than the library (span scanning
 instead of event-based chunking, per-scalar central differences instead of
-analytic gradients) so that agreement is evidence, not tautology.
+analytic gradients, per-token loops instead of whole-episode matrices,
+whole-corpus scans instead of the per-corpus type index) so that agreement
+is evidence, not tautology.
 """
 
 from __future__ import annotations
 
+import math
+import random
+
 import numpy as np
+
+from fewner.corpus import TaggedCorpus
+from fewner.encoder import encode, encode_backward
+from fewner.errors import DataError
+from fewner.heads import build_prototypes, cross_entropy, proto_backward, proto_forward
+from fewner.training import SEED_EPISODES, Episode, init_optimizer, lr_at
 
 
 def tag_type(tag: str) -> str | None:
@@ -97,3 +108,155 @@ def random_tagseq(rng, length: int, types, schema: str) -> list[str]:
         else:
             tags.append(f"{rng.choice(prefixes)}-{rng.choice(types)}")
     return tags
+
+
+def reference_adam_step(state, params, grads):
+    """Adam as first written, one full-size temporary per operation; the
+    library's in-place version must match it bit for bit."""
+    lr = lr_at(state)
+    t = state.step + 1
+    for name, p in params.items():
+        g = grads[name]
+        m = state.first_moment[name]
+        v = state.second_moment[name]
+        m *= state.beta1
+        m += (1.0 - state.beta1) * g
+        v *= state.beta2
+        v += (1.0 - state.beta2) * g * g
+        m_hat = m / (1.0 - state.beta1**t)
+        v_hat = v / (1.0 - state.beta2**t)
+        p -= lr * m_hat / (np.sqrt(v_hat) + state.eps)
+    state.step = t
+
+
+def _sentence_types(corpus):
+    return [{tag_type(t) for t in sent.tags if t != "O"} for sent in corpus.sentences]
+
+
+def reference_sample_fewshot(corpus, shots: int, seed: int):
+    """The few-shot sampler as first written: a scan of the whole corpus
+    per type, candidates in ascending sentence order."""
+    rng = random.Random(seed)
+    type_sets = _sentence_types(corpus)
+    selected: set[int] = set()
+    for etype in corpus.labels.entity_types:
+        have = sum(1 for i in selected if etype in type_sets[i])
+        if have >= shots:
+            continue
+        candidates = [
+            i for i in range(len(corpus.sentences))
+            if i not in selected and etype in type_sets[i]
+        ]
+        if have + len(candidates) < shots:
+            raise DataError(
+                f"type {etype!r} occurs in only {have + len(candidates)} "
+                f"sentences; cannot sample {shots} shots"
+            )
+        selected.update(rng.sample(candidates, shots - have))
+    return TaggedCorpus(tuple(corpus.sentences[i] for i in sorted(selected)), corpus.labels)
+
+
+def reference_sample_episode(corpus, m_types: int, k_support: int, k_query: int, seed: int):
+    """The episode sampler as first written (same scan as above, with
+    support and query kept disjoint)."""
+    types = corpus.labels.entity_types
+    if m_types > len(types):
+        raise DataError(f"corpus has {len(types)} entity types; cannot sample {m_types}")
+    rng = random.Random(seed)
+    sampled = rng.sample(list(types), m_types)
+    type_sets = _sentence_types(corpus)
+    support: set[int] = set()
+    query: set[int] = set()
+
+    def top_up(bucket, other, etype, want):
+        have = sum(1 for i in bucket if etype in type_sets[i])
+        if have >= want:
+            return
+        candidates = [
+            i
+            for i in range(len(corpus.sentences))
+            if i not in bucket and i not in other and etype in type_sets[i]
+        ]
+        if have + len(candidates) < want:
+            raise DataError(
+                f"type {etype!r}: only {have + len(candidates)} sentences available "
+                f"for {want} required"
+            )
+        bucket.update(rng.sample(candidates, want - have))
+
+    for etype in sampled:
+        top_up(support, query, etype, k_support)
+        top_up(query, support, etype, k_query)
+    return Episode(
+        support=tuple(corpus.sentences[i] for i in sorted(support)),
+        query=tuple(corpus.sentences[i] for i in sorted(query)),
+        sampled_types=tuple(sampled),
+    )
+
+
+def reference_train_prototype(corpus, config, encoder):
+    """Episodic prototype training token by token: per-sentence encodes,
+    one proto_forward, cross_entropy and proto_backward per query token,
+    centroid gradients spread over their support tokens, one encoder
+    backward per sentence. Trains `encoder` in place; returns the per-epoch
+    mean losses."""
+    types = corpus.labels.entity_types
+    m_types = min(config.M, len(types))
+    iters_per_epoch = math.ceil(len(corpus) / (m_types * (config.K + config.K_prime)))
+    total_steps = config.epochs * iters_per_epoch
+    trainable = {f"encoder.{k}": v for k, v in encoder.arrays().items()}
+    state = init_optimizer(trainable, config.learning_rate, config.warmup_fraction, total_steps)
+    episode_rng = random.Random(config.seed + SEED_EPISODES)
+    vocab_order = corpus.labels.tag_vocabulary
+    epoch_losses, losses = [], []
+    for step in range(total_steps):
+        episode = reference_sample_episode(
+            corpus, m_types, config.K, config.K_prime, seed=episode_rng.getrandbits(32)
+        )
+        in_scope = set(episode.sampled_types)
+        support_reprs = [encode(encoder, s) for s in episode.support]
+        members: dict[str, list[tuple[int, int]]] = {}
+        for i, sent in enumerate(episode.support):
+            for j, tag in enumerate(sent.tags):
+                etype = tag_type(tag)
+                if etype is None or etype in in_scope:
+                    members.setdefault(tag, []).append((i, j))
+        space = [t for t in vocab_order if t in members]
+        protos = build_prototypes(
+            {t: [support_reprs[i][j] for i, j in members[t]] for t in space}
+        )
+        label_pos = {t: k for k, t in enumerate(space)}
+        support_up = [np.zeros_like(r) for r in support_reprs]
+        query_reprs = [encode(encoder, s) for s in episode.query]
+        query_up = [np.zeros_like(r) for r in query_reprs]
+        centroid_grads = {t: np.zeros(encoder.hidden_dim) for t in space}
+        n_tokens = 0
+        loss = 0.0
+        for i, sent in enumerate(episode.query):
+            for j, tag in enumerate(sent.tags):
+                if tag not in label_pos:
+                    continue
+                target = np.zeros(len(space))
+                target[label_pos[tag]] = 1.0
+                loss += cross_entropy(proto_forward(protos, query_reprs[i][j]), target)
+                d_z, c_grads = proto_backward(protos, query_reprs[i][j], target)
+                query_up[i][j] = d_z
+                for t, g in c_grads.items():
+                    centroid_grads[t] += g
+                n_tokens += 1
+        if n_tokens == 0:
+            continue
+        epoch_losses.append(loss / n_tokens)
+        for t in space:
+            share = centroid_grads[t] / len(members[t])
+            for i, j in members[t]:
+                support_up[i][j] += share
+        grads = {k: np.zeros_like(v) for k, v in trainable.items()}
+        for sent, up in zip(episode.support + episode.query, support_up + query_up):
+            for k, v in encode_backward(encoder, sent, up / n_tokens).arrays().items():
+                grads[f"encoder.{k}"] += v
+        reference_adam_step(state, trainable, grads)
+        if (step + 1) % iters_per_epoch == 0:
+            losses.append(sum(epoch_losses) / len(epoch_losses) if epoch_losses else 0.0)
+            epoch_losses = []
+    return losses

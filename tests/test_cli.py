@@ -293,6 +293,72 @@ class TestProtoinfer:
         assert "protoinfer" in capsys.readouterr().err
 
 
+class TestBadInputs:
+    """Invalid configs and shot counts end as one-line data errors."""
+
+    def _assert_data_error(self, code, capsys):
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("fewner: ") and err.count("\n") == 1
+        return err
+
+    @pytest.mark.parametrize(
+        "config, field", [({"seed": 0, "batch_size": 0}, "batch_size"), ({"seed": "x"}, "seed")]
+    )
+    def test_invalid_config(self, workdir, capsys, config, field):
+        (workdir / "bad.json").write_text(json.dumps(config), encoding="utf-8")
+        code = main(
+            [
+                "train",
+                "lc",
+                "--config",
+                str(workdir / "bad.json"),
+                "--train",
+                str(workdir / "train.conll"),
+                "--out",
+                str(workdir / "x.json"),
+            ]
+        )
+        err = self._assert_data_error(code, capsys)
+        assert "bad.json" in err and field in err
+        assert not (workdir / "x.json").exists()
+
+    def test_sample_zero_shots(self, workdir, capsys):
+        code = main(
+            [
+                "sample",
+                str(workdir / "train.conll"),
+                "--shots",
+                "0",
+                "--seed",
+                "1",
+                "--out",
+                str(workdir / "x.conll"),
+            ]
+        )
+        assert "--shots" in self._assert_data_error(code, capsys)
+        assert not (workdir / "x.conll").exists()
+
+    def test_protoinfer_zero_shots(self, workdir, capsys):
+        ckpt = workdir / "lc.json"
+        args = ["--config", str(workdir / "config.json"), "--train", str(workdir / "train.conll")]
+        assert main(["train", "lc", *args, "--out", str(ckpt)]) == 0
+        capsys.readouterr()
+        code = main(
+            [
+                "protoinfer",
+                str(ckpt),
+                "--support",
+                str(workdir / "train.conll"),
+                "--test",
+                str(workdir / "test.conll"),
+                "--shots",
+                "0",
+            ]
+        )
+        assert "--shots" in self._assert_data_error(code, capsys)
+
+
 class TestUsage:
     def test_unknown_scheme(self, workdir):
         with pytest.raises(SystemExit) as exc:

@@ -19,6 +19,7 @@ from fewner.heads import (
     multi_proto_scores,
     proto_backward,
     proto_forward,
+    proto_loss_grads,
 )
 
 from oracles import assert_grad_close, finite_difference
@@ -295,6 +296,75 @@ class TestProtoBackward:
                 for vec in reprs:
                     numeric = finite_difference(objective, {"v": vec})
                     assert_grad_close(expected, numeric["v"])
+
+
+class TestProtoLossGrads:
+    def test_matches_finite_differences_through_support_means(self):
+        rng = np.random.default_rng(8)
+        for case in range(100):
+            n_query, n_labels, dim = rng.integers(2, 6), rng.integers(2, 5), 3
+            assign = np.concatenate(
+                [np.arange(n_labels), rng.integers(n_labels, size=rng.integers(0, 4))]
+            )
+            support = rng.normal(size=(len(assign), dim))
+            counts = np.bincount(assign, minlength=n_labels)
+
+            def centroids():
+                return np.stack([support[assign == k].mean(axis=0) for k in range(n_labels)])
+
+            queries = rng.normal(size=(n_query, dim)) * 1.5
+            step = 1e-5
+            if case % 4 == 0:
+                # zero distance: the norm's subgradient there is taken as 0,
+                # which is also what a central difference of |x| at 0 gives;
+                # the kink adds an O(step) error to the other coordinates'
+                # differences, so the step is smaller
+                queries[0] = centroids()[rng.integers(n_labels)]
+                step = 1e-7
+            targets = rng.dirichlet(np.ones(n_labels), size=n_query)
+            loss, d_queries, d_cents = proto_loss_grads(centroids(), queries, targets)
+
+            protos = PrototypeSet([(str(k), c[None, :]) for k, c in enumerate(centroids())])
+            per_row = [cross_entropy(proto_forward(protos, q), t) for q, t in zip(queries, targets)]
+            assert loss == pytest.approx(sum(per_row), rel=1e-12)
+
+            def objective():
+                return proto_loss_grads(centroids(), queries, targets)[0]
+
+            numeric = finite_difference(
+                objective, {"queries": queries, "support": support}, step=step
+            )
+            assert_grad_close(d_queries, numeric["queries"])
+            assert_grad_close(d_cents[assign] / counts[assign, None], numeric["support"])
+
+    def test_rows_match_proto_backward(self):
+        rng = np.random.default_rng(9)
+        cents = rng.normal(size=(3, 4))
+        protos = PrototypeSet([(f"L{k}", c[None, :]) for k, c in enumerate(cents)])
+        queries = rng.normal(size=(5, 4))
+        targets = np.eye(3)[rng.integers(3, size=5)]
+        _, d_queries, d_cents = proto_loss_grads(cents, queries, targets)
+        summed = np.zeros_like(cents)
+        for q, t, d_q in zip(queries, targets, d_queries):
+            d_repr, cent_grads = proto_backward(protos, q, t)
+            assert np.allclose(d_repr, d_q, rtol=1e-12, atol=1e-15)
+            summed += np.stack([cent_grads[f"L{k}"] for k in range(3)])
+        assert np.allclose(summed, d_cents, rtol=1e-12, atol=1e-15)
+
+    def test_log_space_far_from_every_centroid(self):
+        cents = np.array([[0.0, 0.0], [1e3, 0.0]])
+        # the exact softmax of the far label underflows to 0; the loss stays finite
+        loss, d_queries, d_cents = proto_loss_grads(
+            cents, np.array([[-5.0, 0.0]]), np.array([[0.0, 1.0]])
+        )
+        assert loss == pytest.approx(1e3)
+        assert np.all(np.isfinite(d_queries)) and np.all(np.isfinite(d_cents))
+
+    def test_shape_mismatch(self):
+        with pytest.raises(ValueError):
+            proto_loss_grads(np.zeros((2, 3)), np.zeros((4, 2)), np.zeros((4, 2)))
+        with pytest.raises(ValueError):
+            proto_loss_grads(np.zeros((2, 3)), np.zeros((4, 3)), np.zeros((4, 3)))
 
 
 class TestMultiPrototypes:

@@ -1,0 +1,106 @@
+"""The few-shot and episode samplers: draw order against the whole-corpus
+scans they replaced, and their invariants on generated corpora."""
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from fewner.corpus import LabelSet, TaggedCorpus, TokenSequence, sample_fewshot
+from fewner.errors import DataError
+from fewner.synthetic import make_corpus
+from fewner.training import sample_episode
+
+from oracles import reference_sample_episode, reference_sample_fewshot, tag_type
+
+CORPORA = [
+    make_corpus(40, seed=1, fine=True),
+    make_corpus(25, seed=2, fine=True, trigger_prob=0.6),
+    make_corpus(12, seed=3),
+    make_corpus(60, seed=4, noise=0.2),
+]
+
+
+def _outcome(sampler, *args):
+    try:
+        return sampler(*args)
+    except DataError as exc:
+        return f"DataError: {exc}"
+
+
+def _contains(sentence, etype) -> bool:
+    return any(tag_type(t) == etype for t in sentence.tags)
+
+
+class TestDrawOrder:
+    def test_fewshot_matches_reference(self):
+        outcomes = []
+        for corpus in CORPORA:
+            for shots in (1, 3, 5, 9):
+                for seed in range(15):
+                    got = _outcome(sample_fewshot, corpus, shots, seed)
+                    assert got == _outcome(reference_sample_fewshot, corpus, shots, seed)
+                    outcomes.append(isinstance(got, str))
+        assert len(outcomes) >= 200
+        assert any(outcomes) and not all(outcomes)  # both draws and errors compared
+
+    def test_episode_matches_reference(self):
+        outcomes = []
+        for corpus in CORPORA:
+            for m, k, k_query in ((1, 1, 1), (2, 2, 3), (3, 2, 2), (5, 2, 3), (2, 5, 15)):
+                for seed in range(12):
+                    args = (corpus, m, k, k_query, seed)
+                    got = _outcome(sample_episode, *args)
+                    assert got == _outcome(reference_sample_episode, *args)
+                    outcomes.append(isinstance(got, str))
+        assert len(outcomes) >= 200
+        assert any(outcomes) and not all(outcomes)
+
+
+@st.composite
+def corpora(draw):
+    """Corpora of distinct sentences (each carries its index as a token) over
+    up to four entity types."""
+    types = ("A", "B", "C", "D")[: draw(st.integers(1, 4))]
+    tag = st.sampled_from(("O", *(f"B-{t}" for t in types)))
+    rows = draw(st.lists(st.lists(tag, min_size=1, max_size=5), min_size=5, max_size=40))
+    sentences = tuple(
+        TokenSequence(tuple(f"s{i}w{j}" for j in range(len(tags))), tuple(tags))
+        for i, tags in enumerate(rows)
+    )
+    return TaggedCorpus(sentences, LabelSet(types, "BIO"))
+
+
+class TestProperties:
+    @settings(max_examples=150, deadline=None)
+    @given(corpora(), st.integers(1, 4), st.integers(0, 2**32 - 1))
+    def test_fewshot_covers_every_type(self, corpus, shots, seed):
+        rows = {
+            t: tuple(i for i, s in enumerate(corpus.sentences) if _contains(s, t))
+            for t in corpus.labels.entity_types
+        }
+        assert corpus.type_index == rows
+        if min(len(r) for r in rows.values()) < shots:
+            with pytest.raises(DataError):
+                sample_fewshot(corpus, shots, seed)
+            return
+        sub = sample_fewshot(corpus, shots, seed)
+        assert set(sub.sentences) <= set(corpus.sentences)
+        for etype in corpus.labels.entity_types:
+            assert sum(_contains(s, etype) for s in sub.sentences) >= shots
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        corpora(), st.integers(1, 4), st.integers(1, 3), st.integers(1, 3),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_episode_disjoint_and_filled(self, corpus, m, k, k_query, seed):
+        m = min(m, len(corpus.labels.entity_types))
+        try:
+            episode = sample_episode(corpus, m, k, k_query, seed)
+        except DataError:
+            return
+        assert not set(episode.support) & set(episode.query)
+        assert len(episode.sampled_types) == m
+        for etype in episode.sampled_types:
+            assert sum(_contains(s, etype) for s in episode.support) >= k
+            assert sum(_contains(s, etype) for s in episode.query) >= k_query

@@ -27,6 +27,7 @@ from fewner.training import (
 
 
 from builders import word_identity_corpus as _make_corpus
+from oracles import reference_adam_step, reference_train_prototype
 
 
 def _tiny_config(**overrides):
@@ -112,6 +113,30 @@ class TestAdam:
         state = init_optimizer(params, 0.1, 0.0, 5)
         with pytest.raises(NumericError, match="blockname"):
             adam_step(state, params, {"blockname": np.array([np.nan, 0.0])})
+
+    def test_in_place_update_matches_reference_bitwise(self):
+        rng = np.random.default_rng(21)
+        shapes = {"table": (300, 8), "weights": (5, 24), "bias": (5,)}
+        params = {k: rng.normal(size=shape) for k, shape in shapes.items()}
+        ref_params = {k: v.copy() for k, v in params.items()}
+        state = init_optimizer(params, 0.05, 0.1, 20)
+        ref_state = init_optimizer(ref_params, 0.05, 0.1, 20)
+        for _ in range(20):
+            grads = {
+                k: rng.normal(size=shape) * 10.0 ** rng.integers(-6, 4)
+                for k, shape in shapes.items()
+            }
+            grads["table"][rng.random(300) < 0.9] = 0.0  # mostly untouched rows
+            given = {k: g.copy() for k, g in grads.items()}
+            adam_step(state, params, grads)
+            reference_adam_step(ref_state, ref_params, grads)
+            for k in shapes:
+                assert np.array_equal(grads[k], given[k])  # gradients left as given
+        assert state.step == ref_state.step == 20
+        for k in shapes:
+            assert np.array_equal(params[k], ref_params[k])
+            assert np.array_equal(state.first_moment[k], ref_state.first_moment[k])
+            assert np.array_equal(state.second_moment[k], ref_state.second_moment[k])
 
     def test_step_counter_advances(self):
         params = {"x": np.zeros(1)}
@@ -284,6 +309,26 @@ class TestTrainPrototype:
         assert np.array_equal(a.encoder.embedding_table, b.encoder.embedding_table)
         assert np.array_equal(a.encoder.context_weights, b.encoder.context_weights)
 
+    @pytest.mark.parametrize(
+        "types, M, K, K_prime",
+        [(("LOC", "ORG", "PER"), 2, 2, 2), (("LOC", "ORG"), 2, 1, 3), (("LOC",), 1, 3, 2)],
+    )
+    def test_matches_per_token_reference(self, types, M, K, K_prime):
+        corpus = _make_corpus(3 * M * (K + K_prime), seed=16, types=types)
+        config = _tiny_config(epochs=1, M=M, K=K, K_prime=K_prime)  # 3 steps
+        init = init_encoder(build_vocabulary(corpus), 6, 10, seed=3)
+        losses = []
+        model = train_prototype(
+            corpus, config, init=init, on_epoch=lambda e, loss: losses.append(loss)
+        )
+        reference = init.copy()
+        ref_losses = reference_train_prototype(corpus, config, reference)
+        assert losses == pytest.approx(ref_losses, rel=1e-10)
+        for name, arr in model.encoder.arrays().items():
+            ref = reference.arrays()[name]
+            assert not np.array_equal(arr, init.arrays()[name])
+            assert np.allclose(arr, ref, rtol=0.0, atol=1e-10), name
+
     def test_m_clamped_to_type_count(self):
         corpus = _make_corpus(20, seed=13)
         model = train_prototype(corpus, _tiny_config(M=5, epochs=1))
@@ -425,6 +470,34 @@ class TestConfigFile:
         path = tmp_path / "config.json"
         path.write_text('{"seed": 1, "learning_rte": 0.01}')
         with pytest.raises(DataError, match="learning_rte"):
+            load_config(path)
+
+    @pytest.mark.parametrize(
+        "raw",
+        [
+            '{"seed": "x"}',
+            '{"seed": true}',
+            '{"seed": 1.0}',
+            '{"seed": 1, "epochs": 2.5}',
+            '{"seed": 1, "freeze_encoder": 1}',
+            '{"seed": 1, "learning_rate": "0.1"}',
+        ],
+    )
+    def test_field_types_checked(self, tmp_path, raw):
+        path = tmp_path / "config.json"
+        path.write_text(raw)
+        with pytest.raises(DataError, match="config field"):
+            load_config(path)
+
+    def test_int_accepted_for_float_field(self, tmp_path):
+        path = tmp_path / "config.json"
+        path.write_text('{"seed": 1, "learning_rate": 1, "freeze_encoder": true}')
+        assert load_config(path).learning_rate == 1
+
+    def test_invalid_value_names_file(self, tmp_path):
+        path = tmp_path / "config.json"
+        path.write_text('{"seed": 1, "batch_size": 0}')
+        with pytest.raises(DataError, match="config.json.*batch_size"):
             load_config(path)
 
     def test_bad_scheme_rejected(self, tmp_path):
