@@ -1,0 +1,8 @@
+"""``python -m fewner``: the command-line interface (see fewner.cli)."""
+
+import sys
+
+from .cli import main
+
+if __name__ == "__main__":
+    sys.exit(main())

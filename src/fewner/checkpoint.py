@@ -19,8 +19,8 @@ from pathlib import Path
 import numpy as np
 
 from .corpus import LabelSet
-from .encoder import EncoderParams
-from .errors import DataError
+from .encoder import PAD, UNK, EncoderParams
+from .errors import DataError, NumericError
 from .heads import LinearHead
 
 FORMAT_VERSION = 1
@@ -88,31 +88,80 @@ def to_document(model: Model) -> dict:
     return doc
 
 
+def _field(doc: dict, path: str, kind: type):
+    """The value at a dotted path of the document; it must have the JSON
+    type `kind` (a boolean is not an integer)."""
+    value = doc
+    for key in path.split("."):
+        value = value.get(key) if isinstance(value, dict) else None
+    if not isinstance(value, kind) or (isinstance(value, bool) and kind is not bool):
+        raise DataError(f"checkpoint field {path!r} is missing or not of type {kind.__name__}")
+    return value
+
+
+def _dimension(doc: dict, path: str) -> int:
+    value = _field(doc, path, int)
+    if value < 1:
+        raise DataError(f"checkpoint field {path!r} must be positive, got {value}")
+    return value
+
+
+def _strings(doc: dict, path: str) -> tuple[str, ...]:
+    values = _field(doc, path, list)
+    if not all(isinstance(v, str) for v in values):
+        raise DataError(f"checkpoint field {path!r} must list strings")
+    return tuple(values)
+
+
+def _array(doc: dict, path: str, shape: tuple[int, ...]) -> np.ndarray:
+    """The nested number lists at path as a float array of the given shape;
+    non-finite values raise NumericError."""
+    try:
+        arr = np.array(_field(doc, path, list))
+    except ValueError:  # ragged nesting
+        arr = None
+    if arr is None or arr.dtype.kind not in "iuf":
+        raise DataError(f"checkpoint field {path!r} is not an array of numbers")
+    if arr.shape != shape:
+        raise DataError(f"checkpoint field {path!r} has shape {arr.shape}, expected {shape}")
+    arr = arr.astype(float)
+    if not np.all(np.isfinite(arr)):
+        raise NumericError(f"checkpoint field {path!r} holds non-finite values")
+    return arr
+
+
 def from_document(doc: dict) -> Model:
-    version = doc.get("format_version")
+    """Rebuild a model from a checkpoint document, validating all of it:
+    missing or mis-typed fields and arrays of the wrong shape raise
+    DataError, non-finite parameters NumericError."""
+    version = _field(doc, "format_version", int)
     if version != FORMAT_VERSION:
         raise DataError(f"unsupported checkpoint format version {version!r}")
-    vocab = tuple(doc["vocab"])
+    e, h = _dimension(doc, "embed_dim"), _dimension(doc, "hidden_dim")
+    vocab = _strings(doc, "vocab")
+    if PAD not in vocab or UNK not in vocab:
+        raise DataError(f"checkpoint vocabulary lacks {PAD} or {UNK}")
+    labels = LabelSet(_strings(doc, "labels.entity_types"), _field(doc, "labels.schema", str))
+    kind = _field(doc, "head.kind", str)
+    if kind not in (LINEAR, PROTOTYPE):
+        raise DataError(f"unknown checkpoint head kind {kind!r}")
+    if _strings(doc, "head.tags") != labels.tag_vocabulary:
+        raise DataError("checkpoint tag ordering disagrees with its label set")
     encoder = EncoderParams(
         vocab=vocab,
-        embed_dim=doc["embed_dim"],
-        hidden_dim=doc["hidden_dim"],
-        embedding_table=np.array(doc["embedding_table"], dtype=float),
-        context_weights=np.array(doc["context_weights"], dtype=float),
-        context_bias=np.array(doc["context_bias"], dtype=float),
+        embed_dim=e,
+        hidden_dim=h,
+        embedding_table=_array(doc, "embedding_table", (len(vocab), e)),
+        context_weights=_array(doc, "context_weights", (h, 3 * e)),
+        context_bias=_array(doc, "context_bias", (h,)),
     )
-    labels = LabelSet(tuple(doc["labels"]["entity_types"]), doc["labels"]["schema"])
-    head_doc = doc["head"]
-    if tuple(head_doc["tags"]) != labels.tag_vocabulary:
-        raise DataError("checkpoint tag ordering disagrees with its label set")
-    if head_doc["kind"] == LINEAR:
+    head = None
+    if kind == LINEAR:
+        n_tags = len(labels.tag_vocabulary)
         head = LinearHead(
-            np.array(head_doc["weights"], dtype=float),
-            np.array(head_doc["bias"], dtype=float),
+            _array(doc, "head.weights", (n_tags, h)), _array(doc, "head.bias", (n_tags,))
         )
-    else:
-        head = None
-    return Model(encoder, labels, head_doc["kind"], head)
+    return Model(encoder, labels, kind, head)
 
 
 def write_atomic(path: str | Path, text: str) -> None:
@@ -132,11 +181,18 @@ def save(model: Model, path: str | Path) -> None:
 
 
 def load(path: str | Path) -> Model:
+    """Read and validate a checkpoint file (see from_document); every error
+    message names the file."""
     try:
         doc = json.loads(Path(path).read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
+    except OSError as exc:
+        raise DataError(f"cannot read {path}: {exc.strerror}") from exc
+    except ValueError as exc:  # not UTF-8 or not JSON
         raise DataError(f"{path}: not a checkpoint file ({exc})") from exc
-    return from_document(doc)
+    try:
+        return from_document(doc)
+    except (DataError, NumericError) as exc:
+        raise type(exc)(f"{path}: {exc}") from exc
 
 
 def dumps(model: Model) -> str:

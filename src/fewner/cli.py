@@ -85,6 +85,12 @@ def _shots(args) -> int:
     return args.shots
 
 
+def _seed(args) -> int | None:
+    if args.seed is not None and args.seed < 0:
+        raise DataError(f"--seed must be >= 0, got {args.seed}")
+    return args.seed
+
+
 def cmd_stats(args) -> int:
     corpus = _read_corpus(args.conll, args.schema)
     print(stats_json(corpus))
@@ -92,9 +98,9 @@ def cmd_stats(args) -> int:
 
 
 def cmd_sample(args) -> int:
-    shots = _shots(args)
+    shots, seed = _shots(args), _seed(args)
     corpus = _read_corpus(args.conll, args.schema)
-    sub = sample_fewshot(corpus, shots, args.seed)
+    sub = sample_fewshot(corpus, shots, seed)
     checkpoint.write_atomic(args.out, write_conll(sub))
     return EXIT_OK
 
@@ -105,9 +111,10 @@ def cmd_train(args) -> int:
     if args.scheme.endswith("st") and args.unlabeled is None:
         raise UsageError(f"scheme {args.scheme} requires --unlabeled")
 
+    seed = _seed(args)
     config = load_config(args.config)
-    if args.seed is not None:
-        config = config.with_(seed=args.seed)
+    if seed is not None:
+        config = config.with_(seed=seed)
     config = config.with_(scheme=args.scheme)
 
     inputs = {"config": args.config, "train": args.train}
@@ -164,11 +171,11 @@ def cmd_eval(args) -> int:
 
 
 def cmd_protoinfer(args) -> int:
-    shots = _shots(args)
+    shots, seed = _shots(args), _seed(args)
     model = checkpoint.load(args.checkpoint)
     support = _read_corpus(args.support, args.gold_schema)
     test = _read_corpus(args.test, args.gold_schema)
-    protos = support_prototypes(model.encoder, support, shots=shots, seed=args.seed)
+    protos = support_prototypes(model.encoder, support, shots=shots, seed=seed)
     report = evaluate_model(
         model,
         test,

@@ -11,7 +11,8 @@ Both reserved rows are trainable like any other.
 
 The per-sentence encode and encode_backward are the batch core
 (window_indices, encode_windows, encode_windows_backward) applied to one
-sentence; training concatenates the windows of a whole mini-batch.
+sentence; training concatenates the windows of a whole mini-batch, and
+inference encodes a corpus in blocks of whole sentences (encode_blocks).
 
 encode is a pure function: concurrent readers may share one EncoderParams.
 Training mutates the arrays in place and must be serialized externally.
@@ -122,13 +123,32 @@ def init_encoder(vocab, embed_dim: int, hidden_dim: int, seed: int) -> EncoderPa
     )
 
 
+# Most token rows encoded at once by encode_blocks: enough to amortize the
+# per-call overhead, few enough that the (rows x 3E) window input and the
+# heads' (rows x labels) scores add little to peak memory.
+BLOCK_ROWS = 512
+
+
+def batch_window_indices(params: EncoderParams, token_seqs) -> np.ndarray:
+    """(sum of lengths, 3) vocabulary rows (left, centre, right) for each
+    token of each sequence in turn, with padding beyond every sequence's
+    ends: the concatenation of the sequences' window_indices."""
+    index, unk = params._index, params._index[UNK]
+    flat = [-1]  # the token rows, with -1 before, between and after sequences
+    for tokens in token_seqs:
+        flat += [index.get(t, unk) for t in tokens]
+        flat.append(-1)
+    padded = np.array(flat, dtype=np.intp)
+    at = np.flatnonzero(padded >= 0)
+    padded[padded < 0] = index[PAD]
+    return np.stack((padded[at - 1], padded[at], padded[at + 1]), axis=1)
+
+
 def window_indices(params: EncoderParams, tokens) -> np.ndarray:
     """(T, 3) vocabulary rows (left, centre, right) for each token of one
     sentence, with padding beyond its ends. Rows of several sentences
     concatenate into one batch."""
-    pad = params._index[PAD]
-    padded = np.array([pad, *map(params.token_index, tokens), pad], dtype=np.intp)
-    return np.stack((padded[:-2], padded[1:-1], padded[2:]), axis=1)
+    return batch_window_indices(params, [tokens])
 
 
 def _window_input(params: EncoderParams, windows: np.ndarray) -> np.ndarray:
@@ -139,8 +159,9 @@ def _window_input(params: EncoderParams, windows: np.ndarray) -> np.ndarray:
 def encode_windows(params: EncoderParams, windows: np.ndarray) -> np.ndarray:
     """Representations for a batch of windows; row i is the H-vector of
     the token whose window is windows[i]."""
-    pre = _window_input(params, windows) @ params.context_weights.T + params.context_bias
-    return np.tanh(pre)
+    pre = _window_input(params, windows) @ params.context_weights.T
+    pre += params.context_bias
+    return np.tanh(pre, out=pre)
 
 
 def encode_windows_backward(
@@ -158,6 +179,30 @@ def encode_windows_backward(
     d_emb = np.zeros_like(params.embedding_table)
     np.add.at(d_emb, windows.ravel(), d_x.reshape(-1, params.embed_dim))
     return EncoderGrads(d_emb, d_weights, d_bias)
+
+
+def _blocks(token_seqs):
+    """Consecutive runs of whole sequences with at most BLOCK_ROWS tokens
+    each; a longer sequence is a run of its own."""
+    block: list = []
+    rows = 0
+    for tokens in token_seqs:
+        if block and rows + len(tokens) > BLOCK_ROWS:
+            yield block
+            block, rows = [], 0
+        block.append(tokens)
+        rows += len(tokens)
+    if block:
+        yield block
+
+
+def encode_blocks(params: EncoderParams, token_seqs):
+    """Encode token sequences in runs of whole sequences of at most
+    BLOCK_ROWS tokens. Yields, per run in order, the sequences' lengths and
+    their (sum of lengths, H) representations, one sequence after another."""
+    for block in _blocks(token_seqs):
+        windows = batch_window_indices(params, block)
+        yield [len(tokens) for tokens in block], encode_windows(params, windows)
 
 
 def encode(params: EncoderParams, sentence: TokenSequence) -> np.ndarray:

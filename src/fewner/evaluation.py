@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -23,7 +24,7 @@ from .corpus import (
     extract_chunks,
     sample_fewshot,
 )
-from .encoder import EncoderParams, encode
+from .encoder import EncoderParams, encode_blocks
 from .errors import DataError
 from .heads import PrototypeSet, build_multi_prototypes, linear_forward, multi_proto_scores
 from .training import TrainConfig, run_scheme
@@ -120,33 +121,51 @@ def entity_f1(gold: TaggedCorpus, predicted: list[list[str]], schema: str) -> Ev
     return EvalReport(p, r, f, per_type, totals)
 
 
-def _ranked_argmax(scores: np.ndarray, labels, label_order) -> list[str]:
-    """Per row of scores (one column per label), the highest-scoring label;
-    exact ties go to the label earliest in label_order, and labels outside
-    it rank after every label in it, in their given order."""
+def _ranking(labels, label_order) -> list[int]:
+    """Indices of labels, best rank first: labels in label_order by their
+    position there, then labels outside it in their given order."""
     rank = {t: i for i, t in enumerate(label_order)}
-    ranked = sorted(range(len(labels)), key=lambda i: rank.get(labels[i], len(rank) + i))
-    best = np.argmax(scores[:, ranked], axis=1)
-    return [labels[ranked[b]] for b in best]
+    return sorted(range(len(labels)), key=lambda i: rank.get(labels[i], len(rank) + i))
+
+
+def predict_corpus(
+    model: Model, sentences, protos: PrototypeSet | None = None
+) -> list[list[str]]:
+    """Tags for each sentence: argmax of the linear head, or the nearest
+    prototype (highest averaged probability for multi-centroid sets) when
+    a PrototypeSet is supplied. Exact ties go to the label earliest in the
+    tag vocabulary; prototype labels outside it rank after every label in
+    it, in their given order.
+
+    Sentences are encoded and scored in blocks of whole sentences
+    (encoder.encode_blocks): one encode, one head call and one argmax per
+    block.
+    """
+    order = model.labels.tag_vocabulary
+    if protos is not None:
+        labels, score = protos.labels, partial(multi_proto_scores, protos)
+    elif model.head_kind == LINEAR:
+        labels, score = order, partial(linear_forward, model.head)
+    else:
+        raise DataError("prototype checkpoints carry no head arrays; supply a support set")
+    ranked = _ranking(labels, order)
+    names = [labels[i] for i in ranked]
+    preds = []
+    for lengths, reprs in encode_blocks(model.encoder, [s.tokens for s in sentences]):
+        best = np.argmax(score(reprs)[:, ranked], axis=1)
+        tags = [names[b] for b in best.tolist()]
+        start = 0
+        for n in lengths:
+            preds.append(tags[start : start + n])
+            start += n
+    return preds
 
 
 def predict_tags(
     model: Model, sentence: TokenSequence, protos: PrototypeSet | None = None
 ) -> list[str]:
-    """Tags for one sentence: argmax of the linear head, or the nearest
-    prototype (highest averaged probability for multi-centroid sets) when
-    a PrototypeSet is supplied. Ties break toward the lowest tag-vocabulary
-    index. The whole sentence is scored as one matrix.
-    """
-    reprs = encode(model.encoder, sentence)
-    order = model.labels.tag_vocabulary
-    if protos is not None:
-        return _ranked_argmax(multi_proto_scores(protos, reprs), protos.labels, order)
-    if model.head_kind != LINEAR:
-        raise DataError(
-            "prototype checkpoints carry no head arrays; supply a support set"
-        )
-    return _ranked_argmax(linear_forward(model.head, reprs), order, order)
+    """Tags for one sentence (see predict_corpus)."""
+    return predict_corpus(model, [sentence], protos)[0]
 
 
 def support_prototypes(
@@ -159,12 +178,15 @@ def support_prototypes(
     vocabulary order, one per tag with at least one token). `shots`
     switches to ceil(shots/5) centroids per tag; None keeps one.
     """
-    reprs: dict[str, list[np.ndarray]] = {}
-    for sent in support.sentences:
-        encoded = encode(encoder, sent)
-        for j, tag in enumerate(sent.tags):
-            reprs.setdefault(tag, []).append(encoded[j])
-    ordered = {t: reprs[t] for t in support.labels.tag_vocabulary if t in reprs}
+    sentences = support.sentences
+    blocks = encode_blocks(encoder, [s.tokens for s in sentences])
+    encoded = np.concatenate([np.empty((0, encoder.hidden_dim)), *(r for _, r in blocks)])
+    tags = np.array([tag for s in sentences for tag in s.tags], dtype=str)
+    ordered = {}
+    for tag in support.labels.tag_vocabulary:
+        rows = encoded[tags == tag]
+        if len(rows):
+            ordered[tag] = list(rows)
     if not ordered:
         raise DataError("support corpus has no tokens to build prototypes from")
     return build_multi_prototypes(ordered, shots if shots is not None else 5, seed)
@@ -194,7 +216,7 @@ def evaluate_model(
             "use prototype inference"
         )
     schema = (schema or test.labels.schema).upper()
-    preds = [predict_tags(model, s, protos=protos) for s in test.sentences]
+    preds = predict_corpus(model, test.sentences, protos)
     native = native_schema or model.labels.schema
     if native != schema:
         preds = [convert_tags(p, native, schema) for p in preds]

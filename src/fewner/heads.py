@@ -173,6 +173,16 @@ def build_prototypes(support_reprs: dict[str, list[np.ndarray]]) -> PrototypeSet
     return PrototypeSet(entries)
 
 
+def _distances(centroids: np.ndarray, reprs: np.ndarray) -> np.ndarray:
+    """(N, L) Euclidean distances of (N, H) reprs to (L, H) centroids, built
+    from one (N, H) difference per centroid, never an (N, L, H) tensor; each
+    norm reduces the same H contiguous elements as a one-row computation."""
+    dist = np.empty((reprs.shape[0], centroids.shape[0]))
+    for j, c in enumerate(centroids):
+        dist[:, j] = np.linalg.norm(reprs - c, axis=1)
+    return dist
+
+
 def _proto_log_probs(centroids: np.ndarray, reprs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(N, L) Euclidean distances of reprs to the centroids and the row-wise
     log softmax of their negation, max-shifted."""
@@ -180,8 +190,7 @@ def _proto_log_probs(centroids: np.ndarray, reprs: np.ndarray) -> tuple[np.ndarr
         raise ValueError(
             f"reprs {reprs.shape} and centroids {centroids.shape} are not (N, H) and (L, H)"
         )
-    # one (N, H) difference per centroid, never an (N, L, H) tensor
-    dist = np.stack([np.linalg.norm(reprs - c, axis=1) for c in centroids], axis=1)
+    dist = _distances(centroids, reprs)
     shifted = dist.min(axis=1, keepdims=True) - dist
     return dist, shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
 
@@ -319,7 +328,7 @@ def multi_proto_scores(protos: PrototypeSet, reprs: np.ndarray) -> np.ndarray:
     all_cents = np.vstack([cents for _, cents in protos.entries])
     if reprs.ndim != 2 or reprs.shape[1] != all_cents.shape[1]:
         raise ValueError(f"reprs shape {reprs.shape} != (N, {all_cents.shape[1]})")
-    neg = -np.linalg.norm(reprs[:, None, :] - all_cents[None, :, :], axis=2)
+    neg = -_distances(all_cents, reprs)
     flat = np.exp(neg - neg.max(axis=1, keepdims=True))
     flat /= flat.sum(axis=1, keepdims=True)
     bounds = np.cumsum([0] + [cents.shape[0] for _, cents in protos.entries])

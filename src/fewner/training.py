@@ -28,7 +28,7 @@ from .checkpoint import LINEAR, PROTOTYPE, Model
 from .corpus import TaggedCorpus, TokenSequence, split_tag, top_up
 from .encoder import (
     EncoderParams,
-    encode,
+    encode_blocks,
     encode_windows,
     encode_windows_backward,
     init_encoder,
@@ -71,6 +71,8 @@ class TrainConfig:
     def __post_init__(self):
         if self.scheme not in SCHEMES:
             raise DataError(f"unknown scheme {self.scheme!r}; expected one of {SCHEMES}")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
         for name in ("batch_size", "M", "K", "K_prime", "embed_dim", "hidden_dim"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be positive")
@@ -105,18 +107,20 @@ def load_config(path: str | Path) -> TrainConfig:
     config raises DataError naming the file.
     """
     path = Path(path)
-    text = path.read_text(encoding="utf-8")
     if path.suffix == ".toml":
         try:
             import tomllib
         except ImportError as exc:
             raise DataError("TOML configs need Python 3.11+; use JSON") from exc
-        raw = tomllib.loads(text)
-    else:
-        try:
-            raw = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise DataError(f"{path}: invalid config ({exc})") from exc
+    try:
+        text = path.read_text(encoding="utf-8")
+        raw = tomllib.loads(text) if path.suffix == ".toml" else json.loads(text)
+    except OSError as exc:
+        raise DataError(f"cannot read {path}: {exc.strerror}") from exc
+    except ValueError as exc:  # not UTF-8, JSON or TOML
+        raise DataError(f"{path}: invalid config ({exc})") from exc
+    if not isinstance(raw, dict):
+        raise DataError(f"{path}: a config must be an object of fields")
     if "seed" not in raw:
         raise DataError(f"{path}: config must set a seed")
     fields = TrainConfig.__dataclass_fields__
@@ -514,13 +518,14 @@ def generate_soft_labels(teacher: Model, sentences) -> SoftLabelDataset:
     """
     if teacher.head_kind != LINEAR:
         raise DataError("soft labels need a linear-head teacher")
-    items = []
-    for tokens in sentences:
-        tokens = tuple(tokens)
-        seq = TokenSequence(tokens, tuple("O" for _ in tokens))
-        probs = linear_forward(teacher.head, encode(teacher.encoder, seq))
-        items.append((tokens, probs))
-    return SoftLabelDataset(teacher.labels.tag_vocabulary, items)
+    sentences = [tuple(tokens) for tokens in sentences]
+    if not all(sentences):
+        raise DataError("empty sentence")
+    probs = []
+    for lengths, reprs in encode_blocks(teacher.encoder, sentences):
+        block = linear_forward(teacher.head, reprs)
+        probs += np.split(block, np.cumsum(lengths)[:-1])
+    return SoftLabelDataset(teacher.labels.tag_vocabulary, list(zip(sentences, probs)))
 
 
 def self_train(

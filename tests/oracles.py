@@ -3,8 +3,9 @@
 These deliberately use different mechanics than the library (span scanning
 instead of event-based chunking, per-scalar central differences instead of
 analytic gradients, per-token loops instead of whole-episode matrices,
-whole-corpus scans instead of the per-corpus type index) so that agreement
-is evidence, not tautology.
+whole-corpus scans instead of the per-corpus type index, one sentence at a
+time instead of blocks of sentences) so that agreement is evidence, not
+tautology.
 """
 
 from __future__ import annotations
@@ -14,11 +15,18 @@ import random
 
 import numpy as np
 
-from fewner.corpus import TaggedCorpus
+from fewner.corpus import TaggedCorpus, TokenSequence
 from fewner.encoder import encode, encode_backward
 from fewner.errors import DataError
-from fewner.heads import build_prototypes, cross_entropy, proto_backward, proto_forward
-from fewner.training import SEED_EPISODES, Episode, init_optimizer, lr_at
+from fewner.heads import (
+    build_multi_prototypes,
+    build_prototypes,
+    cross_entropy,
+    linear_forward,
+    proto_backward,
+    proto_forward,
+)
+from fewner.training import SEED_EPISODES, Episode, SoftLabelDataset, init_optimizer, lr_at
 
 
 def tag_type(tag: str) -> str | None:
@@ -260,3 +268,59 @@ def reference_train_prototype(corpus, config, encoder):
             losses.append(sum(epoch_losses) / len(epoch_losses) if epoch_losses else 0.0)
             epoch_losses = []
     return losses
+
+
+def reference_multi_proto_scores(protos, reprs):
+    """Multi-prototype label scores of (N, H) reprs, as first batched: an
+    (N, centroids, H) difference tensor, a row softmax over the negated
+    distances, each label's mean centroid probability, renormalized."""
+    all_cents = np.vstack([cents for _, cents in protos.entries])
+    neg = -np.linalg.norm(reprs[:, None, :] - all_cents[None, :, :], axis=2)
+    flat = np.exp(neg - neg.max(axis=1, keepdims=True))
+    flat /= flat.sum(axis=1, keepdims=True)
+    bounds = np.cumsum([0] + [cents.shape[0] for _, cents in protos.entries])
+    scores = np.column_stack(
+        [flat[:, a:b].mean(axis=1) for a, b in zip(bounds[:-1], bounds[1:])]
+    )
+    return scores / scores.sum(axis=1, keepdims=True)
+
+
+def _reference_ranked_argmax(scores, labels, label_order):
+    rank = {t: i for i, t in enumerate(label_order)}
+    ranked = sorted(range(len(labels)), key=lambda i: rank.get(labels[i], len(rank) + i))
+    best = np.argmax(scores[:, ranked], axis=1)
+    return [labels[ranked[b]] for b in best]
+
+
+def reference_predict_tags(model, sentence, protos=None):
+    """Tag prediction one sentence at a time: one encode and one head call
+    per sentence, exact ties to the label earliest in the tag vocabulary."""
+    reprs = encode(model.encoder, sentence)
+    order = model.labels.tag_vocabulary
+    if protos is not None:
+        scores = reference_multi_proto_scores(protos, reprs)
+        return _reference_ranked_argmax(scores, protos.labels, order)
+    return _reference_ranked_argmax(linear_forward(model.head, reprs), order, order)
+
+
+def reference_generate_soft_labels(teacher, sentences):
+    """Soft labels one sentence at a time."""
+    items = []
+    for tokens in sentences:
+        tokens = tuple(tokens)
+        seq = TokenSequence(tokens, tuple("O" for _ in tokens))
+        items.append((tokens, linear_forward(teacher.head, encode(teacher.encoder, seq))))
+    return SoftLabelDataset(teacher.labels.tag_vocabulary, items)
+
+
+def reference_support_prototypes(encoder, support, shots=None, seed=0):
+    """Support prototypes from one encode per support sentence."""
+    reprs = {}
+    for sent in support.sentences:
+        encoded = encode(encoder, sent)
+        for j, tag in enumerate(sent.tags):
+            reprs.setdefault(tag, []).append(encoded[j])
+    ordered = {t: reprs[t] for t in support.labels.tag_vocabulary if t in reprs}
+    if not ordered:
+        raise DataError("support corpus has no tokens to build prototypes from")
+    return build_multi_prototypes(ordered, shots if shots is not None else 5, seed)

@@ -1,13 +1,18 @@
+import copy
+import json
 import os
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from fewner import checkpoint
 from fewner.corpus import LabelSet
-from fewner.encoder import init_encoder
-from fewner.errors import DataError
-from fewner.heads import init_linear_head
+from fewner.encoder import PAD, UNK, EncoderParams, init_encoder
+from fewner.errors import DataError, NumericError
+from fewner.heads import LinearHead, init_linear_head
 
 
 def _linear_model(seed=0):
@@ -98,3 +103,147 @@ class TestModelValidation:
         c = m.copy()
         c.encoder.embedding_table[0, 0] += 1.0
         assert m.encoder.embedding_table[0, 0] != c.encoder.embedding_table[0, 0]
+
+
+_DELETE = object()
+
+
+def _get(doc: dict, path: str):
+    for key in path.split("."):
+        doc = doc[key]
+    return doc
+
+
+def _set(doc: dict, path: str, value) -> dict:
+    """A deep copy of doc with the dotted path set to value (removed for
+    _DELETE)."""
+    doc = copy.deepcopy(doc)
+    parent, _, last = path.rpartition(".")
+    node = _get(doc, parent) if parent else doc
+    if value is _DELETE:
+        del node[last]
+    else:
+        node[last] = value
+    return doc
+
+
+_FIELDS = [
+    "format_version",
+    "embed_dim",
+    "hidden_dim",
+    "vocab",
+    "embedding_table",
+    "context_weights",
+    "context_bias",
+    "labels",
+    "labels.entity_types",
+    "labels.schema",
+    "head",
+    "head.kind",
+    "head.tags",
+    "head.weights",
+    "head.bias",
+]
+_ARRAYS = ["embedding_table", "context_weights", "context_bias", "head.weights", "head.bias"]
+
+
+class TestDocumentValidation:
+    """Every malformed document ends as DataError, every non-finite
+    parameter as NumericError, never as another exception."""
+
+    @pytest.fixture
+    def doc(self):
+        return checkpoint.to_document(_linear_model())
+
+    @pytest.mark.parametrize("path", _FIELDS)
+    def test_missing_field(self, doc, path):
+        with pytest.raises(DataError):
+            checkpoint.from_document(_set(doc, path, _DELETE))
+
+    @pytest.mark.parametrize("path", _FIELDS)
+    @pytest.mark.parametrize("value", [None, True, "x", 2.5, {}, [["x"]]])
+    def test_mistyped_field(self, doc, path, value):
+        with pytest.raises(DataError):
+            checkpoint.from_document(_set(doc, path, value))
+
+    @pytest.mark.parametrize("path", _ARRAYS)
+    def test_wrong_shape(self, doc, path):
+        value = _get(doc, path)
+        with pytest.raises(DataError, match="shape"):
+            checkpoint.from_document(_set(doc, path, value[:-1]))
+        with pytest.raises(DataError):
+            checkpoint.from_document(_set(doc, path, [value, value]))
+
+    @pytest.mark.parametrize("path", _ARRAYS)
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_non_finite_parameter(self, doc, path, bad):
+        array = np.array(_get(doc, path), dtype=float)
+        array.flat[array.size // 2] = bad
+        with pytest.raises(NumericError, match=path):
+            checkpoint.from_document(_set(doc, path, array.tolist()))
+
+    def test_ragged_array(self, doc):
+        ragged = [row[:-1] if i == 1 else row for i, row in enumerate(doc["embedding_table"])]
+        with pytest.raises(DataError, match="embedding_table"):
+            checkpoint.from_document(_set(doc, "embedding_table", ragged))
+
+    @pytest.mark.parametrize("reserved", [PAD, UNK])
+    def test_vocab_needs_reserved_entries(self, doc, reserved):
+        vocab = [w if w != reserved else "other" for w in doc["vocab"]]
+        with pytest.raises(DataError, match="vocabulary"):
+            checkpoint.from_document(_set(doc, "vocab", vocab))
+
+    def test_not_an_object(self):
+        with pytest.raises(DataError):
+            checkpoint.from_document([1, 2])
+
+    def test_load_names_the_file(self, tmp_path, doc):
+        path = tmp_path / "broken.json"
+        path.write_text(json.dumps(_set(doc, "vocab", _DELETE)), encoding="utf-8")
+        with pytest.raises(DataError, match="broken.json"):
+            checkpoint.load(path)
+        path.write_text(json.dumps(_set(doc, "context_bias", [float("nan")] * 4)))
+        with pytest.raises(NumericError, match="broken.json"):
+            checkpoint.load(path)
+        with pytest.raises(DataError, match="missing.json"):
+            checkpoint.load(tmp_path / "missing.json")
+        path.write_bytes(b"\xff\xfe{")
+        with pytest.raises(DataError, match="broken.json"):
+            checkpoint.load(path)
+
+
+_words = st.text(st.characters(codec="utf-8", exclude_categories=["Cs"]), min_size=1, max_size=6)
+_finite = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def _models(draw):
+    words = draw(st.lists(_words.filter(lambda w: w not in (PAD, UNK)), unique=True, max_size=5))
+    vocab = (PAD, UNK, *words)
+    e, h = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    types = draw(st.lists(_words.filter(lambda w: w != "O"), unique=True, max_size=3))
+    labels = LabelSet(tuple(types), draw(st.sampled_from(["BIO", "IO"])))
+    encoder = EncoderParams(
+        vocab,
+        e,
+        h,
+        draw(arrays(float, (len(vocab), e), elements=_finite)),
+        draw(arrays(float, (h, 3 * e), elements=_finite)),
+        draw(arrays(float, (h,), elements=_finite)),
+    )
+    if draw(st.booleans()):
+        n = len(labels.tag_vocabulary)
+        head = LinearHead(
+            draw(arrays(float, (n, h), elements=_finite)),
+            draw(arrays(float, (n,), elements=_finite)),
+        )
+        return checkpoint.Model(encoder, labels, checkpoint.LINEAR, head)
+    return checkpoint.Model(encoder, labels, checkpoint.PROTOTYPE, None)
+
+
+class TestRoundTripProperties:
+    @settings(max_examples=100, deadline=None)
+    @given(_models())
+    def test_dumps_from_document_dumps_is_byte_identical(self, model):
+        text = checkpoint.dumps(model)
+        assert checkpoint.dumps(checkpoint.from_document(json.loads(text))) == text

@@ -1,6 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+
+import fewner
 
 from fewner.cli import main
 from fewner.corpus import parse_conll, sample_fewshot, write_conll
@@ -357,6 +363,104 @@ class TestBadInputs:
             ]
         )
         assert "--shots" in self._assert_data_error(code, capsys)
+
+
+class TestNegativeSeeds:
+    """A seed must be >= 0 wherever it comes from; a negative one is a data
+    error reported in one line, not a traceback."""
+
+    def _assert_data_error(self, code, capsys, needle):
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("fewner: ") and err.count("\n") == 1
+        assert needle in err
+
+    def test_config_seed(self, workdir, capsys):
+        (workdir / "neg.json").write_text(json.dumps({"seed": -1}), encoding="utf-8")
+        args = ["--train", str(workdir / "train.conll"), "--out", str(workdir / "x.json")]
+        code = main(["train", "lc", "--config", str(workdir / "neg.json"), *args])
+        self._assert_data_error(code, capsys, "neg.json")
+        assert not (workdir / "x.json").exists()
+
+    def test_train_seed_flag(self, workdir, capsys):
+        args = ["--train", str(workdir / "train.conll"), "--out", str(workdir / "x.json")]
+        code = main(["train", "lc", "--config", str(workdir / "config.json"), *args, "--seed", "-1"])
+        self._assert_data_error(code, capsys, "--seed")
+        assert not (workdir / "x.json").exists()
+
+    def test_protoinfer_seed_flag(self, workdir, capsys):
+        ckpt = workdir / "lc.json"
+        args = ["--config", str(workdir / "config.json"), "--train", str(workdir / "train.conll")]
+        assert main(["train", "lc", *args, "--out", str(ckpt)]) == 0
+        capsys.readouterr()
+        support = ["--support", str(workdir / "train.conll"), "--test", str(workdir / "test.conll")]
+        code = main(["protoinfer", str(ckpt), *support, "--shots", "5", "--seed", "-1"])
+        self._assert_data_error(code, capsys, "--seed")
+
+    def test_sample_seed_flag(self, workdir, capsys):
+        out = workdir / "x.conll"
+        argv = ["sample", str(workdir / "train.conll"), "--shots", "1", "--out", str(out)]
+        self._assert_data_error(main([*argv, "--seed", "-1"]), capsys, "--seed")
+        assert not out.exists()
+
+
+class TestBadCheckpoints:
+    """Checkpoints are validated on load: malformed ones exit 2, non-finite
+    parameters exit 3, each with one line naming the file."""
+
+    @pytest.fixture
+    def doc(self, workdir):
+        args = ["--config", str(workdir / "config.json"), "--train", str(workdir / "train.conll")]
+        assert main(["train", "lc", *args, "--out", str(workdir / "lc.json")]) == 0
+        return json.loads((workdir / "lc.json").read_text(encoding="utf-8"))
+
+    def _run(self, workdir, capsys, doc, command):
+        path = workdir / "bad.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        capsys.readouterr()
+        if command == "eval":
+            code = main(["eval", str(path), str(workdir / "test.conll")])
+        else:
+            support = ["--support", str(workdir / "train.conll")]
+            test = ["--test", str(workdir / "test.conll")]
+            code = main(["protoinfer", str(path), *support, *test, "--shots", "5"])
+        err = capsys.readouterr().err
+        assert err.startswith("fewner: ") and err.count("\n") == 1
+        assert str(path) in err
+        return code
+
+    @pytest.mark.parametrize("command", ["eval", "protoinfer"])
+    def test_missing_key(self, workdir, capsys, doc, command):
+        del doc["vocab"]
+        assert self._run(workdir, capsys, doc, command) == 2
+
+    @pytest.mark.parametrize("command", ["eval", "protoinfer"])
+    def test_non_finite_parameter(self, workdir, capsys, doc, command):
+        doc["context_bias"][0] = float("nan")
+        assert self._run(workdir, capsys, doc, command) == 3
+
+    def test_wrong_head_shape(self, workdir, capsys, doc):
+        doc["head"]["weights"] = doc["head"]["weights"][1:]
+        assert self._run(workdir, capsys, doc, "eval") == 2
+
+    def test_missing_file(self, workdir, capsys):
+        missing = workdir / "nope.json"
+        assert main(["eval", str(missing), str(workdir / "test.conll")]) == 2
+        assert str(missing) in capsys.readouterr().err
+
+
+def test_python_m_fewner(workdir):
+    src = str(Path(fewner.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    result = subprocess.run(
+        [sys.executable, "-m", "fewner", "stats", str(workdir / "fixture.conll")],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=60,
+    )
+    assert result.returncode == 0, result.stderr
+    assert json.loads(result.stdout)["sentences"] == 2
 
 
 class TestUsage:

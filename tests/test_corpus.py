@@ -1,8 +1,11 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fewner.corpus import (
+    DOCSTART,
     Chunk,
     LabelSet,
     TaggedCorpus,
@@ -84,6 +87,36 @@ class TestWriteConll:
 
     def test_empty(self):
         assert write_conll(parse_conll("")) == ""
+
+
+# tokens and type names as the CoNLL format can carry them: no whitespace
+# or line separators (letters, digits, punctuation and symbols only)
+_field_text = st.text(st.characters(categories=["L", "N", "P", "S"]), min_size=1, max_size=8)
+
+
+@st.composite
+def _corpora(draw):
+    schema = draw(st.sampled_from(["BIO", "IO"]))
+    types = draw(st.lists(_field_text.filter(lambda t: t != "O"), unique=True, max_size=4))
+    tags = ["O"] + [f"{p}-{t}" for t in types for p in (("B", "I") if schema == "BIO" else ("I",))]
+    tokens = _field_text.filter(lambda t: not t.startswith(DOCSTART))
+    sentences = draw(
+        st.lists(
+            st.lists(st.tuples(tokens, st.sampled_from(tags)), min_size=1, max_size=6),
+            max_size=6,
+        )
+    )
+    sentences = [TokenSequence(*zip(*pairs)) for pairs in sentences]
+    # parse_conll infers the types that occur, sorted
+    used = sorted({t.split("-", 1)[1] for s in sentences for t in s.tags if t != "O"})
+    return TaggedCorpus(tuple(sentences), LabelSet(tuple(used), schema))
+
+
+class TestRoundTripProperty:
+    @settings(max_examples=100, deadline=None)
+    @given(_corpora())
+    def test_parse_inverts_write(self, corpus):
+        assert parse_conll(write_conll(corpus), corpus.labels.schema) == corpus
 
 
 class TestExtractChunks:

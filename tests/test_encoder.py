@@ -5,12 +5,15 @@ import numpy as np
 import pytest
 
 from fewner.corpus import TokenSequence
+from fewner import encoder
 from fewner.encoder import (
     PAD,
     UNK,
     EncoderParams,
+    batch_window_indices,
     encode,
     encode_backward,
+    encode_blocks,
     encode_windows,
     encode_windows_backward,
     init_encoder,
@@ -147,6 +150,48 @@ class TestBatchedWindows:
                     for s, lo, hi in zip(sents, bounds[:-1], bounds[1:])
                 )
                 assert np.allclose(arr, summed, rtol=1e-12, atol=1e-15)
+
+
+class TestBlocks:
+    def test_batch_windows_concatenate_per_sequence_windows(self):
+        rng = random.Random(30)
+        params = _random_encoder(rng)
+        words = [*params.vocab[2:], "oov-word"]
+        for _ in range(50):
+            seqs = [
+                [rng.choice(words) for _ in range(rng.randint(0, 4))]
+                for _ in range(rng.randint(0, 5))
+            ]
+            expected = np.concatenate(
+                [np.empty((0, 3), dtype=np.intp), *(window_indices(params, s) for s in seqs)]
+            )
+            assert np.array_equal(batch_window_indices(params, seqs), expected)
+
+    @pytest.mark.parametrize("block_rows", [1, 7, 1024])
+    def test_blocks_are_greedy_runs_of_whole_sequences(self, monkeypatch, block_rows):
+        monkeypatch.setattr(encoder, "BLOCK_ROWS", block_rows)
+        rng = random.Random(31)
+        params = _random_encoder(rng, vocab_size=20, embed_dim=8, hidden_dim=16)
+        words = [*params.vocab[2:], "oov-word"]
+        lengths = [rng.randint(1, 40) for _ in range(150)]
+        lengths[70] = 1500  # longer than any block
+        seqs = [[rng.choice(words) for _ in range(n)] for n in lengths]
+        blocks = list(encode_blocks(params, seqs))
+        assert [n for block, _ in blocks for n in block] == lengths
+        for i, (block, reprs) in enumerate(blocks):
+            assert reprs.shape == (sum(block), params.hidden_dim)
+            assert sum(block) <= block_rows or len(block) == 1
+            if i + 1 < len(blocks):  # the next sequence did not fit
+                assert sum(block) + blocks[i + 1][0][0] > block_rows
+        # one-sequence blocks repeat the per-sentence arithmetic exactly;
+        # otherwise BLAS may pick another kernel for the larger product
+        tol = 0.0 if block_rows == 1 else 1e-14
+        expected = np.vstack([encode(params, _sentence(s)) for s in seqs])
+        assert np.allclose(np.vstack([r for _, r in blocks]), expected, rtol=0.0, atol=tol)
+
+    def test_no_sequences_no_blocks(self):
+        params = _random_encoder(random.Random(32))
+        assert list(encode_blocks(params, [])) == []
 
 
 class TestEncodeBackward:

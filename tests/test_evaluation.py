@@ -23,12 +23,22 @@ from fewner.evaluation import (
     run_experiment,
     support_prototypes,
 )
-from fewner.encoder import encode
-from fewner.heads import PrototypeSet, linear_forward, multi_proto_score
-from fewner.training import TrainConfig, train_linear, train_prototype
+from fewner import encoder as encoder_module
+from fewner.checkpoint import LINEAR, Model
+from fewner.encoder import encode, init_encoder
+from fewner.evaluation import predict_corpus
+from fewner.heads import PrototypeSet, init_linear_head, linear_forward, multi_proto_score
+from fewner.training import TrainConfig, generate_soft_labels, train_linear, train_prototype
 
 from builders import word_identity_corpus
-from oracles import oracle_f1, random_tagseq
+from oracles import (
+    oracle_f1,
+    random_tagseq,
+    reference_generate_soft_labels,
+    reference_multi_proto_scores,
+    reference_predict_tags,
+    reference_support_prototypes,
+)
 
 
 def _corpus_from_tags(tag_seqs, types, schema="BIO"):
@@ -236,6 +246,155 @@ class TestPredictTags:
         )
         with pytest.raises(DataError):
             evaluate_model(model, corpus)
+
+
+def _random_model(np_rng, embed_dim, hidden_dim, types=("LOC", "ORG", "PER")):
+    labels = LabelSet(types, "BIO")
+    encoder = init_encoder([f"w{i}" for i in range(300)], embed_dim, hidden_dim, seed=1)
+    encoder.embedding_table[:] = np_rng.normal(size=encoder.embedding_table.shape)
+    encoder.context_weights[:] = np_rng.normal(size=encoder.context_weights.shape)
+    encoder.context_weights /= np.sqrt(3 * embed_dim)
+    encoder.context_bias[:] = np_rng.normal(size=hidden_dim)
+    head = init_linear_head(len(labels.tag_vocabulary), hidden_dim, seed=2)
+    return Model(encoder, labels, LINEAR, head)
+
+
+def _random_corpus(rng, labels, n_sentences, long_at=None):
+    """Random words (some out of the vocabulary) and tags, 1 to 40 tokens a
+    sentence, so that sentences straddle block boundaries; the sentence at
+    long_at is longer than a block."""
+    words = [f"w{i}" for i in range(330)]
+    sentences = []
+    for i in range(n_sentences):
+        n = encoder_module.BLOCK_ROWS + 100 if i == long_at else rng.randint(1, 40)
+        sentences.append(
+            TokenSequence(
+                tuple(rng.choice(words) for _ in range(n)),
+                tuple(rng.choice(labels.tag_vocabulary) for _ in range(n)),
+            )
+        )
+    return TaggedCorpus(tuple(sentences), labels)
+
+
+# Probabilities of the block path against the one-sentence-at-a-time path:
+# a larger matrix product may run through another BLAS kernel, which sums
+# in another order, so rows agree to rounding, not bit for bit (relative
+# differences up to 9e-14 at H = 128 with OpenBLAS 0.3.31 on an AVX-512 x86-64).
+SOFT_LABEL_RTOL = 1e-12
+
+
+class TestBlockInference:
+    """predict_corpus, soft labels and support prototypes, encoded in
+    blocks of sentences, against the one-sentence-at-a-time reference."""
+
+    @pytest.mark.parametrize("dims", [(4, 6), (32, 64)])
+    @pytest.mark.parametrize("block_rows", [1, 23, None])
+    def test_predictions_match_per_sentence_reference(self, monkeypatch, dims, block_rows):
+        if block_rows is not None:
+            monkeypatch.setattr(encoder_module, "BLOCK_ROWS", block_rows)
+        rng = random.Random(40)
+        np_rng = np.random.default_rng(41)
+        model = _random_model(np_rng, *dims)
+        vocab = model.labels.tag_vocabulary
+        rank = {t: i for i, t in enumerate(vocab)}
+        corpus = _random_corpus(rng, model.labels, 100, long_at=60)
+        tokens = [s.tokens for s in corpus.sentences]
+        blocks = [len(b) for b, _ in encoder_module.encode_blocks(model.encoder, tokens)]
+        assert len(blocks) >= 3 and 1 in blocks  # the long sentence is a block alone
+        reprs = np.vstack([encode(model.encoder, s) for s in corpus.sentences])
+        tied_best = 0
+
+        def count_tied_best(scores):
+            nonlocal tied_best
+            tied_best += int(np.sum((scores == scores.max(axis=1, keepdims=True)).sum(axis=1) > 1))
+
+        head = model.head
+        for trial in range(4):  # linear head with two tied tag rows
+            head.weights[:] = np_rng.normal(size=head.weights.shape)
+            head.bias[:] = np_rng.normal(size=head.bias.shape)
+            i, j = rng.sample(range(len(vocab)), 2)
+            # zero weight rows tie exactly in any BLAS kernel; equal nonzero
+            # rows need not (small products may sum columns differently)
+            head.weights[[i, j]] = 0.0
+            head.bias[j] = head.bias[i] = 50.0 if trial % 2 else 0.0
+            expected = [reference_predict_tags(model, s) for s in corpus.sentences]
+            assert predict_corpus(model, corpus.sentences) == expected
+            count_tied_best(linear_forward(head, reprs))
+
+        for trial in range(4):  # multi-prototype sets in shuffled label order
+            labels = [*vocab, "B-MISC", "I-MISC"]
+            rng.shuffle(labels)
+            labels = labels[: rng.randint(2, len(labels))]
+            cents = {t: np_rng.normal(size=(rng.randint(1, 3), dims[1])) for t in labels}
+            a, b = rng.sample(labels, 2)
+            if trial % 2:  # a zero-distance centroid: the tied pair wins at token 0
+                cents[a][0] = reprs[0]
+            cents[b] = cents[a].copy()  # a and b tie on every token
+            protos = PrototypeSet([(t, cents[t]) for t in labels])
+            expected = [reference_predict_tags(model, s, protos) for s in corpus.sentences]
+            assert predict_corpus(model, corpus.sentences, protos) == expected
+            count_tied_best(reference_multi_proto_scores(protos, reprs))
+            # labels outside the vocabulary rank after it, in entry order
+            loser = max(a, b, key=lambda t: rank.get(t, len(rank) + labels.index(t)))
+            assert all(t != loser for tags in expected for t in tags)
+        assert tied_best > 1000
+
+    def test_empty_corpus(self):
+        model = _random_model(np.random.default_rng(42), 4, 6)
+        empty = TaggedCorpus((), model.labels)
+        assert predict_corpus(model, empty.sentences) == []
+        assert generate_soft_labels(model, []).items == []
+        with pytest.raises(DataError, match="empty sentence"):
+            generate_soft_labels(model, [("w1",), ()])
+        assert evaluate_model(model, empty).counts == (0, 0, 0)
+        with pytest.raises(DataError, match="no tokens"):
+            support_prototypes(model.encoder, empty)
+
+    @pytest.mark.parametrize("block_rows", [1, None])
+    def test_soft_labels_match_per_sentence_reference(self, monkeypatch, block_rows):
+        if block_rows is not None:
+            monkeypatch.setattr(encoder_module, "BLOCK_ROWS", block_rows)
+        rng = random.Random(43)
+        model = _random_model(np.random.default_rng(44), 32, 64)
+        model.head.weights[:] = np.random.default_rng(45).normal(size=model.head.weights.shape)
+        corpus = _random_corpus(rng, model.labels, 150, long_at=90)
+        sentences = [list(s.tokens) for s in corpus.sentences]
+        got = generate_soft_labels(model, sentences)
+        want = reference_generate_soft_labels(model, sentences)
+        assert got.tag_order == want.tag_order
+        assert [t for t, _ in got.items] == [t for t, _ in want.items]
+        for (_, p), (_, q) in zip(got.items, want.items):
+            if block_rows == 1:  # one-sentence blocks: the same arithmetic
+                assert np.array_equal(p, q)
+            else:
+                np.testing.assert_allclose(p, q, rtol=SOFT_LABEL_RTOL, atol=0.0)
+
+    @pytest.mark.parametrize("shots", [None, 12])
+    @pytest.mark.parametrize("block_rows", [1, None])
+    def test_support_prototypes_match_per_sentence_reference(
+        self, monkeypatch, shots, block_rows
+    ):
+        if block_rows is not None:
+            monkeypatch.setattr(encoder_module, "BLOCK_ROWS", block_rows)
+        rng = random.Random(46)
+        model = _random_model(np.random.default_rng(47), 32, 64)
+        support = _random_corpus(rng, model.labels, 120, long_at=30)
+        got = support_prototypes(model.encoder, support, shots=shots, seed=3)
+        want = reference_support_prototypes(model.encoder, support, shots=shots, seed=3)
+        assert got.labels == want.labels
+        for (_, c), (_, d) in zip(got.entries, want.entries):
+            assert c.shape == d.shape
+            if block_rows == 1:
+                assert np.array_equal(c, d)
+            else:
+                np.testing.assert_allclose(c, d, rtol=0.0, atol=1e-14)
+
+    def test_predict_tags_is_a_one_sentence_corpus(self):
+        rng = random.Random(48)
+        model = _random_model(np.random.default_rng(49), 32, 64)
+        corpus = _random_corpus(rng, model.labels, 20)
+        for sent in corpus.sentences:
+            assert predict_tags(model, sent) == reference_predict_tags(model, sent)
 
 
 class TestEvaluateModel:

@@ -505,3 +505,28 @@ class TestConfigFile:
         path.write_text('{"seed": 1, "scheme": "magic"}')
         with pytest.raises(DataError):
             load_config(path)
+
+    def test_negative_seed_rejected(self, tmp_path):
+        path = tmp_path / "config.json"
+        path.write_text('{"seed": -1}')
+        with pytest.raises(DataError, match="config.json.*seed"):
+            load_config(path)
+        with pytest.raises(ValueError, match="seed"):
+            TrainConfig(seed=-1)
+
+    @pytest.mark.parametrize(
+        "name, content",
+        [
+            ("missing.json", None),
+            ("binary.json", b"\xff\xfe{"),
+            ("list.json", b"[1, 2]"),
+            ("number.json", b"5"),
+            ("bad.toml", b"seed = = 1"),
+        ],
+    )
+    def test_unreadable_config_names_file(self, tmp_path, name, content):
+        path = tmp_path / name
+        if content is not None:
+            path.write_bytes(content)
+        with pytest.raises(DataError, match=name):
+            load_config(path)
