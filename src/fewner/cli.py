@@ -18,28 +18,12 @@ from . import checkpoint
 from .corpus import parse_conll, sample_fewshot, stats_json, write_conll
 from .errors import DataError, NumericError
 from .evaluation import evaluate_model, support_prototypes
-from .training import SCHEMES, load_config, run_scheme
+from .training import SCHEMES, load_config, run_scheme, scheme_inputs
 
 EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_DATA = 2
 EXIT_NUMERIC = 3
-
-# nominal pipeline stages per scheme, recorded in the run manifest
-STAGES = {
-    "lc": ["train_linear"],
-    "proto": ["train_prototype"],
-    "lc+nsp": ["pretrain:train_linear", "finetune:train_linear"],
-    "proto+nsp": ["pretrain:train_prototype", "finetune:train_prototype"],
-    "lc+st": ["teacher:train_linear", "soft_labels", "student:train_linear"],
-    "lc+nsp+st": [
-        "pretrain:train_linear",
-        "teacher:train_linear",
-        "soft_labels",
-        "student:train_linear",
-    ],
-}
-
 
 class UsageError(Exception):
     pass
@@ -106,10 +90,10 @@ def cmd_sample(args) -> int:
 
 
 def cmd_train(args) -> int:
-    if "nsp" in args.scheme and not args.source:
-        raise UsageError(f"scheme {args.scheme} requires --source")
-    if args.scheme.endswith("st") and args.unlabeled is None:
-        raise UsageError(f"scheme {args.scheme} requires --unlabeled")
+    given = {"source": bool(args.source), "unlabeled": args.unlabeled is not None}
+    for name in scheme_inputs(args.scheme):
+        if not given[name]:
+            raise UsageError(f"scheme {args.scheme} requires --{name}")
 
     seed = _seed(args)
     config = load_config(args.config)
@@ -144,7 +128,7 @@ def cmd_train(args) -> int:
 
     manifest = {
         "scheme": args.scheme,
-        "stages": STAGES[args.scheme],
+        "stages": SCHEMES[args.scheme],
         "config": asdict(config),
         "source_config": asdict(source_config) if source_config else None,
         "seeds": {"run": config.seed},

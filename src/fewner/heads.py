@@ -85,12 +85,6 @@ class PrototypeSet:
     def is_single(self) -> bool:
         return all(cents.shape[0] == 1 for _, cents in self.entries)
 
-    def centroid(self, label: str) -> np.ndarray:
-        for lab, cents in self.entries:
-            if lab == label:
-                return cents
-        raise KeyError(label)
-
 
 def _softmax(logits: np.ndarray) -> np.ndarray:
     shifted = logits - np.max(logits)
@@ -164,13 +158,9 @@ def linear_backward(
 
 
 def build_prototypes(support_reprs: dict[str, list[np.ndarray]]) -> PrototypeSet:
-    """One centroid per label: the mean of that label's representations."""
-    entries = []
-    for label, reprs in support_reprs.items():
-        if len(reprs) == 0:
-            raise DataError(f"no support representations for label {label!r}")
-        entries.append((label, np.mean(np.asarray(reprs, dtype=float), axis=0)[None, :]))
-    return PrototypeSet(entries)
+    """One centroid per label: the mean of that label's representations
+    (k-means with k = 1)."""
+    return build_multi_prototypes(support_reprs, shots=1, seed=0)
 
 
 def _distances(centroids: np.ndarray, reprs: np.ndarray) -> np.ndarray:

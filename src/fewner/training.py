@@ -37,7 +37,21 @@ from .encoder import (
 from .errors import DataError, NumericError
 from .heads import init_linear_head, linear_forward, linear_loss_grads, proto_loss_grads
 
-SCHEMES = ("lc", "proto", "lc+nsp", "proto+nsp", "lc+st", "lc+nsp+st")
+# each scheme's stages in run order, as the run manifest records them; a
+# "pretrain:" stage reads the source corpus, "soft_labels" the unlabeled text
+SCHEMES = {
+    "lc": ("train_linear",),
+    "proto": ("train_prototype",),
+    "lc+nsp": ("pretrain:train_linear", "finetune:train_linear"),
+    "proto+nsp": ("pretrain:train_prototype", "finetune:train_prototype"),
+    "lc+st": ("teacher:train_linear", "soft_labels", "student:train_linear"),
+    "lc+nsp+st": (
+        "pretrain:train_linear",
+        "teacher:train_linear",
+        "soft_labels",
+        "student:train_linear",
+    ),
+}
 
 # fixed sub-seed offsets so that one run seed drives every stage
 SEED_HEAD = 1
@@ -70,7 +84,7 @@ class TrainConfig:
 
     def __post_init__(self):
         if self.scheme not in SCHEMES:
-            raise DataError(f"unknown scheme {self.scheme!r}; expected one of {SCHEMES}")
+            raise DataError(f"unknown scheme {self.scheme!r}; expected one of {tuple(SCHEMES)}")
         if self.seed < 0:
             raise ValueError("seed must be >= 0")
         for name in ("batch_size", "M", "K", "K_prime", "embed_dim", "hidden_dim"):
@@ -469,8 +483,18 @@ def train_prototype(
     return Model(encoder, corpus.labels, PROTOTYPE, None)
 
 
-def _scheme_base(scheme: str) -> str:
-    return "proto" if scheme.startswith("proto") else "lc"
+def _trainer(stage: str):
+    """The training function a stage name ends in."""
+    return train_prototype if stage.endswith("train_prototype") else train_linear
+
+
+def _pretrain(
+    source: TaggedCorpus, config: TrainConfig, source_config: TrainConfig | None
+) -> EncoderParams:
+    """Stage 1 of a transfer: train on the source corpus with its own tag
+    vocabulary (and source_config, if given) and hand on the encoder."""
+    stage1_config = source_config if source_config is not None else config
+    return _trainer(SCHEMES[config.scheme][0])(source, stage1_config).encoder
 
 
 def pretrain_transfer(
@@ -483,15 +507,11 @@ def pretrain_transfer(
     vocabulary, then keep the encoder, attach a fresh head for the target
     vocabulary and fine-tune on the target.
 
-    The objective of both stages follows the scheme base (lc -> linear,
+    The objective of both stages follows the scheme (lc -> linear,
     proto -> prototype). source_config overrides stage-1 hyperparameters.
     """
-    stage1_config = source_config if source_config is not None else config
-    if _scheme_base(config.scheme) == "proto":
-        stage1 = train_prototype(source, stage1_config)
-        return train_prototype(target, config, init=stage1.encoder)
-    stage1 = train_linear(source, stage1_config)
-    return train_linear(target, config, init=stage1.encoder)
+    init = _pretrain(source, config, source_config)
+    return _trainer(SCHEMES[config.scheme][-1])(target, config, init=init)
 
 
 @dataclass
@@ -552,15 +572,7 @@ def self_train(
 
     tags = labeled.labels.tag_vocabulary
     tag_index = {t: i for i, t in enumerate(tags)}
-    if init is None:
-        encoder = init_encoder(
-            build_vocabulary(labeled, unlabeled),
-            config.embed_dim,
-            config.hidden_dim,
-            config.seed,
-        )
-    else:
-        encoder = _start_encoder(labeled, config, init)
+    encoder = _start_encoder(labeled, config, init, extra=unlabeled)
     head = init_linear_head(len(tags), encoder.hidden_dim, config.seed + SEED_HEAD)
 
     w_labeled = 1.0 / len(labeled)
@@ -572,6 +584,14 @@ def self_train(
     return _train_weighted(items, labeled.labels, config, encoder, head)
 
 
+def scheme_inputs(scheme: str) -> tuple[str, ...]:
+    """The inputs besides the labeled corpus that scheme's stages read, in
+    check order: "source" for a pretrain stage, "unlabeled" for soft labels."""
+    stages = SCHEMES[scheme]
+    needs = {"source": stages[0].startswith("pretrain:"), "unlabeled": "soft_labels" in stages}
+    return tuple(name for name, needed in needs.items() if needed)
+
+
 def run_scheme(
     labeled: TaggedCorpus,
     config: TrainConfig,
@@ -579,21 +599,25 @@ def run_scheme(
     unlabeled=None,
     source_config: TrainConfig | None = None,
 ) -> Model:
-    """Dispatch config.scheme to the right chain of training operations."""
+    """Run config.scheme's stages (SCHEMES): a pretrain stage gives the
+    initial encoder, then a self-training round or the scheme's trainer runs.
+    A missing input or a prototype stage with a frozen encoder is a DataError.
+    """
     scheme = config.scheme
-    if "nsp" in scheme and source is None:
-        raise DataError(f"scheme {scheme!r} requires a source corpus")
-    if scheme.endswith("st") and unlabeled is None:
-        raise DataError(f"scheme {scheme!r} requires unlabeled sentences")
-    if scheme == "lc":
-        return train_linear(labeled, config)
-    if scheme == "proto":
-        return train_prototype(labeled, config)
-    if scheme in ("lc+nsp", "proto+nsp"):
-        return pretrain_transfer(source, labeled, config, source_config=source_config)
-    if scheme == "lc+st":
-        return self_train(labeled, unlabeled, config)
-    if scheme == "lc+nsp+st":
-        stage1 = train_linear(source, source_config if source_config is not None else config)
-        return self_train(labeled, unlabeled, config, init=stage1.encoder)
-    raise DataError(f"unknown scheme {scheme!r}")
+    stages = SCHEMES[scheme]
+    given = {"source": source, "unlabeled": unlabeled}
+    nouns = {"source": "a source corpus", "unlabeled": "unlabeled sentences"}
+    for name in scheme_inputs(scheme):
+        if given[name] is None:
+            raise DataError(f"scheme {scheme!r} requires {nouns[name]}")
+    stage1_config = source_config if source_config is not None else config
+    for stage in stages:
+        stage_config = stage1_config if stage.startswith("pretrain:") else config
+        if _trainer(stage) is train_prototype and stage_config.freeze_encoder:
+            raise DataError(
+                f"scheme {scheme!r}: {stage} has nothing to train with freeze_encoder set"
+            )
+    init = _pretrain(source, config, source_config) if stages[0].startswith("pretrain:") else None
+    if "soft_labels" in stages:
+        return self_train(labeled, unlabeled, config, init=init)
+    return _trainer(stages[-1])(labeled, config, init=init)

@@ -26,7 +26,16 @@ from fewner.heads import (
     proto_backward,
     proto_forward,
 )
-from fewner.training import SEED_EPISODES, Episode, SoftLabelDataset, init_optimizer, lr_at
+from fewner.training import (
+    SEED_EPISODES,
+    Episode,
+    SoftLabelDataset,
+    init_optimizer,
+    lr_at,
+    self_train,
+    train_linear,
+    train_prototype,
+)
 
 
 def tag_type(tag: str) -> str | None:
@@ -324,3 +333,30 @@ def reference_support_prototypes(encoder, support, shots=None, seed=0):
     if not ordered:
         raise DataError("support corpus has no tokens to build prototypes from")
     return build_multi_prototypes(ordered, shots if shots is not None else 5, seed)
+
+
+def reference_run_scheme(labeled, config, source=None, unlabeled=None, source_config=None):
+    """Scheme dispatch as a string ladder over the scheme name, with the
+    two-stage transfer written out per scheme base."""
+    scheme = config.scheme
+    if "nsp" in scheme and source is None:
+        raise DataError(f"scheme {scheme!r} requires a source corpus")
+    if scheme.endswith("st") and unlabeled is None:
+        raise DataError(f"scheme {scheme!r} requires unlabeled sentences")
+    stage1_config = source_config if source_config is not None else config
+    if scheme == "lc":
+        return train_linear(labeled, config)
+    if scheme == "proto":
+        return train_prototype(labeled, config)
+    if scheme == "lc+nsp":
+        stage1 = train_linear(source, stage1_config)
+        return train_linear(labeled, config, init=stage1.encoder)
+    if scheme == "proto+nsp":
+        stage1 = train_prototype(source, stage1_config)
+        return train_prototype(labeled, config, init=stage1.encoder)
+    if scheme == "lc+st":
+        return self_train(labeled, unlabeled, config)
+    if scheme == "lc+nsp+st":
+        stage1 = train_linear(source, stage1_config)
+        return self_train(labeled, unlabeled, config, init=stage1.encoder)
+    raise DataError(f"unknown scheme {scheme!r}")

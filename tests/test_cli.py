@@ -12,6 +12,21 @@ from fewner.cli import main
 from fewner.corpus import parse_conll, sample_fewshot, write_conll
 from fewner.synthetic import make_corpus, strip_tags, transfer_benchmark
 
+# the manifest's stage strings per scheme, part of the CLI's output format
+MANIFEST_STAGES = {
+    "lc": ["train_linear"],
+    "proto": ["train_prototype"],
+    "lc+nsp": ["pretrain:train_linear", "finetune:train_linear"],
+    "proto+nsp": ["pretrain:train_prototype", "finetune:train_prototype"],
+    "lc+st": ["teacher:train_linear", "soft_labels", "student:train_linear"],
+    "lc+nsp+st": [
+        "pretrain:train_linear",
+        "teacher:train_linear",
+        "soft_labels",
+        "student:train_linear",
+    ],
+}
+
 FIXTURE = "EU B-ORG\nrejects O\nBonn B-LOC\n\nMoscow B-LOC\n\n"
 
 
@@ -173,36 +188,65 @@ class TestTrainEval:
         st_report = capsys.readouterr().out
         assert lc_report == st_report
 
-    def test_nsp_st_pipeline_and_manifest_stages(self, workdir):
+    def _scheme_flags(self, workdir):
         source = make_corpus(40, seed=33, fine=True)
         (workdir / "source.conll").write_text(write_conll(source), encoding="utf-8")
         unlabeled = strip_tags(make_corpus(30, seed=34))
         (workdir / "unlabeled.txt").write_text(
             "\n".join(" ".join(t) for t in unlabeled), encoding="utf-8"
         )
-        code, ckpt = self._train(
-            workdir,
-            "lc+nsp+st",
-            extra=[
-                "--source",
-                str(workdir / "source.conll"),
-                "--unlabeled",
-                str(workdir / "unlabeled.txt"),
-            ],
-        )
+        return {
+            "source": ["--source", str(workdir / "source.conll")],
+            "unlabeled": ["--unlabeled", str(workdir / "unlabeled.txt")],
+        }
+
+    @pytest.mark.parametrize("scheme", list(MANIFEST_STAGES))
+    def test_pipeline_and_manifest_stages(self, workdir, scheme):
+        # episodes small enough for the 40-sentence source corpus
+        config = json.loads((workdir / "config.json").read_text())
+        config.update(M=2, K=2, K_prime=2)
+        (workdir / "config.json").write_text(json.dumps(config), encoding="utf-8")
+        flags = self._scheme_flags(workdir)
+        extra = [*flags["source"], *flags["unlabeled"]]
+        code, ckpt = self._train(workdir, scheme, extra=extra)
         assert code == 0
         manifest = json.loads((ckpt.parent / f"{ckpt.name}.manifest.json").read_text())
-        assert manifest["stages"] == [
-            "pretrain:train_linear",
-            "teacher:train_linear",
-            "soft_labels",
-            "student:train_linear",
-        ]
+        assert manifest["stages"] == MANIFEST_STAGES[scheme]
         assert "source" in manifest["inputs"]
 
-    def test_missing_scheme_input_is_usage_error(self, workdir):
-        code, _ = self._train(workdir, "lc+nsp")
+    @pytest.mark.parametrize(
+        "scheme, missing",
+        [
+            ("lc+nsp", "source"),
+            ("proto+nsp", "source"),
+            ("lc+st", "unlabeled"),
+            ("lc+nsp+st", "source"),
+            ("lc+nsp+st", "unlabeled"),
+        ],
+    )
+    def test_missing_scheme_input_is_usage_error(self, workdir, capsys, scheme, missing):
+        flags = self._scheme_flags(workdir)
+        del flags[missing]
+        code, ckpt = self._train(workdir, scheme, extra=[a for f in flags.values() for a in f])
         assert code == 1
+        assert capsys.readouterr().err == f"fewner: scheme {scheme} requires --{missing}\n"
+        assert not ckpt.exists()
+
+    @pytest.mark.parametrize(
+        "scheme, frozen",
+        [("proto", "config"), ("proto+nsp", "config"), ("proto+nsp", "source-config")],
+    )
+    def test_frozen_prototype_stage_is_data_error(self, workdir, capsys, scheme, frozen):
+        config = json.loads((workdir / "config.json").read_text())
+        (workdir / "frozen.json").write_text(json.dumps({**config, "freeze_encoder": True}))
+        # a repeated --config overrides the one _train passes
+        source = self._scheme_flags(workdir)["source"]
+        extra = [*source, f"--{frozen}", str(workdir / "frozen.json")]
+        code, ckpt = self._train(workdir, scheme, extra=extra)
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("fewner: ") and err.count("\n") == 1 and "freeze_encoder" in err
+        assert not ckpt.exists()
 
     def test_seed_override(self, workdir):
         _, base = self._train(workdir)

@@ -171,18 +171,18 @@ class TestLinearLossGrads:
 class TestBuildPrototypes:
     def test_mean_symmetry(self):
         protos = build_prototypes({"A": [np.array([1.0, 0.0]), np.array([0.0, 1.0])]})
-        assert np.allclose(protos.centroid("A"), [[0.5, 0.5]])
+        assert np.allclose(dict(protos.entries)["A"], [[0.5, 0.5]])
 
     def test_single_repr_identity(self):
         v = np.array([0.3, -0.2, 0.9])
         protos = build_prototypes({"A": [v]})
-        assert np.allclose(protos.centroid("A"), v[None, :])
+        assert np.allclose(dict(protos.entries)["A"], v[None, :])
 
     def test_three_token_average(self):
         # a class prototype is the mean of its support tokens
         tokens = [np.array([1.0, 2.0]), np.array([3.0, 4.0]), np.array([5.0, 0.0])]
         protos = build_prototypes({"Person": tokens})
-        assert np.allclose(protos.centroid("Person"), [[3.0, 2.0]])
+        assert np.allclose(dict(protos.entries)["Person"], [[3.0, 2.0]])
 
     def test_empty_label_rejected(self):
         with pytest.raises(DataError):
@@ -373,23 +373,23 @@ class TestMultiPrototypes:
         support = {"A": [rng.normal(size=4) for _ in range(5)]}
         multi = build_multi_prototypes(support, shots=5, seed=0)
         single = build_prototypes(support)
-        assert np.allclose(multi.centroid("A"), single.centroid("A"))
+        assert np.allclose(dict(multi.entries)["A"], dict(single.entries)["A"])
 
     def test_k10_gives_two_centroids(self):
         rng = np.random.default_rng(9)
         support = {"A": [rng.normal(size=4) for _ in range(10)]}
         protos = build_multi_prototypes(support, shots=10, seed=0)
-        assert protos.centroid("A").shape == (2, 4)
+        assert dict(protos.entries)["A"].shape == (2, 4)
 
     def test_identical_points_collapse(self):
         point = np.array([1.0, 2.0])
         protos = build_multi_prototypes({"A": [point.copy() for _ in range(12)]}, 12, seed=1)
-        assert np.allclose(protos.centroid("A"), point)
+        assert np.allclose(dict(protos.entries)["A"], point)
 
     def test_k_clamped_to_repr_count(self):
         support = {"A": [np.array([float(i), 0.0]) for i in range(2)]}
         protos = build_multi_prototypes(support, shots=20, seed=2)
-        assert protos.centroid("A").shape[0] == 2
+        assert dict(protos.entries)["A"].shape[0] == 2
 
     def test_deterministic(self):
         rng = np.random.default_rng(10)
@@ -404,7 +404,7 @@ class TestMultiPrototypes:
         cloud_a = [np.array([0.0, 0.0]) + rng.normal(size=2) * 0.05 for _ in range(5)]
         cloud_b = [np.array([10.0, 10.0]) + rng.normal(size=2) * 0.05 for _ in range(5)]
         protos = build_multi_prototypes({"A": cloud_a + cloud_b}, shots=10, seed=3)
-        cents = protos.centroid("A")
+        cents = dict(protos.entries)["A"]
         spread = np.linalg.norm(cents[0] - cents[1])
         assert spread > 10.0
 

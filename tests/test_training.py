@@ -1,10 +1,11 @@
 import math
 import random
+import re
 
 import numpy as np
 import pytest
 
-from fewner.checkpoint import LINEAR, PROTOTYPE
+from fewner.checkpoint import LINEAR, PROTOTYPE, dumps
 from fewner.corpus import LabelSet, TaggedCorpus, TokenSequence, parse_conll
 from fewner.encoder import encode, encode_backward, init_encoder
 from fewner.errors import DataError, NumericError
@@ -19,6 +20,7 @@ from fewner.training import (
     load_config,
     lr_at,
     pretrain_transfer,
+    run_scheme,
     sample_episode,
     self_train,
     train_linear,
@@ -27,7 +29,9 @@ from fewner.training import (
 
 
 from builders import word_identity_corpus as _make_corpus
-from oracles import reference_adam_step, reference_train_prototype
+from oracles import reference_adam_step, reference_run_scheme, reference_train_prototype
+
+ALL_SCHEMES = ("lc", "proto", "lc+nsp", "proto+nsp", "lc+st", "lc+nsp+st")
 
 
 def _tiny_config(**overrides):
@@ -450,6 +454,51 @@ class TestSelfTrain:
         assert np.array_equal(a.encoder.embedding_table, b.encoder.embedding_table)
 
 
+class TestRunScheme:
+    def _inputs(self):
+        return dict(
+            source=_make_corpus(16, seed=40, types=("FINEA", "FINEB")),
+            unlabeled=[s.tokens + ("unseen",) for s in _make_corpus(6, seed=41).sentences],
+        )
+
+    @pytest.mark.parametrize("with_source_config", [False, True])
+    @pytest.mark.parametrize("scheme", ALL_SCHEMES)
+    def test_matches_reference_ladder(self, scheme, with_source_config):
+        labeled = _make_corpus(12, seed=42)
+        config = _tiny_config(scheme=scheme, epochs=2)
+        source_config = _tiny_config(seed=9, epochs=1) if with_source_config else None
+        inputs = self._inputs()
+        got = run_scheme(labeled, config, source_config=source_config, **inputs)
+        want = reference_run_scheme(labeled, config, source_config=source_config, **inputs)
+        assert dumps(got) == dumps(want)
+
+    @pytest.mark.parametrize(
+        "scheme, missing, message",
+        [
+            ("lc+nsp", "source", "requires a source corpus"),
+            ("proto+nsp", "source", "requires a source corpus"),
+            ("lc+st", "unlabeled", "requires unlabeled sentences"),
+            ("lc+nsp+st", "source", "requires a source corpus"),
+            ("lc+nsp+st", "unlabeled", "requires unlabeled sentences"),
+        ],
+    )
+    def test_missing_input_is_data_error(self, scheme, missing, message):
+        inputs = self._inputs()
+        inputs[missing] = None
+        with pytest.raises(DataError, match=re.escape(f"scheme {scheme!r} {message}")):
+            run_scheme(_make_corpus(12, seed=43), _tiny_config(scheme=scheme), **inputs)
+
+    @pytest.mark.parametrize(
+        "scheme, frozen",
+        [("proto", "config"), ("proto+nsp", "config"), ("proto+nsp", "source_config")],
+    )
+    def test_frozen_prototype_stage_is_data_error(self, scheme, frozen):
+        configs = {"config": _tiny_config(scheme=scheme), "source_config": _tiny_config()}
+        configs[frozen] = configs[frozen].with_(freeze_encoder=True)
+        with pytest.raises(DataError, match="freeze_encoder"):
+            run_scheme(_make_corpus(12, seed=44), **configs, **self._inputs())
+
+
 class TestConfigFile:
     def test_json_round_trip(self, tmp_path):
         path = tmp_path / "config.json"
@@ -503,7 +552,7 @@ class TestConfigFile:
     def test_bad_scheme_rejected(self, tmp_path):
         path = tmp_path / "config.json"
         path.write_text('{"seed": 1, "scheme": "magic"}')
-        with pytest.raises(DataError):
+        with pytest.raises(DataError, match=re.escape(f"expected one of {ALL_SCHEMES}")):
             load_config(path)
 
     def test_negative_seed_rejected(self, tmp_path):
