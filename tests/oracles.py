@@ -15,9 +15,10 @@ import random
 
 import numpy as np
 
-from fewner.corpus import TaggedCorpus, TokenSequence
+from fewner.corpus import Chunk, TaggedCorpus, TokenSequence, split_tag
 from fewner.encoder import encode, encode_backward
 from fewner.errors import DataError
+from fewner.evaluation import EvalReport, TypeScore
 from fewner.heads import (
     build_multi_prototypes,
     build_prototypes,
@@ -39,9 +40,11 @@ from fewner.training import (
 
 
 def tag_type(tag: str) -> str | None:
+    """Entity type after the first hyphen; None for "O", for tags without a
+    hyphen and for an empty type ("B-")."""
     if tag == "O":
         return None
-    return tag.split("-", 1)[1] if "-" in tag else None
+    return (tag.split("-", 1)[1] or None) if "-" in tag else None
 
 
 def oracle_chunks(tags, schema: str) -> list[tuple[str, int, int]]:
@@ -76,6 +79,80 @@ def oracle_f1(gold_tagseqs, pred_tagseqs, schema: str):
     recall = correct / gold_total if gold_total else 0.0
     f1 = 2 * precision * recall / (precision + recall) if precision + recall else 0.0
     return precision, recall, f1, (gold_total, pred_total, correct)
+
+
+def oracle_type_counts(gold_tagseqs, pred_tagseqs, schema: str) -> dict[str, tuple[int, int, int]]:
+    """Per entity type: (gold, predicted, correct) chunk counts from oracle_chunks."""
+    counts: dict[str, list[int]] = {}
+    for gold, pred in zip(gold_tagseqs, pred_tagseqs):
+        g = set(oracle_chunks(gold, schema))
+        p = set(oracle_chunks(pred, schema))
+        for k, chunks in enumerate((g, p, g & p)):
+            for etype, _, _ in chunks:
+                counts.setdefault(etype, [0, 0, 0])[k] += 1
+    return {t: tuple(c) for t, c in counts.items()}
+
+
+def _reference_extract_chunks(tags, schema: str) -> list[Chunk]:
+    """Event-based chunking of one tag sequence, one tag at a time."""
+    chunks: list[Chunk] = []
+    start = -1
+    cur_type = None
+
+    def close(end: int):
+        nonlocal start, cur_type
+        if cur_type is not None:
+            chunks.append(Chunk(cur_type, start, end))
+        start, cur_type = -1, None
+
+    for i, tag in enumerate(tags):
+        prefix, etype = split_tag(tag)
+        if etype is None:
+            close(i)
+            continue
+        starts_new = etype != cur_type if schema == "IO" else prefix == "B" or etype != cur_type
+        if starts_new:
+            close(i)
+            start, cur_type = i, etype
+    close(len(tags))
+    return chunks
+
+
+def _reference_prf(correct: int, predicted: int, gold: int) -> tuple[float, float, float]:
+    precision = correct / predicted if predicted else 0.0
+    recall = correct / gold if gold else 0.0
+    f1 = 2 * precision * recall / (precision + recall) if precision + recall else 0.0
+    return precision, recall, f1
+
+
+def reference_entity_f1(gold: TaggedCorpus, predicted, schema: str) -> EvalReport:
+    """Entity F1 as first written: per-sentence sets of Chunk objects from
+    tag strings, intersected sentence by sentence, counted in dicts."""
+    schema = schema.upper()
+    if len(predicted) != len(gold.sentences):
+        raise DataError(f"{len(predicted)} predictions for {len(gold.sentences)} sentences")
+    gold_n: dict[str, int] = {}
+    pred_n: dict[str, int] = {}
+    correct_n: dict[str, int] = {}
+    for i, (sent, tags) in enumerate(zip(gold.sentences, predicted)):
+        if len(tags) != len(sent):
+            raise DataError(f"sentence {i}: {len(tags)} predicted tags for {len(sent)} tokens")
+        gold_chunks = set(_reference_extract_chunks(sent.tags, schema))
+        pred_chunks = set(_reference_extract_chunks(tags, schema))
+        for c in gold_chunks:
+            gold_n[c.entity_type] = gold_n.get(c.entity_type, 0) + 1
+        for c in pred_chunks:
+            pred_n[c.entity_type] = pred_n.get(c.entity_type, 0) + 1
+        for c in gold_chunks & pred_chunks:
+            correct_n[c.entity_type] = correct_n.get(c.entity_type, 0) + 1
+    types = sorted(set(gold_n) | set(pred_n) | set(gold.labels.entity_types))
+    per_type = {}
+    for t in types:
+        p, r, f = _reference_prf(correct_n.get(t, 0), pred_n.get(t, 0), gold_n.get(t, 0))
+        per_type[t] = TypeScore(p, r, f, gold_n.get(t, 0))
+    totals = (sum(gold_n.values()), sum(pred_n.values()), sum(correct_n.values()))
+    p, r, f = _reference_prf(totals[2], totals[1], totals[0])
+    return EvalReport(p, r, f, per_type, totals)
 
 
 def finite_difference(fun, arrays: dict[str, np.ndarray], step: float = 1e-5) -> dict[str, np.ndarray]:

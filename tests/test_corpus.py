@@ -205,6 +205,68 @@ class TestConvertSchema:
             assert extract_chunks(bio, "BIO") == extract_chunks(tags, "IO")
 
 
+# tag strings as predictions can carry them: well-formed tags, hyphenated
+# types, odd prefixes ("E-X" continues a chunk, "X" and "B-" are outside
+# any chunk) and short arbitrary strings over the same letters
+_TYPES = ["X", "Y", "A-B"]
+_any_tag = st.one_of(
+    st.sampled_from(["O", "X", "B-", "I-", "E-X", "S-Y", "-X", "O-X", "B-A-B", "I-A-B"]),
+    st.builds("{}-{}".format, st.sampled_from(["B", "I"]), st.sampled_from(_TYPES)),
+    st.text(alphabet="BIOEXY-", max_size=4),
+)
+_bio_tags = st.lists(st.sampled_from(["O"] + [f"{p}-{t}" for t in _TYPES for p in "BI"]), max_size=30)
+_io_tags = st.lists(st.sampled_from(["O"] + [f"I-{t}" for t in _TYPES]), max_size=30)
+
+
+def _triples(chunks):
+    return [(c.entity_type, c.start, c.end) for c in chunks]
+
+
+class TestChunkProperties:
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(_any_tag, max_size=30), st.sampled_from(["BIO", "IO"]))
+    def test_extract_chunks_matches_oracle_on_any_tags(self, tags, schema):
+        assert _triples(extract_chunks(tags, schema)) == oracle_chunks(tags, schema)
+
+    @settings(max_examples=200, deadline=None)
+    @given(_io_tags)
+    def test_io_bio_io_is_identity(self, tags):
+        assert convert_tags(convert_tags(tags, "IO", "BIO"), "BIO", "IO") == tags
+
+    @settings(max_examples=200, deadline=None)
+    @given(_bio_tags)
+    def test_bio_to_io_keeps_chunks_without_same_type_adjacency(self, tags):
+        chunks = extract_chunks(tags, "BIO")
+        adjacent = any(
+            a.end == b.start and a.entity_type == b.entity_type
+            for a, b in zip(chunks, chunks[1:])
+        )
+        merged = extract_chunks(convert_tags(tags, "BIO", "IO"), "IO")
+        if adjacent:
+            assert len(merged) < len(chunks)
+        else:
+            assert merged == chunks
+
+    @settings(max_examples=100, deadline=None)
+    @given(_corpora(), st.sampled_from(["BIO", "IO"]))
+    def test_convert_schema_is_idempotent(self, corpus, target):
+        once = convert_schema(corpus, target)
+        assert once.labels.schema == target
+        assert convert_schema(once, target) == once
+
+    @settings(max_examples=100, deadline=None)
+    @given(_corpora())
+    def test_corpus_stats_counts_oracle_chunks(self, corpus):
+        schema = corpus.labels.schema
+        expected = {t: 0 for t in corpus.labels.entity_types}
+        for sent in corpus.sentences:
+            for etype, _, _ in oracle_chunks(sent.tags, schema):
+                expected[etype] += 1
+        stats = corpus_stats(corpus)
+        assert stats["chunks_per_type"] == expected
+        assert stats["tokens"] == sum(len(s) for s in corpus.sentences)
+
+
 def _synthetic_corpus(n_sentences: int, seed: int) -> TaggedCorpus:
     rng = random.Random(seed)
     types = ("LOC", "ORG", "PER")

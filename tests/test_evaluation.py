@@ -3,14 +3,18 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from fewner.corpus import (
     LabelSet,
     TaggedCorpus,
     TokenSequence,
+    convert_schema,
     convert_tags,
     extract_chunks,
     parse_conll,
+    sample_fewshot,
 )
 from fewner.errors import DataError
 from fewner.evaluation import (
@@ -28,11 +32,14 @@ from fewner.checkpoint import LINEAR, Model
 from fewner.encoder import encode, init_encoder
 from fewner.evaluation import predict_corpus
 from fewner.heads import PrototypeSet, init_linear_head, linear_forward, multi_proto_score
+from fewner.synthetic import transfer_benchmark
 from fewner.training import TrainConfig, generate_soft_labels, train_linear, train_prototype
 
 from builders import word_identity_corpus
 from oracles import (
     oracle_f1,
+    oracle_type_counts,
+    reference_entity_f1,
     random_tagseq,
     reference_generate_soft_labels,
     reference_multi_proto_scores,
@@ -146,6 +153,90 @@ class TestEntityF1:
             if not adjacency(gold_tags) and not adjacency(pred_tags):
                 assert io.counts == bio.counts
                 assert io.f1 == bio.f1
+
+
+@st.composite
+def _scored_corpora(draw):
+    """A gold corpus of a few sentences and predictions for it. Gold tags
+    come from the label set's vocabulary (one label type may never occur);
+    predictions also use a type unknown to gold ("Q") and odd strings."""
+    schema = draw(st.sampled_from(["BIO", "IO"]))
+    types = draw(st.lists(st.sampled_from(["A", "B", "C-D"]), min_size=1, unique=True))
+    vocab = LabelSet(tuple(types), schema).tag_vocabulary
+    lengths = draw(st.lists(st.integers(1, 8), min_size=1, max_size=6))
+    gold = [draw(st.lists(st.sampled_from(vocab), min_size=n, max_size=n)) for n in lengths]
+    pred_tags = st.one_of(
+        st.sampled_from(vocab),
+        st.sampled_from(["B-Q", "I-Q", "B-A", "I-A", "E-A", "X", "B-", "O"]),
+    )
+    pred = [draw(st.lists(pred_tags, min_size=n, max_size=n)) for n in lengths]
+    return schema, types, gold, pred
+
+
+class TestEntityF1Properties:
+    @settings(max_examples=300, deadline=None)
+    @given(_scored_corpora())
+    # chunks touching sentence boundaries end and start at the boundary
+    @example(("BIO", ["A"], [["O", "I-A"], ["I-A", "O"]], [["O", "I-A"], ["I-A", "O"]]))
+    @example(("IO", ["A"], [["I-A", "I-A"], ["I-A"]], [["I-A", "I-A"], ["I-A"]]))
+    @example(("BIO", ["A"], [["B-A"], ["I-A"]], [["I-Q"], ["I-Q"]]))
+    def test_multi_sentence_matches_oracle_per_type(self, case):
+        schema, types, gold_tags, pred_tags = case
+        gold = _corpus_from_tags(gold_tags, types, schema)
+        report = entity_f1(gold, pred_tags, schema)
+        p, r, f, counts = oracle_f1(gold_tags, pred_tags, schema)
+        assert report.counts == counts
+        assert (report.precision, report.recall, report.f1) == (p, r, f)
+        per_type = oracle_type_counts(gold_tags, pred_tags, schema)
+        assert list(report.per_type) == sorted(set(types) | set(per_type))
+        for etype, score in report.per_type.items():
+            n_gold, n_pred, n_correct = per_type.get(etype, (0, 0, 0))
+            assert score.support == n_gold
+            assert score.precision == (n_correct / n_pred if n_pred else 0.0)
+            assert score.recall == (n_correct / n_gold if n_gold else 0.0)
+        assert report.to_dict() == reference_entity_f1(gold, pred_tags, schema).to_dict()
+
+    def test_boundary_chunks_stay_in_their_sentences(self):
+        gold = _corpus_from_tags([["O", "I-A"], ["I-A", "O"]], ["A"])
+        # one chunk per sentence, not one chunk across the boundary
+        report = entity_f1(gold, [["O", "I-A"], ["I-A", "O"]], "BIO")
+        assert report.counts == (2, 2, 2)
+        merged = entity_f1(gold, [["O", "I-A"], ["O", "O"]], "IO")
+        assert merged.counts == (2, 1, 1)
+
+
+def _reports_match_reference(model, test, schema, protos=None, native=None):
+    """evaluate_model, and entity_f1 on converted and on raw predictions,
+    each equal to the first string-based scorer's report."""
+    preds = predict_corpus(model, test.sentences, protos)
+    native = native or model.labels.schema
+    converted = [convert_tags(p, native, schema) for p in preds]
+    gold = convert_schema(test, schema)
+    expected = reference_entity_f1(gold, converted, schema).to_dict()
+    assert evaluate_model(model, test, schema, protos, native).to_dict() == expected
+    assert entity_f1(gold, converted, schema).to_dict() == expected
+    raw = reference_entity_f1(test, preds, schema).to_dict()
+    assert entity_f1(test, preds, schema).to_dict() == raw
+
+
+class TestReferenceScorer:
+    @pytest.mark.parametrize("seed", range(5))
+    def test_transfer_benchmark_reports_equal_reference(self, seed):
+        bench = transfer_benchmark(seed)
+        config = TrainConfig(seed=seed, epochs=2, learning_rate=0.05, batch_size=8)
+        model = train_linear(bench.train, config)
+        supports = [
+            sample_fewshot(bench.train, 5, seed),
+            convert_schema(sample_fewshot(bench.train, 5, seed), "IO"),
+            sample_fewshot(bench.source, 5, seed),  # types the test set lacks
+        ]
+        for schema in ("BIO", "IO"):
+            _reports_match_reference(model, bench.test, schema)
+            for support in supports:
+                protos = support_prototypes(model.encoder, support, shots=5, seed=seed)
+                _reports_match_reference(
+                    model, bench.test, schema, protos, support.labels.schema
+                )
 
 
 class TestPredictTags:
