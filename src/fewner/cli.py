@@ -90,9 +90,11 @@ def cmd_sample(args) -> int:
 
 
 def cmd_train(args) -> int:
-    given = {"source": bool(args.source), "unlabeled": args.unlabeled is not None}
-    for name in scheme_inputs(args.scheme):
-        if not given[name]:
+    # only the inputs the scheme's stages read are checked, read and hashed;
+    # an empty path counts as a missing one
+    needed = scheme_inputs(args.scheme)
+    for name in needed:
+        if not getattr(args, name):
             raise UsageError(f"scheme {args.scheme} requires --{name}")
 
     seed = _seed(args)
@@ -102,17 +104,16 @@ def cmd_train(args) -> int:
     config = config.with_(scheme=args.scheme)
 
     inputs = {"config": args.config, "train": args.train}
-    if args.source:
-        inputs["source"] = args.source
-    if args.unlabeled is not None:
-        inputs["unlabeled"] = args.unlabeled
+    inputs.update((name, getattr(args, name)) for name in needed)
     digests = {name: _digest(path) for name, path in inputs.items()}
 
     train_corpus = _read_corpus(args.train, args.schema)
-    source_corpus = _read_corpus(args.source, args.schema) if args.source else None
-    unlabeled = _read_unlabeled(args.unlabeled) if args.unlabeled is not None else None
-    source_config = load_config(args.source_config) if args.source_config else None
-    if source_config is not None:
+    source_corpus = _read_corpus(args.source, args.schema) if "source" in needed else None
+    unlabeled = _read_unlabeled(args.unlabeled) if "unlabeled" in needed else None
+    # the source config only configures the pretrain stage, which reads the source
+    source_config = None
+    if "source" in needed and args.source_config:
+        source_config = load_config(args.source_config)
         digests["source_config"] = _digest(args.source_config)
         inputs["source_config"] = args.source_config
 

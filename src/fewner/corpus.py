@@ -5,16 +5,23 @@ Two tagging schemas are supported. BIO marks the first token of an entity
 as ``B-X`` and the rest as ``I-X``; IO marks every entity token as ``I-X``
 and therefore cannot represent a boundary between two adjacent same-type
 entities.
+
+Internally a corpus's tags are one flat column of integer ids over its tag
+vocabulary, with sentence offsets; chunking and schema conversion work on
+that column with numpy. Tag strings are only read and written at the
+public functions that take or return them.
 """
 
 from __future__ import annotations
 
 import json
 import random
-from collections import Counter
 from collections.abc import Container
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import chain
+
+import numpy as np
 
 from .errors import DataError
 
@@ -50,6 +57,76 @@ def _valid_tag(tag: str, schema: str) -> bool:
         return True
     prefix, etype = split_tag(tag)
     return prefix in _PREFIXES[schema] and etype is not None
+
+
+def _vocabulary(entity_types, schema: str) -> list[str]:
+    return ["O"] + [f"{prefix}-{t}" for t in entity_types for prefix in _PREFIXES[schema]]
+
+
+def tag_codes(tags, type_index: dict[str, int]) -> tuple[np.ndarray, np.ndarray]:
+    """Entity-type ids (-1 for no type) and B- flags of distinct tag strings,
+    split as split_tag does. Types missing from type_index are added to it,
+    numbered in order of appearance."""
+    types = np.empty(len(tags), dtype=np.intp)
+    begins = np.empty(len(tags), dtype=bool)
+    for k, tag in enumerate(tags):
+        prefix, etype = split_tag(tag)
+        types[k] = -1 if etype is None else type_index.setdefault(etype, len(type_index))
+        begins[k] = prefix == "B"
+    return types, begins
+
+
+def string_columns(tags, type_index: dict[str, int]) -> tuple[np.ndarray, np.ndarray]:
+    """tag_codes of every tag in a flat sequence (a list or tuple),
+    splitting each distinct string once."""
+    index = {t: i for i, t in enumerate(dict.fromkeys(tags))}
+    ids = np.fromiter(map(index.__getitem__, tags), dtype=np.intp, count=len(tags))
+    types, begins = tag_codes(list(index), type_index)
+    return types[ids], begins[ids]
+
+
+def _chunk_starts(types: np.ndarray, begins: np.ndarray | None, offsets: np.ndarray) -> np.ndarray:
+    """Tokens that open a chunk: typed tokens at a sentence start, with a B-
+    flag, or of another type than the token before."""
+    n = len(types)
+    first = np.ones(n, dtype=bool)
+    np.not_equal(types[1:], types[:-1], out=first[1:])
+    starts = offsets[:-1]
+    first[starts[starts < n]] = True
+    if begins is not None:
+        first |= begins
+    first &= types >= 0
+    return first
+
+
+def chunk_columns(
+    types: np.ndarray, begins: np.ndarray | None, offsets: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Chunks of a flat tag column: their (start, end, type) as three arrays
+    in token order.
+
+    types holds each token's entity-type id (-1 outside entities), begins
+    its B- flag under BIO (None chunks IO runs) and offsets the sentence
+    starts followed by the token count. The rules are extract_chunks': a
+    chunk opens at a typed token that starts a sentence, is a B- tag or
+    changes type (so an orphan I- tag opens one), and runs up to the next
+    token that is untyped or opens a chunk.
+    """
+    first = _chunk_starts(types, begins, np.asarray(offsets))
+    starts = np.flatnonzero(first)
+    bounds = np.append(np.flatnonzero(first | (types < 0)), len(types))
+    ends = bounds[np.searchsorted(bounds, starts, side="right")]
+    return starts, ends, types[starts]
+
+
+def _convert_types(types: np.ndarray, offsets: np.ndarray, target: str) -> np.ndarray:
+    """Tag ids over the target schema's vocabulary for a column of entity
+    types: I-X under IO, and under BIO B-X at the first token of each
+    same-type run, I-X after it."""
+    io = types + 1  # the IO vocabulary is "O", then I-X per type
+    if target == "IO":
+        return io
+    return np.where(io > 0, 2 * io - _chunk_starts(types, None, offsets), 0)
 
 
 @dataclass(frozen=True)
@@ -93,11 +170,13 @@ class LabelSet:
         if "O" in types:
             raise DataError('"O" is reserved and cannot be an entity type')
         object.__setattr__(self, "entity_types", types)
-        vocab = ["O"]
-        for t in types:
-            for prefix in _PREFIXES[self.schema]:
-                vocab.append(f"{prefix}-{t}")
-        object.__setattr__(self, "tag_vocabulary", tuple(vocab))
+        object.__setattr__(self, "tag_vocabulary", tuple(_vocabulary(types, self.schema)))
+
+    @cached_property
+    def codes(self) -> tuple[np.ndarray, np.ndarray]:
+        """tag_codes of the tag vocabulary: per tag id, the index of its
+        type in entity_types (-1 for "O") and its B- flag."""
+        return tag_codes(self.tag_vocabulary, {t: i for i, t in enumerate(self.entity_types)})
 
 
 @dataclass(frozen=True)
@@ -123,11 +202,32 @@ class TaggedCorpus:
     @cached_property
     def type_index(self) -> dict[str, tuple[int, ...]]:
         """Entity type -> ascending indices of the sentences containing it."""
-        index: dict[str, list[int]] = {t: [] for t in self.labels.entity_types}
-        for i, sent in enumerate(self.sentences):
-            for etype in {split_tag(t)[1] for t in sent.tags if t != "O"}:
-                index[etype].append(i)
-        return {t: tuple(rows) for t, rows in index.items()}
+        types = self.labels.codes[0][self.tag_ids]
+        sentence_of = np.repeat(np.arange(len(self.sentences)), np.diff(self.offsets))
+        return {
+            t: tuple(np.unique(sentence_of[types == k]).tolist())
+            for k, t in enumerate(self.labels.entity_types)
+        }
+
+    @cached_property
+    def offsets(self) -> np.ndarray:
+        """Where each sentence starts in the flat token order, then the
+        token count."""
+        return np.cumsum([0, *map(len, self.sentences)], dtype=np.intp)
+
+    @cached_property
+    def tag_ids(self) -> np.ndarray:
+        """Every token's tag as an index into labels.tag_vocabulary,
+        sentences concatenated."""
+        index = {t: i for i, t in enumerate(self.labels.tag_vocabulary)}
+        tags = chain.from_iterable([s.tags for s in self.sentences])
+        return np.fromiter(map(index.__getitem__, tags), dtype=np.intp, count=int(self.offsets[-1]))
+
+    def columns(self, schema: str) -> tuple[np.ndarray, np.ndarray | None]:
+        """Each token's entity-type id and, when chunking under BIO, its B-
+        flag (the arguments of chunk_columns)."""
+        types, begins = self.labels.codes
+        return types[self.tag_ids], begins[self.tag_ids] if schema == "BIO" else None
 
 
 @dataclass(frozen=True)
@@ -156,15 +256,16 @@ def parse_conll(text: str, schema: str = "BIO") -> TaggedCorpus:
     sentences: list[TokenSequence] = []
     tokens: list[str] = []
     tags: list[str] = []
-    types: set[str] = set()
+    # each distinct tag is validated and split once: tag -> its entity type
+    tag_types: dict[str, str | None] = {}
     # A blank line with nothing since the previous separator is only an
     # error if more content follows; trailing blank lines are tolerated.
     pending_empty: int | None = None
     content_since_sep = True  # tolerate blank lines at file start
 
     for lineno, line in enumerate(text.splitlines(), start=1):
-        stripped = line.strip()
-        if not stripped:
+        columns = line.split()
+        if not columns:
             if tokens:
                 sentences.append(TokenSequence(tuple(tokens), tuple(tags)))
                 tokens, tags = [], []
@@ -175,25 +276,26 @@ def parse_conll(text: str, schema: str = "BIO") -> TaggedCorpus:
         if pending_empty is not None:
             raise DataError(f"line {pending_empty}: empty sentence between separators")
         content_since_sep = True
-        if stripped.startswith(DOCSTART):
+        if columns[0].startswith(DOCSTART):
             if tokens:
                 sentences.append(TokenSequence(tuple(tokens), tuple(tags)))
                 tokens, tags = [], []
             continue
-        columns = stripped.split()
         if len(columns) < 2:
-            raise DataError(f"line {lineno}: expected token and tag columns, got {stripped!r}")
-        token, tag = columns[0], columns[-1]
-        if not _valid_tag(tag, schema):
-            raise DataError(f"line {lineno}: tag {tag!r} violates the {schema} schema")
-        tokens.append(token)
+            raise DataError(
+                f"line {lineno}: expected token and tag columns, got {line.strip()!r}"
+            )
+        tag = columns[-1]
+        if tag not in tag_types:
+            if not _valid_tag(tag, schema):
+                raise DataError(f"line {lineno}: tag {tag!r} violates the {schema} schema")
+            tag_types[tag] = split_tag(tag)[1]
+        tokens.append(columns[0])
         tags.append(tag)
-        _, etype = split_tag(tag)
-        if etype is not None:
-            types.add(etype)
 
     if tokens:
         sentences.append(TokenSequence(tuple(tokens), tuple(tags)))
+    types = {t for t in tag_types.values() if t is not None}
     labels = LabelSet(tuple(sorted(types)), schema)
     return TaggedCorpus(tuple(sentences), labels)
 
@@ -212,33 +314,19 @@ def extract_chunks(tags: list[str] | tuple[str, ...], schema: str) -> list[Chunk
     Under BIO a chunk starts at B-X, or at an I-X whose predecessor is
     neither B-X nor I-X of the same type (conlleval-style repair, so any
     tag sequence is chunkable). Under IO a chunk is a maximal run of
-    same-type entity tags.
+    same-type entity tags. Other prefixes continue a run like I- does;
+    tags without a type ("O", "X", "B-") are outside every chunk.
     """
     schema = _check_schema(schema)
-    chunks: list[Chunk] = []
-    start = -1
-    cur_type: str | None = None
-
-    def close(end: int):
-        nonlocal start, cur_type
-        if cur_type is not None:
-            chunks.append(Chunk(cur_type, start, end))
-        start, cur_type = -1, None
-
-    for i, tag in enumerate(tags):
-        prefix, etype = split_tag(tag)
-        if etype is None:
-            close(i)
-            continue
-        starts_new = (
-            etype != cur_type if schema == "IO"
-            else prefix == "B" or etype != cur_type
-        )
-        if starts_new:
-            close(i)
-            start, cur_type = i, etype
-    close(len(tags))
-    return chunks
+    type_index: dict[str, int] = {}
+    types, begins = string_columns(tags, type_index)
+    offsets = np.array([0, len(types)])
+    starts, ends, chunk_types = chunk_columns(types, begins if schema == "BIO" else None, offsets)
+    names = list(type_index)
+    return [
+        Chunk(names[t], start, end)
+        for start, end, t in zip(starts.tolist(), ends.tolist(), chunk_types.tolist())
+    ]
 
 
 def convert_schema(corpus: TaggedCorpus, target: str) -> TaggedCorpus:
@@ -249,35 +337,31 @@ def convert_schema(corpus: TaggedCorpus, target: str) -> TaggedCorpus:
     tag of each maximal same-type run as B-X.
     """
     target = _check_schema(target)
-    source = corpus.labels.schema
-    if source == target:
+    if corpus.labels.schema == target:
         return corpus
+    labels = LabelSet(corpus.labels.entity_types, target)
+    types = corpus.labels.codes[0][corpus.tag_ids]
+    ids = _convert_types(types, corpus.offsets, target).tolist()
+    vocab = labels.tag_vocabulary
+    bounds = corpus.offsets.tolist()
     converted = tuple(
-        TokenSequence(s.tokens, tuple(convert_tags(s.tags, source, target)))
-        for s in corpus.sentences
+        TokenSequence(s.tokens, tuple(vocab[i] for i in ids[a:b]))
+        for s, a, b in zip(corpus.sentences, bounds, bounds[1:])
     )
-    return TaggedCorpus(converted, LabelSet(corpus.labels.entity_types, target))
+    return TaggedCorpus(converted, labels)
 
 
 def convert_tags(tags: list[str] | tuple[str, ...], source: str, target: str) -> list[str]:
-    """Convert one tag sequence between schemas (see convert_schema)."""
+    """Convert one tag sequence between schemas (see convert_schema). Only
+    each tag's type is read, so a tag without one becomes "O"."""
     source, target = _check_schema(source), _check_schema(target)
     if source == target:
         return list(tags)
-    if target == "IO":
-        return ["I-" + split_tag(t)[1] if t != "O" else "O" for t in tags]
-    out = []
-    prev_type = None
-    for tag in tags:
-        _, etype = split_tag(tag)
-        if etype is None:
-            out.append("O")
-        elif etype == prev_type:
-            out.append(f"I-{etype}")
-        else:
-            out.append(f"B-{etype}")
-        prev_type = etype
-    return out
+    type_index: dict[str, int] = {}
+    types, _ = string_columns(tags, type_index)
+    ids = _convert_types(types, np.array([0, len(types)]), target)
+    vocab = _vocabulary(type_index, target)
+    return [vocab[i] for i in ids.tolist()]
 
 
 def top_up(
@@ -331,17 +415,14 @@ def sample_fewshot(corpus: TaggedCorpus, shots: int, seed: int) -> TaggedCorpus:
 
 def corpus_stats(corpus: TaggedCorpus) -> dict:
     """Summary counts: sentences, tokens, entity types, chunks per type."""
-    per_type = Counter()
-    tokens = 0
-    for sent in corpus.sentences:
-        tokens += len(sent)
-        for chunk in extract_chunks(sent.tags, corpus.labels.schema):
-            per_type[chunk.entity_type] += 1
+    labels = corpus.labels
+    _, _, chunk_types = chunk_columns(*corpus.columns(labels.schema), corpus.offsets)
+    per_type = np.bincount(chunk_types, minlength=len(labels.entity_types)).tolist()
     return {
         "sentences": len(corpus.sentences),
-        "tokens": tokens,
-        "entity_types": len(corpus.labels.entity_types),
-        "chunks_per_type": {t: per_type.get(t, 0) for t in corpus.labels.entity_types},
+        "tokens": int(corpus.offsets[-1]),
+        "entity_types": len(labels.entity_types),
+        "chunks_per_type": dict(zip(labels.entity_types, per_type)),
     }
 
 

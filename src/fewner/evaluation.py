@@ -3,7 +3,10 @@
 Scoring is the conlleval convention: word predictions are turned into
 chunks, a predicted chunk is correct only if its type and both boundaries
 match a gold chunk, and precision/recall/F1 are micro-averaged over all
-chunks (0/0 counts as 0). repeated_eval reruns a whole experiment with
+chunks (0/0 counts as 0). Chunks are integer (start, end, type) keys over
+the corpus's flat token column (corpus.chunk_columns); predictions reach
+the scorer as label ids, and tag strings are built only by predict_corpus
+and read only by entity_f1. repeated_eval reruns a whole experiment with
 shifted seeds and reports mean and sample standard deviation of F1.
 """
 
@@ -12,6 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import partial
+from itertools import chain
 
 import numpy as np
 
@@ -19,10 +23,11 @@ from .checkpoint import LINEAR, PROTOTYPE, Model
 from .corpus import (
     TaggedCorpus,
     TokenSequence,
-    convert_schema,
-    convert_tags,
-    extract_chunks,
+    _check_schema,
+    chunk_columns,
     sample_fewshot,
+    string_columns,
+    tag_codes,
 )
 from .encoder import EncoderParams, encode_blocks
 from .errors import DataError
@@ -89,36 +94,47 @@ def _prf(correct: int, predicted: int, gold: int) -> tuple[float, float, float]:
     return precision, recall, f1
 
 
+def _score(gold, predicted, offsets, type_index: dict[str, int], label_types) -> EvalReport:
+    """Micro and per-type P/R/F1 of two chunk_columns inputs over the same
+    tokens. Type ids index type_index's names; per_type lists the sorted
+    union of label_types and every type with a gold or predicted chunk."""
+    g_start, g_end, g_type = chunk_columns(*gold, offsets)
+    p_start, p_end, p_type = chunk_columns(*predicted, offsets)
+    # chunks do not overlap, so a start names at most one chunk per side;
+    # a predicted chunk is correct when its start, end and type all match
+    _, gi, pi = np.intersect1d(g_start, p_start, assume_unique=True, return_indices=True)
+    hit = gi[(g_end[gi] == p_end[pi]) & (g_type[gi] == p_type[pi])]
+    n = len(type_index)
+    gold_n, pred_n, correct_n = (
+        np.bincount(t, minlength=n).tolist() for t in (g_type, p_type, g_type[hit])
+    )
+    seen = {t for t, k in type_index.items() if gold_n[k] or pred_n[k]}
+    per_type = {}
+    for t in sorted(seen | set(label_types)):
+        k = type_index[t]
+        p, r, f = _prf(correct_n[k], pred_n[k], gold_n[k])
+        per_type[t] = TypeScore(p, r, f, gold_n[k])
+    totals = (sum(gold_n), sum(pred_n), sum(correct_n))
+    p, r, f = _prf(totals[2], totals[1], totals[0])
+    return EvalReport(p, r, f, per_type, totals)
+
+
 def entity_f1(gold: TaggedCorpus, predicted: list[list[str]], schema: str) -> EvalReport:
     """Micro-averaged chunk P/R/F1 of predicted tag sequences against gold."""
+    schema = _check_schema(schema)
     if len(predicted) != len(gold.sentences):
         raise DataError(
             f"{len(predicted)} predictions for {len(gold.sentences)} sentences"
         )
-    gold_n: dict[str, int] = {}
-    pred_n: dict[str, int] = {}
-    correct_n: dict[str, int] = {}
     for i, (sent, tags) in enumerate(zip(gold.sentences, predicted)):
         if len(tags) != len(sent):
             raise DataError(
                 f"sentence {i}: {len(tags)} predicted tags for {len(sent)} tokens"
             )
-        gold_chunks = set(extract_chunks(sent.tags, schema))
-        pred_chunks = set(extract_chunks(tags, schema))
-        for c in gold_chunks:
-            gold_n[c.entity_type] = gold_n.get(c.entity_type, 0) + 1
-        for c in pred_chunks:
-            pred_n[c.entity_type] = pred_n.get(c.entity_type, 0) + 1
-        for c in gold_chunks & pred_chunks:
-            correct_n[c.entity_type] = correct_n.get(c.entity_type, 0) + 1
-    types = sorted(set(gold_n) | set(pred_n) | set(gold.labels.entity_types))
-    per_type = {}
-    for t in types:
-        p, r, f = _prf(correct_n.get(t, 0), pred_n.get(t, 0), gold_n.get(t, 0))
-        per_type[t] = TypeScore(p, r, f, gold_n.get(t, 0))
-    totals = (sum(gold_n.values()), sum(pred_n.values()), sum(correct_n.values()))
-    p, r, f = _prf(totals[2], totals[1], totals[0])
-    return EvalReport(p, r, f, per_type, totals)
+    type_index = {t: k for k, t in enumerate(gold.labels.entity_types)}
+    types, begins = string_columns(list(chain.from_iterable(predicted)), type_index)
+    pred = (types, begins if schema == "BIO" else None)
+    return _score(gold.columns(schema), pred, gold.offsets, type_index, gold.labels.entity_types)
 
 
 def _ranking(labels, label_order) -> list[int]:
@@ -126,6 +142,26 @@ def _ranking(labels, label_order) -> list[int]:
     position there, then labels outside it in their given order."""
     rank = {t: i for i, t in enumerate(label_order)}
     return sorted(range(len(labels)), key=lambda i: rank.get(labels[i], len(rank) + i))
+
+
+def _predict_ids(
+    model: Model, token_lists, protos: PrototypeSet | None = None
+) -> tuple[list[str], np.ndarray]:
+    """Labels and, for every token of the sentences in order, the index of
+    its predicted label among them (see predict_corpus)."""
+    order = model.labels.tag_vocabulary
+    if protos is not None:
+        labels, score = protos.labels, partial(multi_proto_scores, protos)
+    elif model.head_kind == LINEAR:
+        labels, score = order, partial(linear_forward, model.head)
+    else:
+        raise DataError("prototype checkpoints carry no head arrays; supply a support set")
+    ranked = _ranking(labels, order)
+    best = [
+        np.argmax(score(reprs)[:, ranked], axis=1)
+        for _, reprs in encode_blocks(model.encoder, token_lists)
+    ]
+    return [labels[i] for i in ranked], np.concatenate([np.empty(0, np.intp), *best])
 
 
 def predict_corpus(
@@ -141,23 +177,13 @@ def predict_corpus(
     (encoder.encode_blocks): one encode, one head call and one argmax per
     block.
     """
-    order = model.labels.tag_vocabulary
-    if protos is not None:
-        labels, score = protos.labels, partial(multi_proto_scores, protos)
-    elif model.head_kind == LINEAR:
-        labels, score = order, partial(linear_forward, model.head)
-    else:
-        raise DataError("prototype checkpoints carry no head arrays; supply a support set")
-    ranked = _ranking(labels, order)
-    names = [labels[i] for i in ranked]
-    preds = []
-    for lengths, reprs in encode_blocks(model.encoder, [s.tokens for s in sentences]):
-        best = np.argmax(score(reprs)[:, ranked], axis=1)
-        tags = [names[b] for b in best.tolist()]
-        start = 0
-        for n in lengths:
-            preds.append(tags[start : start + n])
-            start += n
+    token_lists = [s.tokens for s in sentences]
+    names, ids = _predict_ids(model, token_lists, protos)
+    tags = [names[i] for i in ids.tolist()]
+    preds, start = [], 0
+    for tokens in token_lists:
+        preds.append(tags[start : start + len(tokens)])
+        start += len(tokens)
     return preds
 
 
@@ -181,10 +207,9 @@ def support_prototypes(
     sentences = support.sentences
     blocks = encode_blocks(encoder, [s.tokens for s in sentences])
     encoded = np.concatenate([np.empty((0, encoder.hidden_dim)), *(r for _, r in blocks)])
-    tags = np.array([tag for s in sentences for tag in s.tags], dtype=str)
     ordered = {}
-    for tag in support.labels.tag_vocabulary:
-        rows = encoded[tags == tag]
+    for k, tag in enumerate(support.labels.tag_vocabulary):
+        rows = encoded[support.tag_ids == k]
         if len(rows):
             ordered[tag] = list(rows)
     if not ordered:
@@ -215,13 +240,18 @@ def evaluate_model(
             "prototype checkpoints need a support corpus to rebuild prototypes; "
             "use prototype inference"
         )
-    schema = (schema or test.labels.schema).upper()
-    preds = predict_corpus(model, test.sentences, protos)
-    native = native_schema or model.labels.schema
-    if native != schema:
-        preds = [convert_tags(p, native, schema) for p in preds]
-    gold = convert_schema(test, schema)
-    return entity_f1(gold, preds, schema)
+    schema = _check_schema(schema or test.labels.schema)
+    native = _check_schema(native_schema or model.labels.schema)
+    names, ids = _predict_ids(model, [s.tokens for s in test.sentences], protos)
+    type_index = {t: k for k, t in enumerate(test.labels.entity_types)}
+    types, begins = tag_codes(names, type_index)
+    # Converting tags to the other schema and chunking them under it gives
+    # the same-type runs of the tags (BIO->IO drops the B- flags, IO->BIO
+    # sets them exactly at run starts), so converted predictions and gold
+    # are chunked as runs: by lookup of their types, without new tags.
+    pred = (types[ids], begins[ids] if native == schema == "BIO" else None)
+    gold = test.columns(schema if test.labels.schema == schema else "IO")
+    return _score(gold, pred, test.offsets, type_index, test.labels.entity_types)
 
 
 @dataclass

@@ -207,12 +207,33 @@ class TestTrainEval:
         config.update(M=2, K=2, K_prime=2)
         (workdir / "config.json").write_text(json.dumps(config), encoding="utf-8")
         flags = self._scheme_flags(workdir)
-        extra = [*flags["source"], *flags["unlabeled"]]
+        # every scheme gets every input; the manifest names only those it reads
+        source_config = ["--source-config", str(workdir / "config.json")]
+        extra = [*flags["source"], *flags["unlabeled"], *source_config]
         code, ckpt = self._train(workdir, scheme, extra=extra)
         assert code == 0
         manifest = json.loads((ckpt.parent / f"{ckpt.name}.manifest.json").read_text())
         assert manifest["stages"] == MANIFEST_STAGES[scheme]
-        assert "source" in manifest["inputs"]
+        pretrain = "nsp" in scheme
+        expected = {"config", "train"}
+        expected |= {"source", "source_config"} if pretrain else set()
+        expected |= {"unlabeled"} if scheme.endswith("st") else set()
+        assert set(manifest["inputs"]) == expected
+        assert (manifest["source_config"] is not None) == pretrain
+
+    @pytest.mark.parametrize("scheme, flag", [("lc+nsp", "source"), ("lc+st", "unlabeled")])
+    def test_empty_scheme_input_is_usage_error(self, workdir, capsys, scheme, flag):
+        code, ckpt = self._train(workdir, scheme, extra=[f"--{flag}", ""])
+        assert code == 1
+        assert capsys.readouterr().err == f"fewner: scheme {scheme} requires --{flag}\n"
+        assert not ckpt.exists()
+
+    def test_unused_inputs_are_not_read(self, workdir):
+        missing = str(workdir / "missing")
+        extra = ["--source", missing, "--unlabeled", missing, "--source-config", missing]
+        code, ckpt = self._train(workdir, "lc", extra=extra)
+        assert code == 0
+        assert ckpt.exists()
 
     @pytest.mark.parametrize(
         "scheme, missing",

@@ -223,7 +223,7 @@ def _triples(chunks):
 
 
 class TestChunkProperties:
-    @settings(max_examples=300, deadline=None)
+    @settings(max_examples=200, deadline=None)
     @given(st.lists(_any_tag, max_size=30), st.sampled_from(["BIO", "IO"]))
     def test_extract_chunks_matches_oracle_on_any_tags(self, tags, schema):
         assert _triples(extract_chunks(tags, schema)) == oracle_chunks(tags, schema)
@@ -247,14 +247,14 @@ class TestChunkProperties:
         else:
             assert merged == chunks
 
-    @settings(max_examples=100, deadline=None)
+    @settings(max_examples=50, deadline=None)
     @given(_corpora(), st.sampled_from(["BIO", "IO"]))
     def test_convert_schema_is_idempotent(self, corpus, target):
         once = convert_schema(corpus, target)
         assert once.labels.schema == target
         assert convert_schema(once, target) == once
 
-    @settings(max_examples=100, deadline=None)
+    @settings(max_examples=50, deadline=None)
     @given(_corpora())
     def test_corpus_stats_counts_oracle_chunks(self, corpus):
         schema = corpus.labels.schema

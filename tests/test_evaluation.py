@@ -174,7 +174,7 @@ def _scored_corpora(draw):
 
 
 class TestEntityF1Properties:
-    @settings(max_examples=300, deadline=None)
+    @settings(max_examples=150, deadline=None)
     @given(_scored_corpora())
     # chunks touching sentence boundaries end and start at the boundary
     @example(("BIO", ["A"], [["O", "I-A"], ["I-A", "O"]], [["O", "I-A"], ["I-A", "O"]]))
