@@ -203,9 +203,12 @@ class TaggedCorpus:
     def type_index(self) -> dict[str, tuple[int, ...]]:
         """Entity type -> ascending indices of the sentences containing it."""
         types = self.labels.codes[0][self.tag_ids]
+        typed = types >= 0
         sentence_of = np.repeat(np.arange(len(self.sentences)), np.diff(self.offsets))
+        present = np.zeros((len(self.sentences), len(self.labels.entity_types)), dtype=bool)
+        present[sentence_of[typed], types[typed]] = True
         return {
-            t: tuple(np.unique(sentence_of[types == k]).tolist())
+            t: tuple(np.flatnonzero(present[:, k]).tolist())
             for k, t in enumerate(self.labels.entity_types)
         }
 

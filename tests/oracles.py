@@ -1,7 +1,8 @@
 """Independent re-implementations used as test oracles.
 
 These deliberately use different mechanics than the library (span scanning
-instead of event-based chunking, per-scalar central differences instead of
+and per-tag event-based chunking of strings instead of numpy transitions
+over tag-id columns, per-scalar central differences instead of
 analytic gradients, per-token loops instead of whole-episode matrices,
 whole-corpus scans instead of the per-corpus type index, one sentence at a
 time instead of blocks of sentences) so that agreement is evidence, not
