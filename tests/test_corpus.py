@@ -228,12 +228,12 @@ class TestChunkProperties:
     def test_extract_chunks_matches_oracle_on_any_tags(self, tags, schema):
         assert _triples(extract_chunks(tags, schema)) == oracle_chunks(tags, schema)
 
-    @settings(max_examples=200, deadline=None)
+    @settings(max_examples=100, deadline=None)
     @given(_io_tags)
     def test_io_bio_io_is_identity(self, tags):
         assert convert_tags(convert_tags(tags, "IO", "BIO"), "BIO", "IO") == tags
 
-    @settings(max_examples=200, deadline=None)
+    @settings(max_examples=100, deadline=None)
     @given(_bio_tags)
     def test_bio_to_io_keeps_chunks_without_same_type_adjacency(self, tags):
         chunks = extract_chunks(tags, "BIO")

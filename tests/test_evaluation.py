@@ -174,7 +174,7 @@ def _scored_corpora(draw):
 
 
 class TestEntityF1Properties:
-    @settings(max_examples=150, deadline=None)
+    @settings(max_examples=100, deadline=None)
     @given(_scored_corpora())
     # chunks touching sentence boundaries end and start at the boundary
     @example(("BIO", ["A"], [["O", "I-A"], ["I-A", "O"]], [["O", "I-A"], ["I-A", "O"]]))
@@ -223,7 +223,7 @@ class TestReferenceScorer:
     @pytest.mark.parametrize("seed", range(5))
     def test_transfer_benchmark_reports_equal_reference(self, seed):
         bench = transfer_benchmark(seed)
-        config = TrainConfig(seed=seed, epochs=2, learning_rate=0.05, batch_size=8)
+        config = TrainConfig(seed=seed, epochs=1, learning_rate=0.05, batch_size=8)
         model = train_linear(bench.train, config)
         supports = [
             sample_fewshot(bench.train, 5, seed),
