@@ -438,3 +438,59 @@ def reference_run_scheme(labeled, config, source=None, unlabeled=None, source_co
         stage1 = train_linear(source, stage1_config)
         return self_train(labeled, unlabeled, config, init=stage1.encoder)
     raise DataError(f"unknown scheme {scheme!r}")
+
+
+def _reference_softmax(logits):
+    shifted = logits - np.max(logits)
+    exp = np.exp(shifted)
+    return exp / exp.sum()
+
+
+def reference_multi_proto_score(protos, repr_vec):
+    """Multi-prototype label scores of one H-vector as first written: a
+    softmax over the negated distances to every centroid of every label,
+    each label's mean centroid probability, renormalized."""
+    all_cents = np.vstack([cents for _, cents in protos.entries])
+    flat = _reference_softmax(-np.linalg.norm(all_cents - repr_vec, axis=1))
+    scores = np.empty(len(protos.entries))
+    offset = 0
+    for i, (_, cents) in enumerate(protos.entries):
+        k = cents.shape[0]
+        scores[i] = flat[offset : offset + k].mean()
+        offset += k
+    return scores / scores.sum()
+
+
+def reference_build_multi_prototypes(support_reprs, shots: int, seed: int):
+    """Multi-prototype k-means as first written: farthest-point seeding,
+    then Lloyd steps over an (N, k, H) difference tensor. Returns the
+    (label, centroids) entries."""
+    k_target = max(1, math.ceil(shots / 5))
+    rng = np.random.default_rng(seed)
+    entries = []
+    for label, reprs in support_reprs.items():
+        points = np.asarray(reprs, dtype=float)
+        k = min(k_target, points.shape[0])
+        if k == 1:
+            entries.append((label, points.mean(axis=0)[None, :]))
+            continue
+        chosen = [int(rng.integers(points.shape[0]))]
+        min_dist = np.linalg.norm(points - points[chosen[0]], axis=1)
+        while len(chosen) < k:
+            nxt = int(np.argmax(min_dist))
+            chosen.append(nxt)
+            min_dist = np.minimum(min_dist, np.linalg.norm(points - points[nxt], axis=1))
+        centroids = points[chosen].copy()
+        for _ in range(50):
+            dists = np.linalg.norm(points[:, None, :] - centroids[None, :, :], axis=2)
+            assign = np.argmin(dists, axis=1)
+            updated = centroids.copy()
+            for j in range(k):
+                members = points[assign == j]
+                if members.shape[0] > 0:
+                    updated[j] = members.mean(axis=0)
+            if np.array_equal(updated, centroids):
+                break
+            centroids = updated
+        entries.append((label, centroids))
+    return entries

@@ -352,3 +352,24 @@ class TestLabelSet:
             LabelSet(("O",), "BIO")
         with pytest.raises(DataError):
             LabelSet(("PER", "PER"), "BIO")
+
+
+class TestTaggedCorpus:
+    def test_unknown_tag_names_first_bad_sentence(self):
+        # the first unknown tag in token order is named, with its sentence,
+        # though it recurs later and another unknown tag follows it
+        sentences = [
+            TokenSequence(("a", "b"), ("B-LOC", "O")),
+            TokenSequence(("c", "d", "e"), ("O", "B-PER", "I-MISC")),
+            TokenSequence(("f",), ("B-PER",)),
+        ]
+        with pytest.raises(
+            DataError, match=r"^sentence 1: tag 'B-PER' not in the tag vocabulary$"
+        ):
+            TaggedCorpus(sentences, LabelSet(("LOC",), "BIO"))
+
+    def test_tag_ids_index_the_vocabulary(self):
+        corpus = parse_conll("a B-LOC\nb O\n\nc I-PER\n")
+        vocab = corpus.labels.tag_vocabulary
+        assert [vocab[i] for i in corpus.tag_ids] == ["B-LOC", "O", "I-PER"]
+        assert corpus.offsets.tolist() == [0, 2, 3]

@@ -22,7 +22,18 @@ from fewner.heads import (
     proto_loss_grads,
 )
 
-from oracles import assert_grad_close, finite_difference
+from oracles import (
+    assert_grad_close,
+    finite_difference,
+    reference_build_multi_prototypes,
+    reference_multi_proto_score,
+)
+
+
+def _points(rng, n, dim, rounded):
+    """n normal points; rounded to halves they repeat and tie in distance."""
+    points = rng.normal(size=(n, dim))
+    return np.round(points * 2) / 2 if rounded else points
 
 
 def _assert_distribution(probs):
@@ -408,6 +419,22 @@ class TestMultiPrototypes:
         spread = np.linalg.norm(cents[0] - cents[1])
         assert spread > 10.0
 
+    @pytest.mark.parametrize("rounded", [False, True])
+    def test_bitwise_equal_to_reference(self, rounded):
+        rng = np.random.default_rng(21)
+        for trial in range(64):
+            dim = int(rng.integers(1, 6))
+            support = {
+                f"L{i}": list(_points(rng, int(rng.integers(1, 30)), dim, rounded))
+                for i in range(int(rng.integers(1, 4)))
+            }
+            shots = 5 * (trial % 8 + 1)  # k = 1 ... 8 centroids per label
+            got = build_multi_prototypes(support, shots, seed=trial)
+            want = reference_build_multi_prototypes(support, shots, seed=trial)
+            assert got.labels == [label for label, _ in want]
+            for (_, cents), (_, ref) in zip(got.entries, want):
+                assert np.array_equal(cents, ref)
+
 
 class TestMultiProtoScore:
     def test_reduces_to_proto_forward(self):
@@ -437,6 +464,22 @@ class TestMultiProtoScore:
             batched = multi_proto_scores(protos, reprs)
             for row, z in zip(batched, reprs):
                 assert np.array_equal(row, multi_proto_score(protos, z))
+
+    @pytest.mark.parametrize("rounded", [False, True])
+    def test_bitwise_equal_to_reference(self, rounded):
+        rng = np.random.default_rng(22)
+        for _ in range(200):
+            dim = int(rng.integers(1, 6))
+            protos = PrototypeSet(
+                [
+                    (f"L{i}", _points(rng, int(rng.integers(1, 9)), dim, rounded))
+                    for i in range(int(rng.integers(1, 6)))
+                ]
+            )
+            z = _points(rng, 1, dim, rounded)[0]
+            assert np.array_equal(
+                multi_proto_score(protos, z), reference_multi_proto_score(protos, z)
+            )
 
     def test_batched_dimension_mismatch(self):
         protos = PrototypeSet([("A", np.zeros((2, 3)))])

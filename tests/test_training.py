@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from fewner.checkpoint import LINEAR, PROTOTYPE, dumps
-from fewner.corpus import LabelSet, TaggedCorpus, TokenSequence, parse_conll
+from fewner.corpus import LabelSet, TaggedCorpus, TokenSequence, convert_schema, parse_conll
 from fewner.encoder import encode, encode_backward, init_encoder
 from fewner.errors import DataError, NumericError
 from fewner.heads import cross_entropy, init_linear_head, linear_backward, linear_forward
@@ -314,11 +314,16 @@ class TestTrainPrototype:
         assert np.array_equal(a.encoder.context_weights, b.encoder.context_weights)
 
     @pytest.mark.parametrize(
-        "types, M, K, K_prime",
-        [(("LOC", "ORG", "PER"), 2, 2, 2), (("LOC", "ORG"), 2, 1, 3), (("LOC",), 1, 3, 2)],
+        "types, M, K, K_prime, schema",
+        [
+            pytest.param(("LOC", "ORG", "PER"), 2, 2, 2, "BIO", id="types0-2-2-2"),
+            pytest.param(("LOC", "ORG"), 2, 1, 3, "BIO", id="types1-2-1-3"),
+            pytest.param(("LOC",), 1, 3, 2, "BIO", id="types2-1-3-2"),
+            pytest.param(("LOC", "ORG", "PER"), 2, 2, 2, "IO", id="io-types0-2-2-2"),
+        ],
     )
-    def test_matches_per_token_reference(self, types, M, K, K_prime):
-        corpus = _make_corpus(3 * M * (K + K_prime), seed=16, types=types)
+    def test_matches_per_token_reference(self, types, M, K, K_prime, schema):
+        corpus = convert_schema(_make_corpus(3 * M * (K + K_prime), seed=16, types=types), schema)
         config = _tiny_config(epochs=1, M=M, K=K, K_prime=K_prime)  # 3 steps
         init = init_encoder(build_vocabulary(corpus), 6, 10, seed=3)
         losses = []
