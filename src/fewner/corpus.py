@@ -185,16 +185,20 @@ class TaggedCorpus:
 
     sentences: tuple[TokenSequence, ...]
     labels: LabelSet
+    # every token's tag as an index into labels.tag_vocabulary, sentences concatenated
+    tag_ids: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "sentences", tuple(self.sentences))
-        known = set(self.labels.tag_vocabulary)
-        for i, sent in enumerate(self.sentences):
-            for tag in sent.tags:
-                if tag not in known:
-                    raise DataError(
-                        f"sentence {i}: tag {tag!r} not in the tag vocabulary"
-                    )
+        index = {t: i for i, t in enumerate(self.labels.tag_vocabulary)}
+        tags = chain.from_iterable([s.tags for s in self.sentences])
+        try:
+            ids = np.fromiter(map(index.__getitem__, tags), np.intp, int(self.offsets[-1]))
+        except KeyError as exc:  # the first unknown tag, so no earlier sentence holds it
+            tag = exc.args[0]
+            i = next(i for i, s in enumerate(self.sentences) if tag in s.tags)
+            raise DataError(f"sentence {i}: tag {tag!r} not in the tag vocabulary") from None
+        object.__setattr__(self, "tag_ids", ids)
 
     def __len__(self) -> int:
         return len(self.sentences)
@@ -217,14 +221,6 @@ class TaggedCorpus:
         """Where each sentence starts in the flat token order, then the
         token count."""
         return np.cumsum([0, *map(len, self.sentences)], dtype=np.intp)
-
-    @cached_property
-    def tag_ids(self) -> np.ndarray:
-        """Every token's tag as an index into labels.tag_vocabulary,
-        sentences concatenated."""
-        index = {t: i for i, t in enumerate(self.labels.tag_vocabulary)}
-        tags = chain.from_iterable([s.tags for s in self.sentences])
-        return np.fromiter(map(index.__getitem__, tags), dtype=np.intp, count=int(self.offsets[-1]))
 
     def columns(self, schema: str) -> tuple[np.ndarray, np.ndarray | None]:
         """Each token's entity-type id and, when chunking under BIO, its B-

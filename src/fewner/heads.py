@@ -86,10 +86,10 @@ class PrototypeSet:
         return all(cents.shape[0] == 1 for _, cents in self.entries)
 
 
-def _softmax(logits: np.ndarray) -> np.ndarray:
-    shifted = logits - np.max(logits)
-    exp = np.exp(shifted)
-    return exp / exp.sum()
+def _log_softmax(logits: np.ndarray) -> np.ndarray:
+    """Row-wise log softmax of (N, L) logits, max-shifted."""
+    shifted = logits - logits.max(axis=1, keepdims=True)
+    return shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
 
 
 def linear_log_probs(head: LinearHead, reprs: np.ndarray) -> np.ndarray:
@@ -99,9 +99,7 @@ def linear_log_probs(head: LinearHead, reprs: np.ndarray) -> np.ndarray:
         raise ValueError(
             f"reprs shape {reprs.shape} != (N, {head.weights.shape[1]})"
         )
-    logits = reprs @ head.weights.T + head.bias
-    shifted = logits - logits.max(axis=1, keepdims=True)
-    return shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
+    return _log_softmax(reprs @ head.weights.T + head.bias)
 
 
 def linear_forward(head: LinearHead, repr_vec: np.ndarray) -> np.ndarray:
@@ -181,8 +179,7 @@ def _proto_log_probs(centroids: np.ndarray, reprs: np.ndarray) -> tuple[np.ndarr
             f"reprs {reprs.shape} and centroids {centroids.shape} are not (N, H) and (L, H)"
         )
     dist = _distances(centroids, reprs)
-    shifted = dist.min(axis=1, keepdims=True) - dist
-    return dist, shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
+    return dist, _log_softmax(-dist)
 
 
 def proto_loss_grads(
@@ -246,11 +243,8 @@ def _kmeans_seed(points: np.ndarray, k: int, rng: np.random.Generator) -> np.nda
     """Farthest-point seeding: random first centre, then argmax of the
     distance to the nearest chosen centre (ties to the lowest index)."""
     chosen = [int(rng.integers(points.shape[0]))]
-    min_dist = np.linalg.norm(points - points[chosen[0]], axis=1)
     while len(chosen) < k:
-        nxt = int(np.argmax(min_dist))
-        chosen.append(nxt)
-        min_dist = np.minimum(min_dist, np.linalg.norm(points - points[nxt], axis=1))
+        chosen.append(int(np.argmax(_distances(points[chosen], points).min(axis=1))))
     return points[chosen].copy()
 
 
@@ -275,8 +269,7 @@ def build_multi_prototypes(
             continue
         centroids = _kmeans_seed(points, k, rng)
         for _ in range(50):
-            dists = np.linalg.norm(points[:, None, :] - centroids[None, :, :], axis=2)
-            assign = np.argmin(dists, axis=1)
+            assign = np.argmin(_distances(centroids, points), axis=1)
             updated = centroids.copy()
             for j in range(k):
                 members = points[assign == j]
@@ -297,15 +290,7 @@ def multi_proto_score(protos: PrototypeSet, repr_vec: np.ndarray) -> np.ndarray:
     dims = protos.entries[0][1].shape[1]
     if repr_vec.shape != (dims,):
         raise ValueError(f"repr shape {repr_vec.shape} != ({dims},)")
-    all_cents = np.vstack([cents for _, cents in protos.entries])
-    flat = _softmax(-np.linalg.norm(all_cents - repr_vec, axis=1))
-    scores = np.empty(len(protos.entries))
-    offset = 0
-    for i, (_, cents) in enumerate(protos.entries):
-        k = cents.shape[0]
-        scores[i] = flat[offset : offset + k].mean()
-        offset += k
-    return scores / scores.sum()
+    return multi_proto_scores(protos, repr_vec[None, :])[0]
 
 
 def multi_proto_scores(protos: PrototypeSet, reprs: np.ndarray) -> np.ndarray:

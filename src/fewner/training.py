@@ -25,7 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from .checkpoint import LINEAR, PROTOTYPE, Model
-from .corpus import TaggedCorpus, TokenSequence, split_tag, top_up
+from .corpus import TaggedCorpus, TokenSequence, top_up
 from .encoder import (
     EncoderParams,
     encode_blocks,
@@ -292,22 +292,22 @@ def _start_encoder(
     )
 
 
-def _one_hot_targets(sent: TokenSequence, tag_index: dict[str, int]) -> np.ndarray:
-    targets = np.zeros((len(sent), len(tag_index)))
-    for j, tag in enumerate(sent.tags):
-        targets[j, tag_index[tag]] = 1.0
-    return targets
+def _labeled_items(corpus: TaggedCorpus, weight: float) -> list[tuple]:
+    """(tokens, one-hot targets over the tag vocabulary, weight) per sentence."""
+    one_hot = np.eye(len(corpus.labels.tag_vocabulary))[corpus.tag_ids]
+    targets = np.split(one_hot, corpus.offsets[1:-1])
+    return [(s.tokens, t, weight) for s, t in zip(corpus.sentences, targets)]
 
 
 def _train_weighted(
-    items: list[tuple[TokenSequence, np.ndarray, float]],
+    items: list[tuple[tuple[str, ...], np.ndarray, float]],
     labels,
     config: TrainConfig,
     encoder: EncoderParams,
     head,
     on_epoch=None,
 ) -> Model:
-    """Mini-batch Adam over (sentence, per-token targets, weight) items.
+    """Mini-batch Adam over (tokens, per-token targets, weight) items.
 
     A token's loss carries its sentence's weight; each batch is normalized
     by the corpus-wide mean token weight times the batch's token count, so
@@ -327,13 +327,13 @@ def _train_weighted(
             trainable, config.learning_rate, config.warmup_fraction, total_steps
         )
     shuffle_rng = random.Random(config.seed + SEED_SHUFFLE)
-    total_tokens = sum(len(sent) for sent, _, _ in items)
+    total_tokens = sum(len(tokens) for tokens, _, _ in items)
     mean_token_weight = (
-        sum(weight * len(sent) for sent, _, weight in items) / total_tokens
+        sum(weight * len(tokens) for tokens, _, weight in items) / total_tokens
     )
     # the vocabulary is fixed during training, so each item's windows are too
-    windows = [window_indices(encoder, sent.tokens) for sent, _, _ in items]
-    token_weights = [np.full(len(sent), weight) for sent, _, weight in items]
+    windows = [window_indices(encoder, tokens) for tokens, _, _ in items]
+    token_weights = [np.full(len(tokens), weight) for tokens, _, weight in items]
 
     for epoch in range(config.epochs):
         order = list(range(n))
@@ -391,8 +391,7 @@ def train_linear(
         head = init.head.copy()
     else:
         head = init_linear_head(len(tags), encoder.hidden_dim, config.seed + SEED_HEAD)
-    tag_index = {t: i for i, t in enumerate(tags)}
-    items = [(s, _one_hot_targets(s, tag_index), 1.0) for s in corpus.sentences]
+    items = _labeled_items(corpus, 1.0)
     return _train_weighted(items, corpus.labels, config, encoder, head, on_epoch)
 
 
@@ -430,28 +429,32 @@ def train_prototype(
             trainable, config.learning_rate, config.warmup_fraction, total_steps
         )
     episode_rng = random.Random(config.seed + SEED_EPISODES)
-    vocab_order = corpus.labels.tag_vocabulary
+    tag_type = corpus.labels.codes[0]
     # the vocabulary is fixed during training, so each sentence's windows are too
-    windows_of = {s: window_indices(encoder, s.tokens) for s in corpus.sentences}
+    rows_of = {
+        s: (window_indices(encoder, s.tokens), ids)
+        for s, ids in zip(corpus.sentences, np.split(corpus.tag_ids, corpus.offsets[1:-1]))
+    }
     epoch_losses: list[float] = []
 
     for step in range(total_steps):
         episode = sample_episode(
             corpus, m_types, config.K, config.K_prime, seed=episode_rng.getrandbits(32)
         )
-        in_scope = set(episode.sampled_types)
-        sentences = episode.support + episode.query
-        windows = np.concatenate([windows_of[s] for s in sentences])
+        rows = [rows_of[s] for s in episode.support + episode.query]
+        windows = np.concatenate([w for w, _ in rows])
+        tag_ids = np.concatenate([ids for _, ids in rows])
         reprs = encode_windows(encoder, windows)
-        tags = [tag for s in sentences for tag in s.tags]
         n_support = sum(len(s) for s in episode.support)
-        # label space: the support's tags of the sampled types plus "O"
-        present = {
-            t for t in tags[:n_support] if t == "O" or split_tag(t)[1] in in_scope
-        }
-        space = [t for t in vocab_order if t in present]
-        label_pos = {t: k for k, t in enumerate(space)}
-        row_label = np.array([label_pos.get(t, -1) for t in tags])
+        # label space: the support's tags of the sampled types plus "O", in
+        # vocabulary order; "O" has type id -1, the last slot of in_scope
+        in_scope = np.zeros(len(types) + 1, dtype=bool)
+        in_scope[[types.index(t) for t in episode.sampled_types] + [-1]] = True
+        present = np.bincount(tag_ids[:n_support], minlength=len(tag_type)) > 0
+        space = np.flatnonzero(present & in_scope[tag_type])
+        label_pos = np.full(len(tag_type), -1)
+        label_pos[space] = np.arange(len(space))
+        row_label = label_pos[tag_ids]
         support_label = row_label[:n_support]
         query_rows = n_support + np.flatnonzero(row_label[n_support:] >= 0)
         n_tokens = len(query_rows)
@@ -571,16 +574,12 @@ def self_train(
     soft = generate_soft_labels(teacher, unlabeled)
 
     tags = labeled.labels.tag_vocabulary
-    tag_index = {t: i for i, t in enumerate(tags)}
     encoder = _start_encoder(labeled, config, init, extra=unlabeled)
     head = init_linear_head(len(tags), encoder.hidden_dim, config.seed + SEED_HEAD)
 
-    w_labeled = 1.0 / len(labeled)
     w_soft = config.lambda_u / len(unlabeled)
-    items = [(s, _one_hot_targets(s, tag_index), w_labeled) for s in labeled.sentences]
-    for tokens, probs in soft.items:
-        seq = TokenSequence(tokens, tuple("O" for _ in tokens))
-        items.append((seq, probs, w_soft))
+    items = _labeled_items(labeled, 1.0 / len(labeled))
+    items += [(tokens, probs, w_soft) for tokens, probs in soft.items]
     return _train_weighted(items, labeled.labels, config, encoder, head)
 
 
