@@ -7,6 +7,7 @@ Exit codes: 0 success, 1 usage error, 2 data error, 3 numeric error.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import hashlib
 import json
 import sys
@@ -41,6 +42,17 @@ def _read_text(path: str) -> str:
         return Path(path).read_text(encoding="utf-8")
     except OSError as exc:
         raise DataError(f"cannot read {path}: {exc.strerror}") from exc
+    except UnicodeDecodeError as exc:
+        raise DataError(f"cannot read {path}: not UTF-8 text ({exc})") from exc
+
+
+@contextlib.contextmanager
+def _writing(path: str):
+    """A failed write of path as a DataError naming path, not its temporary file."""
+    try:
+        yield
+    except OSError as exc:
+        raise DataError(f"cannot write {path}: {exc.strerror}") from exc
 
 
 def _read_corpus(path: str, schema: str):
@@ -85,7 +97,8 @@ def cmd_sample(args) -> int:
     shots, seed = _shots(args), _seed(args)
     corpus = _read_corpus(args.conll, args.schema)
     sub = sample_fewshot(corpus, shots, seed)
-    checkpoint.write_atomic(args.out, write_conll(sub))
+    with _writing(args.out):
+        checkpoint.write_atomic(args.out, write_conll(sub))
     return EXIT_OK
 
 
@@ -125,7 +138,8 @@ def cmd_train(args) -> int:
         unlabeled=unlabeled,
         source_config=source_config,
     )
-    checkpoint.save(model, args.out)
+    with _writing(args.out):
+        checkpoint.save(model, args.out)
 
     manifest = {
         "scheme": args.scheme,
@@ -138,7 +152,9 @@ def cmd_train(args) -> int:
         "metrics": None,
         "duration_seconds": time.monotonic() - started,
     }
-    checkpoint.write_atomic(f"{args.out}.manifest.json", json.dumps(manifest, indent=2))
+    manifest_path = f"{args.out}.manifest.json"
+    with _writing(manifest_path):
+        checkpoint.write_atomic(manifest_path, json.dumps(manifest, indent=2))
     return EXIT_OK
 
 

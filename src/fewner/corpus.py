@@ -257,10 +257,10 @@ def parse_conll(text: str, schema: str = "BIO") -> TaggedCorpus:
     tags: list[str] = []
     # each distinct tag is validated and split once: tag -> its entity type
     tag_types: dict[str, str | None] = {}
-    # A blank line with nothing since the previous separator is only an
-    # error if more content follows; trailing blank lines are tolerated.
+    # A blank line with nothing since the previous separator is an error only
+    # between two sentences; leading and trailing blank lines are tolerated.
     pending_empty: int | None = None
-    content_since_sep = True  # tolerate blank lines at file start
+    content_since_sep = False
 
     for lineno, line in enumerate(text.splitlines(), start=1):
         columns = line.split()
@@ -268,7 +268,7 @@ def parse_conll(text: str, schema: str = "BIO") -> TaggedCorpus:
             if tokens:
                 sentences.append(TokenSequence(tuple(tokens), tuple(tags)))
                 tokens, tags = [], []
-            elif not content_since_sep and pending_empty is None:
+            elif sentences and not content_since_sep and pending_empty is None:
                 pending_empty = lineno
             content_since_sep = False
             continue

@@ -514,6 +514,58 @@ class TestBadCheckpoints:
         assert str(missing) in capsys.readouterr().err
 
 
+class TestFileErrors:
+    """A non-UTF-8 input file and an unwritable output path end as one-line
+    data errors naming the file, not as tracebacks."""
+
+    @pytest.mark.parametrize(
+        "command", ["stats", "sample", "train", "train_unlabeled", "eval", "protoinfer"]
+    )
+    def test_non_utf8_input(self, workdir, capsys, command):
+        p = lambda name: str(workdir / name)
+        bad = p("latin1.txt")
+        (workdir / "latin1.txt").write_bytes(b"caf\xe9 B-LOC\n")
+        train = ["--config", p("config.json"), "--train", p("train.conll")]
+        if command in ("eval", "protoinfer"):
+            assert main(["train", "lc", *train, "--out", p("lc.json")]) == 0
+        argv = {
+            "stats": ["stats", bad],
+            "sample": ["sample", bad, "--shots", "1", "--seed", "0", "--out", p("x.conll")],
+            "train": ["train", "lc", "--config", p("config.json"), "--train", bad],
+            "train_unlabeled": ["train", "lc+st", *train, "--unlabeled", bad],
+            "eval": ["eval", p("lc.json"), bad],
+            "protoinfer": ["protoinfer", p("lc.json"), "--test", p("test.conll"), "--support", bad],
+        }[command]
+        if command.startswith("train"):
+            argv += ["--out", p("x.json")]
+        if command == "protoinfer":
+            argv += ["--shots", "1"]
+        capsys.readouterr()
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"fewner: cannot read {bad}: not UTF-8") and err.count("\n") == 1
+        assert not (workdir / "x.json").exists() and not (workdir / "x.conll").exists()
+
+    @pytest.mark.parametrize("command", ["train", "sample"])
+    @pytest.mark.parametrize(
+        "target, reason",
+        [("missing/out", "No such file or directory"), ("a_directory", "Is a directory")],
+    )
+    def test_unwritable_output(self, workdir, capsys, command, target, reason):
+        (workdir / "a_directory").mkdir()
+        p = lambda name: str(workdir / name)
+        out = p(target)
+        argv = {
+            "train": ["train", "lc", "--config", p("config.json"), "--train", p("train.conll")],
+            "sample": ["sample", p("train.conll"), "--shots", "1", "--seed", "0"],
+        }[command] + ["--out", out]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == f"fewner: cannot write {out}: {reason}\n"
+        assert not Path(f"{out}.tmp").exists()
+        assert not (workdir / "missing").exists()
+        assert list((workdir / "a_directory").iterdir()) == []
+
+
 def test_python_m_fewner(workdir):
     src = str(Path(fewner.__file__).resolve().parent.parent)
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}

@@ -74,6 +74,13 @@ class TestParseConll:
         corpus = parse_conll("a O\n\n\n")
         assert len(corpus) == 1
 
+    @pytest.mark.parametrize(
+        "blank", ["", "\n", "\n\n", " \n\t\n\n\n", "-DOCSTART- -X- O\n\n\n"]
+    )
+    def test_leading_blank_lines_tolerated(self, blank):
+        corpus = parse_conll(blank + "a O\n\nb O\n")
+        assert [s.tokens for s in corpus.sentences] == [("a",), ("b",)]
+
     def test_unknown_schema(self):
         with pytest.raises(DataError):
             parse_conll("", schema="BILOU")
