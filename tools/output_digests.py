@@ -98,7 +98,6 @@ def cli_digests(fewner, workdir: Path):
         bench = transfer_benchmark(seed)
         files = {
             "train.conll": fewner.write_conll(bench.train),
-            "source.conll": fewner.write_conll(bench.source),
             "test.conll": fewner.write_conll(make_corpus(300, seed * 7919 + 5)),
             "config.json": json.dumps(
                 {"seed": seed, "learning_rate": 0.01, "batch_size": 4, "K": 2, "K_prime": 3}
