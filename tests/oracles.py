@@ -16,24 +16,41 @@ import random
 
 import numpy as np
 
+from fewner.checkpoint import LINEAR, Model
 from fewner.corpus import Chunk, TaggedCorpus, TokenSequence, split_tag
-from fewner.encoder import encode, encode_backward
+from fewner.encoder import (
+    encode,
+    encode_backward,
+    encode_windows,
+    encode_windows_backward,
+    init_encoder,
+    window_indices,
+)
 from fewner.errors import DataError
 from fewner.evaluation import EvalReport, TypeScore
 from fewner.heads import (
     build_multi_prototypes,
     build_prototypes,
     cross_entropy,
+    init_linear_head,
     linear_forward,
+    linear_loss_grads,
     proto_backward,
     proto_forward,
+    proto_loss_grads,
 )
 from fewner.training import (
     SEED_EPISODES,
+    SEED_HEAD,
+    SEED_SHUFFLE,
     Episode,
     SoftLabelDataset,
+    adam_step,
+    build_vocabulary,
+    generate_soft_labels,
     init_optimizer,
     lr_at,
+    sample_episode,
     self_train,
     train_linear,
     train_prototype,
@@ -494,3 +511,156 @@ def reference_build_multi_prototypes(support_reprs, shots: int, seed: int):
             centroids = updated
         entries.append((label, centroids))
     return entries
+
+
+def reference_labeled_items(corpus, weight: float) -> list[tuple]:
+    """(tokens, one-hot targets over the tag vocabulary, weight) per sentence."""
+    one_hot = np.eye(len(corpus.labels.tag_vocabulary))[corpus.tag_ids]
+    targets = np.split(one_hot, corpus.offsets[1:-1])
+    return [(s.tokens, t, weight) for s, t in zip(corpus.sentences, targets)]
+
+
+def reference_train_weighted(items, labels, config, encoder, head, on_epoch=None) -> Model:
+    """Weighted mini-batch training as first batched: per-item window and
+    weight arrays, three concatenations per batch. Trains encoder and head
+    in place."""
+    n = len(items)
+    batches_per_epoch = math.ceil(n / config.batch_size)
+    total_steps = config.epochs * batches_per_epoch
+    trainable = {f"head.{k}": v for k, v in head.arrays().items()}
+    if not config.freeze_encoder:
+        trainable.update({f"encoder.{k}": v for k, v in encoder.arrays().items()})
+    if total_steps > 0:
+        state = init_optimizer(
+            trainable, config.learning_rate, config.warmup_fraction, total_steps
+        )
+    shuffle_rng = random.Random(config.seed + SEED_SHUFFLE)
+    total_tokens = sum(len(tokens) for tokens, _, _ in items)
+    mean_token_weight = (
+        sum(weight * len(tokens) for tokens, _, weight in items) / total_tokens
+    )
+    windows = [window_indices(encoder, tokens) for tokens, _, _ in items]
+    token_weights = [np.full(len(tokens), weight) for tokens, _, weight in items]
+
+    for epoch in range(config.epochs):
+        order = list(range(n))
+        shuffle_rng.shuffle(order)
+        epoch_loss = 0.0
+        epoch_norm = 0.0
+        for start in range(0, n, config.batch_size):
+            batch = order[start : start + config.batch_size]
+            batch_windows = np.concatenate([windows[i] for i in batch])
+            reprs = encode_windows(encoder, batch_windows)
+            batch_loss, d_w, d_b, upstream = linear_loss_grads(
+                head,
+                reprs,
+                np.concatenate([items[i][1] for i in batch]),
+                np.concatenate([token_weights[i] for i in batch]),
+            )
+            grads = {"head.weights": d_w, "head.bias": d_b}
+            if not config.freeze_encoder:
+                enc_grads = encode_windows_backward(encoder, batch_windows, reprs, upstream)
+                grads.update({f"encoder.{k}": v for k, v in enc_grads.arrays().items()})
+            norm = mean_token_weight * len(batch_windows)
+            if norm > 0.0:
+                for g in grads.values():
+                    g /= norm
+                adam_step(state, trainable, grads)
+            epoch_loss += batch_loss
+            epoch_norm += norm
+        if on_epoch is not None:
+            on_epoch(epoch, epoch_loss / epoch_norm if epoch_norm else 0.0)
+    return Model(encoder, labels, LINEAR, head)
+
+
+def reference_train_linear(corpus, config, encoder, on_epoch=None) -> Model:
+    """train_linear from an EncoderParams init through the item-list trainer."""
+    head = init_linear_head(
+        len(corpus.labels.tag_vocabulary), encoder.hidden_dim, config.seed + SEED_HEAD
+    )
+    items = reference_labeled_items(corpus, 1.0)
+    return reference_train_weighted(items, corpus.labels, config, encoder.copy(), head, on_epoch)
+
+
+def reference_self_train(labeled, unlabeled, config) -> Model:
+    """self_train without an init through the item-list trainer: teacher,
+    soft labels, then a fresh student on items weighted 1/|L| and
+    lambda_u/|U|."""
+    unlabeled = [tuple(tokens) for tokens in unlabeled]
+    teacher_encoder = init_encoder(
+        build_vocabulary(labeled), config.embed_dim, config.hidden_dim, config.seed
+    )
+    teacher = reference_train_linear(labeled, config, teacher_encoder)
+    soft = generate_soft_labels(teacher, unlabeled)
+    encoder = init_encoder(
+        build_vocabulary(labeled, unlabeled), config.embed_dim, config.hidden_dim, config.seed
+    )
+    head = init_linear_head(
+        len(labeled.labels.tag_vocabulary), encoder.hidden_dim, config.seed + SEED_HEAD
+    )
+    w_soft = config.lambda_u / len(unlabeled)
+    items = reference_labeled_items(labeled, 1.0 / len(labeled))
+    items += [(tokens, probs, w_soft) for tokens, probs in soft.items]
+    return reference_train_weighted(items, labeled.labels, config, encoder, head)
+
+
+def reference_batched_train_prototype(corpus, config, encoder) -> list[float]:
+    """Episodic prototype training as first batched: a dict from each
+    sentence to its (windows, tag ids), one encode, loss and encoder
+    backward per episode. Trains `encoder` in place; returns the per-epoch
+    mean losses (an epoch whose last episode is skipped reports none)."""
+    types = corpus.labels.entity_types
+    m_types = min(config.M, len(types))
+    per_episode = m_types * (config.K + config.K_prime)
+    iters_per_epoch = math.ceil(len(corpus) / per_episode)
+    total_steps = config.epochs * iters_per_epoch
+    trainable = {f"encoder.{k}": v for k, v in encoder.arrays().items()}
+    state = init_optimizer(trainable, config.learning_rate, config.warmup_fraction, total_steps)
+    episode_rng = random.Random(config.seed + SEED_EPISODES)
+    tag_type_ids = corpus.labels.codes[0]
+    rows_of = {
+        s: (window_indices(encoder, s.tokens), ids)
+        for s, ids in zip(corpus.sentences, np.split(corpus.tag_ids, corpus.offsets[1:-1]))
+    }
+    epoch_losses, losses = [], []
+    for step in range(total_steps):
+        episode = sample_episode(
+            corpus, m_types, config.K, config.K_prime, seed=episode_rng.getrandbits(32)
+        )
+        rows = [rows_of[s] for s in episode.support + episode.query]
+        windows = np.concatenate([w for w, _ in rows])
+        tag_ids = np.concatenate([ids for _, ids in rows])
+        reprs = encode_windows(encoder, windows)
+        n_support = sum(len(s) for s in episode.support)
+        in_scope = np.zeros(len(types) + 1, dtype=bool)
+        in_scope[[types.index(t) for t in episode.sampled_types] + [-1]] = True
+        present = np.bincount(tag_ids[:n_support], minlength=len(tag_type_ids)) > 0
+        space = np.flatnonzero(present & in_scope[tag_type_ids])
+        label_pos = np.full(len(tag_type_ids), -1)
+        label_pos[space] = np.arange(len(space))
+        row_label = label_pos[tag_ids]
+        support_label = row_label[:n_support]
+        query_rows = n_support + np.flatnonzero(row_label[n_support:] >= 0)
+        n_tokens = len(query_rows)
+        if n_tokens == 0:
+            continue
+        centroids = np.stack(
+            [reprs[:n_support][support_label == k].mean(axis=0) for k in range(len(space))]
+        )
+        targets = np.zeros((n_tokens, len(space)))
+        targets[np.arange(n_tokens), row_label[query_rows]] = 1.0
+        loss, d_query, d_centroids = proto_loss_grads(centroids, reprs[query_rows], targets)
+        epoch_losses.append(loss / n_tokens)
+        upstream = np.zeros_like(reprs)
+        upstream[query_rows] = d_query
+        members = np.flatnonzero(support_label >= 0)
+        member_label = support_label[members]
+        counts = np.bincount(member_label, minlength=len(space))
+        upstream[members] = (d_centroids / counts[:, None])[member_label]
+        upstream /= n_tokens
+        enc_grads = encode_windows_backward(encoder, windows, reprs, upstream)
+        adam_step(state, trainable, {f"encoder.{k}": v for k, v in enc_grads.arrays().items()})
+        if (step + 1) % iters_per_epoch == 0:
+            losses.append(sum(epoch_losses) / len(epoch_losses) if epoch_losses else 0.0)
+            epoch_losses = []
+    return losses

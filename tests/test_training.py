@@ -29,9 +29,25 @@ from fewner.training import (
 
 
 from builders import word_identity_corpus as _make_corpus
-from oracles import reference_adam_step, reference_run_scheme, reference_train_prototype
+from oracles import (
+    reference_adam_step,
+    reference_batched_train_prototype,
+    reference_run_scheme,
+    reference_self_train,
+    reference_train_linear,
+    reference_train_prototype,
+)
 
 ALL_SCHEMES = ("lc", "proto", "lc+nsp", "proto+nsp", "lc+st", "lc+nsp+st")
+
+
+def _assert_models_equal(model, reference):
+    """Every encoder and head array bitwise equal."""
+    for name, arr in model.encoder.arrays().items():
+        assert np.array_equal(arr, reference.encoder.arrays()[name]), name
+    if reference.head is not None:
+        for name, arr in model.head.arrays().items():
+            assert np.array_equal(arr, reference.head.arrays()[name]), name
 
 
 def _tiny_config(**overrides):
@@ -225,6 +241,22 @@ class TestTrainLinear:
         )
         assert not np.array_equal(model.head.weights, head0.weights)
 
+    # 20 sentences: batch 4 divides the corpus, batch 6 leaves a batch of 2
+    @pytest.mark.parametrize("batch_size", [4, 6])
+    @pytest.mark.parametrize("freeze", [False, True])
+    def test_matches_item_list_reference(self, batch_size, freeze):
+        corpus = _make_corpus(20, seed=9)
+        config = _tiny_config(batch_size=batch_size, freeze_encoder=freeze)
+        init = init_encoder(build_vocabulary(corpus), 6, 10, seed=4)
+        losses, ref_losses = [], []
+        model = train_linear(corpus, config, init=init, on_epoch=lambda e, l: losses.append(l))
+        reference = reference_train_linear(
+            corpus, config, init, on_epoch=lambda e, l: ref_losses.append(l)
+        )
+        assert len(losses) == config.epochs
+        assert losses == ref_losses
+        _assert_models_equal(model, reference)
+
     def test_five_shot_preset(self):
         config = TrainConfig.five_shot(seed=1)
         assert config.batch_size == 4
@@ -338,6 +370,21 @@ class TestTrainPrototype:
             assert not np.array_equal(arr, init.arrays()[name])
             assert np.allclose(arr, ref, rtol=0.0, atol=1e-10), name
 
+    @pytest.mark.parametrize("schema", ["BIO", "IO"])
+    def test_matches_batched_reference(self, schema):
+        corpus = convert_schema(_make_corpus(40, seed=17, types=("LOC", "ORG", "PER")), schema)
+        config = _tiny_config(epochs=3, M=2, K=2, K_prime=2)
+        init = init_encoder(build_vocabulary(corpus), 6, 10, seed=5)
+        losses = []
+        model = train_prototype(
+            corpus, config, init=init, on_epoch=lambda e, loss: losses.append(loss)
+        )
+        reference = init.copy()
+        assert losses == reference_batched_train_prototype(corpus, config, reference)
+        assert len(losses) == config.epochs
+        for name, arr in model.encoder.arrays().items():
+            assert np.array_equal(arr, reference.arrays()[name]), name
+
     def test_m_clamped_to_type_count(self):
         corpus = _make_corpus(20, seed=13)
         model = train_prototype(corpus, _tiny_config(M=5, epochs=1))
@@ -448,6 +495,15 @@ class TestSelfTrain:
         pre = init_encoder(build_vocabulary(corpus), 6, 10, seed=99)
         student = self_train(corpus, [("w0",)], config, init=pre)
         assert student.encoder.vocab == pre.vocab
+
+    def test_matches_item_list_reference(self):
+        corpus = _make_corpus(14, seed=30)
+        config = _tiny_config(scheme="lc+st", epochs=2, batch_size=5, lambda_u=0.7)
+        unlabeled = [("w0", "paris", "w2"), ("acme", "w1"), ("loc1", "new", "w3", "w4")]
+        _assert_models_equal(
+            self_train(corpus, unlabeled, config),
+            reference_self_train(corpus, unlabeled, config),
+        )
 
     def test_deterministic(self):
         corpus = _make_corpus(10, seed=29)
