@@ -8,9 +8,12 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import errno
 import hashlib
 import json
+import os
 import sys
+import tempfile
 import time
 from dataclasses import asdict
 from pathlib import Path
@@ -53,6 +56,16 @@ def _writing(path: str):
         yield
     except OSError as exc:
         raise DataError(f"cannot write {path}: {exc.strerror}") from exc
+
+
+def _check_writable(path: str) -> None:
+    """Raise now the DataError that a later atomic write of path would raise
+    for a missing directory or a directory in the way; nothing is left
+    behind and a file already at path is not touched."""
+    with _writing(path):
+        if Path(path).is_dir():
+            raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR))
+        tempfile.TemporaryFile(dir=Path(path).parent).close()
 
 
 def _read_corpus(path: str, schema: str):
@@ -111,6 +124,8 @@ def cmd_train(args) -> int:
             raise UsageError(f"scheme {args.scheme} requires --{name}")
 
     seed = _seed(args)
+    for path in (args.out, f"{args.out}.manifest.json"):
+        _check_writable(path)  # a long run must not end in a write bound to fail
     config = load_config(args.config)
     if seed is not None:
         config = config.with_(seed=seed)

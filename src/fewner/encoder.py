@@ -10,9 +10,9 @@ sentence ends and an unknown-word embedding for out-of-vocabulary words.
 Both reserved rows are trainable like any other.
 
 The per-sentence encode and encode_backward are the batch core
-(window_indices, encode_windows, encode_windows_backward) applied to one
-sentence; training concatenates the windows of a whole mini-batch, and
-inference encodes a corpus in blocks of whole sentences (encode_blocks).
+(batch_window_indices, encode_windows, encode_windows_backward) applied to
+one sentence; training gathers each mini-batch from one window column per
+run, and inference encodes in blocks of whole sentences (encode_blocks).
 
 encode is a pure function: concurrent readers may share one EncoderParams.
 Training mutates the arrays in place and must be serialized externally.
@@ -207,7 +207,7 @@ def encode_blocks(params: EncoderParams, token_seqs):
 
 def encode(params: EncoderParams, sentence: TokenSequence) -> np.ndarray:
     """Representations for every token; row i is the H-vector of token i."""
-    return encode_windows(params, window_indices(params, sentence.tokens))
+    return encode_windows(params, batch_window_indices(params, [sentence.tokens]))
 
 
 def encode_backward(
@@ -220,7 +220,7 @@ def encode_backward(
         raise ValueError(
             f"upstream shape {upstream.shape} != ({t}, {params.hidden_dim})"
         )
-    windows = window_indices(params, sentence.tokens)
+    windows = batch_window_indices(params, [sentence.tokens])
     return encode_windows_backward(
         params, windows, encode_windows(params, windows), upstream
     )

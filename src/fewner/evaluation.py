@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import partial
-from itertools import chain
+from itertools import accumulate, chain, pairwise
 
 import numpy as np
 
@@ -180,11 +180,7 @@ def predict_corpus(
     token_lists = [s.tokens for s in sentences]
     names, ids = _predict_ids(model, token_lists, protos)
     tags = [names[i] for i in ids.tolist()]
-    preds, start = [], 0
-    for tokens in token_lists:
-        preds.append(tags[start : start + len(tokens)])
-        start += len(tokens)
-    return preds
+    return [tags[a:b] for a, b in pairwise([0, *accumulate(map(len, token_lists))])]
 
 
 def predict_tags(
@@ -204,14 +200,13 @@ def support_prototypes(
     vocabulary order, one per tag with at least one token). `shots`
     switches to ceil(shots/5) centroids per tag; None keeps one.
     """
-    sentences = support.sentences
-    blocks = encode_blocks(encoder, [s.tokens for s in sentences])
+    blocks = encode_blocks(encoder, [s.tokens for s in support.sentences])
     encoded = np.concatenate([np.empty((0, encoder.hidden_dim)), *(r for _, r in blocks)])
     ordered = {}
     for k, tag in enumerate(support.labels.tag_vocabulary):
         rows = encoded[support.tag_ids == k]
         if len(rows):
-            ordered[tag] = list(rows)
+            ordered[tag] = rows
     if not ordered:
         raise DataError("support corpus has no tokens to build prototypes from")
     return build_multi_prototypes(ordered, shots if shots is not None else 5, seed)
@@ -234,11 +229,6 @@ def evaluate_model(
     if missing and protos is None:
         raise DataError(
             f"model does not know entity types {sorted(missing)} present in the test set"
-        )
-    if protos is None and model.head_kind == PROTOTYPE:
-        raise DataError(
-            "prototype checkpoints need a support corpus to rebuild prototypes; "
-            "use prototype inference"
         )
     schema = _check_schema(schema or test.labels.schema)
     native = _check_schema(native_schema or model.labels.schema)

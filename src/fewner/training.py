@@ -20,6 +20,7 @@ import json
 import math
 import random
 from dataclasses import dataclass, field, replace
+from itertools import accumulate
 from pathlib import Path
 
 import numpy as np
@@ -28,11 +29,11 @@ from .checkpoint import LINEAR, PROTOTYPE, Model
 from .corpus import TaggedCorpus, TokenSequence, top_up
 from .encoder import (
     EncoderParams,
+    batch_window_indices,
     encode_blocks,
     encode_windows,
     encode_windows_backward,
     init_encoder,
-    window_indices,
 )
 from .errors import DataError, NumericError
 from .heads import init_linear_head, linear_forward, linear_loss_grads, proto_loss_grads
@@ -174,8 +175,8 @@ class OptimizerState:
 def init_optimizer(
     params: dict[str, np.ndarray], base_lr: float, warmup_fraction: float, total_steps: int
 ) -> OptimizerState:
-    if total_steps < 1:
-        raise ValueError("total_steps must be >= 1")
+    if total_steps < 0:
+        raise ValueError("total_steps must be >= 0")
     return OptimizerState(
         base_lr=base_lr,
         warmup_fraction=warmup_fraction,
@@ -292,78 +293,70 @@ def _start_encoder(
     )
 
 
-def _labeled_items(corpus: TaggedCorpus, weight: float) -> list[tuple]:
-    """(tokens, one-hot targets over the tag vocabulary, weight) per sentence."""
-    one_hot = np.eye(len(corpus.labels.tag_vocabulary))[corpus.tag_ids]
-    targets = np.split(one_hot, corpus.offsets[1:-1])
-    return [(s.tokens, t, weight) for s, t in zip(corpus.sentences, targets)]
+def _rows(offsets: np.ndarray, sentences) -> np.ndarray:
+    """Flat token rows of the given sentences, sentence after sentence."""
+    starts = offsets[sentences]
+    lengths = offsets[1:][sentences] - starts
+    # a sentence's rows run from its start, from its first place in the output on
+    first = np.cumsum(lengths) - lengths
+    return np.arange(lengths.sum()) + np.repeat(starts - first, lengths)
 
 
 def _train_weighted(
-    items: list[tuple[tuple[str, ...], np.ndarray, float]],
-    labels,
-    config: TrainConfig,
-    encoder: EncoderParams,
-    head,
-    on_epoch=None,
+    model: Model, token_lists, targets: np.ndarray, weights, config: TrainConfig, on_epoch=None
 ) -> Model:
-    """Mini-batch Adam over (tokens, per-token targets, weight) items.
+    """Train a linear model in place by mini-batch Adam over sentences with
+    one flat (tokens x tags) target column, sentences in order, and one
+    weight per sentence.
 
     A token's loss carries its sentence's weight; each batch is normalized
-    by the corpus-wide mean token weight times the batch's token count, so
-    the weighting between item groups holds across batches and uniform
+    by the run-wide mean token weight times the batch's token count, so the
+    weighting between sentence groups holds across batches and uniform
     weights reduce to the plain token mean. Each batch is one encode, one
-    head forward/backward and one encoder backward over the concatenated
-    windows of its sentences.
+    head forward/backward and one encoder backward over its sentences' rows.
     """
-    n = len(items)
-    batches_per_epoch = math.ceil(n / config.batch_size)
-    total_steps = config.epochs * batches_per_epoch
+    encoder, head = model.encoder, model.head
+    n = len(token_lists)
+    total_steps = config.epochs * math.ceil(n / config.batch_size)
     trainable = {f"head.{k}": v for k, v in head.arrays().items()}
     if not config.freeze_encoder:
         trainable.update({f"encoder.{k}": v for k, v in encoder.arrays().items()})
-    if total_steps > 0:
-        state = init_optimizer(
-            trainable, config.learning_rate, config.warmup_fraction, total_steps
-        )
+    state = init_optimizer(trainable, config.learning_rate, config.warmup_fraction, total_steps)
     shuffle_rng = random.Random(config.seed + SEED_SHUFFLE)
-    total_tokens = sum(len(tokens) for tokens, _, _ in items)
-    mean_token_weight = (
-        sum(weight * len(tokens) for tokens, _, weight in items) / total_tokens
-    )
-    # the vocabulary is fixed during training, so each item's windows are too
-    windows = [window_indices(encoder, tokens) for tokens, _, _ in items]
-    token_weights = [np.full(len(tokens), weight) for tokens, _, weight in items]
+    lengths = [len(tokens) for tokens in token_lists]
+    weight_sum = sum(w * k for w, k in zip(weights, lengths))  # over every token
+    mean_token_weight = weight_sum / sum(lengths)
+    offsets = np.cumsum([0, *lengths])
+    # the vocabulary is fixed during training, so the windows are too
+    windows = batch_window_indices(encoder, token_lists)
+    token_weights = np.repeat(weights, lengths)
 
     for epoch in range(config.epochs):
         order = list(range(n))
         shuffle_rng.shuffle(order)
+        # the epoch's rows in shuffled sentence order; a batch is a run of them
+        rows = _rows(offsets, order)
+        bounds = [0, *accumulate(lengths[i] for i in order)]
         epoch_loss = 0.0
-        epoch_norm = 0.0
         for start in range(0, n, config.batch_size):
-            batch = order[start : start + config.batch_size]
-            batch_windows = np.concatenate([windows[i] for i in batch])
+            batch = rows[bounds[start] : bounds[min(start + config.batch_size, n)]]
+            batch_windows = windows[batch]
             reprs = encode_windows(encoder, batch_windows)
             batch_loss, d_w, d_b, upstream = linear_loss_grads(
-                head,
-                reprs,
-                np.concatenate([items[i][1] for i in batch]),
-                np.concatenate([token_weights[i] for i in batch]),
+                head, reprs, targets[batch], token_weights[batch]
             )
             grads = {"head.weights": d_w, "head.bias": d_b}
             if not config.freeze_encoder:
                 enc_grads = encode_windows_backward(encoder, batch_windows, reprs, upstream)
                 grads.update({f"encoder.{k}": v for k, v in enc_grads.arrays().items()})
-            norm = mean_token_weight * len(batch_windows)
-            if norm > 0.0:
-                for g in grads.values():
-                    g /= norm
-                adam_step(state, trainable, grads)
+            norm = mean_token_weight * len(batch)
+            for g in grads.values():
+                g /= norm
+            adam_step(state, trainable, grads)
             epoch_loss += batch_loss
-            epoch_norm += norm
         if on_epoch is not None:
-            on_epoch(epoch, epoch_loss / epoch_norm if epoch_norm else 0.0)
-    return Model(encoder, labels, LINEAR, head)
+            on_epoch(epoch, epoch_loss / weight_sum)
+    return model
 
 
 def train_linear(
@@ -391,8 +384,10 @@ def train_linear(
         head = init.head.copy()
     else:
         head = init_linear_head(len(tags), encoder.hidden_dim, config.seed + SEED_HEAD)
-    items = _labeled_items(corpus, 1.0)
-    return _train_weighted(items, corpus.labels, config, encoder, head, on_epoch)
+    model = Model(encoder, corpus.labels, LINEAR, head)
+    token_lists = [s.tokens for s in corpus.sentences]
+    targets = np.eye(len(tags))[corpus.tag_ids]
+    return _train_weighted(model, token_lists, targets, [1.0] * len(corpus), config, on_epoch)
 
 
 def train_prototype(
@@ -424,65 +419,60 @@ def train_prototype(
     iters_per_epoch = math.ceil(len(corpus) / per_episode)
     total_steps = config.epochs * iters_per_epoch
     trainable = {f"encoder.{k}": v for k, v in encoder.arrays().items()}
-    if total_steps > 0:
-        state = init_optimizer(
-            trainable, config.learning_rate, config.warmup_fraction, total_steps
-        )
+    state = init_optimizer(trainable, config.learning_rate, config.warmup_fraction, total_steps)
     episode_rng = random.Random(config.seed + SEED_EPISODES)
     tag_type = corpus.labels.codes[0]
-    # the vocabulary is fixed during training, so each sentence's windows are too
-    rows_of = {
-        s: (window_indices(encoder, s.tokens), ids)
-        for s, ids in zip(corpus.sentences, np.split(corpus.tag_ids, corpus.offsets[1:-1]))
-    }
-    epoch_losses: list[float] = []
+    # the vocabulary is fixed during training, so the windows are too
+    windows = batch_window_indices(encoder, [s.tokens for s in corpus.sentences])
+    position = {s: i for i, s in enumerate(corpus.sentences)}
 
-    for step in range(total_steps):
-        episode = sample_episode(
-            corpus, m_types, config.K, config.K_prime, seed=episode_rng.getrandbits(32)
-        )
-        rows = [rows_of[s] for s in episode.support + episode.query]
-        windows = np.concatenate([w for w, _ in rows])
-        tag_ids = np.concatenate([ids for _, ids in rows])
-        reprs = encode_windows(encoder, windows)
-        n_support = sum(len(s) for s in episode.support)
-        # label space: the support's tags of the sampled types plus "O", in
-        # vocabulary order; "O" has type id -1, the last slot of in_scope
-        in_scope = np.zeros(len(types) + 1, dtype=bool)
-        in_scope[[types.index(t) for t in episode.sampled_types] + [-1]] = True
-        present = np.bincount(tag_ids[:n_support], minlength=len(tag_type)) > 0
-        space = np.flatnonzero(present & in_scope[tag_type])
-        label_pos = np.full(len(tag_type), -1)
-        label_pos[space] = np.arange(len(space))
-        row_label = label_pos[tag_ids]
-        support_label = row_label[:n_support]
-        query_rows = n_support + np.flatnonzero(row_label[n_support:] >= 0)
-        n_tokens = len(query_rows)
-        if n_tokens == 0:
-            continue
-        centroids = np.stack(
-            [reprs[:n_support][support_label == k].mean(axis=0) for k in range(len(space))]
-        )
-        targets = np.zeros((n_tokens, len(space)))
-        targets[np.arange(n_tokens), row_label[query_rows]] = 1.0
-        loss, d_query, d_centroids = proto_loss_grads(centroids, reprs[query_rows], targets)
-        epoch_losses.append(loss / n_tokens)
+    for epoch in range(config.epochs):
+        epoch_losses: list[float] = []
+        for _ in range(iters_per_epoch):
+            episode = sample_episode(
+                corpus, m_types, config.K, config.K_prime, seed=episode_rng.getrandbits(32)
+            )
+            rows = _rows(corpus.offsets, [position[s] for s in episode.support + episode.query])
+            episode_windows = windows[rows]
+            tag_ids = corpus.tag_ids[rows]
+            reprs = encode_windows(encoder, episode_windows)
+            n_support = sum(len(s) for s in episode.support)
+            # label space: the support's tags of the sampled types plus "O", in
+            # vocabulary order; "O" has type id -1, the last slot of in_scope
+            in_scope = np.zeros(len(types) + 1, dtype=bool)
+            in_scope[[types.index(t) for t in episode.sampled_types] + [-1]] = True
+            present = np.bincount(tag_ids[:n_support], minlength=len(tag_type)) > 0
+            space = np.flatnonzero(present & in_scope[tag_type])
+            label_pos = np.full(len(tag_type), -1)
+            label_pos[space] = np.arange(len(space))
+            row_label = label_pos[tag_ids]
+            support_label = row_label[:n_support]
+            query_rows = n_support + np.flatnonzero(row_label[n_support:] >= 0)
+            n_tokens = len(query_rows)
+            if n_tokens == 0:
+                continue
+            centroids = np.stack(
+                [reprs[:n_support][support_label == k].mean(axis=0) for k in range(len(space))]
+            )
+            targets = np.zeros((n_tokens, len(space)))
+            targets[np.arange(n_tokens), row_label[query_rows]] = 1.0
+            loss, d_query, d_centroids = proto_loss_grads(centroids, reprs[query_rows], targets)
+            epoch_losses.append(loss / n_tokens)
 
-        # a centroid is the mean of its support rows, so each of them gets
-        # the centroid's gradient divided by the label's support count
-        upstream = np.zeros_like(reprs)
-        upstream[query_rows] = d_query
-        members = np.flatnonzero(support_label >= 0)
-        member_label = support_label[members]
-        counts = np.bincount(member_label, minlength=len(space))
-        upstream[members] = (d_centroids / counts[:, None])[member_label]
-        upstream /= n_tokens
-        enc_grads = encode_windows_backward(encoder, windows, reprs, upstream)
-        adam_step(state, trainable, {f"encoder.{k}": v for k, v in enc_grads.arrays().items()})
-        if on_epoch is not None and (step + 1) % iters_per_epoch == 0:
+            # a centroid is the mean of its support rows, so each of them gets
+            # the centroid's gradient divided by the label's support count
+            upstream = np.zeros_like(reprs)
+            upstream[query_rows] = d_query
+            members = np.flatnonzero(support_label >= 0)
+            member_label = support_label[members]
+            counts = np.bincount(member_label, minlength=len(space))
+            upstream[members] = (d_centroids / counts[:, None])[member_label]
+            upstream /= n_tokens
+            enc_grads = encode_windows_backward(encoder, episode_windows, reprs, upstream)
+            adam_step(state, trainable, {f"encoder.{k}": v for k, v in enc_grads.arrays().items()})
+        if on_epoch is not None:
             mean_loss = sum(epoch_losses) / len(epoch_losses) if epoch_losses else 0.0
-            on_epoch((step + 1) // iters_per_epoch - 1, mean_loss)
-            epoch_losses = []
+            on_epoch(epoch, mean_loss)
     return Model(encoder, corpus.labels, PROTOTYPE, None)
 
 
@@ -576,11 +566,13 @@ def self_train(
     tags = labeled.labels.tag_vocabulary
     encoder = _start_encoder(labeled, config, init, extra=unlabeled)
     head = init_linear_head(len(tags), encoder.hidden_dim, config.seed + SEED_HEAD)
+    student = Model(encoder, labeled.labels, LINEAR, head)
 
+    token_lists = [s.tokens for s in labeled.sentences] + unlabeled
+    targets = np.concatenate([np.eye(len(tags))[labeled.tag_ids], *(p for _, p in soft.items)])
     w_soft = config.lambda_u / len(unlabeled)
-    items = _labeled_items(labeled, 1.0 / len(labeled))
-    items += [(tokens, probs, w_soft) for tokens, probs in soft.items]
-    return _train_weighted(items, labeled.labels, config, encoder, head)
+    weights = [1.0 / len(labeled)] * len(labeled) + [w_soft] * len(unlabeled)
+    return _train_weighted(student, token_lists, targets, weights, config)
 
 
 def scheme_inputs(scheme: str) -> tuple[str, ...]:

@@ -565,6 +565,45 @@ class TestFileErrors:
         assert not (workdir / "missing").exists()
         assert list((workdir / "a_directory").iterdir()) == []
 
+    @pytest.mark.parametrize(
+        "target, blocked, reason",
+        [
+            ("missing/m.json", "missing/m.json", "No such file or directory"),
+            ("a_directory", "a_directory", "Is a directory"),
+            ("m.json", "m.json.manifest.json", "Is a directory"),
+        ],
+    )
+    def test_unwritable_train_output_found_before_training(
+        self, workdir, capsys, monkeypatch, target, blocked, reason
+    ):
+        (workdir / "a_directory").mkdir()
+        (workdir / "m.json.manifest.json").mkdir()
+        before = sorted(workdir.rglob("*"))
+        trained = lambda *args, **kwargs: pytest.fail("trained before checking --out")
+        monkeypatch.setattr(fewner.cli, "run_scheme", trained)
+        p = lambda name: str(workdir / name)
+        argv = ["train", "lc", "--config", p("config.json"), "--train", p("train.conll")]
+        assert main([*argv, "--out", p(target)]) == 2
+        assert capsys.readouterr().err == f"fewner: cannot write {p(blocked)}: {reason}\n"
+        assert sorted(workdir.rglob("*")) == before
+
+    def test_output_check_leaves_existing_checkpoint(self, workdir, monkeypatch):
+        out = workdir / "old.json"
+        out.write_text("old checkpoint", encoding="utf-8")
+        mtime = out.stat().st_mtime_ns
+        before = sorted(workdir.iterdir())
+
+        def refuse(*args, **kwargs):
+            raise fewner.DataError("refused")
+
+        monkeypatch.setattr(fewner.cli, "run_scheme", refuse)
+        p = lambda name: str(workdir / name)
+        argv = ["train", "lc", "--config", p("config.json"), "--train", p("train.conll")]
+        assert main([*argv, "--out", str(out)]) == 2
+        assert out.read_text(encoding="utf-8") == "old checkpoint"
+        assert out.stat().st_mtime_ns == mtime
+        assert sorted(workdir.iterdir()) == before
+
 
 def test_python_m_fewner(workdir):
     src = str(Path(fewner.__file__).resolve().parent.parent)

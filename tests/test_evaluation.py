@@ -335,8 +335,11 @@ class TestPredictTags:
         model = train_prototype(
             corpus, TrainConfig(seed=6, epochs=0, embed_dim=4, hidden_dim=6, M=2, K=2, K_prime=2)
         )
-        with pytest.raises(DataError):
+        message = "prototype checkpoints carry no head arrays"
+        with pytest.raises(DataError, match=message):
             evaluate_model(model, corpus)
+        with pytest.raises(DataError, match=message):
+            predict_corpus(model, corpus.sentences)
 
 
 def _random_model(np_rng, embed_dim, hidden_dim, types=("LOC", "ORG", "PER")):

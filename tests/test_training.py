@@ -385,6 +385,14 @@ class TestTrainPrototype:
         for name, arr in model.encoder.arrays().items():
             assert np.array_equal(arr, reference.arrays()[name]), name
 
+    def test_epoch_of_skipped_episodes_reported(self):
+        # support and query never share a tag, so no query token is in scope
+        corpus = parse_conll("a B-LOC\n\nb I-LOC\n")
+        config = _tiny_config(M=1, K=1, K_prime=1, epochs=3)
+        calls = []
+        train_prototype(corpus, config, on_epoch=lambda e, loss: calls.append((e, loss)))
+        assert calls == [(0, 0.0), (1, 0.0), (2, 0.0)]
+
     def test_m_clamped_to_type_count(self):
         corpus = _make_corpus(20, seed=13)
         model = train_prototype(corpus, _tiny_config(M=5, epochs=1))
