@@ -12,12 +12,14 @@ Prints one ``name sha256`` line per output:
 A run that raises DataError or NumericError is digested as its error text,
 so refusals are compared too. Only the standard library and numpy are used.
 
-Compare two source trees, e.g. a parent commit's checkout and the working
-tree, by running the script on each and diffing the outputs:
+``--src`` defaults to this checkout's ``src/``. To compare it with a
+commit, pass ``--against REV``: REV's ``src/`` is extracted with
+``git archive`` from the local repository into a temporary directory, both
+trees are digested in subprocesses, and the names of the outputs whose
+digests differ are printed. The exit status is 0 when every output matches
+and 1 otherwise:
 
-    python tools/output_digests.py --src ../parent/src > parent.txt
-    python tools/output_digests.py --src src > change.txt
-    diff parent.txt change.txt
+    python tools/output_digests.py --against HEAD~1
 """
 
 from __future__ import annotations
@@ -27,9 +29,13 @@ import contextlib
 import hashlib
 import io
 import json
+import subprocess
 import sys
+import tarfile
 import tempfile
 from pathlib import Path
+
+REPO = Path(__file__).resolve().parents[1]
 
 SEEDS = (0, 1, 2)
 SCHEMES = ("lc", "proto", "lc+nsp", "proto+nsp", "lc+st", "lc+nsp+st")
@@ -125,10 +131,42 @@ def cli_digests(fewner, workdir: Path):
             yield f"cli/protoinfer_{scheme}/{tag}", run(argv)
 
 
+def against(src: str, rev: str) -> int:
+    """Print the outputs whose digests differ between rev's src/ and src;
+    1 if any differ, else 0."""
+    git = subprocess.run(["git", "-C", str(REPO), "archive", rev, "src"], capture_output=True)
+    if git.returncode:
+        raise SystemExit(git.stderr.decode(errors="replace").strip())
+    with tempfile.TemporaryDirectory() as tmp:
+        with tarfile.open(fileobj=io.BytesIO(git.stdout)) as tar:
+            tar.extractall(tmp, filter="data")
+        runs = [
+            subprocess.Popen(
+                [sys.executable, __file__, "--src", tree], stdout=subprocess.PIPE, text=True
+            )
+            for tree in (str(Path(tmp, "src")), src)
+        ]
+        outputs = [run.communicate()[0] for run in runs]
+    if any(run.returncode for run in runs):
+        raise SystemExit("a digest run failed")
+    old, new = (dict(line.split() for line in out.splitlines()) for out in outputs)
+    names = old.keys() | new.keys()
+    differ = sorted(name for name in names if old.get(name) != new.get(name))
+    for name in differ:
+        print(name)
+    print(f"{len(names) - len(differ)} of {len(names)} outputs identical to {rev}")
+    return 1 if differ else 0
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--src", required=True, help="directory holding the fewner package")
+    parser.add_argument(
+        "--src", default=str(REPO / "src"), help="directory holding the fewner package"
+    )
+    parser.add_argument("--against", metavar="REV", help="compare --src with REV's src/")
     args = parser.parse_args(argv)
+    if args.against:
+        return against(args.src, args.against)
     sys.path.insert(0, str(Path(args.src).resolve()))
     import fewner
 
