@@ -45,9 +45,8 @@ def _assert_models_equal(model, reference):
     """Every encoder and head array bitwise equal."""
     for name, arr in model.encoder.arrays().items():
         assert np.array_equal(arr, reference.encoder.arrays()[name]), name
-    if reference.head is not None:
-        for name, arr in model.head.arrays().items():
-            assert np.array_equal(arr, reference.head.arrays()[name]), name
+    for name, arr in model.head.arrays().items():
+        assert np.array_equal(arr, reference.head.arrays()[name]), name
 
 
 def _tiny_config(**overrides):
