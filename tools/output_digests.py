@@ -4,7 +4,9 @@ Prints one ``name sha256`` line per output:
 
 * the checkpoint text (``checkpoint.dumps``) of every scheme through
   ``run_scheme``, with and without a source config, with BIO and IO
-  corpora, on seeds 0-2;
+  corpora, on seeds 0-2, and of the linear schemes without a pretrain
+  stage (``FROZEN_SCHEMES``) with ``freeze_encoder`` set, where only the
+  head trains;
 * the stdout of ``fewner stats``, ``eval`` (BIO and IO scoring) and
   ``protoinfer``, and the checkpoint bytes that ``fewner train`` writes, on
   files laid out like the cli_infer benchmark workload's.
@@ -39,6 +41,7 @@ REPO = Path(__file__).resolve().parents[1]
 
 SEEDS = (0, 1, 2)
 SCHEMES = ("lc", "proto", "lc+nsp", "proto+nsp", "lc+st", "lc+nsp+st")
+FROZEN_SCHEMES = ("lc", "lc+st")
 
 
 def _sha(text: str | bytes) -> str:
@@ -71,19 +74,27 @@ def scheme_digests(fewner):
                     seed=seed, learning_rate=0.05, batch_size=8, epochs=1, K=2, K_prime=3
                 ),
             }
-            for scheme in SCHEMES:
-                for variant, source_config in source_configs.items():
-                    run = lambda: dumps(
-                        fewner.run_scheme(
-                            labeled,
-                            config.with_(scheme=scheme),
-                            source=source,
-                            unlabeled=bench.unlabeled,
-                            source_config=source_config,
-                        )
+            runs = [
+                (scheme, variant, config.with_(scheme=scheme), source_config)
+                for scheme in SCHEMES
+                for variant, source_config in source_configs.items()
+            ]
+            runs += [
+                (scheme, "frozen", config.with_(scheme=scheme, freeze_encoder=True), None)
+                for scheme in FROZEN_SCHEMES
+            ]
+            for scheme, variant, run_config, source_config in runs:
+                run = lambda: dumps(
+                    fewner.run_scheme(
+                        labeled,
+                        run_config,
+                        source=source,
+                        unlabeled=bench.unlabeled,
+                        source_config=source_config,
                     )
-                    name = f"run_scheme/{scheme}/{schema}/{variant}/seed{seed}"
-                    yield name, _guarded(fewner, run)
+                )
+                name = f"run_scheme/{scheme}/{schema}/{variant}/seed{seed}"
+                yield name, _guarded(fewner, run)
 
 
 def cli_digests(fewner, workdir: Path):
