@@ -176,9 +176,19 @@ def encode_windows_backward(
     d_weights = d_pre.T @ _window_input(params, windows)
     d_bias = d_pre.sum(axis=0)
     d_x = d_pre @ params.context_weights  # (N, 3E)
-    d_emb = np.zeros_like(params.embedding_table)
-    np.add.at(d_emb, windows.ravel(), d_x.reshape(-1, params.embed_dim))
+    d_emb = scatter_rows(windows.ravel(), d_x.reshape(-1, params.embed_dim), len(params.vocab))
     return EncoderGrads(d_emb, d_weights, d_bias)
+
+
+def scatter_rows(rows: np.ndarray, values: np.ndarray, n_rows: int) -> np.ndarray:
+    """(n_rows, D) sums of the (N, D) values by target row, rows[i] being
+    values[i]'s. Each sum is added in index order from +0.0, as np.add.at
+    adds, so the two agree bit for bit; one bincount over the flat slots
+    replaces add.at's per-row loop."""
+    d = values.shape[1]
+    slots = (rows[:, None] * d + np.arange(d)).ravel()
+    sums = np.bincount(slots, weights=values.ravel(), minlength=n_rows * d)
+    return sums.reshape(n_rows, d)
 
 
 def _blocks(token_seqs):

@@ -72,6 +72,23 @@ def make_corpus(
     corrupts tags, never tokens (the noise draws come from their own
     stream, so corpora with different noise share sentences).
     """
+    types, rows = _generate(
+        n_sentences, seed, fine, trigger_prob, pair_prob, companion_prob, noise
+    )
+    sentences = tuple(TokenSequence(tokens, tags) for tokens, tags in rows)
+    return TaggedCorpus(sentences, LabelSet(types, "BIO"))
+
+
+def _generate(
+    n_sentences: int,
+    seed: int,
+    fine: bool = False,
+    trigger_prob: float = 0.25,
+    pair_prob: float = 0.3,
+    companion_prob: float = 0.5,
+    noise: float = 0.0,
+) -> tuple[tuple[str, ...], list]:
+    """make_corpus's entity types and (tokens, tags) rows, without the corpus."""
     rng = random.Random(seed)
     noise_rng = random.Random(seed + 999331)
     if fine:
@@ -115,8 +132,8 @@ def make_corpus(
                     tokens.append(ENTITY_WORDS[i])
                     tags.append(f"B-{label}")
         filler(0, 2)
-        sentences.append(TokenSequence(tuple(tokens), tuple(tags)))
-    return TaggedCorpus(tuple(sentences), LabelSet(types, "BIO"))
+        sentences.append((tuple(tokens), tuple(tags)))
+    return types, sentences
 
 
 def _noisy(label: str, types, rng: random.Random, noise: float) -> str:
@@ -157,5 +174,6 @@ def transfer_benchmark(
         source=make_corpus(n_source, seed * 7919 + 1, fine=True, noise=source_noise),
         train=make_corpus(n_train, seed * 7919 + 2),
         test=make_corpus(n_test, seed * 7919 + 3),
-        unlabeled=strip_tags(make_corpus(n_unlabeled, seed * 7919 + 4)),
+        # the pool's token rows only: no corpus is built to strip its tags
+        unlabeled=[tokens for tokens, _ in _generate(n_unlabeled, seed * 7919 + 4)[1]],
     )

@@ -11,7 +11,9 @@ Four entry points, all deterministic functions of (data, config, seed):
 Optimization is Adam with bias correction under a linear warmup / linear
 decay schedule planned over the whole run. The per-batch loss is a
 (weighted) mean over tokens, so learning rates are comparable across
-batch sizes.
+batch sizes. A run copies its trainable arrays into one flat ParamArena
+and rebinds the model's attributes to views of it, so each step is one
+gradient copy, one finiteness check and one Adam pass over one array.
 """
 
 from __future__ import annotations
@@ -154,18 +156,46 @@ def load_config(path: str | Path) -> TrainConfig:
         raise DataError(f"{path}: invalid config ({exc})") from exc
 
 
+class ParamArena:
+    """Named parameter blocks laid out in one flat buffer.
+
+    The blocks are copied into `params` in the given order; `views` holds
+    each block as a reshaped view of it, and `grads` is a gradient buffer of
+    the same layout. Block i is params[bounds[i]:bounds[i + 1]].
+    """
+
+    def __init__(self, blocks: dict[str, np.ndarray]):
+        self.names = tuple(blocks)
+        self.bounds = np.cumsum([0, *(b.size for b in blocks.values())])
+        self.params = np.concatenate([b.ravel() for b in blocks.values()])
+        self.grads = np.zeros_like(self.params)
+        self.views = {
+            name: self.params[start:stop].reshape(b.shape)
+            for (name, b), start, stop in zip(blocks.items(), self.bounds, self.bounds[1:])
+        }
+
+    def set_grads(self, grads) -> None:
+        """Copy one gradient per block, in block order, into `grads`."""
+        np.concatenate([g.ravel() for g in grads], out=self.grads)
+
+    def block_at(self, index: int) -> str:
+        """The name of the block holding flat position index."""
+        return self.names[int(np.searchsorted(self.bounds, index, side="right")) - 1]
+
+
 @dataclass
 class OptimizerState:
-    """Adam accumulators plus the learning-rate plan."""
+    """Adam accumulators over one flat parameter array, plus the
+    learning-rate plan."""
 
     base_lr: float
     warmup_fraction: float
     total_steps: int
     step: int = 0
-    first_moment: dict[str, np.ndarray] = field(default_factory=dict)
-    second_moment: dict[str, np.ndarray] = field(default_factory=dict)
-    # per block, two work arrays of its shape that adam_step reuses
-    buffers: dict[str, np.ndarray] = field(default_factory=dict, repr=False)
+    first_moment: np.ndarray = field(default_factory=lambda: np.zeros(0))
+    second_moment: np.ndarray = field(default_factory=lambda: np.zeros(0))
+    # two work rows of the parameters' size that adam_step reuses
+    work: np.ndarray = field(default_factory=lambda: np.empty((2, 0)), repr=False)
 
     beta1 = 0.9
     beta2 = 0.999
@@ -173,17 +203,18 @@ class OptimizerState:
 
 
 def init_optimizer(
-    params: dict[str, np.ndarray], base_lr: float, warmup_fraction: float, total_steps: int
+    params: np.ndarray, base_lr: float, warmup_fraction: float, total_steps: int
 ) -> OptimizerState:
+    """Zeroed accumulators for the flat parameter array params."""
     if total_steps < 0:
         raise ValueError("total_steps must be >= 0")
     return OptimizerState(
         base_lr=base_lr,
         warmup_fraction=warmup_fraction,
         total_steps=total_steps,
-        first_moment={k: np.zeros_like(v) for k, v in params.items()},
-        second_moment={k: np.zeros_like(v) for k, v in params.items()},
-        buffers={k: np.empty((2, *v.shape)) for k, v in params.items()},
+        first_moment=np.zeros_like(params),
+        second_moment=np.zeros_like(params),
+        work=np.empty((2, *params.shape)),
     )
 
 
@@ -199,39 +230,38 @@ def lr_at(state: OptimizerState) -> float:
     return state.base_lr * ((total - s) / (total - warmup))
 
 
-def adam_step(
-    state: OptimizerState, params: dict[str, np.ndarray], grads: dict[str, np.ndarray]
-) -> tuple[dict[str, np.ndarray], OptimizerState]:
-    """One Adam update in place; the step's rate comes from lr_at."""
+def adam_step(state: OptimizerState, arena: ParamArena) -> None:
+    """One Adam update of arena.params from arena.grads, in place; the
+    step's rate comes from lr_at. A non-finite gradient raises NumericError
+    naming its block before any parameter changes."""
+    g = arena.grads
+    finite = np.isfinite(g)
+    if not finite.all():
+        bad = arena.block_at(int(np.argmin(finite)))
+        raise NumericError(f"non-finite gradient in parameter block {bad!r}")
     lr = lr_at(state)
     t = state.step + 1
     bias1 = 1.0 - state.beta1**t
     bias2 = 1.0 - state.beta2**t
-    for name, p in params.items():
-        g = grads[name]
-        if not np.all(np.isfinite(g)):
-            raise NumericError(f"non-finite gradient in parameter block {name!r}")
-        m = state.first_moment[name]
-        v = state.second_moment[name]
-        num, den = state.buffers[name]
-        # m = b1 m + (1 - b1) g;  v = b2 v + ((1 - b2) g) g
-        np.multiply(g, 1.0 - state.beta1, out=num)
-        m *= state.beta1
-        m += num
-        np.multiply(g, 1.0 - state.beta2, out=num)
-        num *= g
-        v *= state.beta2
-        v += num
-        # p -= (lr m_hat) / (sqrt(v_hat) + eps)
-        np.divide(m, bias1, out=num)
-        num *= lr
-        np.divide(v, bias2, out=den)
-        np.sqrt(den, out=den)
-        den += state.eps
-        num /= den
-        p -= num
+    m, v = state.first_moment, state.second_moment
+    num, den = state.work
+    # m = b1 m + (1 - b1) g;  v = b2 v + ((1 - b2) g) g
+    np.multiply(g, 1.0 - state.beta1, out=num)
+    m *= state.beta1
+    m += num
+    np.multiply(g, 1.0 - state.beta2, out=num)
+    num *= g
+    v *= state.beta2
+    v += num
+    # p -= (lr m_hat) / (sqrt(v_hat) + eps)
+    np.divide(m, bias1, out=num)
+    num *= lr
+    np.divide(v, bias2, out=den)
+    np.sqrt(den, out=den)
+    den += state.eps
+    num /= den
+    arena.params -= num
     state.step = t
-    return params, state
 
 
 @dataclass(frozen=True)
@@ -302,6 +332,19 @@ def _rows(offsets: np.ndarray, sentences) -> np.ndarray:
     return np.arange(lengths.sum()) + np.repeat(starts - first, lengths)
 
 
+def _arena(owners: dict) -> ParamArena:
+    """One arena over the owners' arrays, named "<owner>.<array>" in owner
+    order, with each owner's attributes rebound to their views: training
+    then updates the model through one flat array."""
+    arena = ParamArena(
+        {f"{prefix}.{k}": v for prefix, owner in owners.items() for k, v in owner.arrays().items()}
+    )
+    for name, view in arena.views.items():
+        prefix, attr = name.split(".")
+        setattr(owners[prefix], attr, view)
+    return arena
+
+
 def _train_weighted(
     model: Model, token_lists, targets: np.ndarray, weights, config: TrainConfig, on_epoch=None
 ) -> Model:
@@ -318,10 +361,8 @@ def _train_weighted(
     encoder, head = model.encoder, model.head
     n = len(token_lists)
     total_steps = config.epochs * math.ceil(n / config.batch_size)
-    trainable = {f"head.{k}": v for k, v in head.arrays().items()}
-    if not config.freeze_encoder:
-        trainable.update({f"encoder.{k}": v for k, v in encoder.arrays().items()})
-    state = init_optimizer(trainable, config.learning_rate, config.warmup_fraction, total_steps)
+    arena = _arena({"head": head} if config.freeze_encoder else {"head": head, "encoder": encoder})
+    state = init_optimizer(arena.params, config.learning_rate, config.warmup_fraction, total_steps)
     shuffle_rng = random.Random(config.seed + SEED_SHUFFLE)
     lengths = [len(tokens) for tokens in token_lists]
     weight_sum = sum(w * k for w, k in zip(weights, lengths))  # over every token
@@ -345,14 +386,13 @@ def _train_weighted(
             batch_loss, d_w, d_b, upstream = linear_loss_grads(
                 head, reprs, targets[batch], token_weights[batch]
             )
-            grads = {"head.weights": d_w, "head.bias": d_b}
+            grads = [d_w, d_b]
             if not config.freeze_encoder:
                 enc_grads = encode_windows_backward(encoder, batch_windows, reprs, upstream)
-                grads.update({f"encoder.{k}": v for k, v in enc_grads.arrays().items()})
-            norm = mean_token_weight * len(batch)
-            for g in grads.values():
-                g /= norm
-            adam_step(state, trainable, grads)
+                grads += enc_grads.arrays().values()
+            arena.set_grads(grads)
+            arena.grads /= mean_token_weight * len(batch)
+            adam_step(state, arena)
             epoch_loss += batch_loss
         if on_epoch is not None:
             on_epoch(epoch, epoch_loss / weight_sum)
@@ -418,8 +458,8 @@ def train_prototype(
     per_episode = m_types * (config.K + config.K_prime)
     iters_per_epoch = math.ceil(len(corpus) / per_episode)
     total_steps = config.epochs * iters_per_epoch
-    trainable = {f"encoder.{k}": v for k, v in encoder.arrays().items()}
-    state = init_optimizer(trainable, config.learning_rate, config.warmup_fraction, total_steps)
+    arena = _arena({"encoder": encoder})
+    state = init_optimizer(arena.params, config.learning_rate, config.warmup_fraction, total_steps)
     episode_rng = random.Random(config.seed + SEED_EPISODES)
     tag_type = corpus.labels.codes[0]
     # the vocabulary is fixed during training, so the windows are too
@@ -469,7 +509,8 @@ def train_prototype(
             upstream[members] = (d_centroids / counts[:, None])[member_label]
             upstream /= n_tokens
             enc_grads = encode_windows_backward(encoder, episode_windows, reprs, upstream)
-            adam_step(state, trainable, {f"encoder.{k}": v for k, v in enc_grads.arrays().items()})
+            arena.set_grads(enc_grads.arrays().values())
+            adam_step(state, arena)
         if on_epoch is not None:
             mean_loss = sum(epoch_losses) / len(epoch_losses) if epoch_losses else 0.0
             on_epoch(epoch, mean_loss)
@@ -520,8 +561,12 @@ class SoftLabelDataset:
                 raise ValueError(
                     f"soft labels {probs.shape} != ({len(tokens)}, {len(self.tag_order)})"
                 )
-            if np.any(probs < 0) or np.any(np.abs(probs.sum(axis=1) - 1.0) > 1e-6):
-                raise ValueError("soft labels are not distributions")
+        if not self.items:
+            return
+        # one pass over every token's distribution, not a few per sentence
+        probs = np.concatenate([p for _, p in self.items])
+        if np.any(probs < 0) or np.any(np.abs(probs.sum(axis=1) - 1.0) > 1e-6):
+            raise ValueError("soft labels are not distributions")
 
 
 def generate_soft_labels(teacher: Model, sentences) -> SoftLabelDataset:

@@ -13,16 +13,17 @@ from __future__ import annotations
 
 import math
 import random
+from dataclasses import dataclass
 
 import numpy as np
 
 from fewner.checkpoint import LINEAR, Model
 from fewner.corpus import Chunk, TaggedCorpus, TokenSequence, split_tag
 from fewner.encoder import (
+    EncoderGrads,
     encode,
     encode_backward,
     encode_windows,
-    encode_windows_backward,
     init_encoder,
     window_indices,
 )
@@ -45,10 +46,8 @@ from fewner.training import (
     SEED_SHUFFLE,
     Episode,
     SoftLabelDataset,
-    adam_step,
     build_vocabulary,
     generate_soft_labels,
-    init_optimizer,
     lr_at,
     sample_episode,
     self_train,
@@ -222,9 +221,33 @@ def random_tagseq(rng, length: int, types, schema: str) -> list[str]:
     return tags
 
 
+@dataclass
+class ReferenceAdamState:
+    """Per-block Adam accumulators and the learning-rate plan (lr_at reads
+    the plan), for reference_adam_step."""
+
+    base_lr: float
+    warmup_fraction: float
+    total_steps: int
+    first_moment: dict
+    second_moment: dict
+    step: int = 0
+
+    beta1 = 0.9
+    beta2 = 0.999
+    eps = 1e-8
+
+
+def reference_init_optimizer(params, base_lr, warmup_fraction, total_steps):
+    """Zeroed per-block accumulators for a dict of parameter blocks."""
+    zeros = lambda: {k: np.zeros_like(v) for k, v in params.items()}
+    return ReferenceAdamState(base_lr, warmup_fraction, total_steps, zeros(), zeros())
+
+
 def reference_adam_step(state, params, grads):
-    """Adam as first written, one full-size temporary per operation; the
-    library's in-place version must match it bit for bit."""
+    """Adam as first written, block by block over dicts of arrays, one
+    full-size temporary per operation; the library's in-place version over
+    one flat array must match it bit for bit."""
     lr = lr_at(state)
     t = state.step + 1
     for name, p in params.items():
@@ -239,6 +262,19 @@ def reference_adam_step(state, params, grads):
         v_hat = v / (1.0 - state.beta2**t)
         p -= lr * m_hat / (np.sqrt(v_hat) + state.eps)
     state.step = t
+
+
+def reference_encode_windows_backward(params, windows, reprs, upstream):
+    """encode_windows_backward as first batched, the embedding gradient
+    accumulated with np.add.at."""
+    d_pre = upstream * (1.0 - reprs**2)
+    x = params.embedding_table[windows].reshape(len(windows), 3 * params.embed_dim)
+    d_weights = d_pre.T @ x
+    d_bias = d_pre.sum(axis=0)
+    d_x = d_pre @ params.context_weights
+    d_emb = np.zeros_like(params.embedding_table)
+    np.add.at(d_emb, windows.ravel(), d_x.reshape(-1, params.embed_dim))
+    return EncoderGrads(d_emb, d_weights, d_bias)
 
 
 def _sentence_types(corpus):
@@ -317,7 +353,9 @@ def reference_train_prototype(corpus, config, encoder):
     iters_per_epoch = math.ceil(len(corpus) / (m_types * (config.K + config.K_prime)))
     total_steps = config.epochs * iters_per_epoch
     trainable = {f"encoder.{k}": v for k, v in encoder.arrays().items()}
-    state = init_optimizer(trainable, config.learning_rate, config.warmup_fraction, total_steps)
+    state = reference_init_optimizer(
+        trainable, config.learning_rate, config.warmup_fraction, total_steps
+    )
     episode_rng = random.Random(config.seed + SEED_EPISODES)
     vocab_order = corpus.labels.tag_vocabulary
     epoch_losses, losses = [], []
@@ -531,7 +569,7 @@ def reference_train_weighted(items, labels, config, encoder, head, on_epoch=None
     if not config.freeze_encoder:
         trainable.update({f"encoder.{k}": v for k, v in encoder.arrays().items()})
     if total_steps > 0:
-        state = init_optimizer(
+        state = reference_init_optimizer(
             trainable, config.learning_rate, config.warmup_fraction, total_steps
         )
     shuffle_rng = random.Random(config.seed + SEED_SHUFFLE)
@@ -559,13 +597,15 @@ def reference_train_weighted(items, labels, config, encoder, head, on_epoch=None
             )
             grads = {"head.weights": d_w, "head.bias": d_b}
             if not config.freeze_encoder:
-                enc_grads = encode_windows_backward(encoder, batch_windows, reprs, upstream)
+                enc_grads = reference_encode_windows_backward(
+                    encoder, batch_windows, reprs, upstream
+                )
                 grads.update({f"encoder.{k}": v for k, v in enc_grads.arrays().items()})
             norm = mean_token_weight * len(batch_windows)
             if norm > 0.0:
                 for g in grads.values():
                     g /= norm
-                adam_step(state, trainable, grads)
+                reference_adam_step(state, trainable, grads)
             epoch_loss += batch_loss
             epoch_norm += norm
         if on_epoch is not None:
@@ -615,7 +655,9 @@ def reference_batched_train_prototype(corpus, config, encoder) -> list[float]:
     iters_per_epoch = math.ceil(len(corpus) / per_episode)
     total_steps = config.epochs * iters_per_epoch
     trainable = {f"encoder.{k}": v for k, v in encoder.arrays().items()}
-    state = init_optimizer(trainable, config.learning_rate, config.warmup_fraction, total_steps)
+    state = reference_init_optimizer(
+        trainable, config.learning_rate, config.warmup_fraction, total_steps
+    )
     episode_rng = random.Random(config.seed + SEED_EPISODES)
     tag_type_ids = corpus.labels.codes[0]
     rows_of = {
@@ -658,8 +700,9 @@ def reference_batched_train_prototype(corpus, config, encoder) -> list[float]:
         counts = np.bincount(member_label, minlength=len(space))
         upstream[members] = (d_centroids / counts[:, None])[member_label]
         upstream /= n_tokens
-        enc_grads = encode_windows_backward(encoder, windows, reprs, upstream)
-        adam_step(state, trainable, {f"encoder.{k}": v for k, v in enc_grads.arrays().items()})
+        enc_grads = reference_encode_windows_backward(encoder, windows, reprs, upstream)
+        grads = {f"encoder.{k}": v for k, v in enc_grads.arrays().items()}
+        reference_adam_step(state, trainable, grads)
         if (step + 1) % iters_per_epoch == 0:
             losses.append(sum(epoch_losses) / len(epoch_losses) if epoch_losses else 0.0)
             epoch_losses = []

@@ -587,6 +587,21 @@ class TestFileErrors:
         assert capsys.readouterr().err == f"fewner: cannot write {p(blocked)}: {reason}\n"
         assert sorted(workdir.rglob("*")) == before
 
+    @pytest.mark.parametrize("command", ["train", "sample"])
+    def test_empty_output_is_usage_error(self, workdir, capsys, monkeypatch, command):
+        read = lambda *args, **kwargs: pytest.fail("read an input before checking --out")
+        for reader in ("_read_text", "_digest", "load_config"):
+            monkeypatch.setattr(fewner.cli, reader, read)
+        before = sorted(workdir.rglob("*"))
+        p = lambda name: str(workdir / name)
+        argv = {
+            "train": ["train", "lc", "--config", p("config.json"), "--train", p("train.conll")],
+            "sample": ["sample", p("train.conll"), "--shots", "1", "--seed", "0"],
+        }[command]
+        assert main([*argv, "--out", ""]) == 1
+        assert capsys.readouterr().err == "fewner: --out must name a file\n"
+        assert sorted(workdir.rglob("*")) == before
+
     def test_output_check_leaves_existing_checkpoint(self, workdir, monkeypatch):
         out = workdir / "old.json"
         out.write_text("old checkpoint", encoding="utf-8")

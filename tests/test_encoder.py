@@ -3,6 +3,8 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fewner.corpus import TokenSequence
 from fewner import encoder
@@ -17,11 +19,12 @@ from fewner.encoder import (
     encode_windows,
     encode_windows_backward,
     init_encoder,
+    scatter_rows,
     window_indices,
 )
 from fewner.errors import DataError
 
-from oracles import assert_grad_close, finite_difference
+from oracles import assert_grad_close, finite_difference, reference_encode_windows_backward
 
 
 def _sentence(tokens):
@@ -237,3 +240,63 @@ class TestEncodeBackward:
             numeric = finite_difference(objective, params.arrays())
             for name, arr in analytic.arrays().items():
                 assert_grad_close(arr, numeric[name])
+
+    def test_batch_matches_add_at_reference_bitwise(self):
+        np_rng = np.random.default_rng(17)
+        for _ in range(20):
+            params = init_encoder([f"w{i}" for i in range(6)], 4, 5, seed=int(np_rng.integers(99)))
+            # few rows, many tokens: every row is hit many times
+            windows = np_rng.integers(0, len(params.vocab), size=(40, 3))
+            reprs = encode_windows(params, windows)
+            upstream = np_rng.normal(size=reprs.shape) * 10.0 ** np_rng.integers(-8, 8)
+            grads = encode_windows_backward(params, windows, reprs, upstream)
+            ref = reference_encode_windows_backward(params, windows, reprs, upstream)
+            for name, arr in grads.arrays().items():
+                assert _bits(arr) == _bits(ref.arrays()[name]), name
+
+
+def _bits(arr: np.ndarray) -> bytes:
+    """The array's raw float bytes: -0.0 differs from 0.0, NaN payloads count."""
+    return np.ascontiguousarray(arr, dtype=np.float64).tobytes()
+
+
+def _scatter_value(code: int) -> float:
+    """Codes 0 and 1 are +0.0 and -0.0; the rest give a sign, a mantissa of
+    1 to 9 and a power of ten from 1e-300 to 1e300."""
+    if code < 2:
+        return (0.0, -0.0)[code]
+    sign, rest = divmod(code - 2, 9 * 601)
+    power, mantissa = divmod(rest, 9)
+    return (-1.0) ** sign * (mantissa + 1) * 10.0 ** (power - 300)
+
+
+class TestScatterRows:
+    # few target rows and up to 60 values each: rows repeat, and the sums
+    # round, cancel and overflow to inf and nan
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(1, 4), st.integers(1, 5), st.data())
+    def test_equals_add_at_bitwise(self, width, n_rows, data):
+        n = data.draw(st.integers(0, 60))
+        rows = data.draw(st.lists(st.integers(0, n_rows - 1), min_size=n, max_size=n))
+        codes = data.draw(
+            st.lists(st.integers(0, 2 * 9 * 601 + 1), min_size=n * width, max_size=n * width)
+        )
+        rows = np.array(rows, dtype=np.intp)
+        values = np.array([_scatter_value(c) for c in codes]).reshape(n, width)
+        want = np.zeros((n_rows, width))
+        np.add.at(want, rows, values)
+        got = scatter_rows(rows, values, n_rows)
+        assert got.shape == want.shape
+        assert np.array_equal(got, want, equal_nan=True)
+        assert _bits(got) == _bits(want)
+
+    def test_signed_zeros_sum_from_positive_zero(self):
+        rows = np.array([0, 0, 1], dtype=np.intp)
+        got = scatter_rows(rows, np.array([[-0.0], [-0.0], [-0.0]]), 3)
+        assert _bits(got) == _bits(np.zeros((3, 1)))
+
+    def test_order_of_addition_is_index_order(self):
+        # (1e16 + 1) + 1 rounds twice, 1e16 + (1 + 1) once: only index order gives 1e16
+        rows = np.zeros(3, dtype=np.intp)
+        got = scatter_rows(rows, np.array([[1e16], [1.0], [1.0]]), 1)
+        assert got[0, 0] == (1e16 + 1.0) + 1.0 == 1e16

@@ -1,3 +1,5 @@
+import pytest
+
 from fewner.corpus import extract_chunks
 from fewner.synthetic import (
     COARSE_TYPES,
@@ -77,6 +79,11 @@ class TestBenchmark:
         assert len(bench.unlabeled) == 25
         assert len(bench.source.labels.entity_types) == 6
         assert bench.train.labels.entity_types == COARSE_TYPES
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_unlabeled_pool_is_a_stripped_corpus(self, seed):
+        bench = transfer_benchmark(seed)
+        assert bench.unlabeled == strip_tags(make_corpus(300, seed * 7919 + 4))
 
     def test_strip_tags(self):
         corpus = make_corpus(10, seed=7)

@@ -5,6 +5,7 @@ import re
 import numpy as np
 import pytest
 
+from fewner import training
 from fewner.checkpoint import LINEAR, PROTOTYPE, dumps
 from fewner.corpus import LabelSet, TaggedCorpus, TokenSequence, convert_schema, parse_conll
 from fewner.encoder import encode, encode_backward, init_encoder
@@ -12,6 +13,8 @@ from fewner.errors import DataError, NumericError
 from fewner.heads import cross_entropy, init_linear_head, linear_backward, linear_forward
 from fewner.training import (
     OptimizerState,
+    ParamArena,
+    SoftLabelDataset,
     TrainConfig,
     adam_step,
     build_vocabulary,
@@ -32,6 +35,7 @@ from builders import word_identity_corpus as _make_corpus
 from oracles import (
     reference_adam_step,
     reference_batched_train_prototype,
+    reference_init_optimizer,
     reference_run_scheme,
     reference_self_train,
     reference_train_linear,
@@ -103,43 +107,64 @@ class TestSchedule:
         assert lr_at(state) == 0.5
 
 
+def _adam(blocks: dict, base_lr, warmup_fraction, total_steps):
+    """An arena over copies of blocks and a fresh optimizer for it."""
+    arena = ParamArena(blocks)
+    return arena, init_optimizer(arena.params, base_lr, warmup_fraction, total_steps)
+
+
+def _step(state, arena, grads: dict) -> None:
+    arena.set_grads(grads.values())
+    adam_step(state, arena)
+
+
 class TestAdam:
     def test_zero_gradients_fixed_point(self):
-        params = {"x": np.array([1.0, -2.0])}
-        state = init_optimizer(params, base_lr=0.1, warmup_fraction=0.0, total_steps=10)
-        adam_step(state, params, {"x": np.zeros(2)})
-        assert np.array_equal(params["x"], [1.0, -2.0])
+        arena, state = _adam({"x": np.array([1.0, -2.0])}, 0.1, 0.0, 10)
+        _step(state, arena, {"x": np.zeros(2)})
+        assert np.array_equal(arena.views["x"], [1.0, -2.0])
 
     def test_first_step_is_signlike(self):
-        params = {"x": np.array([0.0])}
-        state = init_optimizer(params, base_lr=0.01, warmup_fraction=0.0, total_steps=100)
-        adam_step(state, params, {"x": np.array([3.7])})
-        assert params["x"][0] == pytest.approx(-0.01, rel=1e-6)
+        arena, state = _adam({"x": np.array([0.0])}, 0.01, 0.0, 100)
+        _step(state, arena, {"x": np.array([3.7])})
+        assert arena.views["x"][0] == pytest.approx(-0.01, rel=1e-6)
 
     def test_bitwise_deterministic(self):
         def run():
             rng = np.random.default_rng(5)
-            params = {"x": rng.normal(size=4)}
-            state = init_optimizer(params, 0.05, 0.1, 50)
+            arena, state = _adam({"x": rng.normal(size=4)}, 0.05, 0.1, 50)
             for _ in range(50):
-                adam_step(state, params, {"x": np.sin(params["x"])})
-            return params["x"]
+                _step(state, arena, {"x": np.sin(arena.views["x"])})
+            return arena.views["x"]
 
         assert np.array_equal(run(), run())
 
     def test_nonfinite_gradient_named(self):
-        params = {"blockname": np.zeros(2)}
-        state = init_optimizer(params, 0.1, 0.0, 5)
-        with pytest.raises(NumericError, match="blockname"):
-            adam_step(state, params, {"blockname": np.array([np.nan, 0.0])})
+        arena, state = _adam({"first": np.zeros(3), "blockname": np.zeros(2)}, 0.1, 0.0, 5)
+        with pytest.raises(NumericError, match="'blockname'"):
+            _step(state, arena, {"first": np.ones(3), "blockname": np.array([0.0, np.nan])})
+        # the check runs before the update: nothing moved, no step was counted
+        assert np.array_equal(arena.params, np.zeros(5))
+        assert state.step == 0
+
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    def test_nonfinite_gradient_names_its_block_by_offset(self, bad):
+        shapes = {"a": (2, 3), "b": (1,), "c": (4, 2)}
+        arena, state = _adam({k: np.zeros(v) for k, v in shapes.items()}, 0.1, 0.0, 5)
+        for name, shape in shapes.items():
+            for flat in range(math.prod(shape)):
+                grads = {k: np.zeros(v) for k, v in shapes.items()}
+                grads[name].ravel()[flat] = bad
+                with pytest.raises(NumericError, match=f"block '{name}'"):
+                    _step(state, arena, grads)
 
     def test_in_place_update_matches_reference_bitwise(self):
         rng = np.random.default_rng(21)
         shapes = {"table": (300, 8), "weights": (5, 24), "bias": (5,)}
         params = {k: rng.normal(size=shape) for k, shape in shapes.items()}
         ref_params = {k: v.copy() for k, v in params.items()}
-        state = init_optimizer(params, 0.05, 0.1, 20)
-        ref_state = init_optimizer(ref_params, 0.05, 0.1, 20)
+        arena, state = _adam(params, 0.05, 0.1, 20)
+        ref_state = reference_init_optimizer(ref_params, 0.05, 0.1, 20)
         for _ in range(20):
             grads = {
                 k: rng.normal(size=shape) * 10.0 ** rng.integers(-6, 4)
@@ -147,21 +172,43 @@ class TestAdam:
             }
             grads["table"][rng.random(300) < 0.9] = 0.0  # mostly untouched rows
             given = {k: g.copy() for k, g in grads.items()}
-            adam_step(state, params, grads)
+            _step(state, arena, grads)
             reference_adam_step(ref_state, ref_params, grads)
             for k in shapes:
                 assert np.array_equal(grads[k], given[k])  # gradients left as given
         assert state.step == ref_state.step == 20
+        flat = lambda blocks: np.concatenate([blocks[k].ravel() for k in shapes])
         for k in shapes:
-            assert np.array_equal(params[k], ref_params[k])
-            assert np.array_equal(state.first_moment[k], ref_state.first_moment[k])
-            assert np.array_equal(state.second_moment[k], ref_state.second_moment[k])
+            assert np.array_equal(arena.views[k], ref_params[k])
+        assert np.array_equal(arena.params, flat(ref_params))
+        assert np.array_equal(state.first_moment, flat(ref_state.first_moment))
+        assert np.array_equal(state.second_moment, flat(ref_state.second_moment))
+        # the arena copied its blocks in: the arrays it was built from are untouched
+        for k in shapes:
+            assert not np.array_equal(params[k], ref_params[k])
 
     def test_step_counter_advances(self):
-        params = {"x": np.zeros(1)}
-        state = init_optimizer(params, 0.1, 0.0, 5)
-        adam_step(state, params, {"x": np.ones(1)})
+        arena, state = _adam({"x": np.zeros(1)}, 0.1, 0.0, 5)
+        _step(state, arena, {"x": np.ones(1)})
         assert state.step == 1
+
+
+class TestParamArena:
+    def test_views_share_the_flat_buffer(self):
+        arena = ParamArena({"w": np.arange(6.0).reshape(2, 3), "b": np.array([7.0, 8.0])})
+        assert arena.names == ("w", "b")
+        assert np.array_equal(arena.params, [0, 1, 2, 3, 4, 5, 7, 8])
+        arena.params += 1.0
+        assert np.array_equal(arena.views["w"], [[1, 2, 3], [4, 5, 6]])
+        assert np.array_equal(arena.views["b"], [8, 9])
+        assert [arena.block_at(i) for i in range(8)] == ["w"] * 6 + ["b"] * 2
+
+    def test_set_grads_lays_blocks_out_in_order(self):
+        arena = ParamArena({"w": np.zeros((2, 2)), "b": np.zeros(1)})
+        arena.set_grads([np.array([[1.0, 2.0], [3.0, 4.0]]), np.array([5.0])])
+        assert np.array_equal(arena.grads, [1, 2, 3, 4, 5])
+        with pytest.raises(ValueError):
+            arena.set_grads([np.zeros((2, 2))])  # one block short
 
 
 class TestSampleEpisode:
@@ -267,6 +314,84 @@ class TestTrainLinear:
         corpus = parse_conll("")
         with pytest.raises(DataError):
             train_linear(corpus, _tiny_config())
+
+
+def _all_arrays(model):
+    return [*model.encoder.arrays().values(), *model.head.arrays().values()]
+
+
+class TestTrainingArena:
+    """Training updates the model through one flat arena per run."""
+
+    def test_nonfinite_head_gradient_named(self, monkeypatch):
+        real = training.linear_loss_grads
+
+        def poisoned(*args):
+            loss, d_w, d_b, upstream = real(*args)
+            d_b[-1] = np.nan
+            return loss, d_w, d_b, upstream
+
+        monkeypatch.setattr(training, "linear_loss_grads", poisoned)
+        with pytest.raises(NumericError, match="block 'head.bias'"):
+            train_linear(_make_corpus(10, seed=5), _tiny_config())
+
+    @pytest.mark.parametrize("block", ["embedding_table", "context_weights", "context_bias"])
+    @pytest.mark.parametrize("trainer", [train_linear, train_prototype])
+    def test_nonfinite_encoder_gradient_named(self, monkeypatch, block, trainer):
+        real = training.encode_windows_backward
+
+        def poisoned(*args):
+            grads = real(*args)
+            getattr(grads, block).ravel()[-1] = np.inf
+            return grads
+
+        monkeypatch.setattr(training, "encode_windows_backward", poisoned)
+        with pytest.raises(NumericError, match=f"block 'encoder.{block}'"):
+            trainer(_make_corpus(20, seed=5), _tiny_config())
+
+    def test_model_arrays_are_views_of_one_buffer(self):
+        model = train_linear(_make_corpus(10, seed=5), _tiny_config(epochs=1))
+        arrays = _all_arrays(model)
+        assert all(a.flags.c_contiguous for a in arrays)
+        buffer = arrays[0].base
+        assert buffer.ndim == 1 and all(a.base is buffer for a in arrays)
+
+    def test_frozen_encoder_stays_out_of_the_arena(self):
+        model = train_linear(_make_corpus(10, seed=5), _tiny_config(epochs=1, freeze_encoder=True))
+        head = model.head.arrays().values()
+        for arr in model.encoder.arrays().values():
+            assert not any(np.shares_memory(arr, h) for h in head)
+
+    @pytest.mark.parametrize("trainer", [train_linear, train_prototype])
+    def test_init_model_left_unchanged(self, trainer):
+        corpus = _make_corpus(20, seed=5)
+        init = train_linear(corpus, _tiny_config(epochs=1))
+        before = [a.copy() for a in _all_arrays(init)]
+        model = trainer(corpus, _tiny_config(epochs=2), init=init)
+        for arr, was in zip(_all_arrays(init), before):
+            assert np.array_equal(arr, was)
+        for arr in model.encoder.arrays().values():
+            assert not any(np.shares_memory(arr, a) for a in _all_arrays(init))
+
+    @pytest.mark.parametrize("scheme", ["lc+nsp", "proto+nsp"])
+    def test_pretrain_transfer_leaves_stage1_encoder_unchanged(self, monkeypatch, scheme):
+        stage1 = []
+        real = training._pretrain
+
+        def recorded(*args):
+            encoder = real(*args)
+            stage1.append((encoder, encoder.copy()))
+            return encoder
+
+        monkeypatch.setattr(training, "_pretrain", recorded)
+        source = _make_corpus(20, seed=15, types=("FINEA", "FINEB"))
+        target = _make_corpus(12, seed=16)
+        model = pretrain_transfer(source, target, _tiny_config(scheme=scheme, epochs=2))
+        [(encoder, copy)] = stage1
+        for name, arr in encoder.arrays().items():
+            assert np.array_equal(arr, copy.arrays()[name])
+            assert not np.shares_memory(arr, model.encoder.arrays()[name])
+        assert not np.array_equal(model.encoder.embedding_table, encoder.embedding_table)
 
 
 class TestFullBatchDescent:
@@ -466,6 +591,21 @@ class TestSoftLabels:
         teacher.head.bias[0] = 50.0
         soft = generate_soft_labels(teacher, [("w0",)])
         assert soft.items[0][1][0, 0] > 0.999999
+
+    def test_validation(self):
+        tags = ("O", "B-X", "I-X")
+        good = [(("a", "b"), np.full((2, 3), 1 / 3)), (("c",), np.array([[0.0, 0.5, 0.5]]))]
+        SoftLabelDataset(tags, good)
+        SoftLabelDataset(tags, [])
+        with pytest.raises(ValueError, match=r"soft labels \(1, 2\) != \(1, 3\)"):
+            SoftLabelDataset(tags, [*good, (("d",), np.array([[0.5, 0.5]]))])
+        for bad in ([[1.5, -0.5, 0.0]], [[0.5, 0.5, 1e-5]]):
+            with pytest.raises(ValueError, match="soft labels are not distributions"):
+                SoftLabelDataset(tags, [*good, (("d",), np.array(bad))])
+        # the per-sentence shape check comes before the distribution check
+        with pytest.raises(ValueError, match="!="):
+            items = [(("d",), np.array([[2.0, 0.0, 0.0]])), (("e",), np.ones((2, 3)))]
+            SoftLabelDataset(tags, items)
 
     def test_prototype_teacher_rejected(self):
         corpus = _make_corpus(10, seed=24)
