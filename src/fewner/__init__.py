@@ -40,6 +40,7 @@ from .heads import (
 from .training import (
     Episode,
     OptimizerState,
+    ParamArena,
     SoftLabelDataset,
     TrainConfig,
     adam_step,
