@@ -100,12 +100,11 @@ def _seed(args) -> int | None:
     return args.seed
 
 
-def _out(args) -> str:
-    """--out, checked before any input is read; an empty path is a usage
-    error like an empty input path, not the current directory."""
+def _require_out(args) -> None:
+    """Checked before any input is read: an empty --out is a usage error,
+    like an empty input path, not the current directory."""
     if not args.out:
         raise UsageError("--out must name a file")
-    return args.out
 
 
 def cmd_stats(args) -> int:
@@ -115,12 +114,12 @@ def cmd_stats(args) -> int:
 
 
 def cmd_sample(args) -> int:
-    out = _out(args)
+    _require_out(args)
     shots, seed = _shots(args), _seed(args)
     corpus = _read_corpus(args.conll, args.schema)
     sub = sample_fewshot(corpus, shots, seed)
-    with _writing(out):
-        checkpoint.write_atomic(out, write_conll(sub))
+    with _writing(args.out):
+        checkpoint.write_atomic(args.out, write_conll(sub))
     return EXIT_OK
 
 
@@ -131,7 +130,7 @@ def cmd_train(args) -> int:
     for name in needed:
         if not getattr(args, name):
             raise UsageError(f"scheme {args.scheme} requires --{name}")
-    _out(args)
+    _require_out(args)
 
     seed = _seed(args)
     for path in (args.out, f"{args.out}.manifest.json"):

@@ -563,7 +563,7 @@ class SoftLabelDataset:
                 )
         if not self.items:
             return
-        # one pass over every token's distribution, not a few per sentence
+        # all tokens at once: per-sentence numpy calls cost more than the checks
         probs = np.concatenate([p for _, p in self.items])
         if np.any(probs < 0) or np.any(np.abs(probs.sum(axis=1) - 1.0) > 1e-6):
             raise ValueError("soft labels are not distributions")
