@@ -8,8 +8,11 @@ Prints one ``name sha256`` line per output:
   stage (``FROZEN_SCHEMES``) with ``freeze_encoder`` set, where only the
   head trains;
 * the stdout of ``fewner stats``, ``eval`` (BIO and IO scoring) and
-  ``protoinfer``, and the checkpoint bytes that ``fewner train`` writes, on
-  files laid out like the cli_infer benchmark workload's.
+  ``protoinfer``, and the checkpoint bytes that ``fewner train`` writes for
+  ``lc``, ``proto`` and ``lc+st`` (with an ``--unlabeled`` file), on files
+  laid out like the cli_infer benchmark workload's;
+* the run manifest of each ``fewner train``, without its
+  ``duration_seconds`` and with the work directory written as ``<dir>``.
 
 A run that raises DataError or NumericError is digested as its error text,
 so refusals are compared too. Only the standard library and numpy are used.
@@ -109,6 +112,12 @@ def cli_digests(fewner, workdir: Path):
         # error lines name files; the temporary directory differs between runs
         return f"exit {code}\n{out.getvalue()}{err.getvalue()}".replace(str(workdir), "<dir>")
 
+    def manifest(out: str) -> str:
+        """out's run manifest without the run's wall time."""
+        fields = json.loads(Path(f"{out}.manifest.json").read_text(encoding="utf-8"))
+        del fields["duration_seconds"]
+        return json.dumps(fields, indent=2).replace(str(workdir), "<dir>")
+
     for seed in SEEDS:
         d = workdir / f"seed{seed}"
         d.mkdir()
@@ -119,6 +128,7 @@ def cli_digests(fewner, workdir: Path):
             "config.json": json.dumps(
                 {"seed": seed, "learning_rate": 0.01, "batch_size": 4, "K": 2, "K_prime": 3}
             ),
+            "unlabeled.txt": "".join(" ".join(tokens) + "\n" for tokens in bench.unlabeled),
         }
         for name, text in files.items():
             (d / name).write_text(text, encoding="utf-8")
@@ -130,10 +140,13 @@ def cli_digests(fewner, workdir: Path):
         yield f"cli/sample20/{tag}", run([*sample, "--out", p("support.conll")])
         yield f"cli/sample20_file/{tag}", (d / "support.conll").read_text(encoding="utf-8")
         train = ["--config", p("config.json"), "--train", p("train.conll")]
-        for scheme in ("lc", "proto"):
+        extra = {"lc": [], "proto": [], "lc+st": ["--unlabeled", p("unlabeled.txt")]}
+        for scheme, inputs in extra.items():
             out = p(f"{scheme}.json")
-            yield f"cli/train_{scheme}/{tag}", run(["train", scheme, *train, "--out", out])
+            argv = ["train", scheme, *train, *inputs, "--out", out]
+            yield f"cli/train_{scheme}/{tag}", run(argv)
             yield f"cli/train_{scheme}_checkpoint/{tag}", Path(out).read_bytes()
+            yield f"cli/train_{scheme}_manifest/{tag}", manifest(out)
         yield f"cli/eval/{tag}", run(["eval", p("lc.json"), p("test.conll")])
         yield f"cli/eval_io/{tag}", run(["eval", p("lc.json"), p("test.conll"), "--schema", "io"])
         for scheme in ("lc", "proto"):
