@@ -41,7 +41,6 @@ from .training import (
     Episode,
     OptimizerState,
     ParamArena,
-    SoftLabelDataset,
     TrainConfig,
     adam_step,
     generate_soft_labels,

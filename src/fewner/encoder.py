@@ -12,7 +12,9 @@ Both reserved rows are trainable like any other.
 The per-sentence encode and encode_backward are the batch core
 (batch_window_indices, encode_windows, encode_windows_backward) applied to
 one sentence; training gathers each mini-batch from one window column per
-run, and inference encodes in blocks of whole sentences (encode_blocks).
+run. Inference (prediction, soft labels, support prototypes) is one
+encode_blocks pass: blocks of whole sentences, each encoded and handed to
+a head whose per-token results come back as one array in token order.
 
 encode is a pure function: concurrent readers may share one EncoderParams.
 Training mutates the arrays in place and must be serialized externally.
@@ -193,7 +195,8 @@ def scatter_rows(rows: np.ndarray, values: np.ndarray, n_rows: int) -> np.ndarra
 
 def _blocks(token_seqs):
     """Consecutive runs of whole sequences with at most BLOCK_ROWS tokens
-    each; a longer sequence is a run of its own."""
+    each; a longer sequence is a run of its own. No sequences make one
+    empty run."""
     block: list = []
     rows = 0
     for tokens in token_seqs:
@@ -202,17 +205,22 @@ def _blocks(token_seqs):
             block, rows = [], 0
         block.append(tokens)
         rows += len(tokens)
-    if block:
-        yield block
+    yield block
 
 
-def encode_blocks(params: EncoderParams, token_seqs):
-    """Encode token sequences in runs of whole sequences of at most
-    BLOCK_ROWS tokens. Yields, per run in order, the sequences' lengths and
-    their (sum of lengths, H) representations, one sequence after another."""
-    for block in _blocks(token_seqs):
-        windows = batch_window_indices(params, block)
-        yield [len(tokens) for tokens in block], encode_windows(params, windows)
+def encode_blocks(params: EncoderParams, token_seqs, head) -> np.ndarray:
+    """head's rows for every token of the sequences, in token order.
+
+    The sequences are encoded in runs of whole sequences of at most
+    BLOCK_ROWS tokens; head maps each run's (rows, H) representations to
+    one result row per token, and the runs' results are concatenated. With
+    no sequences head gets one (0, H) block, so the result is empty with
+    the shape head gives it.
+    """
+    blocks = _blocks(token_seqs)
+    return np.concatenate(
+        [head(encode_windows(params, batch_window_indices(params, b))) for b in blocks]
+    )
 
 
 def encode(params: EncoderParams, sentence: TokenSequence) -> np.ndarray:

@@ -157,11 +157,10 @@ def _predict_ids(
     else:
         raise DataError("prototype checkpoints carry no head arrays; supply a support set")
     ranked = _ranking(labels, order)
-    best = [
-        np.argmax(score(reprs)[:, ranked], axis=1)
-        for _, reprs in encode_blocks(model.encoder, token_lists)
-    ]
-    return [labels[i] for i in ranked], np.concatenate([np.empty(0, np.intp), *best])
+    best = encode_blocks(
+        model.encoder, token_lists, lambda reprs: np.argmax(score(reprs)[:, ranked], axis=1)
+    )
+    return [labels[i] for i in ranked], best
 
 
 def predict_corpus(
@@ -173,9 +172,9 @@ def predict_corpus(
     tag vocabulary; prototype labels outside it rank after every label in
     it, in their given order.
 
-    Sentences are encoded and scored in blocks of whole sentences
-    (encoder.encode_blocks): one encode, one head call and one argmax per
-    block.
+    Sentences are encoded and scored in one encoder.encode_blocks pass
+    whose head is the ranked argmax: one encode, one head call and one
+    argmax per block of whole sentences.
     """
     token_lists = [s.tokens for s in sentences]
     names, ids = _predict_ids(model, token_lists, protos)
@@ -198,10 +197,11 @@ def support_prototypes(
 ) -> PrototypeSet:
     """Prototypes over the support corpus's tag vocabulary (entries in
     vocabulary order, one per tag with at least one token). `shots`
-    switches to ceil(shots/5) centroids per tag; None keeps one.
+    switches to ceil(shots/5) centroids per tag; None keeps one. The
+    support tokens' representations come from one encoder.encode_blocks
+    pass with the identity as its head.
     """
-    blocks = encode_blocks(encoder, [s.tokens for s in support.sentences])
-    encoded = np.concatenate([np.empty((0, encoder.hidden_dim)), *(r for _, r in blocks)])
+    encoded = encode_blocks(encoder, [s.tokens for s in support.sentences], lambda r: r)
     ordered = {}
     for k, tag in enumerate(support.labels.tag_vocabulary):
         rows = encoded[support.tag_ids == k]

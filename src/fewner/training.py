@@ -22,6 +22,7 @@ import json
 import math
 import random
 from dataclasses import dataclass, field, replace
+from functools import partial
 from itertools import accumulate
 from pathlib import Path
 
@@ -95,10 +96,10 @@ class TrainConfig:
                 raise ValueError(f"{name} must be positive")
         if self.epochs < 0:
             raise ValueError("epochs must be >= 0")
-        if self.learning_rate <= 0:
-            raise ValueError("learning_rate must be positive")
-        if self.lambda_u < 0:
-            raise ValueError("lambda_u must be >= 0")
+        if not 0 < self.learning_rate < math.inf:
+            raise ValueError("learning_rate must be positive and finite")
+        if not 0 <= self.lambda_u < math.inf:
+            raise ValueError("lambda_u must be >= 0 and finite")
         if not 0.0 <= self.warmup_fraction <= 1.0:
             raise ValueError("warmup_fraction must be in [0, 1]")
 
@@ -541,49 +542,29 @@ def pretrain_transfer(
     vocabulary, then keep the encoder, attach a fresh head for the target
     vocabulary and fine-tune on the target.
 
-    The objective of both stages follows the scheme (lc -> linear,
-    proto -> prototype). source_config overrides stage-1 hyperparameters.
+    This is run_scheme with a source and no unlabeled text, so the scheme
+    (lc+nsp or proto+nsp) sets both stages' objective; source_config
+    overrides stage-1 hyperparameters. A scheme without a pretrain stage,
+    or one that needs unlabeled text, is a DataError.
     """
-    init = _pretrain(source, config, source_config)
-    return _trainer(SCHEMES[config.scheme][-1])(target, config, init=init)
+    if "source" not in scheme_inputs(config.scheme):
+        raise DataError(f"scheme {config.scheme!r} has no pretrain stage")
+    return run_scheme(target, config, source=source, source_config=source_config)
 
 
-@dataclass
-class SoftLabelDataset:
-    """Unlabeled sentences with one teacher distribution per token."""
-
-    tag_order: tuple[str, ...]
-    items: list[tuple[tuple[str, ...], np.ndarray]]
-
-    def __post_init__(self):
-        for tokens, probs in self.items:
-            if probs.shape != (len(tokens), len(self.tag_order)):
-                raise ValueError(
-                    f"soft labels {probs.shape} != ({len(tokens)}, {len(self.tag_order)})"
-                )
-        if not self.items:
-            return
-        # all tokens at once: per-sentence numpy calls cost more than the checks
-        probs = np.concatenate([p for _, p in self.items])
-        if np.any(probs < 0) or np.any(np.abs(probs.sum(axis=1) - 1.0) > 1e-6):
-            raise ValueError("soft labels are not distributions")
-
-
-def generate_soft_labels(teacher: Model, sentences) -> SoftLabelDataset:
-    """Run the teacher on raw token sequences, keeping the full per-token
-    distribution (no argmax). Only linear-head teachers are supported:
+def generate_soft_labels(teacher: Model, sentences) -> np.ndarray:
+    """The teacher's full distribution (no argmax) over its
+    labels.tag_vocabulary for every token of the raw token sequences: one
+    (tokens x tags) array, sentence after sentence, from one
+    encoder.encode_blocks pass. Only linear-head teachers are supported:
     a prototype teacher would need its support set stored.
     """
     if teacher.head_kind != LINEAR:
         raise DataError("soft labels need a linear-head teacher")
-    sentences = [tuple(tokens) for tokens in sentences]
+    sentences = list(sentences)
     if not all(sentences):
         raise DataError("empty sentence")
-    probs = []
-    for lengths, reprs in encode_blocks(teacher.encoder, sentences):
-        block = linear_forward(teacher.head, reprs)
-        probs += np.split(block, np.cumsum(lengths)[:-1])
-    return SoftLabelDataset(teacher.labels.tag_vocabulary, list(zip(sentences, probs)))
+    return encode_blocks(teacher.encoder, sentences, partial(linear_forward, teacher.head))
 
 
 def self_train(
@@ -614,7 +595,7 @@ def self_train(
     student = Model(encoder, labeled.labels, LINEAR, head)
 
     token_lists = [s.tokens for s in labeled.sentences] + unlabeled
-    targets = np.concatenate([np.eye(len(tags))[labeled.tag_ids], *(p for _, p in soft.items)])
+    targets = np.concatenate([np.eye(len(tags))[labeled.tag_ids], soft])
     w_soft = config.lambda_u / len(unlabeled)
     weights = [1.0 / len(labeled)] * len(labeled) + [w_soft] * len(unlabeled)
     return _train_weighted(student, token_lists, targets, weights, config)

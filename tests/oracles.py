@@ -45,7 +45,6 @@ from fewner.training import (
     SEED_HEAD,
     SEED_SHUFFLE,
     Episode,
-    SoftLabelDataset,
     build_vocabulary,
     generate_soft_labels,
     lr_at,
@@ -446,13 +445,12 @@ def reference_predict_tags(model, sentence, protos=None):
 
 
 def reference_generate_soft_labels(teacher, sentences):
-    """Soft labels one sentence at a time."""
-    items = []
+    """Soft labels one sentence at a time, the sentences' rows stacked."""
+    rows = [np.empty((0, len(teacher.labels.tag_vocabulary)))]
     for tokens in sentences:
-        tokens = tuple(tokens)
-        seq = TokenSequence(tokens, tuple("O" for _ in tokens))
-        items.append((tokens, linear_forward(teacher.head, encode(teacher.encoder, seq))))
-    return SoftLabelDataset(teacher.labels.tag_vocabulary, items)
+        seq = TokenSequence(tuple(tokens), tuple("O" for _ in tokens))
+        rows.append(linear_forward(teacher.head, encode(teacher.encoder, seq)))
+    return np.concatenate(rows)
 
 
 def reference_support_prototypes(encoder, support, shots=None, seed=0):
@@ -640,7 +638,8 @@ def reference_self_train(labeled, unlabeled, config) -> Model:
     )
     w_soft = config.lambda_u / len(unlabeled)
     items = reference_labeled_items(labeled, 1.0 / len(labeled))
-    items += [(tokens, probs, w_soft) for tokens, probs in soft.items]
+    per_sentence = np.split(soft, np.cumsum([len(tokens) for tokens in unlabeled])[:-1])
+    items += [(tokens, probs, w_soft) for tokens, probs in zip(unlabeled, per_sentence)]
     return reference_train_weighted(items, labeled.labels, config, encoder, head)
 
 

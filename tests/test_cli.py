@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -374,7 +375,15 @@ class TestBadInputs:
         return err
 
     @pytest.mark.parametrize(
-        "config, field", [({"seed": 0, "batch_size": 0}, "batch_size"), ({"seed": "x"}, "seed")]
+        "config, field",
+        [
+            ({"seed": 0, "batch_size": 0}, "batch_size"),
+            ({"seed": "x"}, "seed"),
+            # json.dumps writes these as NaN and Infinity, which json.loads reads back
+            ({"seed": 0, "learning_rate": math.nan, "epochs": 1}, "learning_rate"),
+            ({"seed": 0, "learning_rate": math.inf, "epochs": 1}, "learning_rate"),
+            ({"seed": 0, "lambda_u": math.nan}, "lambda_u"),
+        ],
     )
     def test_invalid_config(self, workdir, capsys, config, field):
         (workdir / "bad.json").write_text(json.dumps(config), encoding="utf-8")
@@ -393,6 +402,7 @@ class TestBadInputs:
         err = self._assert_data_error(code, capsys)
         assert "bad.json" in err and field in err
         assert not (workdir / "x.json").exists()
+        assert not (workdir / "x.json.manifest.json").exists()
 
     def test_sample_zero_shots(self, workdir, capsys):
         code = main(

@@ -179,22 +179,45 @@ class TestBlocks:
         lengths = [rng.randint(1, 40) for _ in range(150)]
         lengths[70] = 1500  # longer than any block
         seqs = [[rng.choice(words) for _ in range(n)] for n in lengths]
-        blocks = list(encode_blocks(params, seqs))
-        assert [n for block, _ in blocks for n in block] == lengths
-        for i, (block, reprs) in enumerate(blocks):
-            assert reprs.shape == (sum(block), params.hidden_dim)
+        seen = []  # the rows of each block the head is called on
+
+        def head(reprs):
+            seen.append(reprs.copy())
+            return reprs[:, ::-1]
+
+        got = encode_blocks(params, seqs, head)
+        # split the sequence lengths into the runs whose rows the blocks hold
+        blocks, rest = [], list(lengths)
+        for reprs in seen:
+            block = []
+            while sum(block) < len(reprs):
+                block.append(rest.pop(0))
+            assert sum(block) == len(reprs)
+            blocks.append(block)
+        assert rest == []
+        for i, block in enumerate(blocks):
             assert sum(block) <= block_rows or len(block) == 1
             if i + 1 < len(blocks):  # the next sequence did not fit
-                assert sum(block) + blocks[i + 1][0][0] > block_rows
+                assert sum(block) + blocks[i + 1][0] > block_rows
         # one-sequence blocks repeat the per-sentence arithmetic exactly;
         # otherwise BLAS may pick another kernel for the larger product
         tol = 0.0 if block_rows == 1 else 1e-14
         expected = np.vstack([encode(params, _sentence(s)) for s in seqs])
-        assert np.allclose(np.vstack([r for _, r in blocks]), expected, rtol=0.0, atol=tol)
+        assert np.allclose(np.vstack(seen), expected, rtol=0.0, atol=tol)
+        # the head's rows come back in token order
+        assert np.array_equal(got, np.vstack(seen)[:, ::-1])
 
-    def test_no_sequences_no_blocks(self):
+    def test_no_sequences_one_empty_block(self):
         params = _random_encoder(random.Random(32))
-        assert list(encode_blocks(params, [])) == []
+        calls = []
+
+        def head(reprs):
+            calls.append(reprs.shape)
+            return np.zeros((len(reprs), 5), dtype=np.intp)
+
+        got = encode_blocks(params, [], head)
+        assert calls == [(0, params.hidden_dim)]
+        assert got.shape == (0, 5) and got.dtype == np.intp
 
 
 class TestEncodeBackward:

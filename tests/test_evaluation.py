@@ -393,8 +393,15 @@ class TestBlockInference:
         rank = {t: i for i, t in enumerate(vocab)}
         corpus = _random_corpus(rng, model.labels, 100, long_at=60)
         tokens = [s.tokens for s in corpus.sentences]
-        blocks = [len(b) for b, _ in encoder_module.encode_blocks(model.encoder, tokens)]
-        assert len(blocks) >= 3 and 1 in blocks  # the long sentence is a block alone
+        block_rows = []
+
+        def record_rows(reprs):
+            block_rows.append(len(reprs))
+            return reprs
+
+        encoder_module.encode_blocks(model.encoder, tokens, record_rows)
+        # the long sentence is a block alone
+        assert len(block_rows) >= 3 and encoder_module.BLOCK_ROWS + 100 in block_rows
         reprs = np.vstack([encode(model.encoder, s) for s in corpus.sentences])
         tied_best = 0
 
@@ -437,7 +444,7 @@ class TestBlockInference:
         model = _random_model(np.random.default_rng(42), 4, 6)
         empty = TaggedCorpus((), model.labels)
         assert predict_corpus(model, empty.sentences) == []
-        assert generate_soft_labels(model, []).items == []
+        assert generate_soft_labels(model, []).shape == (0, len(model.labels.tag_vocabulary))
         with pytest.raises(DataError, match="empty sentence"):
             generate_soft_labels(model, [("w1",), ()])
         assert evaluate_model(model, empty).counts == (0, 0, 0)
@@ -455,13 +462,11 @@ class TestBlockInference:
         sentences = [list(s.tokens) for s in corpus.sentences]
         got = generate_soft_labels(model, sentences)
         want = reference_generate_soft_labels(model, sentences)
-        assert got.tag_order == want.tag_order
-        assert [t for t, _ in got.items] == [t for t, _ in want.items]
-        for (_, p), (_, q) in zip(got.items, want.items):
-            if block_rows == 1:  # one-sentence blocks: the same arithmetic
-                assert np.array_equal(p, q)
-            else:
-                np.testing.assert_allclose(p, q, rtol=SOFT_LABEL_RTOL, atol=0.0)
+        assert got.shape == want.shape == (sum(map(len, sentences)), len(model.head.bias))
+        if block_rows == 1:  # one-sentence blocks: the same arithmetic
+            assert np.array_equal(got, want)
+        else:
+            np.testing.assert_allclose(got, want, rtol=SOFT_LABEL_RTOL, atol=0.0)
 
     @pytest.mark.parametrize("shots", [None, 12])
     @pytest.mark.parametrize("block_rows", [1, None])
