@@ -787,7 +787,7 @@ class TestConfigFile:
         ],
     )
     def test_non_finite_value_rejected(self, tmp_path, field, value):
-        # Python's JSON reader takes these literals; NaN fails no comparison
+        # Python's JSON reader takes these literals, and NaN <= 0 is false
         path = tmp_path / "config.json"
         path.write_text(f'{{"seed": 0, "{field}": {value}}}')
         with pytest.raises(DataError, match=f"config.json.*{field} must be .*finite"):
