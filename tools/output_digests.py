@@ -12,7 +12,10 @@ Prints one ``name sha256`` line per output:
   ``lc``, ``proto`` and ``lc+st`` (with an ``--unlabeled`` file), on files
   laid out like the cli_infer benchmark workload's;
 * the run manifest of each ``fewner train``, without its
-  ``duration_seconds`` and with the work directory written as ``<dir>``.
+  ``duration_seconds`` and with the work directory written as ``<dir>``;
+* the tag strings ``predict_corpus`` returns for a test corpus, from a
+  linear model (by its head and by support prototypes) and a prototype
+  model, trained on BIO and on IO corpora, on seeds 0-2.
 
 A run that raises DataError or NumericError is digested as its error text,
 so refusals are compared too. Only the standard library and numpy are used.
@@ -98,6 +101,32 @@ def scheme_digests(fewner):
                 )
                 name = f"run_scheme/{scheme}/{schema}/{variant}/seed{seed}"
                 yield name, _guarded(fewner, run)
+
+
+def prediction_digests(fewner):
+    """Predicted tag strings, one line per test sentence."""
+    from fewner.evaluation import predict_corpus
+    from fewner.synthetic import make_corpus
+
+    for seed in SEEDS:
+        train = make_corpus(40, seed * 7919 + 2)
+        test = make_corpus(100, seed * 7919 + 3)
+        # enough training that every tag of the vocabulary is predicted
+        config = fewner.TrainConfig.five_shot(seed=seed, epochs=3, learning_rate=0.05)
+        for schema in ("BIO", "IO"):
+            labeled = fewner.convert_schema(train, schema)
+            support = fewner.sample_fewshot(labeled, 5, seed)
+            for scheme in ("lc", "proto"):
+                model = fewner.run_scheme(labeled, config.with_(scheme=scheme))
+                protos = fewner.support_prototypes(model.encoder, support, shots=5, seed=seed)
+                heads = {"head": None, "protos": protos}
+                if scheme == "proto":  # a prototype model has no head to predict with
+                    del heads["head"]
+                for head, head_protos in heads.items():
+                    tags = lambda: "\n".join(
+                        " ".join(t) for t in predict_corpus(model, test.sentences, head_protos)
+                    )
+                    yield f"predict/{scheme}_{head}/{schema}/seed{seed}", _guarded(fewner, tags)
 
 
 def cli_digests(fewner, workdir: Path):
@@ -194,8 +223,9 @@ def main(argv=None) -> int:
     sys.path.insert(0, str(Path(args.src).resolve()))
     import fewner
 
-    for name, output in scheme_digests(fewner):
-        print(name, _sha(output))
+    for digests in (scheme_digests, prediction_digests):
+        for name, output in digests(fewner):
+            print(name, _sha(output))
     with tempfile.TemporaryDirectory() as tmp:
         for name, output in cli_digests(fewner, Path(tmp)):
             print(name, _sha(output))
