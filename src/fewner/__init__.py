@@ -2,13 +2,11 @@
 
 from .checkpoint import LINEAR, PROTOTYPE, Model, load, save
 from .corpus import (
-    Chunk,
     LabelSet,
     TaggedCorpus,
     TokenSequence,
     convert_schema,
     corpus_stats,
-    extract_chunks,
     parse_conll,
     sample_fewshot,
     write_conll,
@@ -21,7 +19,7 @@ from .evaluation import (
     Experiment,
     entity_f1,
     evaluate_model,
-    predict_tags,
+    predict_corpus,
     repeated_eval,
     support_prototypes,
 )

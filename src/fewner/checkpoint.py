@@ -187,7 +187,7 @@ def load(path: str | Path) -> Model:
         doc = json.loads(Path(path).read_text(encoding="utf-8"))
     except OSError as exc:
         raise DataError(f"cannot read {path}: {exc.strerror}") from exc
-    except ValueError as exc:  # not UTF-8 or not JSON
+    except (ValueError, RecursionError) as exc:  # not UTF-8, not JSON or nested too deeply
         raise DataError(f"{path}: not a checkpoint file ({exc})") from exc
     try:
         return from_document(doc)

@@ -73,11 +73,12 @@ def _read_corpus(path: str, schema: str):
 
 
 def _read_unlabeled(path: str) -> list[tuple[str, ...]]:
-    sentences = []
-    for line in _read_text(path).splitlines():
-        tokens = tuple(line.split())
-        if tokens:
-            sentences.append(tokens)
+    """The file's non-blank lines as token tuples; a file without one is a
+    DataError, so a self-training scheme never falls back to plain training."""
+    lines = _read_text(path).splitlines()
+    sentences = [tokens for line in lines if (tokens := tuple(line.split()))]
+    if not sentences:
+        raise DataError(f"{path}: no unlabeled sentences")
     return sentences
 
 

@@ -59,10 +59,6 @@ def _valid_tag(tag: str, schema: str) -> bool:
     return prefix in _PREFIXES[schema] and etype is not None
 
 
-def _vocabulary(entity_types, schema: str) -> list[str]:
-    return ["O"] + [f"{prefix}-{t}" for t in entity_types for prefix in _PREFIXES[schema]]
-
-
 def tag_codes(tags, type_index: dict[str, int]) -> tuple[np.ndarray, np.ndarray]:
     """Entity-type ids (-1 for no type) and B- flags of distinct tag strings,
     split as split_tag does. Types missing from type_index are added to it,
@@ -107,10 +103,13 @@ def chunk_columns(
 
     types holds each token's entity-type id (-1 outside entities), begins
     its B- flag under BIO (None chunks IO runs) and offsets the sentence
-    starts followed by the token count. The rules are extract_chunks': a
-    chunk opens at a typed token that starts a sentence, is a B- tag or
-    changes type (so an orphan I- tag opens one), and runs up to the next
-    token that is untyped or opens a chunk.
+    starts followed by the token count. A chunk opens at a typed token that
+    starts a sentence, has a B- flag or differs in type from the token
+    before (so an orphan I- tag opens one, as in conlleval), and runs up to
+    the next token that is untyped or opens a chunk; under IO a chunk is a
+    maximal same-type run. For tag strings (string_columns), prefixes other
+    than B- continue a run as I- does, and tags without a type ("O", "X",
+    "B-") are outside every chunk.
     """
     first = _chunk_starts(types, begins, np.asarray(offsets))
     starts = np.flatnonzero(first)
@@ -170,7 +169,8 @@ class LabelSet:
         if "O" in types:
             raise DataError('"O" is reserved and cannot be an entity type')
         object.__setattr__(self, "entity_types", types)
-        object.__setattr__(self, "tag_vocabulary", tuple(_vocabulary(types, self.schema)))
+        vocab = ("O", *(f"{prefix}-{t}" for t in types for prefix in _PREFIXES[self.schema]))
+        object.__setattr__(self, "tag_vocabulary", vocab)
 
     @cached_property
     def codes(self) -> tuple[np.ndarray, np.ndarray]:
@@ -227,19 +227,6 @@ class TaggedCorpus:
         flag (the arguments of chunk_columns)."""
         types, begins = self.labels.codes
         return types[self.tag_ids], begins[self.tag_ids] if schema == "BIO" else None
-
-
-@dataclass(frozen=True)
-class Chunk:
-    """A maximal entity span: [start, end) token indices of one type."""
-
-    entity_type: str
-    start: int
-    end: int
-
-    def __post_init__(self):
-        if not 0 <= self.start < self.end:
-            raise ValueError(f"bad chunk bounds [{self.start}, {self.end})")
 
 
 def parse_conll(text: str, schema: str = "BIO") -> TaggedCorpus:
@@ -307,27 +294,6 @@ def write_conll(corpus: TaggedCorpus) -> str:
     return "\n\n".join(blocks) + ("\n" if blocks else "")
 
 
-def extract_chunks(tags: list[str] | tuple[str, ...], schema: str) -> list[Chunk]:
-    """Extract maximal entity spans from a tag sequence.
-
-    Under BIO a chunk starts at B-X, or at an I-X whose predecessor is
-    neither B-X nor I-X of the same type (conlleval-style repair, so any
-    tag sequence is chunkable). Under IO a chunk is a maximal run of
-    same-type entity tags. Other prefixes continue a run like I- does;
-    tags without a type ("O", "X", "B-") are outside every chunk.
-    """
-    schema = _check_schema(schema)
-    type_index: dict[str, int] = {}
-    types, begins = string_columns(tags, type_index)
-    offsets = np.array([0, len(types)])
-    starts, ends, chunk_types = chunk_columns(types, begins if schema == "BIO" else None, offsets)
-    names = list(type_index)
-    return [
-        Chunk(names[t], start, end)
-        for start, end, t in zip(starts.tolist(), ends.tolist(), chunk_types.tolist())
-    ]
-
-
 def convert_schema(corpus: TaggedCorpus, target: str) -> TaggedCorpus:
     """Convert a corpus between BIO and IO tagging.
 
@@ -348,19 +314,6 @@ def convert_schema(corpus: TaggedCorpus, target: str) -> TaggedCorpus:
         for s, a, b in zip(corpus.sentences, bounds, bounds[1:])
     )
     return TaggedCorpus(converted, labels)
-
-
-def convert_tags(tags: list[str] | tuple[str, ...], source: str, target: str) -> list[str]:
-    """Convert one tag sequence between schemas (see convert_schema). Only
-    each tag's type is read, so a tag without one becomes "O"."""
-    source, target = _check_schema(source), _check_schema(target)
-    if source == target:
-        return list(tags)
-    type_index: dict[str, int] = {}
-    types, _ = string_columns(tags, type_index)
-    ids = _convert_types(types, np.array([0, len(types)]), target)
-    vocab = _vocabulary(type_index, target)
-    return [vocab[i] for i in ids.tolist()]
 
 
 def top_up(

@@ -22,7 +22,6 @@ import numpy as np
 from .checkpoint import LINEAR, PROTOTYPE, Model
 from .corpus import (
     TaggedCorpus,
-    TokenSequence,
     _check_schema,
     chunk_columns,
     sample_fewshot,
@@ -180,13 +179,6 @@ def predict_corpus(
     names, ids = _predict_ids(model, token_lists, protos)
     tags = [names[i] for i in ids.tolist()]
     return [tags[a:b] for a, b in pairwise([0, *accumulate(map(len, token_lists))])]
-
-
-def predict_tags(
-    model: Model, sentence: TokenSequence, protos: PrototypeSet | None = None
-) -> list[str]:
-    """Tags for one sentence (see predict_corpus)."""
-    return predict_corpus(model, [sentence], protos)[0]
 
 
 def support_prototypes(

@@ -143,11 +143,6 @@ def _noisy(label: str, types, rng: random.Random, noise: float) -> str:
     return label
 
 
-def strip_tags(corpus: TaggedCorpus) -> list[tuple[str, ...]]:
-    """Token sequences only, for use as an unlabeled pool."""
-    return [s.tokens for s in corpus.sentences]
-
-
 @dataclass
 class TransferBenchmark:
     """Fine-grained source plus coarse target splits and an unlabeled pool."""

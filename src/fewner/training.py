@@ -135,7 +135,7 @@ def load_config(path: str | Path) -> TrainConfig:
         raw = tomllib.loads(text) if path.suffix == ".toml" else json.loads(text)
     except OSError as exc:
         raise DataError(f"cannot read {path}: {exc.strerror}") from exc
-    except ValueError as exc:  # not UTF-8, JSON or TOML
+    except (ValueError, RecursionError) as exc:  # not UTF-8, JSON or TOML, or nested too deeply
         raise DataError(f"{path}: invalid config ({exc})") from exc
     if not isinstance(raw, dict):
         raise DataError(f"{path}: a config must be an object of fields")
@@ -523,15 +523,6 @@ def _trainer(stage: str):
     return train_prototype if stage.endswith("train_prototype") else train_linear
 
 
-def _pretrain(
-    source: TaggedCorpus, config: TrainConfig, source_config: TrainConfig | None
-) -> EncoderParams:
-    """Stage 1 of a transfer: train on the source corpus with its own tag
-    vocabulary (and source_config, if given) and hand on the encoder."""
-    stage1_config = source_config if source_config is not None else config
-    return _trainer(SCHEMES[config.scheme][0])(source, stage1_config).encoder
-
-
 def pretrain_transfer(
     source: TaggedCorpus,
     target: TaggedCorpus,
@@ -634,7 +625,9 @@ def run_scheme(
             raise DataError(
                 f"scheme {scheme!r}: {stage} has nothing to train with freeze_encoder set"
             )
-    init = _pretrain(source, config, source_config) if stages[0].startswith("pretrain:") else None
+    init = None
+    if stages[0].startswith("pretrain:"):  # train on the source's own tags, keep the encoder
+        init = _trainer(stages[0])(source, stage1_config).encoder
     if "soft_labels" in stages:
         return self_train(labeled, unlabeled, config, init=init)
     return _trainer(stages[-1])(labeled, config, init=init)

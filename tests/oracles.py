@@ -14,11 +14,12 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from fewner.checkpoint import LINEAR, Model
-from fewner.corpus import Chunk, TaggedCorpus, TokenSequence, split_tag
+from fewner.corpus import TaggedCorpus, TokenSequence, split_tag
 from fewner.encoder import (
     EncoderGrads,
     encode,
@@ -55,6 +56,14 @@ from fewner.training import (
 )
 
 
+class Span(NamedTuple):
+    """A maximal entity span: [start, end) token indices of one type."""
+
+    entity_type: str
+    start: int
+    end: int
+
+
 def tag_type(tag: str) -> str | None:
     """Entity type after the first hyphen; None for "O", for tags without a
     hyphen and for an empty type ("B-")."""
@@ -63,7 +72,7 @@ def tag_type(tag: str) -> str | None:
     return (tag.split("-", 1)[1] or None) if "-" in tag else None
 
 
-def oracle_chunks(tags, schema: str) -> list[tuple[str, int, int]]:
+def oracle_chunks(tags, schema: str) -> list[Span]:
     """Span-scanning chunker: walk forward, consuming one maximal span at a time."""
     out = []
     i, n = 0, len(tags)
@@ -77,13 +86,33 @@ def oracle_chunks(tags, schema: str) -> list[tuple[str, int, int]]:
             if schema == "BIO" and tags[j].startswith("B-"):
                 break
             j += 1
-        out.append((t, i, j))
+        out.append(Span(t, i, j))
         i = j
     return out
 
 
+def oracle_convert(tags, source: str, target: str) -> list[str]:
+    """Tags rewritten from the source to the target schema, one tag at a
+    time from the schema rules: under IO every entity token is I-X; under
+    BIO an entity token is B-X unless the token before has its type, then
+    I-X. A tag without a type becomes "O"; equal schemas change nothing."""
+    if source == target:
+        return list(tags)
+    out, before = [], None
+    for tag in tags:
+        t = tag_type(tag)
+        if t is None:
+            out.append("O")
+        elif target == "BIO" and t != before:
+            out.append(f"B-{t}")
+        else:
+            out.append(f"I-{t}")
+        before = t
+    return out
+
+
 def oracle_f1(gold_tagseqs, pred_tagseqs, schema: str):
-    """Chunk-set intersection scoring over a whole corpus."""
+    """Scoring by intersecting the sets of oracle chunks, over a whole corpus."""
     gold_total = pred_total = correct = 0
     for gold, pred in zip(gold_tagseqs, pred_tagseqs):
         g = set(oracle_chunks(gold, schema))
@@ -109,16 +138,16 @@ def oracle_type_counts(gold_tagseqs, pred_tagseqs, schema: str) -> dict[str, tup
     return {t: tuple(c) for t, c in counts.items()}
 
 
-def _reference_extract_chunks(tags, schema: str) -> list[Chunk]:
+def _reference_chunks(tags, schema: str) -> list[Span]:
     """Event-based chunking of one tag sequence, one tag at a time."""
-    chunks: list[Chunk] = []
+    chunks: list[Span] = []
     start = -1
     cur_type = None
 
     def close(end: int):
         nonlocal start, cur_type
         if cur_type is not None:
-            chunks.append(Chunk(cur_type, start, end))
+            chunks.append(Span(cur_type, start, end))
         start, cur_type = -1, None
 
     for i, tag in enumerate(tags):
@@ -142,7 +171,7 @@ def _reference_prf(correct: int, predicted: int, gold: int) -> tuple[float, floa
 
 
 def reference_entity_f1(gold: TaggedCorpus, predicted, schema: str) -> EvalReport:
-    """Entity F1 as first written: per-sentence sets of Chunk objects from
+    """Entity F1 as first written: per-sentence sets of Span tuples from
     tag strings, intersected sentence by sentence, counted in dicts."""
     schema = schema.upper()
     if len(predicted) != len(gold.sentences):
@@ -153,8 +182,8 @@ def reference_entity_f1(gold: TaggedCorpus, predicted, schema: str) -> EvalRepor
     for i, (sent, tags) in enumerate(zip(gold.sentences, predicted)):
         if len(tags) != len(sent):
             raise DataError(f"sentence {i}: {len(tags)} predicted tags for {len(sent)} tokens")
-        gold_chunks = set(_reference_extract_chunks(sent.tags, schema))
-        pred_chunks = set(_reference_extract_chunks(tags, schema))
+        gold_chunks = set(_reference_chunks(sent.tags, schema))
+        pred_chunks = set(_reference_chunks(tags, schema))
         for c in gold_chunks:
             gold_n[c.entity_type] = gold_n.get(c.entity_type, 0) + 1
         for c in pred_chunks:
@@ -433,7 +462,7 @@ def _reference_ranked_argmax(scores, labels, label_order):
     return [labels[ranked[b]] for b in best]
 
 
-def reference_predict_tags(model, sentence, protos=None):
+def reference_sentence_tags(model, sentence, protos=None):
     """Tag prediction one sentence at a time: one encode and one head call
     per sentence, exact ties to the label earliest in the tag vocabulary."""
     reprs = encode(model.encoder, sentence)

@@ -11,7 +11,7 @@ import fewner
 
 from fewner.cli import main
 from fewner.corpus import parse_conll, sample_fewshot, write_conll
-from fewner.synthetic import make_corpus, strip_tags, transfer_benchmark
+from fewner.synthetic import make_corpus
 
 # the manifest's stage strings per scheme, part of the CLI's output format
 MANIFEST_STAGES = {
@@ -176,25 +176,34 @@ class TestTrainEval:
         manifest_b.pop("duration_seconds")
         assert manifest_a == manifest_b
 
-    def test_st_with_empty_unlabeled_equals_lc(self, workdir, capsys):
-        (workdir / "unlabeled.txt").write_text("", encoding="utf-8")
-        _, lc = self._train(workdir, "lc")
-        code, st = self._train(
-            workdir, "lc+st", extra=["--unlabeled", str(workdir / "unlabeled.txt")]
-        )
-        assert code == 0
-        main(["eval", str(lc), str(workdir / "test.conll")])
-        lc_report = capsys.readouterr().out
-        main(["eval", str(st), str(workdir / "test.conll")])
-        st_report = capsys.readouterr().out
-        assert lc_report == st_report
+    @pytest.mark.parametrize("scheme", ["lc+st", "lc+nsp+st"])
+    @pytest.mark.parametrize("text", ["", "\n \n\t\n"], ids=["empty", "blank_lines"])
+    def test_st_with_empty_unlabeled_is_data_error(
+        self, workdir, capsys, monkeypatch, scheme, text
+    ):
+        # an empty pool would make the run plain supervised training under a
+        # manifest that lists soft-labelling stages
+        flags = self._scheme_flags(workdir)
+        unlabeled = workdir / "unlabeled.txt"
+        unlabeled.write_text(text, encoding="utf-8")
+        out = workdir / "old.json"
+        out.write_text("old checkpoint", encoding="utf-8")
+        before = sorted(workdir.iterdir())
+        trained = lambda *args, **kwargs: pytest.fail("trained without unlabeled sentences")
+        monkeypatch.setattr(fewner.cli, "run_scheme", trained)
+        train = ["--config", str(workdir / "config.json"), "--train", str(workdir / "train.conll")]
+        argv = ["train", scheme, *train, *flags["source"], *flags["unlabeled"], "--out", str(out)]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == f"fewner: {unlabeled}: no unlabeled sentences\n"
+        assert out.read_text(encoding="utf-8") == "old checkpoint"
+        assert sorted(workdir.iterdir()) == before
 
     def _scheme_flags(self, workdir):
         source = make_corpus(40, seed=33, fine=True)
         (workdir / "source.conll").write_text(write_conll(source), encoding="utf-8")
-        unlabeled = strip_tags(make_corpus(30, seed=34))
+        unlabeled = make_corpus(30, seed=34).sentences
         (workdir / "unlabeled.txt").write_text(
-            "\n".join(" ".join(t) for t in unlabeled), encoding="utf-8"
+            "\n".join(" ".join(s.tokens) for s in unlabeled), encoding="utf-8"
         )
         return {
             "source": ["--source", str(workdir / "source.conll")],
@@ -522,6 +531,52 @@ class TestBadCheckpoints:
         missing = workdir / "nope.json"
         assert main(["eval", str(missing), str(workdir / "test.conll")]) == 2
         assert str(missing) in capsys.readouterr().err
+
+
+class TestDeepNesting:
+    """A checkpoint or config nested deeper than the JSON and TOML parsers
+    recurse (a 4 KB file) ends as a one-line data error naming the file."""
+
+    DEPTH = 2000
+    CONFIGS = {
+        "deep.json": '{"seed": ' + "[" * DEPTH + "]" * DEPTH + "}",
+        "deep.toml": "seed = " + "[" * DEPTH + "]" * DEPTH,
+        "deep_table.toml": "seed = " + "{a = " * DEPTH + "1" + "}" * DEPTH,
+    }
+
+    def _run(self, capsys, argv, path):
+        code = main(argv)
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith(f"fewner: {path}: ") and err.count("\n") == 1
+        return err
+
+    @pytest.mark.parametrize("command", ["eval", "protoinfer"])
+    def test_checkpoint(self, workdir, capsys, command):
+        path = workdir / "deep.json"
+        path.write_text('{"vocab": ' + "[" * self.DEPTH + "]" * self.DEPTH + "}")
+        test = str(workdir / "test.conll")
+        argv = {
+            "eval": ["eval", str(path), test],
+            "protoinfer": ["protoinfer", str(path), "--support", test, "--test", test],
+        }[command]
+        if command == "protoinfer":
+            argv += ["--shots", "1"]
+        assert "not a checkpoint file" in self._run(capsys, argv, path)
+
+    @pytest.mark.parametrize("name", list(CONFIGS))
+    @pytest.mark.parametrize("flag", ["--config", "--source-config"])
+    def test_train_config(self, workdir, capsys, name, flag):
+        path = workdir / name
+        path.write_text(self.CONFIGS[name], encoding="utf-8")
+        out = workdir / "x.json"
+        config = str(workdir / "config.json")
+        configs = {"--config": config, "--source-config": config, flag: str(path)}
+        argv = ["train", "lc+nsp", "--train", str(workdir / "train.conll")]
+        argv += ["--source", str(workdir / "train.conll"), "--out", str(out)]
+        argv += [item for pair in configs.items() for item in pair]
+        assert "invalid config" in self._run(capsys, argv, path)
+        assert not out.exists() and not Path(f"{out}.manifest.json").exists()
 
 
 class TestFileErrors:

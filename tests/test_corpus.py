@@ -1,26 +1,26 @@
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fewner.corpus import (
     DOCSTART,
-    Chunk,
     LabelSet,
     TaggedCorpus,
     TokenSequence,
+    chunk_columns,
     convert_schema,
-    convert_tags,
     corpus_stats,
-    extract_chunks,
     parse_conll,
     sample_fewshot,
+    string_columns,
     write_conll,
 )
 from fewner.errors import DataError
 
-from oracles import oracle_chunks, random_tagseq
+from oracles import Span, oracle_chunks, oracle_convert, random_tagseq
 
 
 FIXTURE = "EU B-ORG\nrejects O\n\n"
@@ -126,26 +126,50 @@ class TestRoundTripProperty:
         assert parse_conll(write_conll(corpus), corpus.labels.schema) == corpus
 
 
+def _chunks(tags, schema, offsets=None):
+    """chunk_columns over the string_columns of a flat tag sequence (one
+    sentence unless offsets say otherwise), as Span tuples in token order."""
+    type_index: dict[str, int] = {}
+    types, begins = string_columns(list(tags), type_index)
+    offsets = np.array([0, len(tags)] if offsets is None else offsets)
+    starts, ends, chunk_types = chunk_columns(types, begins if schema == "BIO" else None, offsets)
+    names = list(type_index)
+    return [
+        Span(names[t], start, end)
+        for start, end, t in zip(starts.tolist(), ends.tolist(), chunk_types.tolist())
+    ]
+
+
+def _converted(tags, source, target):
+    """The tags of a one-sentence corpus after convert_schema."""
+    types = sorted({t.split("-", 1)[1] for t in tags if t != "O"})
+    sentence = TokenSequence(tuple(f"t{i}" for i in range(len(tags))), tuple(tags))
+    corpus = TaggedCorpus((sentence,), LabelSet(tuple(types), source))
+    return list(convert_schema(corpus, target).sentences[0].tags)
+
+
+def _same_type_adjacency(chunks):
+    pairs = zip(chunks, chunks[1:])
+    return any(a.end == b.start and a.entity_type == b.entity_type for a, b in pairs)
+
+
 class TestExtractChunks:
     def test_hand_enumeration(self):
-        chunks = extract_chunks(["B-PER", "I-PER", "O", "B-LOC"], "BIO")
-        assert chunks == [Chunk("PER", 0, 2), Chunk("LOC", 3, 4)]
+        chunks = _chunks(["B-PER", "I-PER", "O", "B-LOC"], "BIO")
+        assert chunks == [Span("PER", 0, 2), Span("LOC", 3, 4)]
 
     def test_all_outside(self):
-        assert extract_chunks(["O", "O", "O"], "BIO") == []
+        assert _chunks(["O", "O", "O"], "BIO") == []
 
     def test_orphan_i_repair(self):
-        assert extract_chunks(["O", "I-PER", "I-PER"], "BIO") == [Chunk("PER", 1, 3)]
+        assert _chunks(["O", "I-PER", "I-PER"], "BIO") == [Span("PER", 1, 3)]
 
     def test_adjacent_b_tags_are_two_chunks(self):
-        assert extract_chunks(["B-PER", "B-PER"], "BIO") == [
-            Chunk("PER", 0, 1),
-            Chunk("PER", 1, 2),
-        ]
+        assert _chunks(["B-PER", "B-PER"], "BIO") == [Span("PER", 0, 1), Span("PER", 1, 2)]
 
     def test_io_maximal_runs(self):
-        chunks = extract_chunks(["I-LOC", "I-LOC", "O", "I-LOC", "I-PER"], "IO")
-        assert chunks == [Chunk("LOC", 0, 2), Chunk("LOC", 3, 4), Chunk("PER", 4, 5)]
+        chunks = _chunks(["I-LOC", "I-LOC", "O", "I-LOC", "I-PER"], "IO")
+        assert chunks == [Span("LOC", 0, 2), Span("LOC", 3, 4), Span("PER", 4, 5)]
 
     def test_matches_oracle_on_random_sequences(self):
         rng = random.Random(7)
@@ -153,27 +177,26 @@ class TestExtractChunks:
         for schema in ("BIO", "IO"):
             for _ in range(500):
                 tags = random_tagseq(rng, rng.randint(1, 30), types, schema)
-                got = [(c.entity_type, c.start, c.end) for c in extract_chunks(tags, schema)]
-                assert got == oracle_chunks(tags, schema)
+                assert _chunks(tags, schema) == oracle_chunks(tags, schema)
 
     def test_chunks_disjoint_and_ordered(self):
         rng = random.Random(8)
         for _ in range(300):
             tags = random_tagseq(rng, rng.randint(1, 30), ["A", "B"], "BIO")
-            chunks = extract_chunks(tags, "BIO")
+            chunks = _chunks(tags, "BIO")
             for a, b in zip(chunks, chunks[1:]):
                 assert a.end <= b.start
 
 
 class TestConvertSchema:
     def test_bio_to_io_by_hand(self):
-        assert convert_tags(["B-PER", "I-PER", "O"], "BIO", "IO") == ["I-PER", "I-PER", "O"]
+        assert _converted(["B-PER", "I-PER", "O"], "BIO", "IO") == ["I-PER", "I-PER", "O"]
 
     def test_no_entities(self):
-        assert convert_tags(["O", "O"], "BIO", "IO") == ["O", "O"]
+        assert _converted(["O", "O"], "BIO", "IO") == ["O", "O"]
 
     def test_io_to_bio_maximal_run_rule(self):
-        assert convert_tags(["I-LOC", "I-LOC", "O", "I-LOC"], "IO", "BIO") == [
+        assert _converted(["I-LOC", "I-LOC", "O", "I-LOC"], "IO", "BIO") == [
             "B-LOC",
             "I-LOC",
             "O",
@@ -193,14 +216,10 @@ class TestConvertSchema:
         checked = 0
         for _ in range(400):
             tags = random_tagseq(rng, rng.randint(1, 25), types, "BIO")
-            chunks = extract_chunks(tags, "BIO")
-            adjacent = any(
-                a.end == b.start and a.entity_type == b.entity_type
-                for a, b in zip(chunks, chunks[1:])
-            )
-            io_tags = convert_tags(tags, "BIO", "IO")
-            if not adjacent:
-                assert extract_chunks(io_tags, "IO") == chunks
+            chunks = _chunks(tags, "BIO")
+            io_tags = _converted(tags, "BIO", "IO")
+            if not _same_type_adjacency(chunks):
+                assert _chunks(io_tags, "IO") == chunks
                 checked += 1
         assert checked > 100
 
@@ -208,8 +227,8 @@ class TestConvertSchema:
         rng = random.Random(10)
         for _ in range(400):
             tags = random_tagseq(rng, rng.randint(1, 25), ["A", "B", "C"], "IO")
-            bio = convert_tags(tags, "IO", "BIO")
-            assert extract_chunks(bio, "BIO") == extract_chunks(tags, "IO")
+            bio = _converted(tags, "IO", "BIO")
+            assert _chunks(bio, "BIO") == _chunks(tags, "IO")
 
 
 # tag strings as predictions can carry them: well-formed tags, hyphenated
@@ -221,38 +240,53 @@ _any_tag = st.one_of(
     st.builds("{}-{}".format, st.sampled_from(["B", "I"]), st.sampled_from(_TYPES)),
     st.text(alphabet="BIOEXY-", max_size=4),
 )
-_bio_tags = st.lists(st.sampled_from(["O"] + [f"{p}-{t}" for t in _TYPES for p in "BI"]), max_size=30)
-_io_tags = st.lists(st.sampled_from(["O"] + [f"I-{t}" for t in _TYPES]), max_size=30)
-
-
-def _triples(chunks):
-    return [(c.entity_type, c.start, c.end) for c in chunks]
 
 
 class TestChunkProperties:
     @settings(max_examples=200, deadline=None)
-    @given(st.lists(_any_tag, max_size=30), st.sampled_from(["BIO", "IO"]))
-    def test_extract_chunks_matches_oracle_on_any_tags(self, tags, schema):
-        assert _triples(extract_chunks(tags, schema)) == oracle_chunks(tags, schema)
+    @given(
+        st.lists(st.lists(_any_tag, min_size=1, max_size=12), max_size=4),
+        st.sampled_from(["BIO", "IO"]),
+    )
+    def test_chunk_columns_matches_oracle_on_any_tags(self, sentences, schema):
+        # the sentences as one flat column: no chunk crosses a sentence start
+        offsets = np.cumsum([0, *map(len, sentences)]).tolist()
+        expected = [
+            Span(t, start + a, end + a)
+            for tags, a in zip(sentences, offsets)
+            for t, start, end in oracle_chunks(tags, schema)
+        ]
+        flat = [tag for tags in sentences for tag in tags]
+        assert _chunks(flat, schema, offsets) == expected
 
     @settings(max_examples=100, deadline=None)
-    @given(_io_tags)
-    def test_io_bio_io_is_identity(self, tags):
-        assert convert_tags(convert_tags(tags, "IO", "BIO"), "BIO", "IO") == tags
+    @given(_corpora())
+    def test_convert_schema_matches_oracle(self, corpus):
+        for target in ("BIO", "IO"):
+            converted = convert_schema(corpus, target)
+            assert converted.labels.entity_types == corpus.labels.entity_types
+            for sent, conv in zip(corpus.sentences, converted.sentences, strict=True):
+                assert conv.tokens == sent.tokens
+                assert list(conv.tags) == oracle_convert(sent.tags, corpus.labels.schema, target)
 
     @settings(max_examples=100, deadline=None)
-    @given(_bio_tags)
-    def test_bio_to_io_keeps_chunks_without_same_type_adjacency(self, tags):
-        chunks = extract_chunks(tags, "BIO")
-        adjacent = any(
-            a.end == b.start and a.entity_type == b.entity_type
-            for a, b in zip(chunks, chunks[1:])
-        )
-        merged = extract_chunks(convert_tags(tags, "BIO", "IO"), "IO")
-        if adjacent:
-            assert len(merged) < len(chunks)
-        else:
-            assert merged == chunks
+    @given(_corpora())
+    def test_io_bio_io_is_identity(self, corpus):
+        io = convert_schema(corpus, "IO")
+        assert convert_schema(convert_schema(io, "BIO"), "IO") == io
+
+    @settings(max_examples=100, deadline=None)
+    @given(_corpora())
+    def test_bio_to_io_keeps_chunks_without_same_type_adjacency(self, corpus):
+        bio = convert_schema(corpus, "BIO")
+        io = convert_schema(bio, "IO")
+        for sent, io_sent in zip(bio.sentences, io.sentences, strict=True):
+            chunks = oracle_chunks(sent.tags, "BIO")
+            merged = oracle_chunks(io_sent.tags, "IO")
+            if _same_type_adjacency(chunks):
+                assert len(merged) < len(chunks)
+            else:
+                assert merged == chunks
 
     @settings(max_examples=50, deadline=None)
     @given(_corpora(), st.sampled_from(["BIO", "IO"]))

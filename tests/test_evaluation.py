@@ -11,8 +11,6 @@ from fewner.corpus import (
     TaggedCorpus,
     TokenSequence,
     convert_schema,
-    convert_tags,
-    extract_chunks,
     parse_conll,
     sample_fewshot,
 )
@@ -22,7 +20,7 @@ from fewner.evaluation import (
     Experiment,
     entity_f1,
     evaluate_model,
-    predict_tags,
+    predict_corpus,
     repeated_eval,
     run_experiment,
     support_prototypes,
@@ -30,20 +28,21 @@ from fewner.evaluation import (
 from fewner import encoder as encoder_module
 from fewner.checkpoint import LINEAR, Model
 from fewner.encoder import encode, init_encoder
-from fewner.evaluation import predict_corpus
 from fewner.heads import PrototypeSet, init_linear_head, linear_forward, multi_proto_score
 from fewner.synthetic import transfer_benchmark
 from fewner.training import TrainConfig, generate_soft_labels, train_linear, train_prototype
 
 from builders import word_identity_corpus
 from oracles import (
+    oracle_chunks,
+    oracle_convert,
     oracle_f1,
     oracle_type_counts,
     reference_entity_f1,
     random_tagseq,
     reference_generate_soft_labels,
     reference_multi_proto_scores,
-    reference_predict_tags,
+    reference_sentence_tags,
     reference_support_prototypes,
 )
 
@@ -134,8 +133,8 @@ class TestEntityF1:
             gold_tags = [random_tagseq(rng, t, types, "BIO") for t in lengths]
             pred_tags = [random_tagseq(rng, t, types, "BIO") for t in lengths]
             bio = entity_f1(_corpus_from_tags(gold_tags, types), pred_tags, "BIO")
-            io_gold = [convert_tags(t, "BIO", "IO") for t in gold_tags]
-            io_pred = [convert_tags(t, "BIO", "IO") for t in pred_tags]
+            io_gold = [oracle_convert(t, "BIO", "IO") for t in gold_tags]
+            io_pred = [oracle_convert(t, "BIO", "IO") for t in pred_tags]
             io = entity_f1(
                 _corpus_from_tags(io_gold, types, "IO"), io_pred, "IO"
             )
@@ -144,7 +143,7 @@ class TestEntityF1:
 
             def adjacency(seqs):
                 for tags in seqs:
-                    chunks = extract_chunks(tags, "BIO")
+                    chunks = oracle_chunks(tags, "BIO")
                     for a, b in zip(chunks, chunks[1:]):
                         if a.end == b.start and a.entity_type == b.entity_type:
                             return True
@@ -210,7 +209,7 @@ def _reports_match_reference(model, test, schema, protos=None, native=None):
     each equal to the first string-based scorer's report."""
     preds = predict_corpus(model, test.sentences, protos)
     native = native or model.labels.schema
-    converted = [convert_tags(p, native, schema) for p in preds]
+    converted = [oracle_convert(p, native, schema) for p in preds]
     gold = convert_schema(test, schema)
     expected = reference_entity_f1(gold, converted, schema).to_dict()
     assert evaluate_model(model, test, schema, protos, native).to_dict() == expected
@@ -246,7 +245,7 @@ class TestPredictTags:
         model.head.bias[:] = 0.0
         model.head.bias[0] = 100.0  # index 0 is "O"
         for sent in corpus.sentences[:3]:
-            assert predict_tags(model, sent) == ["O"] * len(sent)
+            assert predict_corpus(model, [sent])[0] == ["O"] * len(sent)
 
     def test_zero_distance_wins(self):
         corpus = word_identity_corpus(10, seed=2)
@@ -260,7 +259,7 @@ class TestPredictTags:
         protos = PrototypeSet(
             [("B-LOC", reprs[0][None, :].copy()), ("B-ORG", reprs[0][None, :] + 5.0)]
         )
-        assert predict_tags(model, sent, protos=protos)[0] == "B-LOC"
+        assert predict_corpus(model, [sent], protos)[0][0] == "B-LOC"
 
     def test_entry_order_irrelevant(self):
         corpus = word_identity_corpus(10, seed=3)
@@ -270,9 +269,8 @@ class TestPredictTags:
         forward = PrototypeSet(list(cents.items()))
         backward = PrototypeSet(list(cents.items())[::-1])
         for sent in corpus.sentences[:5]:
-            assert predict_tags(model, sent, protos=forward) == predict_tags(
-                model, sent, protos=backward
-            )
+            tags = predict_corpus(model, [sent], forward)
+            assert tags == predict_corpus(model, [sent], backward)
 
     def test_tie_breaks_to_lowest_vocab_index(self):
         corpus = word_identity_corpus(5, seed=5)
@@ -280,7 +278,7 @@ class TestPredictTags:
         model.head.weights[:] = 0.0
         model.head.bias[:] = 0.0  # uniform distribution: every tag tied
         sent = corpus.sentences[0]
-        assert predict_tags(model, sent) == ["O"] * len(sent)
+        assert predict_corpus(model, [sent])[0] == ["O"] * len(sent)
 
     def test_matches_per_token_reference(self):
         # reference: every token scored alone, then the highest score with
@@ -314,7 +312,7 @@ class TestPredictTags:
             cents[b] = cents[a].copy()  # a and b tie on every token
             protos = PrototypeSet([(t, cents[t]) for t in labels])
             expected = [reference(multi_proto_score(protos, z), labels) for z in reprs]
-            assert predict_tags(model, sent, protos=protos) == expected
+            assert predict_corpus(model, [sent], protos)[0] == expected
 
         head = model.head
         for _ in range(100):  # linear head with two identical tag rows
@@ -327,7 +325,7 @@ class TestPredictTags:
             head.weights[j], head.bias[j] = head.weights[i], head.bias[i]
             reprs = encode(model.encoder, sent)
             expected = [reference(linear_forward(head, z), vocab) for z in reprs]
-            assert predict_tags(model, sent) == expected
+            assert predict_corpus(model, [sent])[0] == expected
         assert tied_best > 100
 
     def test_prototype_model_needs_support(self):
@@ -418,7 +416,7 @@ class TestBlockInference:
             # rows need not (small products may sum columns differently)
             head.weights[[i, j]] = 0.0
             head.bias[j] = head.bias[i] = 50.0 if trial % 2 else 0.0
-            expected = [reference_predict_tags(model, s) for s in corpus.sentences]
+            expected = [reference_sentence_tags(model, s) for s in corpus.sentences]
             assert predict_corpus(model, corpus.sentences) == expected
             count_tied_best(linear_forward(head, reprs))
 
@@ -432,7 +430,7 @@ class TestBlockInference:
                 cents[a][0] = reprs[0]
             cents[b] = cents[a].copy()  # a and b tie on every token
             protos = PrototypeSet([(t, cents[t]) for t in labels])
-            expected = [reference_predict_tags(model, s, protos) for s in corpus.sentences]
+            expected = [reference_sentence_tags(model, s, protos) for s in corpus.sentences]
             assert predict_corpus(model, corpus.sentences, protos) == expected
             count_tied_best(reference_multi_proto_scores(protos, reprs))
             # labels outside the vocabulary rank after it, in entry order
@@ -488,12 +486,12 @@ class TestBlockInference:
             else:
                 np.testing.assert_allclose(c, d, rtol=0.0, atol=1e-14)
 
-    def test_predict_tags_is_a_one_sentence_corpus(self):
+    def test_one_sentence_corpus_matches_reference(self):
         rng = random.Random(48)
         model = _random_model(np.random.default_rng(49), 32, 64)
         corpus = _random_corpus(rng, model.labels, 20)
         for sent in corpus.sentences:
-            assert predict_tags(model, sent) == reference_predict_tags(model, sent)
+            assert predict_corpus(model, [sent]) == [reference_sentence_tags(model, sent)]
 
 
 class TestEvaluateModel:

@@ -1,6 +1,5 @@
 import pytest
 
-from fewner.corpus import extract_chunks
 from fewner.synthetic import (
     COARSE_TYPES,
     ENTITY_WORDS,
@@ -9,9 +8,10 @@ from fewner.synthetic import (
     base_type,
     make_corpus,
     shifted,
-    strip_tags,
     transfer_benchmark,
 )
+
+from oracles import oracle_chunks
 
 
 class TestVocabulary:
@@ -49,13 +49,13 @@ class TestLabelingRule:
     def test_pairs_are_single_chunks_of_one_type(self):
         corpus = make_corpus(300, seed=3)
         for sent in corpus.sentences:
-            for chunk in extract_chunks(sent.tags, "BIO"):
+            for chunk in oracle_chunks(sent.tags, "BIO"):
                 assert 1 <= chunk.end - chunk.start <= 2
 
     def test_chunks_never_adjacent(self):
         corpus = make_corpus(300, seed=4)
         for sent in corpus.sentences:
-            chunks = extract_chunks(sent.tags, "BIO")
+            chunks = oracle_chunks(sent.tags, "BIO")
             for a, b in zip(chunks, chunks[1:]):
                 assert a.end < b.start
 
@@ -83,9 +83,5 @@ class TestBenchmark:
     @pytest.mark.parametrize("seed", range(5))
     def test_unlabeled_pool_is_a_stripped_corpus(self, seed):
         bench = transfer_benchmark(seed)
-        assert bench.unlabeled == strip_tags(make_corpus(300, seed * 7919 + 4))
-
-    def test_strip_tags(self):
-        corpus = make_corpus(10, seed=7)
-        stripped = strip_tags(corpus)
-        assert [len(t) for t in stripped] == [len(s) for s in corpus.sentences]
+        corpus = make_corpus(300, seed * 7919 + 4)
+        assert bench.unlabeled == [s.tokens for s in corpus.sentences]

@@ -375,14 +375,21 @@ class TestTrainingArena:
     @pytest.mark.parametrize("scheme", ["lc+nsp", "proto+nsp"])
     def test_pretrain_transfer_leaves_stage1_encoder_unchanged(self, monkeypatch, scheme):
         stage1 = []
-        real = training._pretrain
+        real = training._trainer
 
-        def recorded(*args):
-            encoder = real(*args)
-            stage1.append((encoder, encoder.copy()))
-            return encoder
+        def recorded(stage):
+            train = real(stage)
+            if not stage.startswith("pretrain:"):
+                return train
 
-        monkeypatch.setattr(training, "_pretrain", recorded)
+            def train_source(*args, **kwargs):
+                model = train(*args, **kwargs)
+                stage1.append((model.encoder, model.encoder.copy()))
+                return model
+
+            return train_source
+
+        monkeypatch.setattr(training, "_trainer", recorded)
         source = _make_corpus(20, seed=15, types=("FINEA", "FINEB"))
         target = _make_corpus(12, seed=16)
         model = pretrain_transfer(source, target, _tiny_config(scheme=scheme, epochs=2))
