@@ -15,7 +15,11 @@ Prints one ``name sha256`` line per output:
   ``duration_seconds`` and with the work directory written as ``<dir>``;
 * the tag strings ``predict_corpus`` returns for a test corpus, from a
   linear model (by its head and by support prototypes) and a prototype
-  model, trained on BIO and on IO corpora, on seeds 0-2.
+  model, trained on BIO and on IO corpora, on seeds 0-2;
+* the exit code, stdout and stderr of ``fewner stats`` on small CoNLL files
+  (``PARSE_INPUTS``): malformed ones, whose one error line names the bad
+  line, and valid ones with unusual layout (``-DOCSTART-`` lines, CR and
+  CRLF line ends, tabs, leading and trailing blank runs).
 
 A run that raises DataError or NumericError is digested as its error text,
 so refusals are compared too. Only the standard library and numpy are used.
@@ -48,6 +52,29 @@ REPO = Path(__file__).resolve().parents[1]
 SEEDS = (0, 1, 2)
 SCHEMES = ("lc", "proto", "lc+nsp", "proto+nsp", "lc+st", "lc+nsp+st")
 FROZEN_SCHEMES = ("lc", "lc+st")
+
+# name -> (CoNLL text, schema) for the parse digests
+PARSE_INPUTS = {
+    "one_column": ("EU B-ORG\njusttoken\n", "bio"),
+    "one_column_first": ("x\n\na O\n", "bio"),
+    "bad_prefix_bio": ("EU S-ORG\n", "bio"),
+    "bad_prefix_io": ("a O\n\nEU B-ORG\n", "io"),
+    "no_type": ("a O\nb B-\n", "bio"),
+    "no_prefix": ("a O\nb ORG\n", "bio"),
+    "reserved_type": ("a O\n\nb B-O\n", "bio"),
+    "empty_sentence": ("a O\n\n\n\nb O\n", "bio"),
+    "empty_sentence_after_docstart": ("a O\n-DOCSTART- -X- O\n\n\nb O\n", "bio"),
+    "empty_sentence_before_bad_line": ("a O\n\n\nb\n", "bio"),
+    "bad_tag_before_one_column": ("a O\nb X-Y\nc\n", "bio"),
+    "one_column_before_bad_tag": ("a O\nc\nb X-Y\n", "bio"),
+    "docstart_mid_sentence": ("a B-LOC\n-DOCSTART- -X- O\nb I-LOC\n\nc O\n", "bio"),
+    "docstart_only": ("-DOCSTART- -X- O\n\n\n", "bio"),
+    "crlf": ("a B-LOC\r\nb O\r\n\r\nc B-PER\r\n", "bio"),
+    "cr": ("a B-LOC\rb O\r\rc B-PER\r", "bio"),
+    "crlf_empty_sentence": ("a O\r\n\r\n\r\nb O\r\n", "bio"),
+    "tabs": ("a\tB-LOC\n\tb\tX\tI-LOC\n\nc\t\tB-PER\n", "bio"),
+    "blank_runs": ("\n \n\t\na O\n\nb I-X\n\n\n\n", "io"),
+}
 
 
 def _sha(text: str | bytes) -> str:
@@ -184,6 +211,21 @@ def cli_digests(fewner, workdir: Path):
             yield f"cli/protoinfer_{scheme}/{tag}", run(argv)
 
 
+def parse_digests(fewner, workdir: Path):
+    """fewner stats on each of PARSE_INPUTS: its report or its error line."""
+    from fewner import cli
+
+    for name, (text, schema) in PARSE_INPUTS.items():
+        path = workdir / f"{name}.conll"
+        path.write_bytes(text.encode("utf-8"))  # bytes keep CR and CRLF line ends as given
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli.main(["stats", str(path), "--schema", schema])
+        yield f"parse/{name}", f"exit {code}\n{out.getvalue()}{err.getvalue()}".replace(
+            str(workdir), "<dir>"
+        )
+
+
 def against(src: str, rev: str) -> int:
     """Print the outputs whose digests differ between rev's src/ and src;
     1 if any differ, else 0."""
@@ -227,8 +269,9 @@ def main(argv=None) -> int:
         for name, output in digests(fewner):
             print(name, _sha(output))
     with tempfile.TemporaryDirectory() as tmp:
-        for name, output in cli_digests(fewner, Path(tmp)):
-            print(name, _sha(output))
+        for digests in (cli_digests, parse_digests):
+            for name, output in digests(fewner, Path(tmp)):
+                print(name, _sha(output))
     return 0
 
 
