@@ -132,8 +132,9 @@ def _array(doc: dict, path: str, shape: tuple[int, ...]) -> np.ndarray:
 
 def from_document(doc: dict) -> Model:
     """Rebuild a model from a checkpoint document, validating all of it:
-    missing or mis-typed fields and arrays of the wrong shape raise
-    DataError, non-finite parameters NumericError."""
+    missing or mis-typed fields, a vocabulary that repeats a word and
+    arrays of the wrong shape raise DataError, non-finite parameters
+    NumericError."""
     version = _field(doc, "format_version", int)
     if version != FORMAT_VERSION:
         raise DataError(f"unsupported checkpoint format version {version!r}")
@@ -141,6 +142,9 @@ def from_document(doc: dict) -> Model:
     vocab = _strings(doc, "vocab")
     if PAD not in vocab or UNK not in vocab:
         raise DataError(f"checkpoint vocabulary lacks {PAD} or {UNK}")
+    if len(set(vocab)) != len(vocab):  # a repeated word's earlier row would be dead
+        twice = next(w for i, w in enumerate(vocab) if w in vocab[:i])
+        raise DataError(f"checkpoint vocabulary lists {twice!r} more than once")
     labels = LabelSet(_strings(doc, "labels.entity_types"), _field(doc, "labels.schema", str))
     kind = _field(doc, "head.kind", str)
     if kind not in (LINEAR, PROTOTYPE):

@@ -6,10 +6,15 @@ as ``B-X`` and the rest as ``I-X``; IO marks every entity token as ``I-X``
 and therefore cannot represent a boundary between two adjacent same-type
 entities.
 
-Internally a corpus's tags are one flat column of integer ids over its tag
-vocabulary, with sentence offsets; chunking and schema conversion work on
-that column with numpy. Tag strings are only read and written at the
-public functions that take or return them.
+Internally a corpus is flat integer columns with sentence offsets: each
+token's tag as an id over the tag vocabulary and its word as an id over
+the corpus's distinct words (WordIds). parse_conll builds both columns
+from one split of the text into fields, with whole-column checks that
+name the first bad line; chunking and schema conversion work on the tag
+column with numpy, and the encoder builds its windows from the word
+column. Tag and token strings are only read and written at the public
+functions that take or return them, and a parsed corpus builds its
+TokenSequence objects only when its sentences are read.
 """
 
 from __future__ import annotations
@@ -19,7 +24,8 @@ import random
 from collections.abc import Container
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import chain
+from itertools import chain, pairwise
+from typing import NamedTuple
 
 import numpy as np
 
@@ -52,11 +58,23 @@ def split_tag(tag: str) -> tuple[str | None, str | None]:
     return prefix, etype or None
 
 
-def _valid_tag(tag: str, schema: str) -> bool:
+def _tag_error(tag: str, schema: str) -> str | None:
+    """Why a tag cannot appear in a file of the schema, or None if it can."""
     if tag == "O":
-        return True
+        return None
     prefix, etype = split_tag(tag)
-    return prefix in _PREFIXES[schema] and etype is not None
+    if prefix not in _PREFIXES[schema] or etype is None:
+        return f"tag {tag!r} violates the {schema} schema"
+    if etype == "O":
+        return f'tag {tag!r} has the reserved entity type "O"'
+    return None
+
+
+def _first_seen_ids(items: list) -> tuple[tuple, np.ndarray]:
+    """The distinct items in order of first appearance, and each item's
+    index among them."""
+    index = {x: i for i, x in enumerate(dict.fromkeys(items))}
+    return tuple(index), np.fromiter(map(index.__getitem__, items), np.intp, len(items))
 
 
 def tag_codes(tags, type_index: dict[str, int]) -> tuple[np.ndarray, np.ndarray]:
@@ -75,9 +93,8 @@ def tag_codes(tags, type_index: dict[str, int]) -> tuple[np.ndarray, np.ndarray]
 def string_columns(tags, type_index: dict[str, int]) -> tuple[np.ndarray, np.ndarray]:
     """tag_codes of every tag in a flat sequence (a list or tuple),
     splitting each distinct string once."""
-    index = {t: i for i, t in enumerate(dict.fromkeys(tags))}
-    ids = np.fromiter(map(index.__getitem__, tags), dtype=np.intp, count=len(tags))
-    types, begins = tag_codes(list(index), type_index)
+    distinct, ids = _first_seen_ids(tags)
+    types, begins = tag_codes(distinct, type_index)
     return types[ids], begins[ids]
 
 
@@ -179,48 +196,96 @@ class LabelSet:
         return tag_codes(self.tag_vocabulary, {t: i for i, t in enumerate(self.entity_types)})
 
 
-@dataclass(frozen=True)
+class WordIds(NamedTuple):
+    """Token sequences as an integer column: words lists the distinct words
+    in order of first appearance, ids holds each token's index into words
+    (sequences concatenated) and offsets the sequence starts followed by
+    the token count."""
+
+    words: tuple[str, ...]
+    ids: np.ndarray
+    offsets: np.ndarray
+
+
+def word_ids(token_seqs) -> WordIds:
+    """The WordIds of token sequences (each an iterable of strings)."""
+    seqs = [tuple(tokens) for tokens in token_seqs]
+    words, ids = _first_seen_ids(list(chain.from_iterable(seqs)))
+    return WordIds(words, ids, np.cumsum([0, *map(len, seqs)], dtype=np.intp))
+
+
 class TaggedCorpus:
-    """An immutable list of tagged sentences plus their label set."""
+    """An immutable list of tagged sentences plus their label set.
 
-    sentences: tuple[TokenSequence, ...]
-    labels: LabelSet
-    # every token's tag as an index into labels.tag_vocabulary, sentences concatenated
-    tag_ids: np.ndarray = field(init=False, repr=False, compare=False)
+    TaggedCorpus(sentences, labels) checks every tag against the label
+    set's vocabulary; parse_conll builds a corpus from its columns instead.
+    Either way the corpus holds tag_ids (every token's tag as an index into
+    labels.tag_vocabulary, sentences concatenated) and offsets (where each
+    sentence starts, then the token count); sentences and word_ids are
+    derived from the other form on first use and kept.
+    """
 
-    def __post_init__(self):
-        object.__setattr__(self, "sentences", tuple(self.sentences))
-        index = {t: i for i, t in enumerate(self.labels.tag_vocabulary)}
-        tags = chain.from_iterable([s.tags for s in self.sentences])
+    def __init__(self, sentences, labels: LabelSet):
+        sentences = tuple(sentences)
+        self.labels = labels
+        self.offsets = np.cumsum([0, *map(len, sentences)], dtype=np.intp)
+        index = {t: i for i, t in enumerate(labels.tag_vocabulary)}
+        tags = chain.from_iterable([s.tags for s in sentences])
         try:
-            ids = np.fromiter(map(index.__getitem__, tags), np.intp, int(self.offsets[-1]))
+            self.tag_ids = np.fromiter(map(index.__getitem__, tags), np.intp, self.offsets[-1])
         except KeyError as exc:  # the first unknown tag, so no earlier sentence holds it
             tag = exc.args[0]
-            i = next(i for i, s in enumerate(self.sentences) if tag in s.tags)
+            i = next(i for i, s in enumerate(sentences) if tag in s.tags)
             raise DataError(f"sentence {i}: tag {tag!r} not in the tag vocabulary") from None
-        object.__setattr__(self, "tag_ids", ids)
+        self.__dict__["sentences"] = sentences
+
+    @classmethod
+    def _from_columns(cls, labels: LabelSet, tag_ids: np.ndarray, words: WordIds) -> TaggedCorpus:
+        """A corpus of already checked columns; words.offsets are its offsets."""
+        corpus = cls.__new__(cls)
+        corpus.labels, corpus.tag_ids, corpus.offsets = labels, tag_ids, words.offsets
+        corpus.__dict__["word_ids"] = words
+        return corpus
+
+    @cached_property
+    def sentences(self) -> tuple[TokenSequence, ...]:
+        """The sentences as TokenSequence objects, in order."""
+        words, ids, _ = self.word_ids
+        tokens = list(map(words.__getitem__, ids.tolist()))
+        tags = list(map(self.labels.tag_vocabulary.__getitem__, self.tag_ids.tolist()))
+        return tuple(
+            TokenSequence(tuple(tokens[a:b]), tuple(tags[a:b]))
+            for a, b in pairwise(self.offsets.tolist())
+        )
+
+    @cached_property
+    def word_ids(self) -> WordIds:
+        """The WordIds of the sentences' tokens."""
+        return word_ids(s.tokens for s in self.sentences)
 
     def __len__(self) -> int:
-        return len(self.sentences)
+        return len(self.offsets) - 1
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, TaggedCorpus):
+            return NotImplemented
+        return self.labels == other.labels and self.sentences == other.sentences
+
+    def __repr__(self) -> str:
+        return f"TaggedCorpus({len(self)} sentences, {self.labels!r})"
 
     @cached_property
     def type_index(self) -> dict[str, tuple[int, ...]]:
         """Entity type -> ascending indices of the sentences containing it."""
         types = self.labels.codes[0][self.tag_ids]
         typed = types >= 0
-        sentence_of = np.repeat(np.arange(len(self.sentences)), np.diff(self.offsets))
-        present = np.zeros((len(self.sentences), len(self.labels.entity_types)), dtype=bool)
+        sentence_of = np.repeat(np.arange(len(self)), np.diff(self.offsets))
+        present = np.zeros((len(self), len(self.labels.entity_types)), dtype=bool)
         present[sentence_of[typed], types[typed]] = True
         return {
             t: tuple(np.flatnonzero(present[:, k]).tolist())
             for k, t in enumerate(self.labels.entity_types)
         }
-
-    @cached_property
-    def offsets(self) -> np.ndarray:
-        """Where each sentence starts in the flat token order, then the
-        token count."""
-        return np.cumsum([0, *map(len, self.sentences)], dtype=np.intp)
 
     def columns(self, schema: str) -> tuple[np.ndarray, np.ndarray | None]:
         """Each token's entity-type id and, when chunking under BIO, its B-
@@ -229,61 +294,93 @@ class TaggedCorpus:
         return types[self.tag_ids], begins[self.tag_ids] if schema == "BIO" else None
 
 
+def _line_widths(text: str) -> np.ndarray:
+    """How many fields (str.split) each line (str.splitlines) of text holds.
+    ASCII text is counted from its bytes, other text line by line."""
+    if not text.isascii():
+        return np.fromiter(map(len, map(str.split, text.splitlines())), np.intp)
+    chars = np.frombuffer(text.encode("ascii"), np.uint8)
+    # the ASCII line ends are 10-13 and 28-30; str.split also splits at 9, 31 and 32
+    ends = ((chars >= 10) & (chars <= 13)) | ((chars >= 28) & (chars <= 30))
+    spaces = ends | (chars == 9) | (chars == 31) | (chars == 32)
+    last_ends = bool(len(chars)) and ends[-1]  # a line ends with the text
+    ends[1:] &= (chars[1:] != 10) | (chars[:-1] != 13)  # "\r\n" ends one line
+    field_starts = ~spaces
+    field_starts[1:] &= spaces[:-1]
+    line_starts = np.append(0, np.flatnonzero(ends) + 1)
+    n_lines = len(line_starts) - last_ends if len(chars) else 0
+    if n_lines == 0:
+        return np.zeros(0, np.intp)
+    return np.add.reduceat(field_starts, line_starts[:n_lines], dtype=np.intp)
+
+
 def parse_conll(text: str, schema: str = "BIO") -> TaggedCorpus:
     """Parse CoNLL column text: one token per line, tag in the last column,
     blank line between sentences, "-DOCSTART-" lines skipped.
 
     Entity types are inferred from the tags encountered and sorted
-    lexicographically. Raises DataError with a line number on malformed
-    lines, tags that violate the schema grammar, or an empty sentence
-    between two separators.
+    lexicographically. Raises DataError naming the first bad line: a line
+    with one column, a tag that violates the schema grammar or has the
+    reserved type "O", or the second of two blank lines that separate an
+    empty sentence from an earlier one (leading and trailing blank lines
+    are tolerated).
+
+    The text is split into fields once, and the tokens, tag ids, word ids
+    and sentence offsets are whole-column operations over the fields and
+    the number of fields on each line.
     """
     schema = _check_schema(schema)
-    sentences: list[TokenSequence] = []
-    tokens: list[str] = []
-    tags: list[str] = []
-    # each distinct tag is validated and split once: tag -> its entity type
-    tag_types: dict[str, str | None] = {}
-    # A blank line with nothing since the previous separator is an error only
-    # between two sentences; leading and trailing blank lines are tolerated.
-    pending_empty: int | None = None
-    content_since_sep = False
+    fields = text.split()  # the lines' fields, line after line
+    width = _line_widths(text)
+    first = np.cumsum(width) - width  # each line's first field
+    content = width > 0
+    token = content.copy()
+    if DOCSTART in text:
+        token[content] = [not fields[i].startswith(DOCSTART) for i in first[content].tolist()]
+    line_of = np.flatnonzero(token)  # each token's line index
+    if len(fields) == 2 * len(line_of) and (width[line_of] == 2).all():
+        tokens, tags = fields[0::2], fields[1::2]  # every line with fields is "token tag"
+    else:
+        tokens = list(map(fields.__getitem__, first[line_of].tolist()))
+        tags = list(map(fields.__getitem__, (first + width - 1)[line_of].tolist()))
+    distinct = dict.fromkeys(tags)
 
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        columns = line.split()
-        if not columns:
-            if tokens:
-                sentences.append(TokenSequence(tuple(tokens), tuple(tags)))
-                tokens, tags = [], []
-            elif sentences and not content_since_sep and pending_empty is None:
-                pending_empty = lineno
-            content_since_sep = False
-            continue
-        if pending_empty is not None:
-            raise DataError(f"line {pending_empty}: empty sentence between separators")
-        content_since_sep = True
-        if columns[0].startswith(DOCSTART):
-            if tokens:
-                sentences.append(TokenSequence(tuple(tokens), tuple(tags)))
-                tokens, tags = [], []
-            continue
-        if len(columns) < 2:
-            raise DataError(
-                f"line {lineno}: expected token and tag columns, got {line.strip()!r}"
-            )
-        tag = columns[-1]
-        if tag not in tag_types:
-            if not _valid_tag(tag, schema):
-                raise DataError(f"line {lineno}: tag {tag!r} violates the {schema} schema")
-            tag_types[tag] = split_tag(tag)[1]
-        tokens.append(columns[0])
-        tags.append(tag)
+    # every error is (the line index where the line loop would raise it,
+    # the order of its check on that line, its message)
+    errors = []
+    # a blank line that follows a blank line after the first sentence leaves
+    # an empty sentence, which is an error once a content line follows
+    blank = ~content
+    pending = 1 + np.flatnonzero(blank[1:] & blank[:-1])
+    pending = pending[pending > line_of[0]] if len(line_of) else pending[:0]
+    if len(pending):
+        after = np.flatnonzero(content[pending[0] :])
+        if len(after):
+            at = int(pending[0] + after[0])
+            errors.append((at, 0, f"line {pending[0] + 1}: empty sentence between separators"))
+    short = np.flatnonzero(width[line_of] < 2)
+    if len(short):
+        at = int(line_of[short[0]])
+        line = text.splitlines()[at].strip()
+        errors.append((at, 1, f"line {at + 1}: expected token and tag columns, got {line!r}"))
+    # distinct tags in order of first appearance, so the first bad one comes first
+    bad = next(((tag, why) for tag in distinct if (why := _tag_error(tag, schema))), None)
+    if bad is not None:
+        at = int(line_of[tags.index(bad[0])])
+        errors.append((at, 2, f"line {at + 1}: {bad[1]}"))
+    if errors:
+        raise DataError(min(errors)[2])
 
-    if tokens:
-        sentences.append(TokenSequence(tuple(tokens), tuple(tags)))
-    types = {t for t in tag_types.values() if t is not None}
+    types = {split_tag(tag)[1] for tag in distinct} - {None}
     labels = LabelSet(tuple(sorted(types)), schema)
-    return TaggedCorpus(tuple(sentences), labels)
+    index = {t: i for i, t in enumerate(labels.tag_vocabulary)}
+    tag_ids = np.fromiter(map(index.__getitem__, tags), np.intp, len(tags))
+    # a sentence starts at each token whose line does not follow the token before's
+    starts = np.flatnonzero(np.diff(line_of, prepend=-2) != 1)
+    words, ids = _first_seen_ids(tokens)
+    return TaggedCorpus._from_columns(
+        labels, tag_ids, WordIds(words, ids, np.append(starts, len(tokens)))
+    )
 
 
 def write_conll(corpus: TaggedCorpus) -> str:
@@ -306,14 +403,9 @@ def convert_schema(corpus: TaggedCorpus, target: str) -> TaggedCorpus:
         return corpus
     labels = LabelSet(corpus.labels.entity_types, target)
     types = corpus.labels.codes[0][corpus.tag_ids]
-    ids = _convert_types(types, corpus.offsets, target).tolist()
-    vocab = labels.tag_vocabulary
-    bounds = corpus.offsets.tolist()
-    converted = tuple(
-        TokenSequence(s.tokens, tuple(vocab[i] for i in ids[a:b]))
-        for s, a, b in zip(corpus.sentences, bounds, bounds[1:])
+    return TaggedCorpus._from_columns(
+        labels, _convert_types(types, corpus.offsets, target), corpus.word_ids
     )
-    return TaggedCorpus(converted, labels)
 
 
 def top_up(
@@ -371,7 +463,7 @@ def corpus_stats(corpus: TaggedCorpus) -> dict:
     _, _, chunk_types = chunk_columns(*corpus.columns(labels.schema), corpus.offsets)
     per_type = np.bincount(chunk_types, minlength=len(labels.entity_types)).tolist()
     return {
-        "sentences": len(corpus.sentences),
+        "sentences": len(corpus),
         "tokens": int(corpus.offsets[-1]),
         "entity_types": len(labels.entity_types),
         "chunks_per_type": dict(zip(labels.entity_types, per_type)),

@@ -9,12 +9,16 @@ where e[k] is the embedding of token k, a padding embedding beyond the
 sentence ends and an unknown-word embedding for out-of-vocabulary words.
 Both reserved rows are trainable like any other.
 
-The per-sentence encode and encode_backward are the batch core
-(batch_window_indices, encode_windows, encode_windows_backward) applied to
+Words reach the encoder as a corpus's word-id column (corpus.WordIds):
+word_windows looks each distinct word up in the vocabulary once, gathers
+the rows for every token and pads at the sentence boundaries, giving one
+window column. The per-sentence encode and encode_backward are the batch
+core (word_windows, encode_windows, encode_windows_backward) applied to
 one sentence; training gathers each mini-batch from one window column per
 run. Inference (prediction, soft labels, support prototypes) is one
-encode_blocks pass: blocks of whole sentences, each encoded and handed to
-a head whose per-token results come back as one array in token order.
+encode_blocks pass over a word-id column's windows: row ranges of whole
+sentences, each encoded and handed to a head whose per-token results come
+back as one array in token order.
 
 encode is a pure function: concurrent readers may share one EncoderParams.
 Training mutates the arrays in place and must be serialized externally.
@@ -26,7 +30,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .corpus import TokenSequence
+from .corpus import TokenSequence, WordIds, word_ids
 from .errors import DataError
 
 PAD = "<PAD>"
@@ -131,18 +135,19 @@ def init_encoder(vocab, embed_dim: int, hidden_dim: int, seed: int) -> EncoderPa
 BLOCK_ROWS = 512
 
 
-def batch_window_indices(params: EncoderParams, token_seqs) -> np.ndarray:
-    """(sum of lengths, 3) vocabulary rows (left, centre, right) for each
-    token of each sequence in turn, with padding beyond every sequence's
-    ends: the concatenation of the sequences' window_indices."""
+def word_windows(params: EncoderParams, words: WordIds) -> np.ndarray:
+    """(tokens, 3) vocabulary rows (left, centre, right) for every token of
+    the word-id column, with padding beyond each sequence's ends. Each
+    distinct word is looked up once; words outside the vocabulary get the
+    unknown-word row."""
     index, unk = params._index, params._index[UNK]
-    flat = [-1]  # the token rows, with -1 before, between and after sequences
-    for tokens in token_seqs:
-        flat += [index.get(t, unk) for t in tokens]
-        flat.append(-1)
-    padded = np.array(flat, dtype=np.intp)
-    at = np.flatnonzero(padded >= 0)
-    padded[padded < 0] = index[PAD]
+    rows = np.array([index.get(w, unk) for w in words.words], dtype=np.intp)
+    lengths = np.diff(words.offsets)
+    # each token's place in one column with a padding slot before, between
+    # and after the sequences
+    at = np.arange(len(words.ids)) + np.repeat(np.arange(1, len(lengths) + 1), lengths)
+    padded = np.full(len(words.ids) + len(lengths) + 1, index[PAD], dtype=np.intp)
+    padded[at] = rows[words.ids]
     return np.stack((padded[at - 1], padded[at], padded[at + 1]), axis=1)
 
 
@@ -150,7 +155,7 @@ def window_indices(params: EncoderParams, tokens) -> np.ndarray:
     """(T, 3) vocabulary rows (left, centre, right) for each token of one
     sentence, with padding beyond its ends. Rows of several sentences
     concatenate into one batch."""
-    return batch_window_indices(params, [tokens])
+    return word_windows(params, word_ids([tokens]))
 
 
 def _window_input(params: EncoderParams, windows: np.ndarray) -> np.ndarray:
@@ -193,39 +198,39 @@ def scatter_rows(rows: np.ndarray, values: np.ndarray, n_rows: int) -> np.ndarra
     return sums.reshape(n_rows, d)
 
 
-def _blocks(token_seqs):
-    """Consecutive runs of whole sequences with at most BLOCK_ROWS tokens
-    each; a longer sequence is a run of its own. No sequences make one
-    empty run."""
-    block: list = []
-    rows = 0
-    for tokens in token_seqs:
-        if block and rows + len(tokens) > BLOCK_ROWS:
-            yield block
-            block, rows = [], 0
-        block.append(tokens)
-        rows += len(tokens)
-    yield block
+def _blocks(offsets: np.ndarray):
+    """Row ranges (start, stop) of consecutive runs of whole sentences with
+    at most BLOCK_ROWS rows each, for sentences starting at offsets[:-1];
+    a longer sentence is a run of its own. No sentences make one empty run."""
+    n, i = len(offsets) - 1, 0
+    while True:
+        # the most sentences from i on whose rows fit, and at least one
+        fit = int(np.searchsorted(offsets, offsets[i] + BLOCK_ROWS, side="right")) - 1
+        j = max(fit, min(i + 1, n))
+        yield int(offsets[i]), int(offsets[j])
+        if j == n:
+            return
+        i = j
 
 
-def encode_blocks(params: EncoderParams, token_seqs, head) -> np.ndarray:
-    """head's rows for every token of the sequences, in token order.
+def encode_blocks(params: EncoderParams, words: WordIds, head) -> np.ndarray:
+    """head's rows for every token of a word-id column, in token order.
 
-    The sequences are encoded in runs of whole sequences of at most
-    BLOCK_ROWS tokens; head maps each run's (rows, H) representations to
-    one result row per token, and the runs' results are concatenated. With
-    no sequences head gets one (0, H) block, so the result is empty with
-    the shape head gives it.
+    The column's windows (word_windows) are encoded in row ranges of whole
+    sentences of at most BLOCK_ROWS rows; head maps each range's (rows, H)
+    representations to one result row per token, and the ranges' results
+    are concatenated. With no sentences head gets one (0, H) block, so the
+    result is empty with the shape head gives it.
     """
-    blocks = _blocks(token_seqs)
+    windows = word_windows(params, words)
     return np.concatenate(
-        [head(encode_windows(params, batch_window_indices(params, b))) for b in blocks]
+        [head(encode_windows(params, windows[a:b])) for a, b in _blocks(words.offsets)]
     )
 
 
 def encode(params: EncoderParams, sentence: TokenSequence) -> np.ndarray:
     """Representations for every token; row i is the H-vector of token i."""
-    return encode_windows(params, batch_window_indices(params, [sentence.tokens]))
+    return encode_windows(params, window_indices(params, sentence.tokens))
 
 
 def encode_backward(
@@ -238,7 +243,7 @@ def encode_backward(
         raise ValueError(
             f"upstream shape {upstream.shape} != ({t}, {params.hidden_dim})"
         )
-    windows = batch_window_indices(params, [sentence.tokens])
+    windows = window_indices(params, sentence.tokens)
     return encode_windows_backward(
         params, windows, encode_windows(params, windows), upstream
     )

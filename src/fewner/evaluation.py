@@ -15,18 +15,20 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import partial
-from itertools import accumulate, chain, pairwise
+from itertools import chain, pairwise
 
 import numpy as np
 
 from .checkpoint import LINEAR, PROTOTYPE, Model
 from .corpus import (
     TaggedCorpus,
+    WordIds,
     _check_schema,
     chunk_columns,
     sample_fewshot,
     string_columns,
     tag_codes,
+    word_ids,
 )
 from .encoder import EncoderParams, encode_blocks
 from .errors import DataError
@@ -121,15 +123,11 @@ def _score(gold, predicted, offsets, type_index: dict[str, int], label_types) ->
 def entity_f1(gold: TaggedCorpus, predicted: list[list[str]], schema: str) -> EvalReport:
     """Micro-averaged chunk P/R/F1 of predicted tag sequences against gold."""
     schema = _check_schema(schema)
-    if len(predicted) != len(gold.sentences):
-        raise DataError(
-            f"{len(predicted)} predictions for {len(gold.sentences)} sentences"
-        )
-    for i, (sent, tags) in enumerate(zip(gold.sentences, predicted)):
-        if len(tags) != len(sent):
-            raise DataError(
-                f"sentence {i}: {len(tags)} predicted tags for {len(sent)} tokens"
-            )
+    if len(predicted) != len(gold):
+        raise DataError(f"{len(predicted)} predictions for {len(gold)} sentences")
+    for i, (n, tags) in enumerate(zip(np.diff(gold.offsets).tolist(), predicted)):
+        if len(tags) != n:
+            raise DataError(f"sentence {i}: {len(tags)} predicted tags for {n} tokens")
     type_index = {t: k for k, t in enumerate(gold.labels.entity_types)}
     types, begins = string_columns(list(chain.from_iterable(predicted)), type_index)
     pred = (types, begins if schema == "BIO" else None)
@@ -144,10 +142,10 @@ def _ranking(labels, label_order) -> list[int]:
 
 
 def _predict_ids(
-    model: Model, token_lists, protos: PrototypeSet | None = None
+    model: Model, words: WordIds, protos: PrototypeSet | None = None
 ) -> tuple[list[str], np.ndarray]:
-    """Labels and, for every token of the sentences in order, the index of
-    its predicted label among them (see predict_corpus)."""
+    """Labels and, for every token of the word-id column, the index of its
+    predicted label among them (see predict_corpus)."""
     order = model.labels.tag_vocabulary
     if protos is not None:
         labels, score = protos.labels, partial(multi_proto_scores, protos)
@@ -157,7 +155,7 @@ def _predict_ids(
         raise DataError("prototype checkpoints carry no head arrays; supply a support set")
     ranked = _ranking(labels, order)
     best = encode_blocks(
-        model.encoder, token_lists, lambda reprs: np.argmax(score(reprs)[:, ranked], axis=1)
+        model.encoder, words, lambda reprs: np.argmax(score(reprs)[:, ranked], axis=1)
     )
     return [labels[i] for i in ranked], best
 
@@ -175,10 +173,10 @@ def predict_corpus(
     whose head is the ranked argmax: one encode, one head call and one
     argmax per block of whole sentences.
     """
-    token_lists = [s.tokens for s in sentences]
-    names, ids = _predict_ids(model, token_lists, protos)
+    words = word_ids(s.tokens for s in sentences)
+    names, ids = _predict_ids(model, words, protos)
     tags = [names[i] for i in ids.tolist()]
-    return [tags[a:b] for a, b in pairwise([0, *accumulate(map(len, token_lists))])]
+    return [tags[a:b] for a, b in pairwise(words.offsets.tolist())]
 
 
 def support_prototypes(
@@ -193,7 +191,7 @@ def support_prototypes(
     support tokens' representations come from one encoder.encode_blocks
     pass with the identity as its head.
     """
-    encoded = encode_blocks(encoder, [s.tokens for s in support.sentences], lambda r: r)
+    encoded = encode_blocks(encoder, support.word_ids, lambda r: r)
     ordered = {}
     for k, tag in enumerate(support.labels.tag_vocabulary):
         rows = encoded[support.tag_ids == k]
@@ -224,7 +222,7 @@ def evaluate_model(
         )
     schema = _check_schema(schema or test.labels.schema)
     native = _check_schema(native_schema or model.labels.schema)
-    names, ids = _predict_ids(model, [s.tokens for s in test.sentences], protos)
+    names, ids = _predict_ids(model, test.word_ids, protos)
     type_index = {t: k for k, t in enumerate(test.labels.entity_types)}
     types, begins = tag_codes(names, type_index)
     # Converting tags to the other schema and chunking them under it gives

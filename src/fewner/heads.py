@@ -162,13 +162,23 @@ def build_prototypes(support_reprs: dict[str, list[np.ndarray]]) -> PrototypeSet
 
 
 def _distances(centroids: np.ndarray, reprs: np.ndarray) -> np.ndarray:
-    """(N, L) Euclidean distances of (N, H) reprs to (L, H) centroids, built
-    from one (N, H) difference per centroid, never an (N, L, H) tensor; each
-    norm reduces the same H contiguous elements as a one-row computation."""
-    dist = np.empty((reprs.shape[0], centroids.shape[0]))
-    for j, c in enumerate(centroids):
-        dist[:, j] = np.linalg.norm(reprs - c, axis=1)
-    return dist
+    """(N, L) Euclidean distances of (N, H) reprs to (L, H) centroids.
+
+    Per centroid, one reused (N, H) buffer takes the differences and their
+    squares, and their row sums go to a row of an (L, N) buffer: the
+    operations np.linalg.norm(reprs - c, axis=1) runs, on a buffer of the
+    same layout, so each distance is bit-identical to it. One square root
+    then fills the C-ordered result, whose row reductions downstream then
+    sum in the same order as before.
+    """
+    diff = np.empty_like(reprs, dtype=float)
+    sq = np.empty((len(centroids), len(reprs)))
+    for c, row in zip(centroids, sq):
+        np.subtract(reprs, c, out=diff)
+        np.multiply(diff, diff, out=diff)
+        np.add.reduce(diff, axis=1, out=row)
+    dist = np.empty((len(reprs), len(centroids)))
+    return np.sqrt(sq.T, out=dist)
 
 
 def _proto_log_probs(centroids: np.ndarray, reprs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

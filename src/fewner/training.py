@@ -29,14 +29,14 @@ from pathlib import Path
 import numpy as np
 
 from .checkpoint import LINEAR, PROTOTYPE, Model
-from .corpus import TaggedCorpus, TokenSequence, top_up
+from .corpus import TaggedCorpus, TokenSequence, top_up, word_ids
 from .encoder import (
     EncoderParams,
-    batch_window_indices,
     encode_blocks,
     encode_windows,
     encode_windows_backward,
     init_encoder,
+    word_windows,
 )
 from .errors import DataError, NumericError
 from .heads import init_linear_head, linear_forward, linear_loss_grads, proto_loss_grads
@@ -267,11 +267,22 @@ def adam_step(state: OptimizerState, arena: ParamArena) -> None:
 
 @dataclass(frozen=True)
 class Episode:
-    """A sampled mini-task: disjoint support and query sentence sets."""
+    """A sampled mini-task: disjoint support and query sentence sets of a
+    corpus, held as ascending sentence indices; support and query give the
+    sentences themselves."""
 
-    support: tuple[TokenSequence, ...]
-    query: tuple[TokenSequence, ...]
+    corpus: TaggedCorpus = field(repr=False)
+    support_ids: tuple[int, ...]
+    query_ids: tuple[int, ...]
     sampled_types: tuple[str, ...]
+
+    @property
+    def support(self) -> tuple[TokenSequence, ...]:
+        return tuple(self.corpus.sentences[i] for i in self.support_ids)
+
+    @property
+    def query(self) -> tuple[TokenSequence, ...]:
+        return tuple(self.corpus.sentences[i] for i in self.query_ids)
 
 
 def sample_episode(
@@ -297,16 +308,12 @@ def sample_episode(
                     f"type {etype!r}: only {available} sentences available "
                     f"for {want} required"
                 )
-    return Episode(
-        support=tuple(corpus.sentences[i] for i in sorted(support)),
-        query=tuple(corpus.sentences[i] for i in sorted(query)),
-        sampled_types=tuple(sampled),
-    )
+    return Episode(corpus, tuple(sorted(support)), tuple(sorted(query)), tuple(sampled))
 
 
 def build_vocabulary(corpus: TaggedCorpus, extra_sentences=()) -> list[str]:
     """Case-sensitive word list (sorted, no frequency cutoff)."""
-    words = {tok for sent in corpus.sentences for tok in sent.tokens}
+    words = set(corpus.word_ids.words)
     for tokens in extra_sentences:
         words.update(tokens)
     return sorted(words)
@@ -326,6 +333,7 @@ def _start_encoder(
 
 def _rows(offsets: np.ndarray, sentences) -> np.ndarray:
     """Flat token rows of the given sentences, sentence after sentence."""
+    sentences = np.asarray(sentences, dtype=np.intp)
     starts = offsets[sentences]
     lengths = offsets[1:][sentences] - starts
     # a sentence's rows run from its start, from its first place in the output on
@@ -347,11 +355,17 @@ def _arena(owners: dict) -> ParamArena:
 
 
 def _train_weighted(
-    model: Model, token_lists, targets: np.ndarray, weights, config: TrainConfig, on_epoch=None
+    model: Model,
+    windows: np.ndarray,
+    offsets: np.ndarray,
+    targets: np.ndarray,
+    weights,
+    config: TrainConfig,
+    on_epoch=None,
 ) -> Model:
-    """Train a linear model in place by mini-batch Adam over sentences with
-    one flat (tokens x tags) target column, sentences in order, and one
-    weight per sentence.
+    """Train a linear model in place by mini-batch Adam over sentences given
+    as one window column with its sentence offsets, one flat (tokens x
+    tags) target column in the same order and one weight per sentence.
 
     A token's loss carries its sentence's weight; each batch is normalized
     by the run-wide mean token weight times the batch's token count, so the
@@ -360,17 +374,14 @@ def _train_weighted(
     head forward/backward and one encoder backward over its sentences' rows.
     """
     encoder, head = model.encoder, model.head
-    n = len(token_lists)
+    n = len(offsets) - 1
     total_steps = config.epochs * math.ceil(n / config.batch_size)
     arena = _arena({"head": head} if config.freeze_encoder else {"head": head, "encoder": encoder})
     state = init_optimizer(arena.params, config.learning_rate, config.warmup_fraction, total_steps)
     shuffle_rng = random.Random(config.seed + SEED_SHUFFLE)
-    lengths = [len(tokens) for tokens in token_lists]
+    lengths = np.diff(offsets).tolist()
     weight_sum = sum(w * k for w, k in zip(weights, lengths))  # over every token
     mean_token_weight = weight_sum / sum(lengths)
-    offsets = np.cumsum([0, *lengths])
-    # the vocabulary is fixed during training, so the windows are too
-    windows = batch_window_indices(encoder, token_lists)
     token_weights = np.repeat(weights, lengths)
 
     for epoch in range(config.epochs):
@@ -426,9 +437,11 @@ def train_linear(
     else:
         head = init_linear_head(len(tags), encoder.hidden_dim, config.seed + SEED_HEAD)
     model = Model(encoder, corpus.labels, LINEAR, head)
-    token_lists = [s.tokens for s in corpus.sentences]
+    # the vocabulary is fixed during training, so the windows are too
+    windows = word_windows(encoder, corpus.word_ids)
     targets = np.eye(len(tags))[corpus.tag_ids]
-    return _train_weighted(model, token_lists, targets, [1.0] * len(corpus), config, on_epoch)
+    weights = [1.0] * len(corpus)
+    return _train_weighted(model, windows, corpus.offsets, targets, weights, config, on_epoch)
 
 
 def train_prototype(
@@ -464,8 +477,8 @@ def train_prototype(
     episode_rng = random.Random(config.seed + SEED_EPISODES)
     tag_type = corpus.labels.codes[0]
     # the vocabulary is fixed during training, so the windows are too
-    windows = batch_window_indices(encoder, [s.tokens for s in corpus.sentences])
-    position = {s: i for i, s in enumerate(corpus.sentences)}
+    windows = word_windows(encoder, corpus.word_ids)
+    lengths = np.diff(corpus.offsets)
 
     for epoch in range(config.epochs):
         epoch_losses: list[float] = []
@@ -473,11 +486,11 @@ def train_prototype(
             episode = sample_episode(
                 corpus, m_types, config.K, config.K_prime, seed=episode_rng.getrandbits(32)
             )
-            rows = _rows(corpus.offsets, [position[s] for s in episode.support + episode.query])
+            rows = _rows(corpus.offsets, episode.support_ids + episode.query_ids)
             episode_windows = windows[rows]
             tag_ids = corpus.tag_ids[rows]
             reprs = encode_windows(encoder, episode_windows)
-            n_support = sum(len(s) for s in episode.support)
+            n_support = int(lengths[list(episode.support_ids)].sum())
             # label space: the support's tags of the sampled types plus "O", in
             # vocabulary order; "O" has type id -1, the last slot of in_scope
             in_scope = np.zeros(len(types) + 1, dtype=bool)
@@ -552,10 +565,10 @@ def generate_soft_labels(teacher: Model, sentences) -> np.ndarray:
     """
     if teacher.head_kind != LINEAR:
         raise DataError("soft labels need a linear-head teacher")
-    sentences = list(sentences)
-    if not all(sentences):
+    words = word_ids(sentences)
+    if np.any(np.diff(words.offsets) == 0):
         raise DataError("empty sentence")
-    return encode_blocks(teacher.encoder, sentences, partial(linear_forward, teacher.head))
+    return encode_blocks(teacher.encoder, words, partial(linear_forward, teacher.head))
 
 
 def self_train(
@@ -585,11 +598,14 @@ def self_train(
     head = init_linear_head(len(tags), encoder.hidden_dim, config.seed + SEED_HEAD)
     student = Model(encoder, labeled.labels, LINEAR, head)
 
-    token_lists = [s.tokens for s in labeled.sentences] + unlabeled
+    # the labeled sentences, then the unlabeled ones
+    pool = word_ids(unlabeled)
+    windows = np.concatenate([word_windows(encoder, labeled.word_ids), word_windows(encoder, pool)])
+    offsets = np.concatenate([labeled.offsets, labeled.offsets[-1] + pool.offsets[1:]])
     targets = np.concatenate([np.eye(len(tags))[labeled.tag_ids], soft])
     w_soft = config.lambda_u / len(unlabeled)
     weights = [1.0 / len(labeled)] * len(labeled) + [w_soft] * len(unlabeled)
-    return _train_weighted(student, token_lists, targets, weights, config)
+    return _train_weighted(student, windows, offsets, targets, weights, config)
 
 
 def scheme_inputs(scheme: str) -> tuple[str, ...]:

@@ -19,8 +19,10 @@ from typing import NamedTuple
 import numpy as np
 
 from fewner.checkpoint import LINEAR, Model
-from fewner.corpus import TaggedCorpus, TokenSequence, split_tag
+from fewner.corpus import DOCSTART, LabelSet, TaggedCorpus, TokenSequence, split_tag
 from fewner.encoder import (
+    PAD,
+    UNK,
     EncoderGrads,
     encode,
     encode_backward,
@@ -305,6 +307,67 @@ def reference_encode_windows_backward(params, windows, reprs, upstream):
     return EncoderGrads(d_emb, d_weights, d_bias)
 
 
+def reference_parse_conll(text: str, schema: str = "BIO") -> TaggedCorpus:
+    """parse_conll as a loop over the lines that builds one TokenSequence
+    per sentence and raises at the first bad line it reaches. A blank line
+    is an empty sentence only between two sentences (pending until the
+    next content line), not before the first or after the last."""
+    schema = schema.upper()
+    if schema not in ("BIO", "IO"):
+        raise DataError(f"unknown schema {schema!r}; expected one of ('BIO', 'IO')")
+    prefixes = ("B", "I") if schema == "BIO" else ("I",)
+    sentences: list[TokenSequence] = []
+    tokens: list[str] = []
+    tags: list[str] = []
+    types: set[str] = set()
+    pending_empty = None
+    content_since_sep = False
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        columns = line.split()
+        if not columns:
+            if tokens:
+                sentences.append(TokenSequence(tuple(tokens), tuple(tags)))
+                tokens, tags = [], []
+            elif sentences and not content_since_sep and pending_empty is None:
+                pending_empty = lineno
+            content_since_sep = False
+            continue
+        if pending_empty is not None:
+            raise DataError(f"line {pending_empty}: empty sentence between separators")
+        content_since_sep = True
+        if columns[0].startswith(DOCSTART):
+            if tokens:
+                sentences.append(TokenSequence(tuple(tokens), tuple(tags)))
+                tokens, tags = [], []
+            continue
+        if len(columns) < 2:
+            raise DataError(
+                f"line {lineno}: expected token and tag columns, got {line.strip()!r}"
+            )
+        tag = columns[-1]
+        if tag != "O":
+            prefix, _, etype = tag.partition("-")
+            if prefix not in prefixes or not etype:
+                raise DataError(f"line {lineno}: tag {tag!r} violates the {schema} schema")
+            if etype == "O":
+                raise DataError(f'line {lineno}: tag {tag!r} has the reserved entity type "O"')
+            types.add(etype)
+        tokens.append(columns[0])
+        tags.append(tag)
+    if tokens:
+        sentences.append(TokenSequence(tuple(tokens), tuple(tags)))
+    return TaggedCorpus(tuple(sentences), LabelSet(tuple(sorted(types)), schema))
+
+
+def reference_windows(params, tokens) -> np.ndarray:
+    """(T, 3) vocabulary rows (left, centre, right) of one sentence's
+    tokens, looked up one token at a time by position in the vocabulary."""
+    vocab = list(params.vocab)
+    rows = [vocab.index(t if t in vocab else UNK) for t in tokens]
+    padded = [vocab.index(PAD), *rows, vocab.index(PAD)]
+    return np.array([padded[i : i + 3] for i in range(len(rows))], dtype=np.intp).reshape(-1, 3)
+
+
 def _sentence_types(corpus):
     return [{tag_type(t) for t in sent.tags if t != "O"} for sent in corpus.sentences]
 
@@ -364,8 +427,9 @@ def reference_sample_episode(corpus, m_types: int, k_support: int, k_query: int,
         top_up(support, query, etype, k_support)
         top_up(query, support, etype, k_query)
     return Episode(
-        support=tuple(corpus.sentences[i] for i in sorted(support)),
-        query=tuple(corpus.sentences[i] for i in sorted(query)),
+        corpus,
+        support_ids=tuple(sorted(support)),
+        query_ids=tuple(sorted(query)),
         sampled_types=tuple(sampled),
     )
 

@@ -193,6 +193,15 @@ class TestDocumentValidation:
         with pytest.raises(DataError, match="vocabulary"):
             checkpoint.from_document(_set(doc, "vocab", vocab))
 
+    @pytest.mark.parametrize("word", [PAD, UNK, "beta"])
+    def test_vocab_repeating_a_word(self, doc, word):
+        vocab = doc["vocab"] + [word]
+        table = doc["embedding_table"] + [doc["embedding_table"][0]]
+        bad = _set(_set(doc, "vocab", vocab), "embedding_table", table)
+        message = rf"^checkpoint vocabulary lists '{word}' more than once$"
+        with pytest.raises(DataError, match=message):
+            checkpoint.from_document(bad)
+
     def test_not_an_object(self):
         with pytest.raises(DataError):
             checkpoint.from_document([1, 2])

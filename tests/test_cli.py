@@ -80,6 +80,14 @@ class TestStats:
         path.write_text("justonetoken\n", encoding="utf-8")
         assert main(["stats", str(path)]) == 2
 
+    def test_reserved_type_names_its_line(self, tmp_path, capsys):
+        path = tmp_path / "reserved.conll"
+        path.write_text("a O\n\nb B-O\n", encoding="utf-8")
+        assert main(["stats", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == 'fewner: line 3: tag \'B-O\' has the reserved entity type "O"\n'
+
 
 class TestSample:
     def test_round_trip(self, workdir):
@@ -526,6 +534,19 @@ class TestBadCheckpoints:
     def test_wrong_head_shape(self, workdir, capsys, doc):
         doc["head"]["weights"] = doc["head"]["weights"][1:]
         assert self._run(workdir, capsys, doc, "eval") == 2
+
+    def test_repeated_vocab_word(self, workdir, capsys, doc):
+        # a second row for a word would leave one of its rows unused
+        word = doc["vocab"][5]
+        doc["vocab"].append(word)
+        doc["embedding_table"].append(doc["embedding_table"][5])
+        path = workdir / "bad.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        capsys.readouterr()
+        assert main(["eval", str(path), str(workdir / "test.conll")]) == 2
+        assert capsys.readouterr().err == (
+            f"fewner: {path}: checkpoint vocabulary lists {word!r} more than once\n"
+        )
 
     def test_missing_file(self, workdir, capsys):
         missing = workdir / "nope.json"

@@ -20,7 +20,7 @@ from fewner.corpus import (
 )
 from fewner.errors import DataError
 
-from oracles import Span, oracle_chunks, oracle_convert, random_tagseq
+from oracles import Span, oracle_chunks, oracle_convert, random_tagseq, reference_parse_conll
 
 
 FIXTURE = "EU B-ORG\nrejects O\n\n"
@@ -84,6 +84,113 @@ class TestParseConll:
     def test_unknown_schema(self):
         with pytest.raises(DataError):
             parse_conll("", schema="BILOU")
+
+    @pytest.mark.parametrize("schema, tag", [("BIO", "B-O"), ("BIO", "I-O"), ("IO", "I-O")])
+    def test_reserved_type_reports_number(self, schema, tag):
+        message = rf'^line 3: tag \'{tag}\' has the reserved entity type "O"$'
+        with pytest.raises(DataError, match=message):
+            parse_conll(f"a O\n\nb {tag}\n", schema=schema)
+
+
+def _outcome(parse, text: str, schema: str):
+    try:
+        return parse(text, schema)
+    except DataError as exc:
+        return f"DataError: {exc}"
+
+
+def _assert_parses_like_line_loop(text: str, schema: str) -> bool:
+    """parse_conll's columns, sentences and word ids against the line-loop
+    reference, or the same DataError text; True when the text parsed."""
+    got, want = _outcome(parse_conll, text, schema), _outcome(reference_parse_conll, text, schema)
+    if isinstance(want, str):
+        assert got == want
+        return False
+    assert got.labels == want.labels
+    assert got.tag_ids.dtype == np.intp and np.array_equal(got.tag_ids, want.tag_ids)
+    assert np.array_equal(got.offsets, want.offsets)
+    words, ids, offsets = got.word_ids
+    tokens = [t for s in want.sentences for t in s.tokens]
+    first_seen = []
+    for t in tokens:
+        if t not in first_seen:
+            first_seen.append(t)
+    assert words == tuple(first_seen)
+    assert [words[i] for i in ids] == tokens
+    assert np.array_equal(offsets, want.offsets)
+    assert got.sentences == want.sentences
+    return True
+
+
+# lines of every kind: valid token lines (tabs, extra columns), tags that
+# violate BIO or IO or use the reserved type, one-column lines, blank and
+# whitespace-only lines, -DOCSTART- lines
+_LINES = (
+    "a O", "b B-X", "a I-X", "c B-Y", "d I-Y", "a\tI-X", " e f B-X", "b POS\tI-Y", "a\x1fO", "é O",
+    "g S-X", "h B-", "i X", "j B-O", "k I-O", "lonely", "", " ", "\t",
+    "-DOCSTART- -X- O", "-DOCSTART-",
+)
+# str.splitlines line ends, ASCII and not
+_ENDS = st.sampled_from(
+    ["\n", "\r\n", "\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028"]
+)
+
+# malformed and unusually laid out files, one of each kind
+_CASES = [
+    "EU B-ORG\njusttoken\n",
+    "x\n\na O\n",
+    "a O\nb X-Y\nc\n",
+    "a O\nc\nb X-Y\n",
+    "a O\n\nEU B-ORG\n",
+    "a O\nb B-\n",
+    "a b B-X\nlonely\n",  # as many fields as two-column lines would have
+    "a O\n\nb B-O\n",
+    "a O\n\n\n\nb O\n",
+    "a O\n\n\nb\n",
+    "a O\n-DOCSTART- -X- O\n\n\nb O\n",
+    "a B-LOC\n-DOCSTART- -X- O\nb I-LOC\n\nc O\n",
+    "-DOCSTART- -X- O\n\n\n",
+    "a B-LOC\r\nb O\r\n\r\nc B-PER\r\n",
+    "a B-LOC\rb O\r\rc B-PER\r",
+    "a O\r\n\r\n\r\nb O\r\n",
+    "a\tB-LOC\n\tb\tX\tI-LOC\n\nc\t\tB-PER\n",
+    "\n \n\t\na O\n\nb I-X\n\n\n\n",
+    "",
+    "\n\n",
+]
+
+
+class TestColumnarParse:
+    @pytest.mark.parametrize("schema", ["BIO", "IO"])
+    @pytest.mark.parametrize("text", _CASES)
+    def test_cases_match_line_loop(self, text, schema):
+        _assert_parses_like_line_loop(text, schema)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.lists(st.tuples(st.sampled_from(_LINES), _ENDS), max_size=14),
+        st.sampled_from(["BIO", "IO"]),
+    )
+    def test_any_lines_match_line_loop(self, lines, schema):
+        _assert_parses_like_line_loop("".join(line + end for line, end in lines), schema)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_valid_layouts_match_line_loop(self, data):
+        corpus = data.draw(_corpora())
+        blank = st.sampled_from(["", " ", "\t", " \t "])
+        space = st.sampled_from([" ", "\t", " POS ", "\tx\t"])
+        lines = data.draw(st.lists(blank, max_size=3))  # leading blank run
+        for i, sentence in enumerate(corpus.sentences):
+            if i:
+                lines.append(data.draw(st.one_of(blank, st.just(f"{DOCSTART} -X- O"))))
+            for token, tag in zip(sentence.tokens, sentence.tags):
+                if data.draw(st.integers(0, 9)) == 0:  # a document break mid-sentence
+                    lines.append(DOCSTART)
+                lines.append(f"{token}{data.draw(space)}{tag}")
+        lines += data.draw(st.lists(blank, max_size=3))  # trailing blank run
+        text = "".join(line + data.draw(_ENDS) for line in lines)
+        assert _assert_parses_like_line_loop(text, corpus.labels.schema)
 
 
 class TestWriteConll:

@@ -6,13 +6,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fewner.corpus import TokenSequence
+from fewner.corpus import TokenSequence, word_ids
 from fewner import encoder
 from fewner.encoder import (
     PAD,
     UNK,
     EncoderParams,
-    batch_window_indices,
     encode,
     encode_backward,
     encode_blocks,
@@ -21,10 +20,16 @@ from fewner.encoder import (
     init_encoder,
     scatter_rows,
     window_indices,
+    word_windows,
 )
 from fewner.errors import DataError
 
-from oracles import assert_grad_close, finite_difference, reference_encode_windows_backward
+from oracles import (
+    assert_grad_close,
+    finite_difference,
+    reference_encode_windows_backward,
+    reference_windows,
+)
 
 
 def _sentence(tokens):
@@ -156,19 +161,24 @@ class TestBatchedWindows:
 
 
 class TestBlocks:
-    def test_batch_windows_concatenate_per_sequence_windows(self):
-        rng = random.Random(30)
-        params = _random_encoder(rng)
-        words = [*params.vocab[2:], "oov-word"]
-        for _ in range(50):
-            seqs = [
-                [rng.choice(words) for _ in range(rng.randint(0, 4))]
-                for _ in range(rng.randint(0, 5))
-            ]
-            expected = np.concatenate(
-                [np.empty((0, 3), dtype=np.intp), *(window_indices(params, s) for s in seqs)]
-            )
-            assert np.array_equal(batch_window_indices(params, seqs), expected)
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(
+            st.lists(st.sampled_from(["w0", "w1", "w5", "oov", "<oov>", UNK]), max_size=5),
+            max_size=6,
+        )
+    )
+    def test_word_windows_concatenate_per_sentence_windows(self, seqs):
+        # out-of-vocabulary words (and the literal "<UNK>") take the <UNK>
+        # row; one-token and empty sequences are padded on both sides
+        params = _random_encoder(random.Random(30))
+        expected = np.concatenate(
+            [np.empty((0, 3), dtype=np.intp), *(reference_windows(params, s) for s in seqs)]
+        )
+        got = word_windows(params, word_ids(seqs))
+        assert got.dtype == np.intp and np.array_equal(got, expected)
+        for s in seqs:
+            assert np.array_equal(window_indices(params, s), reference_windows(params, s))
 
     @pytest.mark.parametrize("block_rows", [1, 7, 1024])
     def test_blocks_are_greedy_runs_of_whole_sequences(self, monkeypatch, block_rows):
@@ -185,7 +195,7 @@ class TestBlocks:
             seen.append(reprs.copy())
             return reprs[:, ::-1]
 
-        got = encode_blocks(params, seqs, head)
+        got = encode_blocks(params, word_ids(seqs), head)
         # split the sequence lengths into the runs whose rows the blocks hold
         blocks, rest = [], list(lengths)
         for reprs in seen:
@@ -215,7 +225,7 @@ class TestBlocks:
             calls.append(reprs.shape)
             return np.zeros((len(reprs), 5), dtype=np.intp)
 
-        got = encode_blocks(params, [], head)
+        got = encode_blocks(params, word_ids([]), head)
         assert calls == [(0, params.hidden_dim)]
         assert got.shape == (0, 5) and got.dtype == np.intp
 

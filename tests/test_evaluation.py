@@ -13,6 +13,7 @@ from fewner.corpus import (
     convert_schema,
     parse_conll,
     sample_fewshot,
+    word_ids,
 )
 from fewner.errors import DataError
 from fewner.evaluation import (
@@ -397,7 +398,7 @@ class TestBlockInference:
             block_rows.append(len(reprs))
             return reprs
 
-        encoder_module.encode_blocks(model.encoder, tokens, record_rows)
+        encoder_module.encode_blocks(model.encoder, word_ids(tokens), record_rows)
         # the long sentence is a block alone
         assert len(block_rows) >= 3 and encoder_module.BLOCK_ROWS + 100 in block_rows
         reprs = np.vstack([encode(model.encoder, s) for s in corpus.sentences])

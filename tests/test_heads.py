@@ -7,6 +7,7 @@ import pytest
 from fewner.errors import DataError
 from fewner.heads import (
     LinearHead,
+    _distances,
     PrototypeSet,
     build_multi_prototypes,
     build_prototypes,
@@ -177,6 +178,23 @@ class TestLinearLossGrads:
             linear_loss_grads(head, np.zeros((2, 2)), np.zeros((2, 4)), np.ones(2))
         with pytest.raises(ValueError):
             linear_loss_grads(head, np.zeros((2, 2)), np.zeros((2, 3)), np.ones(1))
+
+
+class TestDistances:
+    @pytest.mark.parametrize(
+        "n, n_cents, dim",
+        [(512, 28, 64), (512, 7, 32), (300, 4, 64), (80, 3, 13), (20, 2, 5), (1, 3, 7), (0, 2, 9)],
+    )
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_columns_equal_norms_bit_for_bit(self, n, n_cents, dim, order):
+        rng = np.random.default_rng(n * 1000 + n_cents * 10 + dim)
+        reprs = np.asarray(np.tanh(rng.normal(size=(n, dim))), order=order)
+        centroids = np.tanh(rng.normal(size=(n_cents, dim)))
+        dist = _distances(centroids, reprs)
+        # C order, so row reductions of the distances sum as they always did
+        assert dist.shape == (n, n_cents) and dist.flags.c_contiguous
+        for j, c in enumerate(centroids):
+            assert np.array_equal(dist[:, j], np.linalg.norm(reprs - c, axis=1))
 
 
 class TestBuildPrototypes:
