@@ -168,7 +168,7 @@ class TestBlocks:
             max_size=6,
         )
     )
-    def test_word_windows_concatenate_per_sentence_windows(self, seqs):
+    def test_batch_windows_concatenate_per_sequence_windows(self, seqs):
         # out-of-vocabulary words (and the literal "<UNK>") take the <UNK>
         # row; one-token and empty sequences are padded on both sides
         params = _random_encoder(random.Random(30))
