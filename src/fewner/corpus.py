@@ -222,30 +222,35 @@ class TaggedCorpus:
     Either way the corpus holds tag_ids (every token's tag as an index into
     labels.tag_vocabulary, sentences concatenated) and offsets (where each
     sentence starts, then the token count); sentences and word_ids are
-    derived from the other form on first use and kept.
+    derived from the other form on first use and kept. No attribute can be
+    set or deleted after construction, so the derived forms never go stale.
     """
 
     def __init__(self, sentences, labels: LabelSet):
         sentences = tuple(sentences)
-        self.labels = labels
-        self.offsets = np.cumsum([0, *map(len, sentences)], dtype=np.intp)
+        offsets = np.cumsum([0, *map(len, sentences)], dtype=np.intp)
         index = {t: i for i, t in enumerate(labels.tag_vocabulary)}
         tags = chain.from_iterable([s.tags for s in sentences])
         try:
-            self.tag_ids = np.fromiter(map(index.__getitem__, tags), np.intp, self.offsets[-1])
+            tag_ids = np.fromiter(map(index.__getitem__, tags), np.intp, offsets[-1])
         except KeyError as exc:  # the first unknown tag, so no earlier sentence holds it
             tag = exc.args[0]
             i = next(i for i, s in enumerate(sentences) if tag in s.tags)
             raise DataError(f"sentence {i}: tag {tag!r} not in the tag vocabulary") from None
-        self.__dict__["sentences"] = sentences
+        vars(self).update(labels=labels, tag_ids=tag_ids, offsets=offsets, sentences=sentences)
 
     @classmethod
     def _from_columns(cls, labels: LabelSet, tag_ids: np.ndarray, words: WordIds) -> TaggedCorpus:
         """A corpus of already checked columns; words.offsets are its offsets."""
         corpus = cls.__new__(cls)
-        corpus.labels, corpus.tag_ids, corpus.offsets = labels, tag_ids, words.offsets
-        corpus.__dict__["word_ids"] = words
+        vars(corpus).update(labels=labels, tag_ids=tag_ids, offsets=words.offsets, word_ids=words)
         return corpus
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot set {name!r}: a TaggedCorpus is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete {name!r}: a TaggedCorpus is immutable")
 
     @cached_property
     def sentences(self) -> tuple[TokenSequence, ...]:
@@ -271,6 +276,9 @@ class TaggedCorpus:
             return NotImplemented
         return self.labels == other.labels and self.sentences == other.sentences
 
+    def __hash__(self) -> int:
+        return hash((self.sentences, self.labels))
+
     def __repr__(self) -> str:
         return f"TaggedCorpus({len(self)} sentences, {self.labels!r})"
 
@@ -294,26 +302,6 @@ class TaggedCorpus:
         return types[self.tag_ids], begins[self.tag_ids] if schema == "BIO" else None
 
 
-def _line_widths(text: str) -> np.ndarray:
-    """How many fields (str.split) each line (str.splitlines) of text holds.
-    ASCII text is counted from its bytes, other text line by line."""
-    if not text.isascii():
-        return np.fromiter(map(len, map(str.split, text.splitlines())), np.intp)
-    chars = np.frombuffer(text.encode("ascii"), np.uint8)
-    # the ASCII line ends are 10-13 and 28-30; str.split also splits at 9, 31 and 32
-    ends = ((chars >= 10) & (chars <= 13)) | ((chars >= 28) & (chars <= 30))
-    spaces = ends | (chars == 9) | (chars == 31) | (chars == 32)
-    last_ends = bool(len(chars)) and ends[-1]  # a line ends with the text
-    ends[1:] &= (chars[1:] != 10) | (chars[:-1] != 13)  # "\r\n" ends one line
-    field_starts = ~spaces
-    field_starts[1:] &= spaces[:-1]
-    line_starts = np.append(0, np.flatnonzero(ends) + 1)
-    n_lines = len(line_starts) - last_ends if len(chars) else 0
-    if n_lines == 0:
-        return np.zeros(0, np.intp)
-    return np.add.reduceat(field_starts, line_starts[:n_lines], dtype=np.intp)
-
-
 def parse_conll(text: str, schema: str = "BIO") -> TaggedCorpus:
     """Parse CoNLL column text: one token per line, tag in the last column,
     blank line between sentences, "-DOCSTART-" lines skipped.
@@ -325,24 +313,21 @@ def parse_conll(text: str, schema: str = "BIO") -> TaggedCorpus:
     empty sentence from an earlier one (leading and trailing blank lines
     are tolerated).
 
-    The text is split into fields once, and the tokens, tag ids, word ids
-    and sentence offsets are whole-column operations over the fields and
-    the number of fields on each line.
+    The text is split into fields, and each line's fields are counted;
+    the tokens, tag ids, word ids and sentence offsets are whole-column
+    operations over the fields and those counts.
     """
     schema = _check_schema(schema)
     fields = text.split()  # the lines' fields, line after line
-    width = _line_widths(text)
+    width = np.fromiter(map(len, map(str.split, text.splitlines())), np.intp)
     first = np.cumsum(width) - width  # each line's first field
     content = width > 0
     token = content.copy()
     if DOCSTART in text:
         token[content] = [not fields[i].startswith(DOCSTART) for i in first[content].tolist()]
     line_of = np.flatnonzero(token)  # each token's line index
-    if len(fields) == 2 * len(line_of) and (width[line_of] == 2).all():
-        tokens, tags = fields[0::2], fields[1::2]  # every line with fields is "token tag"
-    else:
-        tokens = list(map(fields.__getitem__, first[line_of].tolist()))
-        tags = list(map(fields.__getitem__, (first + width - 1)[line_of].tolist()))
+    tokens = list(map(fields.__getitem__, first[line_of].tolist()))
+    tags = list(map(fields.__getitem__, (first + width - 1)[line_of].tolist()))
     distinct = dict.fromkeys(tags)
 
     # every error is (the line index where the line loop would raise it,
@@ -408,6 +393,17 @@ def convert_schema(corpus: TaggedCorpus, target: str) -> TaggedCorpus:
     )
 
 
+def sentence_rows(offsets: np.ndarray, sentences) -> np.ndarray:
+    """Flat token rows of the given sentences (indices into offsets[:-1]),
+    sentence after sentence."""
+    sentences = np.asarray(sentences, dtype=np.intp)
+    starts = offsets[sentences]
+    lengths = offsets[1:][sentences] - starts
+    # a sentence's rows run from its start, from its first place in the output on
+    first = np.cumsum(lengths) - lengths
+    return np.arange(lengths.sum()) + np.repeat(starts - first, lengths)
+
+
 def top_up(
     rng: random.Random,
     members: tuple[int, ...],
@@ -453,8 +449,16 @@ def sample_fewshot(corpus: TaggedCorpus, shots: int, seed: int) -> TaggedCorpus:
                 f"type {etype!r} occurs in only {available} "
                 f"sentences; cannot sample {shots} shots"
             )
-    picked = tuple(corpus.sentences[i] for i in sorted(selected))
-    return TaggedCorpus(picked, corpus.labels)
+    picked = sorted(selected)
+    rows = sentence_rows(corpus.offsets, picked)
+    lengths = np.diff(corpus.offsets)[picked]
+    distinct, ids = _first_seen_ids(corpus.word_ids.ids[rows].tolist())
+    words = WordIds(
+        tuple(map(corpus.word_ids.words.__getitem__, distinct)),
+        ids,
+        np.cumsum([0, *lengths.tolist()], dtype=np.intp),
+    )
+    return TaggedCorpus._from_columns(corpus.labels, corpus.tag_ids[rows], words)
 
 
 def corpus_stats(corpus: TaggedCorpus) -> dict:

@@ -29,7 +29,7 @@ from pathlib import Path
 import numpy as np
 
 from .checkpoint import LINEAR, PROTOTYPE, Model
-from .corpus import TaggedCorpus, TokenSequence, top_up, word_ids
+from .corpus import TaggedCorpus, TokenSequence, sentence_rows, top_up, word_ids
 from .encoder import (
     EncoderParams,
     encode_blocks,
@@ -331,16 +331,6 @@ def _start_encoder(
     )
 
 
-def _rows(offsets: np.ndarray, sentences) -> np.ndarray:
-    """Flat token rows of the given sentences, sentence after sentence."""
-    sentences = np.asarray(sentences, dtype=np.intp)
-    starts = offsets[sentences]
-    lengths = offsets[1:][sentences] - starts
-    # a sentence's rows run from its start, from its first place in the output on
-    first = np.cumsum(lengths) - lengths
-    return np.arange(lengths.sum()) + np.repeat(starts - first, lengths)
-
-
 def _arena(owners: dict) -> ParamArena:
     """One arena over the owners' arrays, named "<owner>.<array>" in owner
     order, with each owner's attributes rebound to their views: training
@@ -388,7 +378,7 @@ def _train_weighted(
         order = list(range(n))
         shuffle_rng.shuffle(order)
         # the epoch's rows in shuffled sentence order; a batch is a run of them
-        rows = _rows(offsets, order)
+        rows = sentence_rows(offsets, order)
         bounds = [0, *accumulate(lengths[i] for i in order)]
         epoch_loss = 0.0
         for start in range(0, n, config.batch_size):
@@ -486,7 +476,7 @@ def train_prototype(
             episode = sample_episode(
                 corpus, m_types, config.K, config.K_prime, seed=episode_rng.getrandbits(32)
             )
-            rows = _rows(corpus.offsets, episode.support_ids + episode.query_ids)
+            rows = sentence_rows(corpus.offsets, episode.support_ids + episode.query_ids)
             episode_windows = windows[rows]
             tag_ids = corpus.tag_ids[rows]
             reprs = encode_windows(encoder, episode_windows)

@@ -516,6 +516,17 @@ class TestTaggedCorpus:
         ):
             TaggedCorpus(sentences, LabelSet(("LOC",), "BIO"))
 
+    def test_immutable_and_hashable(self):
+        parsed = parse_conll("a B-LOC\nb O\n\nc I-PER\n")
+        built = TaggedCorpus(parsed.sentences, parsed.labels)
+        assert parsed == built and hash(parsed) == hash(built)
+        for corpus in (parsed, built):
+            with pytest.raises(AttributeError, match="immutable"):
+                corpus.tag_ids = corpus.tag_ids[::-1]
+            with pytest.raises(AttributeError, match="immutable"):
+                del corpus.offsets
+            assert corpus.offsets.tolist() == [0, 2, 3]
+
     def test_tag_ids_index_the_vocabulary(self):
         corpus = parse_conll("a B-LOC\nb O\n\nc I-PER\n")
         vocab = corpus.labels.tag_vocabulary

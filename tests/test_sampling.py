@@ -5,7 +5,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fewner.corpus import LabelSet, TaggedCorpus, TokenSequence, sample_fewshot
+from fewner.corpus import (
+    LabelSet,
+    TaggedCorpus,
+    TokenSequence,
+    parse_conll,
+    sample_fewshot,
+    write_conll,
+)
 from fewner.errors import DataError
 from fewner.synthetic import make_corpus
 from fewner.training import sample_episode
@@ -27,6 +34,18 @@ def _outcome(sampler, *args):
         return f"DataError: {exc}"
 
 
+def _columns(corpus):
+    words = corpus.word_ids
+    return (
+        corpus.labels,
+        corpus.tag_ids.tolist(),
+        corpus.offsets.tolist(),
+        words.words,
+        words.ids.tolist(),
+        words.offsets.tolist(),
+    )
+
+
 def _contains(sentence, etype) -> bool:
     return any(tag_type(t) == etype for t in sentence.tags)
 
@@ -42,6 +61,28 @@ class TestDrawOrder:
                     outcomes.append(isinstance(got, str))
         assert len(outcomes) >= 200
         assert any(outcomes) and not all(outcomes)  # both draws and errors compared
+
+    def test_fewshot_columns_match_reference(self):
+        # the sample gathers its columns from the corpus's, parsed or built
+        # from sentences; they must be those a corpus of the sampled
+        # sentences derives, the first-seen word order included
+        compared = 0
+        for corpus in CORPORA:
+            for source in (corpus, parse_conll(write_conll(corpus))):
+                for shots in (1, 3):
+                    for seed in range(5):
+                        ref = _outcome(reference_sample_fewshot, corpus, shots, seed)
+                        if isinstance(ref, str):
+                            continue
+                        assert _columns(sample_fewshot(source, shots, seed)) == _columns(ref)
+                        compared += 1
+        assert compared >= 40
+
+    def test_episodes_hash_by_value(self):
+        corpus = CORPORA[0]
+        parsed = parse_conll(write_conll(corpus))
+        a, b = sample_episode(corpus, 2, 2, 3, 7), sample_episode(parsed, 2, 2, 3, 7)
+        assert a == b and hash(a) == hash(b)
 
     def test_episode_matches_reference(self):
         outcomes = []
