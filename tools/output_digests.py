@@ -28,8 +28,9 @@ so refusals are compared too. Only the standard library and numpy are used.
 commit, pass ``--against REV``: REV's ``src/`` is extracted with
 ``git archive`` from the local repository into a temporary directory, both
 trees are digested in subprocesses, and the names of the outputs whose
-digests differ are printed. The exit status is 0 when every output matches
-and 1 otherwise:
+digests differ are printed, followed by the line count of
+``fewner/*.py`` in each tree. The exit status is 0 when every output
+matches and 1 otherwise:
 
     python tools/output_digests.py --against HEAD~1
 """
@@ -226,9 +227,14 @@ def parse_digests(fewner, workdir: Path):
         )
 
 
+def package_lines(src: str | Path) -> int:
+    """The number of lines in the fewner/*.py files under src."""
+    return sum(len(f.read_bytes().splitlines()) for f in Path(src, "fewner").glob("*.py"))
+
+
 def against(src: str, rev: str) -> int:
-    """Print the outputs whose digests differ between rev's src/ and src;
-    1 if any differ, else 0."""
+    """Print the outputs whose digests differ between rev's src/ and src,
+    then both trees' package line counts; 1 if any differ, else 0."""
     git = subprocess.run(["git", "-C", str(REPO), "archive", rev, "src"], capture_output=True)
     if git.returncode:
         raise SystemExit(git.stderr.decode(errors="replace").strip())
@@ -242,6 +248,7 @@ def against(src: str, rev: str) -> int:
             for tree in (str(Path(tmp, "src")), src)
         ]
         outputs = [run.communicate()[0] for run in runs]
+        lines = package_lines(Path(tmp, "src")), package_lines(src)
     if any(run.returncode for run in runs):
         raise SystemExit("a digest run failed")
     old, new = (dict(line.split() for line in out.splitlines()) for out in outputs)
@@ -250,6 +257,7 @@ def against(src: str, rev: str) -> int:
     for name in differ:
         print(name)
     print(f"{len(names) - len(differ)} of {len(names)} outputs identical to {rev}")
+    print(f"fewner/*.py lines: {lines[0]} at {rev}, {lines[1]} in {src}")
     return 1 if differ else 0
 
 
