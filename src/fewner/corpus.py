@@ -369,11 +369,24 @@ def parse_conll(text: str, schema: str = "BIO") -> TaggedCorpus:
 
 
 def write_conll(corpus: TaggedCorpus) -> str:
-    """Serialize a corpus back to CoNLL text (token, space, tag)."""
-    blocks = []
-    for sent in corpus.sentences:
-        blocks.append("\n".join(f"{tok} {tag}" for tok, tag in zip(sent.tokens, sent.tags)))
-    return "\n\n".join(blocks) + ("\n" if blocks else "")
+    """Serialize a corpus to CoNLL text (token, space, tag). A token or tag
+    that parse_conll would not read back as itself (empty, holding
+    whitespace, a token starting with -DOCSTART-, a tag the schema rejects)
+    is a DataError naming the first sentence that holds one."""
+    words, ids, offsets = corpus.word_ids
+    tags, tag_ids = corpus.labels.tag_vocabulary, corpus.tag_ids
+    # one check per distinct word and per tag of the vocabulary
+    bad_word = np.array([w.split() != [w] or w.startswith(DOCSTART) for w in words], bool)
+    schema = corpus.labels.schema
+    bad_tag = np.array([t.split() != [t] or bool(_tag_error(t, schema)) for t in tags])
+    bad = bad_word[ids] | bad_tag[tag_ids]
+    if bad.any():
+        at = int(np.argmax(bad))
+        i = int(np.searchsorted(offsets, at, side="right")) - 1
+        what = f"token {words[ids[at]]!r}" if bad_word[ids[at]] else f"tag {tags[tag_ids[at]]!r}"
+        raise DataError(f"sentence {i}: {what} cannot be written as a CoNLL field")
+    lines = [f"{words[w]} {tags[t]}\n" for w, t in zip(ids.tolist(), tag_ids.tolist())]
+    return "\n".join("".join(lines[a:b]) for a, b in pairwise(offsets.tolist()))
 
 
 def convert_schema(corpus: TaggedCorpus, target: str) -> TaggedCorpus:

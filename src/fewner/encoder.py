@@ -70,9 +70,6 @@ class EncoderParams:
                 raise ValueError("non-finite encoder parameter")
         self._index = {w: i for i, w in enumerate(self.vocab)}
 
-    def token_index(self, token: str) -> int:
-        return self._index.get(token, self._index[UNK])
-
     def copy(self) -> "EncoderParams":
         return EncoderParams(
             self.vocab,

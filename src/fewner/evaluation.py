@@ -225,12 +225,10 @@ def evaluate_model(
     names, ids = _predict_ids(model, test.word_ids, protos)
     type_index = {t: k for k, t in enumerate(test.labels.entity_types)}
     types, begins = tag_codes(names, type_index)
-    # Converting tags to the other schema and chunking them under it gives
-    # the same-type runs of the tags (BIO->IO drops the B- flags, IO->BIO
-    # sets them exactly at run starts), so converted predictions and gold
-    # are chunked as runs: by lookup of their types, without new tags.
+    # converted predictions chunk as same-type runs; IO gold tags carry no B-
+    # flags, so chunking them under BIO gives the same runs
     pred = (types[ids], begins[ids] if native == schema == "BIO" else None)
-    gold = test.columns(schema if test.labels.schema == schema else "IO")
+    gold = test.columns(schema)
     return _score(gold, pred, test.offsets, type_index, test.labels.entity_types)
 
 

@@ -39,10 +39,6 @@ class LinearHead:
                 f"inconsistent head shapes {self.weights.shape} / {self.bias.shape}"
             )
 
-    @property
-    def n_labels(self) -> int:
-        return self.weights.shape[0]
-
     def copy(self) -> "LinearHead":
         return LinearHead(self.weights.copy(), self.bias.copy())
 
@@ -81,9 +77,6 @@ class PrototypeSet:
     @property
     def labels(self) -> list[str]:
         return [label for label, _ in self.entries]
-
-    def is_single(self) -> bool:
-        return all(cents.shape[0] == 1 for _, cents in self.entries)
 
 
 def _log_softmax(logits: np.ndarray) -> np.ndarray:
@@ -221,7 +214,7 @@ def proto_loss_grads(
 
 
 def _single_centroids(protos: PrototypeSet) -> np.ndarray:
-    if not protos.is_single():
+    if any(cents.shape[0] != 1 for _, cents in protos.entries):
         raise ValueError("proto_forward needs single-centroid entries; use multi_proto_score")
     return np.vstack([c[0] for _, c in protos.entries])
 

@@ -29,7 +29,7 @@ from pathlib import Path
 import numpy as np
 
 from .checkpoint import LINEAR, PROTOTYPE, Model
-from .corpus import TaggedCorpus, TokenSequence, sentence_rows, top_up, word_ids
+from .corpus import TaggedCorpus, WordIds, sentence_rows, top_up, word_ids
 from .encoder import (
     EncoderParams,
     encode_blocks,
@@ -267,22 +267,12 @@ def adam_step(state: OptimizerState, arena: ParamArena) -> None:
 
 @dataclass(frozen=True)
 class Episode:
-    """A sampled mini-task: disjoint support and query sentence sets of a
-    corpus, held as ascending sentence indices; support and query give the
-    sentences themselves."""
+    """A sampled mini-task: disjoint support and query sentence sets of the
+    corpus it was drawn from, held as ascending sentence indices."""
 
-    corpus: TaggedCorpus = field(repr=False)
     support_ids: tuple[int, ...]
     query_ids: tuple[int, ...]
     sampled_types: tuple[str, ...]
-
-    @property
-    def support(self) -> tuple[TokenSequence, ...]:
-        return tuple(self.corpus.sentences[i] for i in self.support_ids)
-
-    @property
-    def query(self) -> tuple[TokenSequence, ...]:
-        return tuple(self.corpus.sentences[i] for i in self.query_ids)
 
 
 def sample_episode(
@@ -308,26 +298,22 @@ def sample_episode(
                     f"type {etype!r}: only {available} sentences available "
                     f"for {want} required"
                 )
-    return Episode(corpus, tuple(sorted(support)), tuple(sorted(query)), tuple(sampled))
+    return Episode(tuple(sorted(support)), tuple(sorted(query)), tuple(sampled))
 
 
-def build_vocabulary(corpus: TaggedCorpus, extra_sentences=()) -> list[str]:
-    """Case-sensitive word list (sorted, no frequency cutoff)."""
-    words = set(corpus.word_ids.words)
-    for tokens in extra_sentences:
-        words.update(tokens)
-    return sorted(words)
+def build_vocabulary(corpus: TaggedCorpus, extra_words=()) -> list[str]:
+    """Case-sensitive word list of the corpus plus extra_words (sorted, no
+    frequency cutoff)."""
+    return sorted({*corpus.word_ids.words, *extra_words})
 
 
 def _start_encoder(
-    corpus: TaggedCorpus, config: TrainConfig, init: Model | EncoderParams | None, extra=()
+    corpus: TaggedCorpus, config: TrainConfig, init: EncoderParams | None, extra_words=()
 ) -> EncoderParams:
-    if isinstance(init, Model):
-        return init.encoder.copy()
-    if isinstance(init, EncoderParams):
+    if init is not None:
         return init.copy()
     return init_encoder(
-        build_vocabulary(corpus, extra), config.embed_dim, config.hidden_dim, config.seed
+        build_vocabulary(corpus, extra_words), config.embed_dim, config.hidden_dim, config.seed
     )
 
 
@@ -404,28 +390,18 @@ def _train_weighted(
 def train_linear(
     corpus: TaggedCorpus,
     config: TrainConfig,
-    init: Model | EncoderParams | None = None,
+    init: EncoderParams | None = None,
     on_epoch=None,
 ) -> Model:
-    """Supervised fine-tuning of the linear head (and, unless frozen, the
-    encoder) with per-token cross-entropy.
-
-    `init` warm-starts the encoder; a Model init also reuses its head when
-    it is linear over the identical tag vocabulary, otherwise a freshly
-    seeded head is attached.
+    """Supervised fine-tuning of a freshly seeded linear head (and, unless
+    frozen, the encoder) with per-token cross-entropy; `init` warm-starts
+    the encoder with a copy of it.
     """
     if len(corpus) == 0:
         raise DataError("cannot train on an empty corpus")
     tags = corpus.labels.tag_vocabulary
     encoder = _start_encoder(corpus, config, init)
-    if (
-        isinstance(init, Model)
-        and init.head_kind == LINEAR
-        and init.labels.tag_vocabulary == tags
-    ):
-        head = init.head.copy()
-    else:
-        head = init_linear_head(len(tags), encoder.hidden_dim, config.seed + SEED_HEAD)
+    head = init_linear_head(len(tags), encoder.hidden_dim, config.seed + SEED_HEAD)
     model = Model(encoder, corpus.labels, LINEAR, head)
     # the vocabulary is fixed during training, so the windows are too
     windows = word_windows(encoder, corpus.word_ids)
@@ -437,7 +413,7 @@ def train_linear(
 def train_prototype(
     corpus: TaggedCorpus,
     config: TrainConfig,
-    init: Model | EncoderParams | None = None,
+    init: EncoderParams | None = None,
     on_epoch=None,
 ) -> Model:
     """Episodic training of the encoder: per iteration sample an episode,
@@ -546,16 +522,15 @@ def pretrain_transfer(
     return run_scheme(target, config, source=source, source_config=source_config)
 
 
-def generate_soft_labels(teacher: Model, sentences) -> np.ndarray:
+def generate_soft_labels(teacher: Model, words: WordIds) -> np.ndarray:
     """The teacher's full distribution (no argmax) over its
-    labels.tag_vocabulary for every token of the raw token sequences: one
+    labels.tag_vocabulary for every token of the word-id column: one
     (tokens x tags) array, sentence after sentence, from one
     encoder.encode_blocks pass. Only linear-head teachers are supported:
     a prototype teacher would need its support set stored.
     """
     if teacher.head_kind != LINEAR:
         raise DataError("soft labels need a linear-head teacher")
-    words = word_ids(sentences)
     if np.any(np.diff(words.offsets) == 0):
         raise DataError("empty sentence")
     return encode_blocks(teacher.encoder, words, partial(linear_forward, teacher.head))
@@ -565,7 +540,7 @@ def self_train(
     labeled: TaggedCorpus,
     unlabeled,
     config: TrainConfig,
-    init: Model | EncoderParams | None = None,
+    init: EncoderParams | None = None,
 ) -> Model:
     """One teacher -> student round: train a linear teacher on the labeled
     corpus, soft-label the unlabeled sentences, then train a freshly
@@ -577,24 +552,24 @@ def self_train(
     unlabeled words too; with one (e.g. a pre-trained encoder) the student
     starts from it unchanged.
     """
-    unlabeled = [tuple(tokens) for tokens in unlabeled]
-    if config.lambda_u == 0.0 or not unlabeled:
+    pool = word_ids(unlabeled)
+    n_unlabeled = len(pool.offsets) - 1
+    if config.lambda_u == 0.0 or not n_unlabeled:
         return train_linear(labeled, config, init=init)
     teacher = train_linear(labeled, config, init=init)
-    soft = generate_soft_labels(teacher, unlabeled)
+    soft = generate_soft_labels(teacher, pool)
 
     tags = labeled.labels.tag_vocabulary
-    encoder = _start_encoder(labeled, config, init, extra=unlabeled)
+    encoder = _start_encoder(labeled, config, init, extra_words=pool.words)
     head = init_linear_head(len(tags), encoder.hidden_dim, config.seed + SEED_HEAD)
     student = Model(encoder, labeled.labels, LINEAR, head)
 
     # the labeled sentences, then the unlabeled ones
-    pool = word_ids(unlabeled)
     windows = np.concatenate([word_windows(encoder, labeled.word_ids), word_windows(encoder, pool)])
     offsets = np.concatenate([labeled.offsets, labeled.offsets[-1] + pool.offsets[1:]])
     targets = np.concatenate([np.eye(len(tags))[labeled.tag_ids], soft])
-    w_soft = config.lambda_u / len(unlabeled)
-    weights = [1.0 / len(labeled)] * len(labeled) + [w_soft] * len(unlabeled)
+    w_soft = config.lambda_u / n_unlabeled
+    weights = [1.0 / len(labeled)] * len(labeled) + [w_soft] * n_unlabeled
     return _train_weighted(student, windows, offsets, targets, weights, config)
 
 

@@ -19,7 +19,7 @@ from typing import NamedTuple
 import numpy as np
 
 from fewner.checkpoint import LINEAR, Model
-from fewner.corpus import DOCSTART, LabelSet, TaggedCorpus, TokenSequence, split_tag
+from fewner.corpus import DOCSTART, LabelSet, TaggedCorpus, TokenSequence, split_tag, word_ids
 from fewner.encoder import (
     PAD,
     UNK,
@@ -427,7 +427,6 @@ def reference_sample_episode(corpus, m_types: int, k_support: int, k_query: int,
         top_up(support, query, etype, k_support)
         top_up(query, support, etype, k_query)
     return Episode(
-        corpus,
         support_ids=tuple(sorted(support)),
         query_ids=tuple(sorted(query)),
         sampled_types=tuple(sampled),
@@ -456,9 +455,11 @@ def reference_train_prototype(corpus, config, encoder):
             corpus, m_types, config.K, config.K_prime, seed=episode_rng.getrandbits(32)
         )
         in_scope = set(episode.sampled_types)
-        support_reprs = [encode(encoder, s) for s in episode.support]
+        support = [corpus.sentences[i] for i in episode.support_ids]
+        query = [corpus.sentences[i] for i in episode.query_ids]
+        support_reprs = [encode(encoder, s) for s in support]
         members: dict[str, list[tuple[int, int]]] = {}
-        for i, sent in enumerate(episode.support):
+        for i, sent in enumerate(support):
             for j, tag in enumerate(sent.tags):
                 etype = tag_type(tag)
                 if etype is None or etype in in_scope:
@@ -469,12 +470,12 @@ def reference_train_prototype(corpus, config, encoder):
         )
         label_pos = {t: k for k, t in enumerate(space)}
         support_up = [np.zeros_like(r) for r in support_reprs]
-        query_reprs = [encode(encoder, s) for s in episode.query]
+        query_reprs = [encode(encoder, s) for s in query]
         query_up = [np.zeros_like(r) for r in query_reprs]
         centroid_grads = {t: np.zeros(encoder.hidden_dim) for t in space}
         n_tokens = 0
         loss = 0.0
-        for i, sent in enumerate(episode.query):
+        for i, sent in enumerate(query):
             for j, tag in enumerate(sent.tags):
                 if tag not in label_pos:
                     continue
@@ -494,7 +495,7 @@ def reference_train_prototype(corpus, config, encoder):
             for i, j in members[t]:
                 support_up[i][j] += share
         grads = {k: np.zeros_like(v) for k, v in trainable.items()}
-        for sent, up in zip(episode.support + episode.query, support_up + query_up):
+        for sent, up in zip(support + query, support_up + query_up):
             for k, v in encode_backward(encoder, sent, up / n_tokens).arrays().items():
                 grads[f"encoder.{k}"] += v
         reference_adam_step(state, trainable, grads)
@@ -722,9 +723,13 @@ def reference_self_train(labeled, unlabeled, config) -> Model:
         build_vocabulary(labeled), config.embed_dim, config.hidden_dim, config.seed
     )
     teacher = reference_train_linear(labeled, config, teacher_encoder)
-    soft = generate_soft_labels(teacher, unlabeled)
+    soft = generate_soft_labels(teacher, word_ids(unlabeled))
+    unlabeled_words = [w for tokens in unlabeled for w in tokens]
     encoder = init_encoder(
-        build_vocabulary(labeled, unlabeled), config.embed_dim, config.hidden_dim, config.seed
+        build_vocabulary(labeled, unlabeled_words),
+        config.embed_dim,
+        config.hidden_dim,
+        config.seed,
     )
     head = init_linear_head(
         len(labeled.labels.tag_vocabulary), encoder.hidden_dim, config.seed + SEED_HEAD
@@ -761,11 +766,13 @@ def reference_batched_train_prototype(corpus, config, encoder) -> list[float]:
         episode = sample_episode(
             corpus, m_types, config.K, config.K_prime, seed=episode_rng.getrandbits(32)
         )
-        rows = [rows_of[s] for s in episode.support + episode.query]
+        support = [corpus.sentences[i] for i in episode.support_ids]
+        query = [corpus.sentences[i] for i in episode.query_ids]
+        rows = [rows_of[s] for s in support + query]
         windows = np.concatenate([w for w, _ in rows])
         tag_ids = np.concatenate([ids for _, ids in rows])
         reprs = encode_windows(encoder, windows)
-        n_support = sum(len(s) for s in episode.support)
+        n_support = sum(len(s) for s in support)
         in_scope = np.zeros(len(types) + 1, dtype=bool)
         in_scope[[types.index(t) for t in episode.sampled_types] + [-1]] = True
         present = np.bincount(tag_ids[:n_support], minlength=len(tag_type_ids)) > 0

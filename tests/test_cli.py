@@ -1,11 +1,17 @@
+import contextlib
+import functools
+import io
 import json
 import math
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import fewner
 
@@ -741,3 +747,118 @@ class TestUsage:
         with pytest.raises(SystemExit) as exc:
             main([])
         assert exc.value.code == 1
+
+
+# The robustness gate: valid input files with one mutation each, run through
+# every subcommand in process. The config is tiny, so that a duplicated digit
+# span (epochs 11, hidden_dim 33, ...) still makes a short run.
+GATE_CORPUS = """Paris B-LOC
+is O
+
+Acme B-ORG
+hires O
+
+Rome B-LOC
+and O
+Acme B-ORG
+
+Bonn B-LOC
+waits O
+
+Globex B-ORG
+sells O
+"""
+GATE_CONFIG = {
+    "seed": 1,
+    "epochs": 1,
+    "batch_size": 2,
+    "embed_dim": 2,
+    "hidden_dim": 3,
+    "M": 2,
+    "K": 1,
+    "K_prime": 1,
+    "learning_rate": 0.1,
+}
+GATE_FILES = {
+    "corpus.conll": GATE_CORPUS.encode(),
+    "config.json": json.dumps(GATE_CONFIG).encode(),
+    "unlabeled.txt": b"Paris hires Acme\nRome waits\n",
+}
+# NaN, an overflowing float, a negative number, NUL, a BOM, CR, bytes that
+# are not UTF-8 (a stray and a truncated lead byte) and a line break
+GATE_INSERTS = (b"NaN", b"1e999", b"-1", b"\x00", b"\xef\xbb\xbf", b"\r", b"\xff", b"\xc3", b"\n")
+_TRAIN = ["--config", "config.json", "--train", "corpus.conll", "--out", "out"]
+# each command's argv and the files it reads
+GATE_COMMANDS = {
+    "stats": (["stats", "corpus.conll"], ("corpus.conll",)),
+    "sample": (
+        ["sample", "corpus.conll", "--shots", "1", "--seed", "0", "--out", "out"],
+        ("corpus.conll",),
+    ),
+    "train lc": (["train", "lc", *_TRAIN], ("config.json", "corpus.conll")),
+    "train proto": (["train", "proto", *_TRAIN], ("config.json", "corpus.conll")),
+    "train lc+st": (
+        ["train", "lc+st", *_TRAIN, "--unlabeled", "unlabeled.txt"],
+        ("config.json", "corpus.conll", "unlabeled.txt"),
+    ),
+    "eval": (["eval", "model.json", "corpus.conll"], ("model.json", "corpus.conll")),
+    "protoinfer": (
+        ["protoinfer", "model.json", "--support", "corpus.conll", "--test", "corpus.conll"]
+        + ["--shots", "1"],
+        ("model.json", "corpus.conll"),
+    ),
+}
+
+
+def _in_dir(argv: list[str], tmp: str) -> list[str]:
+    """argv with the gate's file names as paths in the directory tmp."""
+    names = {*GATE_FILES, "model.json", "out"}
+    return [str(Path(tmp, arg)) if arg in names else arg for arg in argv]
+
+
+@functools.cache
+def _gate_checkpoint() -> bytes:
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, data in GATE_FILES.items():
+            Path(tmp, name).write_bytes(data)
+        argv = ["train", "lc", "--config", "config.json", "--train", "corpus.conll"]
+        assert main(_in_dir([*argv, "--out", "model.json"], tmp)) == 0
+        return Path(tmp, "model.json").read_bytes()
+
+
+@st.composite
+def _mutated(draw, data: bytes) -> bytes:
+    """data with one span deleted or duplicated, or one hostile token inserted."""
+    i = draw(st.integers(0, len(data)))
+    j = draw(st.integers(i, min(i + 12, len(data))))
+    kind = draw(st.sampled_from(["delete", "duplicate", "insert"]))
+    if kind == "delete":
+        return data[:i] + data[j:]
+    if kind == "duplicate":
+        return data[:j] + data[i:j] + data[j:]
+    return data[:i] + draw(st.sampled_from(GATE_INSERTS)) + data[i:]
+
+
+class TestRobustnessGate:
+    @settings(max_examples=100, derandomize=True, deadline=None)
+    @given(st.sampled_from(sorted(GATE_COMMANDS)), st.booleans(), st.data())
+    def test_mutated_inputs_fail_cleanly(self, command, out_exists, data):
+        argv, reads = GATE_COMMANDS[command]
+        files = {**GATE_FILES, "model.json": _gate_checkpoint()}
+        target = data.draw(st.sampled_from(reads))
+        files[target] = data.draw(_mutated(files[target]))
+        with tempfile.TemporaryDirectory() as tmp:
+            for name, content in files.items():
+                Path(tmp, name).write_bytes(content)
+            if out_exists:
+                Path(tmp, "out").write_bytes(b"an earlier checkpoint")
+            before = {p.name: p.read_bytes() for p in Path(tmp).iterdir()}
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = main(_in_dir(argv, tmp))
+            assert code in (0, 1, 2, 3)
+            if code in (2, 3):
+                lines = err.getvalue().splitlines()
+                assert len(lines) == 1 and lines[0].startswith("fewner: "), err.getvalue()
+            if code != 0:  # no file left, made or changed
+                assert {p.name: p.read_bytes() for p in Path(tmp).iterdir()} == before

@@ -1,4 +1,5 @@
 import random
+import re
 
 import numpy as np
 import pytest
@@ -202,18 +203,51 @@ class TestWriteConll:
     def test_empty(self):
         assert write_conll(parse_conll("")) == ""
 
+    @pytest.mark.parametrize(
+        "token, tag, types, field",
+        [
+            ("New York", "B-LOC", ("LOC",), "token 'New York'"),
+            (DOCSTART + "x", "O", (), "token '-DOCSTART-x'"),
+            ("", "O", (), "token ''"),
+            ("a\x1cb", "O", (), "token 'a\\x1cb'"),
+            ("a", "B-NEW YORK", ("NEW YORK",), "tag 'B-NEW YORK'"),
+            ("a", "B-", ("",), "tag 'B-'"),
+        ],
+    )
+    def test_unwritable_field_names_sentence(self, token, tag, types, field):
+        # text that would read back as another corpus is refused, naming the
+        # first sentence that holds the field
+        sentences = [TokenSequence(("ok",), ("O",)), TokenSequence(("b", token), ("O", tag))]
+        corpus = TaggedCorpus(sentences * 2, LabelSet(types, "BIO"))
+        with pytest.raises(DataError, match=f"^sentence 1: {re.escape(field)} "):
+            write_conll(corpus)
+
 
 # tokens and type names as the CoNLL format can carry them: no whitespace
 # or line separators (letters, digits, punctuation and symbols only)
 _field_text = st.text(st.characters(categories=["L", "N", "P", "S"]), min_size=1, max_size=8)
 
 
+# text that CoNLL cannot carry as one field: empty, holding whitespace or
+# line separators, or starting with -DOCSTART-
+_hostile_text = st.one_of(
+    st.text(st.sampled_from(" \t\r\n\x0b\x1c\x85\xa0\u2028a-"), max_size=4),
+    _field_text.map(lambda t: DOCSTART + t),
+)
+
+
+def _sometimes_hostile(one_in: int):
+    """_field_text, or _hostile_text about once in one_in draws."""
+    return st.integers(1, one_in).flatmap(lambda n: _hostile_text if n == 1 else _field_text)
+
+
 @st.composite
-def _corpora(draw):
+def _corpora(
+    draw, tokens=_field_text.filter(lambda t: not t.startswith(DOCSTART)), names=_field_text
+):
     schema = draw(st.sampled_from(["BIO", "IO"]))
-    types = draw(st.lists(_field_text.filter(lambda t: t != "O"), unique=True, max_size=4))
+    types = draw(st.lists(names.filter(lambda t: t != "O"), unique=True, max_size=4))
     tags = ["O"] + [f"{p}-{t}" for t in types for p in (("B", "I") if schema == "BIO" else ("I",))]
-    tokens = _field_text.filter(lambda t: not t.startswith(DOCSTART))
     sentences = draw(
         st.lists(
             st.lists(st.tuples(tokens, st.sampled_from(tags)), min_size=1, max_size=6),
@@ -231,6 +265,16 @@ class TestRoundTripProperty:
     @given(_corpora())
     def test_parse_inverts_write(self, corpus):
         assert parse_conll(write_conll(corpus), corpus.labels.schema) == corpus
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(_corpora(tokens=_sometimes_hostile(12), names=_sometimes_hostile(4)))
+    def test_write_refuses_or_round_trips(self, corpus):
+        try:
+            text = write_conll(corpus)
+        except DataError as exc:
+            assert str(exc).startswith("sentence ")
+            return
+        assert parse_conll(text, corpus.labels.schema) == corpus
 
 
 def _chunks(tags, schema, offsets=None):

@@ -88,7 +88,7 @@ class TestEncode:
         params = init_encoder(["a"], 2, 3, seed=1)
         reprs = encode(params, _sentence(["a"]))
         emb = params.embedding_table
-        window = np.concatenate([emb[0], emb[params.token_index("a")], emb[0]])
+        window = np.concatenate([emb[0], emb[params.vocab.index("a")], emb[0]])
         expected = np.tanh(params.context_weights @ window + params.context_bias)
         assert np.allclose(reprs[0], expected)
 
@@ -100,7 +100,7 @@ class TestEncode:
             reprs = encode(params, sent)
             emb = params.embedding_table
             pad = 0
-            idx = [params.token_index(t) for t in sent.tokens]
+            idx = [params.vocab.index(t if t in params.vocab else UNK) for t in sent.tokens]
             for i in range(len(sent)):
                 left = emb[pad] if i == 0 else emb[idx[i - 1]]
                 right = emb[pad] if i == len(sent) - 1 else emb[idx[i + 1]]
@@ -110,7 +110,9 @@ class TestEncode:
 
     def test_oov_maps_to_unk(self):
         params = init_encoder(["a"], 2, 2, seed=4)
-        assert params.token_index("never-seen") == params.token_index(UNK) == 1
+        unk = params.vocab.index(UNK)
+        assert unk == 1
+        assert window_indices(params, ["never-seen"]).tolist() == [[0, unk, 0]]
 
     def test_pure_function(self):
         params = init_encoder(["a", "b"], 3, 3, seed=5)
@@ -133,7 +135,7 @@ class TestEncode:
 class TestBatchedWindows:
     def test_window_rows(self):
         params = init_encoder(["a", "b"], 2, 2, seed=8)
-        a, b, unk = (params.token_index(t) for t in ("a", "b", "zz"))
+        a, b, unk = (params.vocab.index(t) for t in ("a", "b", UNK))
         windows = window_indices(params, ["a", "b", "zz"])
         assert windows.tolist() == [[0, a, b], [a, b, unk], [b, unk, 0]]
         assert window_indices(params, []).shape == (0, 3)
@@ -243,9 +245,9 @@ class TestEncodeBackward:
         params = init_encoder(["a", "b"], 3, 3, seed=12)
         sent = _sentence(["a", "a"])
         grads = encode_backward(params, sent, np.ones((2, 3)))
-        b_row = params.token_index("b")
+        b_row = params.vocab.index("b")
         assert np.all(grads.embedding_table[b_row] == 0.0)
-        assert np.any(grads.embedding_table[params.token_index("a")] != 0.0)
+        assert np.any(grads.embedding_table[params.vocab.index("a")] != 0.0)
 
     def test_pad_row_accumulates(self):
         params = init_encoder(["a"], 2, 2, seed=13)

@@ -443,9 +443,13 @@ class TestBlockInference:
         model = _random_model(np.random.default_rng(42), 4, 6)
         empty = TaggedCorpus((), model.labels)
         assert predict_corpus(model, empty.sentences) == []
-        assert generate_soft_labels(model, []).shape == (0, len(model.labels.tag_vocabulary))
+        empty_words = word_ids([])
+        assert generate_soft_labels(model, empty_words).shape == (
+            0,
+            len(model.labels.tag_vocabulary),
+        )
         with pytest.raises(DataError, match="empty sentence"):
-            generate_soft_labels(model, [("w1",), ()])
+            generate_soft_labels(model, word_ids([("w1",), ()]))
         assert evaluate_model(model, empty).counts == (0, 0, 0)
         with pytest.raises(DataError, match="no tokens"):
             support_prototypes(model.encoder, empty)
@@ -459,7 +463,7 @@ class TestBlockInference:
         model.head.weights[:] = np.random.default_rng(45).normal(size=model.head.weights.shape)
         corpus = _random_corpus(rng, model.labels, 150, long_at=90)
         sentences = [list(s.tokens) for s in corpus.sentences]
-        got = generate_soft_labels(model, sentences)
+        got = generate_soft_labels(model, word_ids(sentences))
         want = reference_generate_soft_labels(model, sentences)
         assert got.shape == want.shape == (sum(map(len, sentences)), len(model.head.bias))
         if block_rows == 1:  # one-sentence blocks: the same arithmetic

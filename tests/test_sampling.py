@@ -140,8 +140,10 @@ class TestProperties:
             episode = sample_episode(corpus, m, k, k_query, seed)
         except DataError:
             return
-        assert not set(episode.support) & set(episode.query)
+        support = [corpus.sentences[i] for i in episode.support_ids]
+        query = [corpus.sentences[i] for i in episode.query_ids]
+        assert not set(support) & set(query)
         assert len(episode.sampled_types) == m
         for etype in episode.sampled_types:
-            assert sum(_contains(s, etype) for s in episode.support) >= k
-            assert sum(_contains(s, etype) for s in episode.query) >= k_query
+            assert sum(_contains(s, etype) for s in support) >= k
+            assert sum(_contains(s, etype) for s in query) >= k_query

@@ -7,7 +7,14 @@ import pytest
 
 from fewner import training
 from fewner.checkpoint import LINEAR, PROTOTYPE, dumps
-from fewner.corpus import LabelSet, TaggedCorpus, TokenSequence, convert_schema, parse_conll
+from fewner.corpus import (
+    LabelSet,
+    TaggedCorpus,
+    TokenSequence,
+    convert_schema,
+    parse_conll,
+    word_ids,
+)
 from fewner.encoder import encode, encode_backward, init_encoder
 from fewner.errors import DataError, NumericError
 from fewner.heads import cross_entropy, init_linear_head, linear_backward, linear_forward
@@ -214,14 +221,14 @@ class TestSampleEpisode:
     def test_budgets_and_disjointness(self):
         corpus = _make_corpus(80, seed=1, types=("A", "B", "C", "D", "E"))
         episode = sample_episode(corpus, 5, 2, 3, seed=3)
+        support = [corpus.sentences[i] for i in episode.support_ids]
+        query = [corpus.sentences[i] for i in episode.query_ids]
         assert len(episode.sampled_types) == 5
-        assert len(episode.support) <= 10
-        assert len(episode.query) <= 15
-        assert not set(episode.support) & set(episode.query)
+        assert len(support) <= 10
+        assert len(query) <= 15
+        assert not set(support) & set(query)
         for etype in episode.sampled_types:
-            assert any(
-                any(t.endswith(etype) for t in s.tags) for s in episode.support
-            )
+            assert any(any(t.endswith(etype) for t in s.tags) for s in support)
 
     def test_full_type_count(self):
         corpus = _make_corpus(60, seed=2)
@@ -247,12 +254,18 @@ class TestSampleEpisode:
 
 class TestTrainLinear:
     def test_zero_epochs_is_identity(self):
+        # zero epochs keep the warm-start encoder and the freshly seeded head
         corpus = _make_corpus(10, seed=5)
         config = _tiny_config(epochs=2)
-        init = train_linear(corpus, config)
+        init = train_linear(corpus, config).encoder
         resumed = train_linear(corpus, config.with_(epochs=0), init=init)
-        assert np.array_equal(resumed.encoder.embedding_table, init.encoder.embedding_table)
-        assert np.array_equal(resumed.head.weights, init.head.weights)
+        for name, arr in resumed.encoder.arrays().items():
+            assert np.array_equal(arr, init.arrays()[name]), name
+        head = init_linear_head(
+            len(corpus.labels.tag_vocabulary), init.hidden_dim, config.seed + 1
+        )
+        for name, arr in resumed.head.arrays().items():
+            assert np.array_equal(arr, head.arrays()[name]), name
 
     def test_loss_decreases(self):
         corpus = _make_corpus(25, seed=6)
@@ -366,7 +379,7 @@ class TestTrainingArena:
         corpus = _make_corpus(20, seed=5)
         init = train_linear(corpus, _tiny_config(epochs=1))
         before = [a.copy() for a in _all_arrays(init)]
-        model = trainer(corpus, _tiny_config(epochs=2), init=init)
+        model = trainer(corpus, _tiny_config(epochs=2), init=init.encoder)
         for arr, was in zip(_all_arrays(init), before):
             assert np.array_equal(arr, was)
         for arr in model.encoder.arrays().values():
@@ -602,7 +615,7 @@ class TestSoftLabels:
     def test_distributions_sum_to_one(self):
         corpus = _make_corpus(10, seed=21)
         teacher = train_linear(corpus, _tiny_config(epochs=1))
-        soft = generate_soft_labels(teacher, [("paris", "w1"), ("acme",)])
+        soft = generate_soft_labels(teacher, word_ids([("paris", "w1"), ("acme",)]))
         assert soft.shape == (3, len(teacher.labels.tag_vocabulary))
         assert np.all(soft >= 0.0)
         assert np.allclose(soft.sum(axis=1), 1.0, atol=1e-9)
@@ -612,7 +625,7 @@ class TestSoftLabels:
         teacher = train_linear(corpus, _tiny_config(epochs=0))
         teacher.head.weights[:] = 0.0
         teacher.head.bias[:] = 0.0
-        soft = generate_soft_labels(teacher, [("w0", "w1")])
+        soft = generate_soft_labels(teacher, word_ids([("w0", "w1")]))
         n = len(teacher.labels.tag_vocabulary)
         assert soft.shape == (2, n)
         assert np.allclose(soft, 1.0 / n)
@@ -623,7 +636,7 @@ class TestSoftLabels:
         teacher.head.weights[:] = 0.0
         teacher.head.bias[:] = 0.0
         teacher.head.bias[0] = 50.0
-        soft = generate_soft_labels(teacher, [("w0",)])
+        soft = generate_soft_labels(teacher, word_ids([("w0",)]))
         assert soft.shape == (1, len(teacher.labels.tag_vocabulary))
         assert soft[0, 0] > 0.999999
 
@@ -631,7 +644,7 @@ class TestSoftLabels:
         corpus = _make_corpus(10, seed=24)
         teacher = train_prototype(corpus, _tiny_config(epochs=1))
         with pytest.raises(DataError):
-            generate_soft_labels(teacher, [("w0",)])
+            generate_soft_labels(teacher, word_ids([("w0",)]))
 
 
 class TestSelfTrain:
