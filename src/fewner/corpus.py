@@ -374,11 +374,10 @@ def write_conll(corpus: TaggedCorpus) -> str:
     whitespace, a token starting with -DOCSTART-, a tag the schema rejects)
     is a DataError naming the first sentence that holds one."""
     words, ids, offsets = corpus.word_ids
-    tags, tag_ids = corpus.labels.tag_vocabulary, corpus.tag_ids
+    tags, schema, tag_ids = corpus.labels.tag_vocabulary, corpus.labels.schema, corpus.tag_ids
     # one check per distinct word and per tag of the vocabulary
     bad_word = np.array([w.split() != [w] or w.startswith(DOCSTART) for w in words], bool)
-    schema = corpus.labels.schema
-    bad_tag = np.array([t.split() != [t] or bool(_tag_error(t, schema)) for t in tags])
+    bad_tag = np.array([t.split() != [t] or _tag_error(t, schema) is not None for t in tags])
     bad = bad_word[ids] | bad_tag[tag_ids]
     if bad.any():
         at = int(np.argmax(bad))

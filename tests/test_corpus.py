@@ -228,7 +228,7 @@ class TestWriteConll:
 _field_text = st.text(st.characters(categories=["L", "N", "P", "S"]), min_size=1, max_size=8)
 
 
-# text that CoNLL cannot carry as one field: empty, holding whitespace or
+# text that is often not one CoNLL field: empty, holding whitespace or
 # line separators, or starting with -DOCSTART-
 _hostile_text = st.one_of(
     st.text(st.sampled_from(" \t\r\n\x0b\x1c\x85\xa0\u2028a-"), max_size=4),
