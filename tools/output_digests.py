@@ -19,7 +19,12 @@ Prints one ``name sha256`` line per output:
 * the exit code, stdout and stderr of ``fewner stats`` on small CoNLL files
   (``PARSE_INPUTS``): malformed ones, whose one error line names the bad
   line, and valid ones with unusual layout (``-DOCSTART-`` lines, CR and
-  CRLF line ends, tabs, leading and trailing blank runs).
+  CRLF line ends, tabs, leading and trailing blank runs);
+* the ``to_dict()`` JSON of ``entity_f1`` reports under BIO and IO scoring,
+  for predictions that include types outside the gold label set and for an
+  empty test corpus, and of ``repeated_eval`` on a small ``Experiment``
+  (``lc`` on a few-shot sample and ``proto``, whose runs score support
+  prototypes).
 
 A run that raises DataError or NumericError is digested as its error text,
 so refusals are compared too. Only the standard library and numpy are used.
@@ -227,6 +232,46 @@ def parse_digests(fewner, workdir: Path):
         )
 
 
+def report_digests(fewner):
+    """The to_dict() JSON of entity_f1 and repeated_eval reports."""
+    import random
+
+    from fewner.synthetic import make_corpus
+
+    def dump(report) -> str:
+        return json.dumps(report.to_dict(), indent=2)
+
+    # wrong tags a prediction may hold, "MISC" being outside every gold label set
+    wrong = ("O", "B-LOC", "I-LOC", "B-ORG", "I-PER", "B-MISC", "I-MISC")
+    for seed in SEEDS:
+        gold = make_corpus(60, seed * 7919 + 6)
+        rng = random.Random(seed)
+        predicted = [
+            [rng.choice(wrong) if rng.random() < 0.2 else t for t in s.tags]
+            for s in gold.sentences
+        ]
+        for schema in ("BIO", "IO"):
+            run = lambda: dump(fewner.entity_f1(gold, predicted, schema))
+            yield f"report/entity_f1/{schema}/seed{seed}", _guarded(fewner, run)
+    empty = fewner.TaggedCorpus((), fewner.LabelSet(("LOC", "ORG"), "BIO"))
+    for schema in ("BIO", "IO"):
+        run = lambda: dump(fewner.entity_f1(empty, [], schema))
+        yield f"report/entity_f1_empty/{schema}", _guarded(fewner, run)
+
+    config = fewner.TrainConfig.five_shot(seed=0, epochs=2)
+    experiments = {
+        "lc_shots5": fewner.Experiment(
+            make_corpus(60, 11), make_corpus(30, 12), config.with_(scheme="lc"), shots=5
+        ),
+        "proto": fewner.Experiment(
+            make_corpus(60, 13), make_corpus(30, 14), config.with_(scheme="proto")
+        ),
+    }
+    for name, experiment in experiments.items():
+        run = lambda: dump(fewner.repeated_eval(experiment, 2, base_seed=3))
+        yield f"report/repeated_eval/{name}", _guarded(fewner, run)
+
+
 def package_lines(src: str | Path) -> int:
     """The number of lines in the fewner/*.py files under src."""
     return sum(len(f.read_bytes().splitlines()) for f in Path(src, "fewner").glob("*.py"))
@@ -273,7 +318,7 @@ def main(argv=None) -> int:
     sys.path.insert(0, str(Path(args.src).resolve()))
     import fewner
 
-    for digests in (scheme_digests, prediction_digests):
+    for digests in (scheme_digests, prediction_digests, report_digests):
         for name, output in digests(fewner):
             print(name, _sha(output))
     with tempfile.TemporaryDirectory() as tmp:
