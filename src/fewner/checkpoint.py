@@ -31,37 +31,24 @@ PROTOTYPE = "prototype"
 
 @dataclass
 class Model:
-    """A trained (or freshly initialized) model: encoder + head descriptor."""
+    """A trained (or freshly initialized) model: encoder, label set and, for
+    a linear model, its head arrays; a prototype model has none."""
 
     encoder: EncoderParams
     labels: LabelSet
-    head_kind: str
-    head: LinearHead | None
+    head: LinearHead | None = None
 
     def __post_init__(self):
-        if self.head_kind not in (LINEAR, PROTOTYPE):
-            raise ValueError(f"unknown head kind {self.head_kind!r}")
-        if self.head_kind == LINEAR:
-            if self.head is None:
-                raise ValueError("linear model needs head arrays")
-            if self.head.weights.shape != (
-                len(self.labels.tag_vocabulary),
-                self.encoder.hidden_dim,
-            ):
-                raise ValueError(
-                    f"head shape {self.head.weights.shape} inconsistent with "
-                    f"{len(self.labels.tag_vocabulary)} tags and H={self.encoder.hidden_dim}"
-                )
-        elif self.head is not None:
-            raise ValueError("prototype model must not carry head arrays")
+        shape = (len(self.labels.tag_vocabulary), self.encoder.hidden_dim)
+        if self.head is not None and self.head.weights.shape != shape:
+            raise ValueError(
+                f"head shape {self.head.weights.shape} inconsistent with "
+                f"{shape[0]} tags and H={shape[1]}"
+            )
 
-    def copy(self) -> "Model":
-        return Model(
-            self.encoder.copy(),
-            self.labels,
-            self.head_kind,
-            self.head.copy() if self.head else None,
-        )
+    @property
+    def head_kind(self) -> str:
+        return PROTOTYPE if self.head is None else LINEAR
 
 
 def to_document(model: Model) -> dict:
@@ -82,7 +69,7 @@ def to_document(model: Model) -> dict:
             "tags": list(model.labels.tag_vocabulary),
         },
     }
-    if model.head_kind == LINEAR:
+    if model.head is not None:
         doc["head"]["weights"] = model.head.weights.tolist()
         doc["head"]["bias"] = model.head.bias.tolist()
     return doc
@@ -165,15 +152,19 @@ def from_document(doc: dict) -> Model:
         head = LinearHead(
             _array(doc, "head.weights", (n_tags, h)), _array(doc, "head.bias", (n_tags,))
         )
-    return Model(encoder, labels, kind, head)
+    return Model(encoder, labels, head)
 
 
 def write_atomic(path: str | Path, text: str) -> None:
-    """Write text to a temporary file beside path, then rename it over path,
-    so a failed write never leaves a truncated file at path."""
-    tmp = Path(f"{path}.tmp")
+    """Write text to a new temporary file beside path, then rename it over
+    path, so a failed write never leaves a truncated file at path. The
+    temporary file is created exclusively under a random name, so no other
+    file is written or removed, and with the mode a plain write would give."""
+    tmp = Path(f"{path}.{os.urandom(8).hex()}.tmp")
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
-        tmp.write_text(text, encoding="utf-8")
+        with open(fd, "w", encoding="utf-8") as f:
+            f.write(text)
         os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)

@@ -18,6 +18,8 @@ import time
 from dataclasses import asdict
 from pathlib import Path
 
+import numpy as np
+
 from . import checkpoint
 from .corpus import parse_conll, sample_fewshot, stats_json, write_conll
 from .errors import DataError, NumericError
@@ -185,7 +187,7 @@ def cmd_train(args) -> int:
 
 def cmd_eval(args) -> int:
     model = checkpoint.load(args.checkpoint)
-    if model.head_kind != checkpoint.LINEAR:
+    if model.head is None:
         raise DataError(
             "checkpoint has a prototype head, which is rebuilt from support data; "
             "use the protoinfer subcommand"
@@ -270,7 +272,11 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.fn(args)
+        # numpy's floating-point warnings stay off stderr: a run that overflows
+        # but keeps finite gradients succeeds quietly, and one that does not
+        # ends in its NumericError's one line
+        with np.errstate(all="ignore"):
+            return args.fn(args)
     except UsageError as exc:
         print(f"fewner: {exc}", file=sys.stderr)
         return EXIT_USAGE

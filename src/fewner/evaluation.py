@@ -13,13 +13,13 @@ shifted seeds and reports mean and sample standard deviation of F1.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 from functools import partial
 from itertools import chain, pairwise
 
 import numpy as np
 
-from .checkpoint import LINEAR, PROTOTYPE, Model
+from .checkpoint import Model
 from .corpus import (
     TaggedCorpus,
     WordIds,
@@ -53,22 +53,7 @@ class EvalReport:
     counts: tuple[int, int, int]  # gold, predicted, correct
 
     def to_dict(self) -> dict:
-        gold, predicted, correct = self.counts
-        return {
-            "precision": self.precision,
-            "recall": self.recall,
-            "f1": self.f1,
-            "per_type": {
-                t: {
-                    "precision": s.precision,
-                    "recall": s.recall,
-                    "f1": s.f1,
-                    "support": s.support,
-                }
-                for t, s in self.per_type.items()
-            },
-            "counts": {"gold": gold, "predicted": predicted, "correct": correct},
-        }
+        return {**asdict(self), "counts": dict(zip(("gold", "predicted", "correct"), self.counts))}
 
 
 @dataclass(frozen=True)
@@ -81,11 +66,8 @@ class AggregateReport:
         return f"{self.mean_f1:.3f} ± {self.std_f1:.3f}"
 
     def to_dict(self) -> dict:
-        return {
-            "mean_f1": self.mean_f1,
-            "std_f1": self.std_f1,
-            "runs": [r.to_dict() for r in self.runs],
-        }
+        own = {f.name: getattr(self, f.name) for f in fields(self)}
+        return {**own, "runs": [r.to_dict() for r in self.runs]}
 
 
 def _prf(correct: int, predicted: int, gold: int) -> tuple[float, float, float]:
@@ -149,7 +131,7 @@ def _predict_ids(
     order = model.labels.tag_vocabulary
     if protos is not None:
         labels, score = protos.labels, partial(multi_proto_scores, protos)
-    elif model.head_kind == LINEAR:
+    elif model.head is not None:
         labels, score = order, partial(linear_forward, model.head)
     else:
         raise DataError("prototype checkpoints carry no head arrays; supply a support set")
@@ -260,7 +242,7 @@ def run_experiment(experiment: Experiment, seed: int) -> EvalReport:
         source_config=experiment.source_config,
     )
     protos = None
-    if model.head_kind == PROTOTYPE:
+    if model.head is None:
         protos = support_prototypes(
             model.encoder, labeled, shots=experiment.shots, seed=seed
         )

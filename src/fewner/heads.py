@@ -39,9 +39,6 @@ class LinearHead:
                 f"inconsistent head shapes {self.weights.shape} / {self.bias.shape}"
             )
 
-    def copy(self) -> "LinearHead":
-        return LinearHead(self.weights.copy(), self.bias.copy())
-
     def arrays(self) -> dict[str, np.ndarray]:
         return {"weights": self.weights, "bias": self.bias}
 

@@ -25,6 +25,12 @@ COARSE_TYPES = ("LOC", "ORG", "PER")
 N_ENTITY = 30
 N_COMPANION = 3  # per coarse type
 TRIGGER = "cue"
+# chances that an entity follows the cue word (and takes the shifted type),
+# and that an untriggered one follows a companion word or spans two tokens
+TRIGGER_PROB = 0.25
+COMPANION_PROB = 0.5
+PAIR_PROB = 0.3
+SOURCE_NOISE = 0.05  # transfer_benchmark's source tag noise
 
 ENTITY_WORDS = tuple(f"e{i:02d}" for i in range(N_ENTITY))
 COMPANION_WORDS = {
@@ -61,9 +67,7 @@ def make_corpus(
     n_sentences: int,
     seed: int,
     fine: bool = False,
-    trigger_prob: float = 0.25,
-    pair_prob: float = 0.3,
-    companion_prob: float = 0.5,
+    trigger_prob: float = TRIGGER_PROB,
     noise: float = 0.0,
 ) -> TaggedCorpus:
     """Generate sentences over the fixed 200-word vocabulary.
@@ -72,21 +76,13 @@ def make_corpus(
     corrupts tags, never tokens (the noise draws come from their own
     stream, so corpora with different noise share sentences).
     """
-    types, rows = _generate(
-        n_sentences, seed, fine, trigger_prob, pair_prob, companion_prob, noise
-    )
+    types, rows = _generate(n_sentences, seed, fine, trigger_prob, noise)
     sentences = tuple(TokenSequence(tokens, tags) for tokens, tags in rows)
     return TaggedCorpus(sentences, LabelSet(types, "BIO"))
 
 
 def _generate(
-    n_sentences: int,
-    seed: int,
-    fine: bool = False,
-    trigger_prob: float = 0.25,
-    pair_prob: float = 0.3,
-    companion_prob: float = 0.5,
-    noise: float = 0.0,
+    n_sentences: int, seed: int, fine: bool, trigger_prob: float, noise: float
 ) -> tuple[tuple[str, ...], list]:
     """make_corpus's entity types and (tokens, tags) rows, without the corpus."""
     rng = random.Random(seed)
@@ -118,12 +114,12 @@ def _generate(
                 tokens.extend([TRIGGER, ENTITY_WORDS[i]])
                 tags.extend(["O", f"B-{label}"])
             else:
-                if rng.random() < companion_prob:
+                if rng.random() < COMPANION_PROB:
                     tokens.append(rng.choice(COMPANION_WORDS[coarse]))
                     tags.append("O")
                 label = _fine(coarse, subtype(i)) if fine else coarse
                 label = _noisy(label, types, noise_rng, noise)
-                if rng.random() < pair_prob:
+                if rng.random() < PAIR_PROB:
                     same_base = [j for j in range(N_ENTITY) if base_type(j) == coarse]
                     j = rng.choice(same_base)
                     tokens.extend([ENTITY_WORDS[i], ENTITY_WORDS[j]])
@@ -159,16 +155,16 @@ def transfer_benchmark(
     n_train: int = 200,
     n_test: int = 200,
     n_unlabeled: int = 300,
-    source_noise: float = 0.05,
 ) -> TransferBenchmark:
     """The transfer setup: a larger fine-grained source corpus (with mildly
     noisy labels), a coarse target corpus, held-out coarse test data and
     an in-domain unlabeled pool.
     """
+    # the pool's token rows only: no corpus is built to strip its tags
+    _, pool = _generate(n_unlabeled, seed * 7919 + 4, False, TRIGGER_PROB, 0.0)
     return TransferBenchmark(
-        source=make_corpus(n_source, seed * 7919 + 1, fine=True, noise=source_noise),
+        source=make_corpus(n_source, seed * 7919 + 1, fine=True, noise=SOURCE_NOISE),
         train=make_corpus(n_train, seed * 7919 + 2),
         test=make_corpus(n_test, seed * 7919 + 3),
-        # the pool's token rows only: no corpus is built to strip its tags
-        unlabeled=[tokens for tokens, _ in _generate(n_unlabeled, seed * 7919 + 4)[1]],
+        unlabeled=[tokens for tokens, _ in pool],
     )

@@ -28,7 +28,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .checkpoint import LINEAR, PROTOTYPE, Model
+from .checkpoint import Model
 from .corpus import TaggedCorpus, WordIds, sentence_rows, top_up, word_ids
 from .encoder import (
     EncoderParams,
@@ -402,7 +402,7 @@ def train_linear(
     tags = corpus.labels.tag_vocabulary
     encoder = _start_encoder(corpus, config, init)
     head = init_linear_head(len(tags), encoder.hidden_dim, config.seed + SEED_HEAD)
-    model = Model(encoder, corpus.labels, LINEAR, head)
+    model = Model(encoder, corpus.labels, head)
     # the vocabulary is fixed during training, so the windows are too
     windows = word_windows(encoder, corpus.word_ids)
     targets = np.eye(len(tags))[corpus.tag_ids]
@@ -494,7 +494,7 @@ def train_prototype(
         if on_epoch is not None:
             mean_loss = sum(epoch_losses) / len(epoch_losses) if epoch_losses else 0.0
             on_epoch(epoch, mean_loss)
-    return Model(encoder, corpus.labels, PROTOTYPE, None)
+    return Model(encoder, corpus.labels)
 
 
 def _trainer(stage: str):
@@ -529,7 +529,7 @@ def generate_soft_labels(teacher: Model, words: WordIds) -> np.ndarray:
     encoder.encode_blocks pass. Only linear-head teachers are supported:
     a prototype teacher would need its support set stored.
     """
-    if teacher.head_kind != LINEAR:
+    if teacher.head is None:
         raise DataError("soft labels need a linear-head teacher")
     if np.any(np.diff(words.offsets) == 0):
         raise DataError("empty sentence")
@@ -562,7 +562,7 @@ def self_train(
     tags = labeled.labels.tag_vocabulary
     encoder = _start_encoder(labeled, config, init, extra_words=pool.words)
     head = init_linear_head(len(tags), encoder.hidden_dim, config.seed + SEED_HEAD)
-    student = Model(encoder, labeled.labels, LINEAR, head)
+    student = Model(encoder, labeled.labels, head)
 
     # the labeled sentences, then the unlabeled ones
     windows = np.concatenate([word_windows(encoder, labeled.word_ids), word_windows(encoder, pool)])

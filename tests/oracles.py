@@ -18,7 +18,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from fewner.checkpoint import LINEAR, Model
+from fewner.checkpoint import Model
 from fewner.corpus import DOCSTART, LabelSet, TaggedCorpus, TokenSequence, split_tag, word_ids
 from fewner.encoder import (
     PAD,
@@ -702,7 +702,7 @@ def reference_train_weighted(items, labels, config, encoder, head, on_epoch=None
             epoch_norm += norm
         if on_epoch is not None:
             on_epoch(epoch, epoch_loss / epoch_norm if epoch_norm else 0.0)
-    return Model(encoder, labels, LINEAR, head)
+    return Model(encoder, labels, head)
 
 
 def reference_train_linear(corpus, config, encoder, on_epoch=None) -> Model:

@@ -19,13 +19,13 @@ def _linear_model(seed=0):
     labels = LabelSet(("LOC", "PER"), "BIO")
     encoder = init_encoder(["alpha", "beta", "gamma"], 3, 4, seed=seed)
     head = init_linear_head(len(labels.tag_vocabulary), 4, seed=seed + 1)
-    return checkpoint.Model(encoder, labels, checkpoint.LINEAR, head)
+    return checkpoint.Model(encoder, labels, head)
 
 
 def _proto_model(seed=0):
     labels = LabelSet(("LOC",), "BIO")
     encoder = init_encoder(["alpha"], 2, 3, seed=seed)
-    return checkpoint.Model(encoder, labels, checkpoint.PROTOTYPE, None)
+    return checkpoint.Model(encoder, labels)
 
 
 class TestRoundTrip:
@@ -74,6 +74,32 @@ class TestRoundTrip:
         assert path.read_bytes() == before
         assert list(tmp_path.iterdir()) == [path]
 
+    @pytest.mark.parametrize("replace_fails", [False, True])
+    def test_existing_tmp_file_untouched(self, tmp_path, monkeypatch, replace_fails):
+        path = tmp_path / "model.json"
+        theirs = tmp_path / "model.json.tmp"
+        theirs.write_bytes(b"someone else's file\n")
+        if replace_fails:
+
+            def failing_replace(src, dst):
+                raise OSError("simulated failure")
+
+            monkeypatch.setattr(os, "replace", failing_replace)
+            with pytest.raises(OSError):
+                checkpoint.save(_linear_model(), path)
+            assert sorted(tmp_path.iterdir()) == [theirs]
+        else:
+            checkpoint.save(_linear_model(), path)
+            assert sorted(tmp_path.iterdir()) == [path, theirs]
+        assert theirs.read_bytes() == b"someone else's file\n"
+
+    def test_written_file_has_plain_write_mode(self, tmp_path):
+        plain = tmp_path / "plain.json"
+        plain.write_text("{}", encoding="utf-8")
+        path = tmp_path / "model.json"
+        checkpoint.save(_linear_model(), path)
+        assert path.stat().st_mode == plain.stat().st_mode
+
     def test_garbage_file_rejected(self, tmp_path):
         path = tmp_path / "junk.json"
         path.write_text("not json at all {", encoding="utf-8")
@@ -82,27 +108,15 @@ class TestRoundTrip:
 
 
 class TestModelValidation:
-    def test_linear_needs_head(self):
-        m = _linear_model()
-        with pytest.raises(ValueError):
-            checkpoint.Model(m.encoder, m.labels, checkpoint.LINEAR, None)
-
-    def test_prototype_rejects_head_arrays(self):
-        m = _linear_model()
-        with pytest.raises(ValueError):
-            checkpoint.Model(m.encoder, m.labels, checkpoint.PROTOTYPE, m.head)
+    def test_head_kind_follows_head(self):
+        assert _linear_model().head_kind == checkpoint.LINEAR
+        assert _proto_model().head_kind == checkpoint.PROTOTYPE
 
     def test_head_shape_checked(self):
         m = _linear_model()
         bad = init_linear_head(2, m.encoder.hidden_dim, seed=3)
         with pytest.raises(ValueError):
-            checkpoint.Model(m.encoder, m.labels, checkpoint.LINEAR, bad)
-
-    def test_copy_is_deep_for_arrays(self):
-        m = _linear_model()
-        c = m.copy()
-        c.encoder.embedding_table[0, 0] += 1.0
-        assert m.encoder.embedding_table[0, 0] != c.encoder.embedding_table[0, 0]
+            checkpoint.Model(m.encoder, m.labels, bad)
 
 
 _DELETE = object()
@@ -246,8 +260,8 @@ def _models(draw):
             draw(arrays(float, (n, h), elements=_finite)),
             draw(arrays(float, (n,), elements=_finite)),
         )
-        return checkpoint.Model(encoder, labels, checkpoint.LINEAR, head)
-    return checkpoint.Model(encoder, labels, checkpoint.PROTOTYPE, None)
+        return checkpoint.Model(encoder, labels, head)
+    return checkpoint.Model(encoder, labels)
 
 
 class TestRoundTripProperties:

@@ -712,18 +712,42 @@ class TestFileErrors:
         assert sorted(workdir.iterdir()) == before
 
 
-def test_python_m_fewner(workdir):
+def _python_m_fewner(argv: list[str]) -> subprocess.CompletedProcess:
+    """Run `python -m fewner argv` in a fresh interpreter, which shows every
+    warning that pytest would capture."""
     src = str(Path(fewner.__file__).resolve().parent.parent)
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
-    result = subprocess.run(
-        [sys.executable, "-m", "fewner", "stats", str(workdir / "fixture.conll")],
-        capture_output=True,
-        text=True,
-        env=env,
-        timeout=60,
+    return subprocess.run(
+        [sys.executable, "-m", "fewner", *argv], capture_output=True, text=True, env=env, timeout=60
     )
+
+
+def test_python_m_fewner(workdir):
+    result = _python_m_fewner(["stats", str(workdir / "fixture.conll")])
     assert result.returncode == 0, result.stderr
     assert json.loads(result.stdout)["sentences"] == 2
+
+
+@pytest.mark.parametrize(
+    "learning_rate, code, stderr",
+    [
+        pytest.param(
+            1e308, 3, "fewner: non-finite gradient in parameter block 'head.weights'\n", id="1e308"
+        ),
+        # overflows in the encoder, but every gradient stays finite
+        pytest.param(1e300, 0, "", id="1e300"),
+    ],
+)
+def test_overflow_prints_no_numpy_warnings(tmp_path, learning_rate, code, stderr):
+    (tmp_path / "train.conll").write_text(write_conll(make_corpus(30, seed=0)), encoding="utf-8")
+    config = {"seed": 0, "epochs": 2, "learning_rate": learning_rate}
+    (tmp_path / "config.json").write_text(json.dumps(config), encoding="utf-8")
+    p = lambda name: str(tmp_path / name)
+    result = _python_m_fewner(
+        ["train", "lc", "--config", p("config.json"), "--train", p("train.conll")]
+        + ["--out", p("model.json")]
+    )
+    assert (result.returncode, result.stderr) == (code, stderr)
 
 
 class TestUsage:

@@ -27,7 +27,7 @@ from fewner.evaluation import (
     support_prototypes,
 )
 from fewner import encoder as encoder_module
-from fewner.checkpoint import LINEAR, Model
+from fewner.checkpoint import Model
 from fewner.encoder import encode, init_encoder
 from fewner.heads import PrototypeSet, init_linear_head, linear_forward, multi_proto_score
 from fewner.synthetic import transfer_benchmark
@@ -349,7 +349,7 @@ def _random_model(np_rng, embed_dim, hidden_dim, types=("LOC", "ORG", "PER")):
     encoder.context_weights /= np.sqrt(3 * embed_dim)
     encoder.context_bias[:] = np_rng.normal(size=hidden_dim)
     head = init_linear_head(len(labels.tag_vocabulary), hidden_dim, seed=2)
-    return Model(encoder, labels, LINEAR, head)
+    return Model(encoder, labels, head)
 
 
 def _random_corpus(rng, labels, n_sentences, long_at=None):
