@@ -653,7 +653,7 @@ class TestFileErrors:
         }[command] + ["--out", out]
         assert main(argv) == 2
         assert capsys.readouterr().err == f"fewner: cannot write {out}: {reason}\n"
-        assert not Path(f"{out}.tmp").exists()
+        assert not list(Path(out).parent.glob(f"{Path(out).name}.*tmp"))  # no temporary file
         assert not (workdir / "missing").exists()
         assert list((workdir / "a_directory").iterdir()) == []
 
