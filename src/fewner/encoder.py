@@ -160,28 +160,39 @@ def _window_input(params: EncoderParams, windows: np.ndarray) -> np.ndarray:
     return params.embedding_table[windows].reshape(len(windows), 3 * params.embed_dim)
 
 
+def _pre_activations(params: EncoderParams, window_input: np.ndarray) -> np.ndarray:
+    """(N, H): Wc @ x + bc for each row x of an (N, 3E) window input."""
+    pre = window_input @ params.context_weights.T
+    pre += params.context_bias
+    return pre
+
+
 def encode_windows(params: EncoderParams, windows: np.ndarray) -> np.ndarray:
     """Representations for a batch of windows; row i is the H-vector of
     the token whose window is windows[i]."""
-    pre = _window_input(params, windows) @ params.context_weights.T
-    pre += params.context_bias
+    pre = _pre_activations(params, _window_input(params, windows))
     return np.tanh(pre, out=pre)
 
 
 def encode_windows_backward(
-    params: EncoderParams, windows: np.ndarray, reprs: np.ndarray, upstream: np.ndarray
+    params: EncoderParams, windows: np.ndarray, reprs: np.ndarray, upstream: np.ndarray,
+    out: EncoderGrads | None = None, window_input: np.ndarray | None = None,
 ) -> EncoderGrads:
     """Exact gradients of sum_i upstream[i] . reprs[i] w.r.t. all parameters,
-    where reprs = encode_windows(params, windows).
+    where reprs = encode_windows(params, windows), written into out if given.
+    window_input may pass in the windows' _window_input if already gathered.
 
     The padding embedding accumulates gradient like any other row.
     """
+    if out is None:
+        out = EncoderGrads(*(np.empty_like(a) for a in params.arrays().values()))
+    x = _window_input(params, windows) if window_input is None else window_input
     d_pre = upstream * (1.0 - reprs**2)
-    d_weights = d_pre.T @ _window_input(params, windows)
-    d_bias = d_pre.sum(axis=0)
-    d_x = d_pre @ params.context_weights  # (N, 3E)
-    d_emb = scatter_rows(windows.ravel(), d_x.reshape(-1, params.embed_dim), len(params.vocab))
-    return EncoderGrads(d_emb, d_weights, d_bias)
+    np.matmul(d_pre.T, x, out=out.context_weights)
+    np.add.reduce(d_pre, axis=0, out=out.context_bias)
+    d_x = (d_pre @ params.context_weights).reshape(-1, params.embed_dim)  # (3N, E)
+    out.embedding_table[...] = scatter_rows(windows.ravel(), d_x, len(params.vocab))
+    return out
 
 
 def scatter_rows(rows: np.ndarray, values: np.ndarray, n_rows: int) -> np.ndarray:

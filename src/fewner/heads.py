@@ -100,12 +100,14 @@ def linear_forward(head: LinearHead, repr_vec: np.ndarray) -> np.ndarray:
 
 
 def linear_loss_grads(
-    head: LinearHead, reprs: np.ndarray, targets: np.ndarray, weights: np.ndarray
-) -> tuple[float, np.ndarray, np.ndarray, np.ndarray]:
+    head: LinearHead, reprs: np.ndarray, targets: np.ndarray, weights: np.ndarray,
+    out: tuple[np.ndarray, np.ndarray] | None = None, with_loss: bool = True,
+) -> tuple[float | None, np.ndarray, np.ndarray, np.ndarray]:
     """sum_i w_i KL(T_i || softmax(W @ reprs[i] + b)) over (N, H) reprs,
     (N, n_tags) targets and N token weights, computed in log space, with its
     gradients (dW, db, d_reprs). The logit gradient is w * (softmax - T).
-    """
+    dW and db are written into the arrays of out if given; without with_loss
+    the loss is None."""
     reprs = np.asarray(reprs, dtype=float)
     targets = np.asarray(targets, dtype=float)
     weights = np.asarray(weights, dtype=float)
@@ -115,11 +117,14 @@ def linear_loss_grads(
             f"targets {targets.shape} / weights {weights.shape} do not fit {log_q.shape}"
         )
     w = weights[:, None]
-    # target entropy term with 0 * log 0 = 0
-    log_t = np.log(np.where(targets > 0.0, targets, 1.0))
-    loss = float(np.sum(w * targets * (log_t - log_q)))
+    loss = None
+    if with_loss:  # target entropy term with 0 * log 0 = 0
+        loss = float(np.sum(w * targets * (np.log(np.where(targets > 0.0, targets, 1.0)) - log_q)))
     d_logits = w * (np.exp(log_q) - targets)
-    return loss, d_logits.T @ reprs, d_logits.sum(axis=0), d_logits @ head.weights
+    d_w, d_b = out if out is not None else (np.empty_like(head.weights), np.empty_like(head.bias))
+    np.matmul(d_logits.T, reprs, out=d_w)
+    np.add.reduce(d_logits, axis=0, out=d_b)
+    return loss, d_w, d_b, d_logits @ head.weights
 
 
 def cross_entropy(dist: np.ndarray, target: np.ndarray) -> float:
@@ -140,7 +145,7 @@ def linear_backward(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Gradients of KL(target || linear_forward) as (dW, db, d_repr)."""
     _, d_weights, d_bias, d_reprs = linear_loss_grads(
-        head, np.atleast_2d(repr_vec), np.atleast_2d(target), np.ones(1)
+        head, np.atleast_2d(repr_vec), np.atleast_2d(target), np.ones(1), None, False
     )
     return d_weights, d_bias, d_reprs[0]
 

@@ -12,8 +12,8 @@ Optimization is Adam with bias correction under a linear warmup / linear
 decay schedule planned over the whole run. The per-batch loss is a
 (weighted) mean over tokens, so learning rates are comparable across
 batch sizes. A run copies its trainable arrays into one flat ParamArena
-and rebinds the model's attributes to views of it, so each step is one
-gradient copy, one finiteness check and one Adam pass over one array.
+and rebinds the model's attributes to views of it; a step writes its
+gradients into the arena's views, then takes one Adam pass over the arena.
 """
 
 from __future__ import annotations
@@ -31,9 +31,11 @@ import numpy as np
 from .checkpoint import Model
 from .corpus import TaggedCorpus, WordIds, sentence_rows, top_up, word_ids
 from .encoder import (
+    EncoderGrads,
     EncoderParams,
+    _pre_activations,
+    _window_input,
     encode_blocks,
-    encode_windows,
     encode_windows_backward,
     init_encoder,
     word_windows,
@@ -161,8 +163,8 @@ class ParamArena:
     """Named parameter blocks laid out in one flat buffer.
 
     The blocks are copied into `params` in the given order; `views` holds
-    each block as a reshaped view of it, and `grads` is a gradient buffer of
-    the same layout. Block i is params[bounds[i]:bounds[i + 1]].
+    each block as a reshaped view of it, and `grad_views` the same of `grads`,
+    a gradient buffer of the same layout. Block i is params[bounds[i]:bounds[i + 1]].
     """
 
     def __init__(self, blocks: dict[str, np.ndarray]):
@@ -170,14 +172,9 @@ class ParamArena:
         self.bounds = np.cumsum([0, *(b.size for b in blocks.values())])
         self.params = np.concatenate([b.ravel() for b in blocks.values()])
         self.grads = np.zeros_like(self.params)
-        self.views = {
-            name: self.params[start:stop].reshape(b.shape)
-            for (name, b), start, stop in zip(blocks.items(), self.bounds, self.bounds[1:])
-        }
-
-    def set_grads(self, grads) -> None:
-        """Copy one gradient per block, in block order, into `grads`."""
-        np.concatenate([g.ravel() for g in grads], out=self.grads)
+        spans = list(zip(blocks, self.bounds, self.bounds[1:], (b.shape for b in blocks.values())))
+        self.views = {name: self.params[a:z].reshape(shape) for name, a, z, shape in spans}
+        self.grad_views = {name: self.grads[a:z].reshape(shape) for name, a, z, shape in spans}
 
     def block_at(self, index: int) -> str:
         """The name of the block holding flat position index."""
@@ -330,6 +327,16 @@ def _arena(owners: dict) -> ParamArena:
     return arena
 
 
+def _encode_step(encoder: EncoderParams, windows: np.ndarray):
+    """A step's window input, representations and whether every pre-activation
+    is finite (tanh hides one that is not). The step raises NumericError for
+    one after its update, so that a non-finite gradient still names its block."""
+    x = _window_input(encoder, windows)
+    pre = _pre_activations(encoder, x)
+    finite = bool(np.isfinite(pre).all())
+    return x, np.tanh(pre, out=pre), finite
+
+
 def _train_weighted(
     model: Model,
     windows: np.ndarray,
@@ -347,18 +354,23 @@ def _train_weighted(
     by the run-wide mean token weight times the batch's token count, so the
     weighting between sentence groups holds across batches and uniform
     weights reduce to the plain token mean. Each batch is one encode, one
-    head forward/backward and one encoder backward over its sentences' rows.
+    head forward/backward and one encoder backward over its sentences' rows;
+    the loss is computed only for on_epoch.
     """
     encoder, head = model.encoder, model.head
     n = len(offsets) - 1
     total_steps = config.epochs * math.ceil(n / config.batch_size)
     arena = _arena({"head": head} if config.freeze_encoder else {"head": head, "encoder": encoder})
     state = init_optimizer(arena.params, config.learning_rate, config.warmup_fraction, total_steps)
+    # the gradient views in block order: the head's two, then the encoder's
+    grads = list(arena.grad_views.values())
+    head_grads, enc_grads = grads[:2], EncoderGrads(*grads[2:]) if grads[2:] else None
     shuffle_rng = random.Random(config.seed + SEED_SHUFFLE)
     lengths = np.diff(offsets).tolist()
     weight_sum = sum(w * k for w, k in zip(weights, lengths))  # over every token
     mean_token_weight = weight_sum / sum(lengths)
     token_weights = np.repeat(weights, lengths)
+    with_loss = on_epoch is not None
 
     for epoch in range(config.epochs):
         order = list(range(n))
@@ -370,19 +382,19 @@ def _train_weighted(
         for start in range(0, n, config.batch_size):
             batch = rows[bounds[start] : bounds[min(start + config.batch_size, n)]]
             batch_windows = windows[batch]
-            reprs = encode_windows(encoder, batch_windows)
-            batch_loss, d_w, d_b, upstream = linear_loss_grads(
-                head, reprs, targets[batch], token_weights[batch]
+            x, reprs, finite = _encode_step(encoder, batch_windows)
+            batch_loss, _, _, upstream = linear_loss_grads(
+                head, reprs, targets[batch], token_weights[batch], head_grads, with_loss
             )
-            grads = [d_w, d_b]
-            if not config.freeze_encoder:
-                enc_grads = encode_windows_backward(encoder, batch_windows, reprs, upstream)
-                grads += enc_grads.arrays().values()
-            arena.set_grads(grads)
+            if enc_grads is not None:
+                encode_windows_backward(encoder, batch_windows, reprs, upstream, enc_grads, x)
             arena.grads /= mean_token_weight * len(batch)
             adam_step(state, arena)
-            epoch_loss += batch_loss
-        if on_epoch is not None:
+            if not finite:
+                raise NumericError("non-finite encoder pre-activation")
+            if with_loss:
+                epoch_loss += batch_loss
+        if with_loss:
             on_epoch(epoch, epoch_loss / weight_sum)
     return model
 
@@ -445,6 +457,7 @@ def train_prototype(
     # the vocabulary is fixed during training, so the windows are too
     windows = word_windows(encoder, corpus.word_ids)
     lengths = np.diff(corpus.offsets)
+    grads = EncoderGrads(*arena.grad_views.values())
 
     for epoch in range(config.epochs):
         epoch_losses: list[float] = []
@@ -455,7 +468,7 @@ def train_prototype(
             rows = sentence_rows(corpus.offsets, episode.support_ids + episode.query_ids)
             episode_windows = windows[rows]
             tag_ids = corpus.tag_ids[rows]
-            reprs = encode_windows(encoder, episode_windows)
+            x, reprs, finite = _encode_step(encoder, episode_windows)
             n_support = int(lengths[list(episode.support_ids)].sum())
             # label space: the support's tags of the sampled types plus "O", in
             # vocabulary order; "O" has type id -1, the last slot of in_scope
@@ -488,9 +501,10 @@ def train_prototype(
             counts = np.bincount(member_label, minlength=len(space))
             upstream[members] = (d_centroids / counts[:, None])[member_label]
             upstream /= n_tokens
-            enc_grads = encode_windows_backward(encoder, episode_windows, reprs, upstream)
-            arena.set_grads(enc_grads.arrays().values())
+            encode_windows_backward(encoder, episode_windows, reprs, upstream, grads, x)
             adam_step(state, arena)
+            if not finite:
+                raise NumericError("non-finite encoder pre-activation")
         if on_epoch is not None:
             mean_loss = sum(epoch_losses) / len(epoch_losses) if epoch_losses else 0.0
             on_epoch(epoch, mean_loss)

@@ -734,8 +734,8 @@ def test_python_m_fewner(workdir):
         pytest.param(
             1e308, 3, "fewner: non-finite gradient in parameter block 'head.weights'\n", id="1e308"
         ),
-        # overflows in the encoder, but every gradient stays finite
-        pytest.param(1e300, 0, "", id="1e300"),
+        # every gradient stays finite, but the encoder's pre-activations overflow
+        pytest.param(1e300, 3, "fewner: non-finite encoder pre-activation\n", id="1e300"),
     ],
 )
 def test_overflow_prints_no_numpy_warnings(tmp_path, learning_rate, code, stderr):
@@ -748,6 +748,7 @@ def test_overflow_prints_no_numpy_warnings(tmp_path, learning_rate, code, stderr
         + ["--out", p("model.json")]
     )
     assert (result.returncode, result.stderr) == (code, stderr)
+    assert not (tmp_path / "model.json").exists()
 
 
 class TestUsage:

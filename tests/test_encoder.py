@@ -289,6 +289,21 @@ class TestEncodeBackward:
             for name, arr in grads.arrays().items():
                 assert _bits(arr) == _bits(ref.arrays()[name]), name
 
+    def test_out_and_window_input_give_the_same_bits(self):
+        np_rng = np.random.default_rng(18)
+        params = init_encoder([f"w{i}" for i in range(6)], 4, 5, seed=3)
+        windows = np_rng.integers(0, len(params.vocab), size=(12, 3))
+        reprs = encode_windows(params, windows)
+        upstream = np_rng.normal(size=reprs.shape)
+        plain = encode_windows_backward(params, windows, reprs, upstream)
+        # stale values in out must be overwritten, not added to
+        out = encoder.EncoderGrads(*(np.full_like(a, 7.0) for a in params.arrays().values()))
+        x = encoder._window_input(params, windows)
+        given = encode_windows_backward(params, windows, reprs, upstream, out, x)
+        assert given is out
+        for name, arr in out.arrays().items():
+            assert _bits(arr) == _bits(plain.arrays()[name]), name
+
 
 def _bits(arr: np.ndarray) -> bytes:
     """The array's raw float bytes: -0.0 differs from 0.0, NaN payloads count."""

@@ -172,6 +172,21 @@ class TestLinearLossGrads:
         assert np.allclose(d_w, [[1.0], [-1.0]])
         assert np.allclose(d_z, [[2e4]])
 
+    def test_out_and_without_loss_give_the_same_gradients(self):
+        rng = np.random.default_rng(16)
+        head = LinearHead(rng.normal(size=(4, 3)), rng.normal(size=4))
+        reprs = rng.normal(size=(6, 3))
+        targets = rng.dirichlet(np.ones(4), size=6)
+        weights = rng.uniform(0.1, 3.0, size=6)
+        _, *plain = linear_loss_grads(head, reprs, targets, weights)
+        # stale values in out must be overwritten, not added to
+        out = (np.full((4, 3), 7.0), np.full(4, 7.0))
+        loss, d_w, d_b, d_z = linear_loss_grads(head, reprs, targets, weights, out, False)
+        assert loss is None
+        assert d_w is out[0] and d_b is out[1]
+        for got, want in zip((d_w, d_b, d_z), plain):
+            assert got.tobytes() == want.tobytes()
+
     def test_shape_mismatch(self):
         head = LinearHead(np.zeros((3, 2)), np.zeros(3))
         with pytest.raises(ValueError):

@@ -18,6 +18,7 @@ from fewner.corpus import (
 from fewner.encoder import encode, encode_backward, init_encoder
 from fewner.errors import DataError, NumericError
 from fewner.heads import cross_entropy, init_linear_head, linear_backward, linear_forward
+from fewner.synthetic import make_corpus
 from fewner.training import (
     OptimizerState,
     ParamArena,
@@ -120,7 +121,7 @@ def _adam(blocks: dict, base_lr, warmup_fraction, total_steps):
 
 
 def _step(state, arena, grads: dict) -> None:
-    arena.set_grads(grads.values())
+    arena.grads[:] = np.concatenate([np.ravel(g) for g in grads.values()])
     adam_step(state, arena)
 
 
@@ -209,12 +210,12 @@ class TestParamArena:
         assert np.array_equal(arena.views["b"], [8, 9])
         assert [arena.block_at(i) for i in range(8)] == ["w"] * 6 + ["b"] * 2
 
-    def test_set_grads_lays_blocks_out_in_order(self):
+    def test_grad_views_share_the_gradient_buffer(self):
         arena = ParamArena({"w": np.zeros((2, 2)), "b": np.zeros(1)})
-        arena.set_grads([np.array([[1.0, 2.0], [3.0, 4.0]]), np.array([5.0])])
-        assert np.array_equal(arena.grads, [1, 2, 3, 4, 5])
-        with pytest.raises(ValueError):
-            arena.set_grads([np.zeros((2, 2))])  # one block short
+        arena.grad_views["w"][1] = [3.0, 4.0]
+        arena.grad_views["b"][...] = 5.0
+        assert np.array_equal(arena.grads, [0, 0, 3, 4, 5])
+        assert not np.shares_memory(arena.grads, arena.params)
 
 
 class TestSampleEpisode:
@@ -411,6 +412,35 @@ class TestTrainingArena:
             assert np.array_equal(arr, copy.arrays()[name])
             assert not np.shares_memory(arr, model.encoder.arrays()[name])
         assert not np.array_equal(model.encoder.embedding_table, encoder.embedding_table)
+
+
+class TestStepChecks:
+    """What a training step checks and what on_epoch changes."""
+
+    # tanh maps an overflowing pre-activation to +-1, so every gradient stays
+    # finite and only the step's own check stops training
+    @pytest.mark.parametrize("learning_rate", [1e200, 1e300])
+    @pytest.mark.parametrize("trainer", [train_linear, train_prototype])
+    def test_overflowing_pre_activations_raise(self, trainer, learning_rate):
+        config = TrainConfig.five_shot(seed=0, epochs=2, learning_rate=learning_rate)
+        with np.errstate(all="ignore"), pytest.raises(
+            NumericError, match="^non-finite encoder pre-activation$"
+        ):
+            trainer(make_corpus(30, seed=0), config)
+
+    @pytest.mark.parametrize(
+        "trainer, freeze",
+        [(train_linear, False), (train_linear, True), (train_prototype, False)],
+        ids=["linear", "linear_frozen", "prototype"],
+    )
+    def test_on_epoch_leaves_the_model_bit_identical(self, trainer, freeze):
+        corpus = _make_corpus(20, seed=5)
+        config = _tiny_config(freeze_encoder=freeze)
+        losses = []
+        hooked = trainer(corpus, config, on_epoch=lambda e, loss: losses.append(loss))
+        plain = trainer(corpus, config)
+        assert len(losses) == config.epochs and all(math.isfinite(x) for x in losses)
+        assert dumps(hooked) == dumps(plain)
 
 
 class TestFullBatchDescent:

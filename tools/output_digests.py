@@ -20,6 +20,8 @@ Prints one ``name sha256`` line per output:
   (``PARSE_INPUTS``): malformed ones, whose one error line names the bad
   line, and valid ones with unusual layout (``-DOCSTART-`` lines, CR and
   CRLF line ends, tabs, leading and trailing blank runs);
+* the per-epoch losses that ``on_epoch`` reports for ``train_linear``, with
+  the encoder trained and frozen, and for ``train_prototype``, on seeds 0-2;
 * the ``to_dict()`` JSON of ``entity_f1`` reports under BIO and IO scoring,
   for predictions that include types outside the gold label set and for an
   empty test corpus, and of ``repeated_eval`` on a small ``Experiment``
@@ -160,6 +162,28 @@ def prediction_digests(fewner):
                         " ".join(t) for t in predict_corpus(model, test.sentences, head_protos)
                     )
                     yield f"predict/{scheme}_{head}/{schema}/seed{seed}", _guarded(fewner, tags)
+
+
+def loss_digests(fewner):
+    """The epoch and loss of each on_epoch call, one line per epoch."""
+    from fewner.synthetic import make_corpus
+
+    for seed in SEEDS:
+        corpus = make_corpus(40, seed * 7919 + 7)
+        config = fewner.TrainConfig.five_shot(seed=seed, epochs=3, learning_rate=0.05)
+        runs = {
+            "linear": (fewner.train_linear, config),
+            "linear_frozen": (fewner.train_linear, config.with_(freeze_encoder=True)),
+            "prototype": (fewner.train_prototype, config),
+        }
+        for name, (train, run_config) in runs.items():
+
+            def losses() -> str:
+                lines = []
+                train(corpus, run_config, on_epoch=lambda e, loss: lines.append(f"{e} {loss!r}"))
+                return "\n".join(lines)
+
+            yield f"losses/{name}/seed{seed}", _guarded(fewner, losses)
 
 
 def cli_digests(fewner, workdir: Path):
@@ -318,7 +342,7 @@ def main(argv=None) -> int:
     sys.path.insert(0, str(Path(args.src).resolve()))
     import fewner
 
-    for digests in (scheme_digests, prediction_digests, report_digests):
+    for digests in (scheme_digests, prediction_digests, loss_digests, report_digests):
         for name, output in digests(fewner):
             print(name, _sha(output))
     with tempfile.TemporaryDirectory() as tmp:
