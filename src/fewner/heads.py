@@ -145,7 +145,7 @@ def linear_backward(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Gradients of KL(target || linear_forward) as (dW, db, d_repr)."""
     _, d_weights, d_bias, d_reprs = linear_loss_grads(
-        head, np.atleast_2d(repr_vec), np.atleast_2d(target), np.ones(1), None, False
+        head, np.atleast_2d(repr_vec), np.atleast_2d(target), np.ones(1)
     )
     return d_weights, d_bias, d_reprs[0]
 

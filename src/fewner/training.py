@@ -364,7 +364,8 @@ def _train_weighted(
     state = init_optimizer(arena.params, config.learning_rate, config.warmup_fraction, total_steps)
     # the gradient views in block order: the head's two, then the encoder's
     grads = list(arena.grad_views.values())
-    head_grads, enc_grads = grads[:2], EncoderGrads(*grads[2:]) if grads[2:] else None
+    head_grads = grads[:2]
+    enc_grads = None if config.freeze_encoder else EncoderGrads(*grads[2:])
     shuffle_rng = random.Random(config.seed + SEED_SHUFFLE)
     lengths = np.diff(offsets).tolist()
     weight_sum = sum(w * k for w, k in zip(weights, lengths))  # over every token
