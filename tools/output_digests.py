@@ -7,6 +7,10 @@ Prints one ``name sha256`` line per output:
   corpora, on seeds 0-2, and of the linear schemes without a pretrain
   stage (``FROZEN_SCHEMES``) with ``freeze_encoder`` set, where only the
   head trains;
+* the checkpoint text where a self-training scheme stops at its teacher:
+  ``lc+st`` and ``lc+nsp+st`` through ``run_scheme`` with ``lambda_u`` 0 and
+  with no unlabeled sentences, and ``self_train`` warm-started from a
+  source-trained encoder, on seeds 0-2;
 * the stdout of ``fewner stats``, ``eval`` (BIO and IO scoring) and
   ``protoinfer``, and the checkpoint bytes that ``fewner train`` writes for
   ``lc``, ``proto`` and ``lc+st`` (with an ``--unlabeled`` file), on files
@@ -136,6 +140,36 @@ def scheme_digests(fewner):
                 )
                 name = f"run_scheme/{scheme}/{schema}/{variant}/seed{seed}"
                 yield name, _guarded(fewner, run)
+
+
+def stop_rule_digests(fewner):
+    """Checkpoints of the self-training runs that stop at the teacher, and
+    of self_train with an init."""
+    from fewner.checkpoint import dumps
+    from fewner.synthetic import transfer_benchmark
+
+    for seed in SEEDS:
+        bench = transfer_benchmark(seed, n_source=80, n_train=40, n_test=10, n_unlabeled=30)
+        config = fewner.TrainConfig.five_shot(seed=seed, epochs=2)
+        for scheme in ("lc+st", "lc+nsp+st"):
+            runs = {
+                "lambda0": (config.with_(scheme=scheme, lambda_u=0.0), bench.unlabeled),
+                "no_unlabeled": (config.with_(scheme=scheme), []),
+            }
+            for variant, (run_config, unlabeled) in runs.items():
+                run = lambda: dumps(
+                    fewner.run_scheme(
+                        bench.train, run_config, source=bench.source, unlabeled=unlabeled
+                    )
+                )
+                yield f"stop/{scheme}/{variant}/seed{seed}", _guarded(fewner, run)
+
+        def warm_started() -> str:
+            pretrained = fewner.train_linear(bench.source, config)
+            model = fewner.self_train(bench.train, bench.unlabeled, config, init=pretrained.encoder)
+            return dumps(model)
+
+        yield f"self_train/init/seed{seed}", _guarded(fewner, warm_started)
 
 
 def prediction_digests(fewner):
@@ -342,7 +376,10 @@ def main(argv=None) -> int:
     sys.path.insert(0, str(Path(args.src).resolve()))
     import fewner
 
-    for digests in (scheme_digests, prediction_digests, loss_digests, report_digests):
+    python_digests = (
+        scheme_digests, stop_rule_digests, prediction_digests, loss_digests, report_digests
+    )
+    for digests in python_digests:
         for name, output in digests(fewner):
             print(name, _sha(output))
     with tempfile.TemporaryDirectory() as tmp:
