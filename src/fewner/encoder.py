@@ -31,7 +31,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .corpus import TokenSequence, WordIds, word_ids
-from .errors import DataError
+from .errors import DataError, NumericError
 
 PAD = "<PAD>"
 UNK = "<UNK>"
@@ -160,18 +160,24 @@ def _window_input(params: EncoderParams, windows: np.ndarray) -> np.ndarray:
     return params.embedding_table[windows].reshape(len(windows), 3 * params.embed_dim)
 
 
-def _pre_activations(params: EncoderParams, window_input: np.ndarray) -> np.ndarray:
-    """(N, H): Wc @ x + bc for each row x of an (N, 3E) window input."""
-    pre = window_input @ params.context_weights.T
+def _encode_checked(params: EncoderParams, windows: np.ndarray):
+    """The window input, representations and, if a pre-activation is not
+    finite (tanh would map it to +-1), the NumericError to raise, else None."""
+    x = _window_input(params, windows)
+    pre = x @ params.context_weights.T
     pre += params.context_bias
-    return pre
+    error = None if np.isfinite(pre).all() else NumericError("non-finite encoder pre-activation")
+    return x, np.tanh(pre, out=pre), error
 
 
 def encode_windows(params: EncoderParams, windows: np.ndarray) -> np.ndarray:
     """Representations for a batch of windows; row i is the H-vector of
-    the token whose window is windows[i]."""
-    pre = _pre_activations(params, _window_input(params, windows))
-    return np.tanh(pre, out=pre)
+    the token whose window is windows[i]. A non-finite pre-activation
+    raises NumericError."""
+    _, reprs, error = _encode_checked(params, windows)
+    if error is not None:
+        raise error
+    return reprs
 
 
 def encode_windows_backward(
@@ -228,7 +234,8 @@ def encode_blocks(params: EncoderParams, words: WordIds, head) -> np.ndarray:
     sentences of at most BLOCK_ROWS rows; head maps each range's (rows, H)
     representations to one result row per token, and the ranges' results
     are concatenated. With no sentences head gets one (0, H) block, so the
-    result is empty with the shape head gives it.
+    result is empty with the shape head gives it. A non-finite
+    pre-activation raises NumericError.
     """
     windows = word_windows(params, words)
     return np.concatenate(

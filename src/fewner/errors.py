@@ -6,4 +6,4 @@ class DataError(Exception):
 
 
 class NumericError(Exception):
-    """Numerical failure during training (non-finite gradients and the like)."""
+    """A non-finite value in training or inference (a gradient, a pre-activation)."""

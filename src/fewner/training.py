@@ -1,12 +1,12 @@
 """Training schemes over the window encoder and the two heads.
 
-Four entry points, all deterministic functions of (data, config, seed):
-
-* train_linear        supervised fine-tuning of encoder + linear head
-* train_prototype     episodic training of the encoder with prototypes
-* pretrain_transfer   train on a source corpus, re-head, fine-tune on target
-* self_train          teacher on labeled data, soft labels on unlabeled
-                      sentences, student on the weighted joint objective
+train_linear fine-tunes the encoder under a linear head; train_prototype
+trains it on episodes with prototypes. A scheme (SCHEMES) is a chain of
+named stages, and STAGES gives each name the input it reads, the trainer
+it calls and its step. run_scheme walks the chain, passing on the warm
+start (pretrain), the latest model and the soft labels that a student
+trains on with the teacher's data; pretrain_transfer and self_train are
+such runs. Every result is a deterministic function of (data, config, seed).
 
 Optimization is Adam with bias correction under a linear warmup / linear
 decay schedule planned over the whole run. The per-batch loss is a
@@ -21,10 +21,12 @@ from __future__ import annotations
 import json
 import math
 import random
+from collections import namedtuple
 from dataclasses import dataclass, field, replace
 from functools import partial
 from itertools import accumulate
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -33,8 +35,7 @@ from .corpus import TaggedCorpus, WordIds, sentence_rows, top_up, word_ids
 from .encoder import (
     EncoderGrads,
     EncoderParams,
-    _pre_activations,
-    _window_input,
+    _encode_checked,
     encode_blocks,
     encode_windows_backward,
     init_encoder,
@@ -43,8 +44,8 @@ from .encoder import (
 from .errors import DataError, NumericError
 from .heads import init_linear_head, linear_forward, linear_loss_grads, proto_loss_grads
 
-# each scheme's stages in run order, as the run manifest records them; a
-# "pretrain:" stage reads the source corpus, "soft_labels" the unlabeled text
+# each scheme's stages in run order, as the run manifest records them; STAGES
+# says what each one reads and does
 SCHEMES = {
     "lc": ("train_linear",),
     "proto": ("train_prototype",),
@@ -327,16 +328,6 @@ def _arena(owners: dict) -> ParamArena:
     return arena
 
 
-def _encode_step(encoder: EncoderParams, windows: np.ndarray):
-    """A step's window input, representations and whether every pre-activation
-    is finite (tanh hides one that is not). The step raises NumericError for
-    one after its update, so that a non-finite gradient still names its block."""
-    x = _window_input(encoder, windows)
-    pre = _pre_activations(encoder, x)
-    finite = bool(np.isfinite(pre).all())
-    return x, np.tanh(pre, out=pre), finite
-
-
 def _train_weighted(
     model: Model,
     windows: np.ndarray,
@@ -383,7 +374,7 @@ def _train_weighted(
         for start in range(0, n, config.batch_size):
             batch = rows[bounds[start] : bounds[min(start + config.batch_size, n)]]
             batch_windows = windows[batch]
-            x, reprs, finite = _encode_step(encoder, batch_windows)
+            x, reprs, error = _encode_checked(encoder, batch_windows)
             batch_loss, _, _, upstream = linear_loss_grads(
                 head, reprs, targets[batch], token_weights[batch], head_grads, with_loss
             )
@@ -391,8 +382,8 @@ def _train_weighted(
                 encode_windows_backward(encoder, batch_windows, reprs, upstream, enc_grads, x)
             arena.grads /= mean_token_weight * len(batch)
             adam_step(state, arena)
-            if not finite:
-                raise NumericError("non-finite encoder pre-activation")
+            if error is not None:  # after the update: a bad gradient names its block
+                raise error
             if with_loss:
                 epoch_loss += batch_loss
         if with_loss:
@@ -469,7 +460,7 @@ def train_prototype(
             rows = sentence_rows(corpus.offsets, episode.support_ids + episode.query_ids)
             episode_windows = windows[rows]
             tag_ids = corpus.tag_ids[rows]
-            x, reprs, finite = _encode_step(encoder, episode_windows)
+            x, reprs, error = _encode_checked(encoder, episode_windows)
             n_support = int(lengths[list(episode.support_ids)].sum())
             # label space: the support's tags of the sampled types plus "O", in
             # vocabulary order; "O" has type id -1, the last slot of in_scope
@@ -504,37 +495,12 @@ def train_prototype(
             upstream /= n_tokens
             encode_windows_backward(encoder, episode_windows, reprs, upstream, grads, x)
             adam_step(state, arena)
-            if not finite:
-                raise NumericError("non-finite encoder pre-activation")
+            if error is not None:  # after the update: a bad gradient names its block
+                raise error
         if on_epoch is not None:
             mean_loss = sum(epoch_losses) / len(epoch_losses) if epoch_losses else 0.0
             on_epoch(epoch, mean_loss)
     return Model(encoder, corpus.labels)
-
-
-def _trainer(stage: str):
-    """The training function a stage name ends in."""
-    return train_prototype if stage.endswith("train_prototype") else train_linear
-
-
-def pretrain_transfer(
-    source: TaggedCorpus,
-    target: TaggedCorpus,
-    config: TrainConfig,
-    source_config: TrainConfig | None = None,
-) -> Model:
-    """Two-stage transfer: train on the source corpus with its own tag
-    vocabulary, then keep the encoder, attach a fresh head for the target
-    vocabulary and fine-tune on the target.
-
-    This is run_scheme with a source and no unlabeled text, so the scheme
-    (lc+nsp or proto+nsp) sets both stages' objective; source_config
-    overrides stage-1 hyperparameters. A scheme without a pretrain stage,
-    or one that needs unlabeled text, is a DataError.
-    """
-    if "source" not in scheme_inputs(config.scheme):
-        raise DataError(f"scheme {config.scheme!r} has no pretrain stage")
-    return run_scheme(target, config, source=source, source_config=source_config)
 
 
 def generate_soft_labels(teacher: Model, words: WordIds) -> np.ndarray:
@@ -551,79 +517,126 @@ def generate_soft_labels(teacher: Model, words: WordIds) -> np.ndarray:
     return encode_blocks(teacher.encoder, words, partial(linear_forward, teacher.head))
 
 
-def self_train(
-    labeled: TaggedCorpus,
-    unlabeled,
-    config: TrainConfig,
-    init: EncoderParams | None = None,
-) -> Model:
-    """One teacher -> student round: train a linear teacher on the labeled
-    corpus, soft-label the unlabeled sentences, then train a freshly
-    initialized student on labeled items weighted 1/|L| and soft items
-    weighted lambda_u/|U|.
+# a STAGES entry: the input a stage reads ("labeled", "source" or
+# "unlabeled"), the trainer it calls and its step over the run state
+_Stage = namedtuple("_Stage", "reads trainer step")
 
-    With lambda_u = 0 or no unlabeled data this is exactly supervised
-    training. Without an explicit init the student's vocabulary covers the
-    unlabeled words too; with one (e.g. a pre-trained encoder) the student
-    starts from it unchanged.
-    """
-    pool = word_ids(unlabeled)
-    n_unlabeled = len(pool.offsets) - 1
-    if config.lambda_u == 0.0 or not n_unlabeled:
-        return train_linear(labeled, config, init=init)
-    teacher = train_linear(labeled, config, init=init)
-    soft = generate_soft_labels(teacher, pool)
 
+def _pretrain(run, stage: _Stage) -> None:
+    """Train on the source's own tags; only the encoder goes on, as the warm start."""
+    run.init = stage.trainer(run.inputs[stage.reads], run.configs[stage.reads]).encoder
+
+
+def _train(run, stage: _Stage) -> None:
+    run.model = stage.trainer(run.inputs[stage.reads], run.configs[stage.reads], init=run.init)
+
+
+def _soft_labels(run, stage: _Stage) -> None:
+    run.soft = generate_soft_labels(run.model, run.inputs[stage.reads])
+
+
+def _student(run, stage: _Stage) -> None:
+    """A freshly initialized student on labeled items weighted 1/|L| and
+    soft items weighted lambda_u/|U|. Without a warm start its vocabulary
+    covers the unlabeled words too; with one it starts from it unchanged."""
+    labeled, config = run.inputs[stage.reads], run.configs[stage.reads]
+    pool = run.inputs["unlabeled"]
     tags = labeled.labels.tag_vocabulary
-    encoder = _start_encoder(labeled, config, init, extra_words=pool.words)
+    encoder = _start_encoder(labeled, config, run.init, extra_words=pool.words)
     head = init_linear_head(len(tags), encoder.hidden_dim, config.seed + SEED_HEAD)
-    student = Model(encoder, labeled.labels, head)
-
     # the labeled sentences, then the unlabeled ones
     windows = np.concatenate([word_windows(encoder, labeled.word_ids), word_windows(encoder, pool)])
     offsets = np.concatenate([labeled.offsets, labeled.offsets[-1] + pool.offsets[1:]])
-    targets = np.concatenate([np.eye(len(tags))[labeled.tag_ids], soft])
-    w_soft = config.lambda_u / n_unlabeled
-    weights = [1.0 / len(labeled)] * len(labeled) + [w_soft] * n_unlabeled
-    return _train_weighted(student, windows, offsets, targets, weights, config)
+    targets = np.concatenate([np.eye(len(tags))[labeled.tag_ids], run.soft])
+    n_unlabeled = len(pool.offsets) - 1
+    weights = [1.0 / len(labeled)] * len(labeled) + [config.lambda_u / n_unlabeled] * n_unlabeled
+    student = Model(encoder, labeled.labels, head)
+    run.model = stage.trainer(student, windows, offsets, targets, weights, config)
+
+
+# every stage name of SCHEMES -> what that stage reads, calls and does
+STAGES = {
+    "train_linear": _Stage("labeled", train_linear, _train),
+    "train_prototype": _Stage("labeled", train_prototype, _train),
+    "pretrain:train_linear": _Stage("source", train_linear, _pretrain),
+    "pretrain:train_prototype": _Stage("source", train_prototype, _pretrain),
+    "finetune:train_linear": _Stage("labeled", train_linear, _train),
+    "finetune:train_prototype": _Stage("labeled", train_prototype, _train),
+    "teacher:train_linear": _Stage("labeled", train_linear, _train),
+    "soft_labels": _Stage("unlabeled", None, _soft_labels),
+    "student:train_linear": _Stage("labeled", _train_weighted, _student),
+}
 
 
 def scheme_inputs(scheme: str) -> tuple[str, ...]:
     """The inputs besides the labeled corpus that scheme's stages read, in
-    check order: "source" for a pretrain stage, "unlabeled" for soft labels."""
-    stages = SCHEMES[scheme]
-    needs = {"source": stages[0].startswith("pretrain:"), "unlabeled": "soft_labels" in stages}
-    return tuple(name for name, needed in needs.items() if needed)
+    the order they are first read: "source", "unlabeled" or both."""
+    reads = (STAGES[name].reads for name in SCHEMES[scheme])
+    return tuple(dict.fromkeys(r for r in reads if r != "labeled"))
+
+
+def _run(scheme, labeled, config, source=None, unlabeled=None, source_config=None, init=None):
+    """Run scheme's stages in order through STAGES; return the last model.
+    init warm-starts the stages on the labeled corpus; source_config
+    configures those on the source. A missing input, or a prototype stage
+    whose config freezes the encoder, is a DataError before any stage runs.
+    Soft labels with no weight (lambda_u = 0, no unlabeled sentences) end
+    the run after the teacher."""
+    inputs = {"labeled": labeled, "source": source, "unlabeled": unlabeled}
+    nouns = {"source": "a source corpus", "unlabeled": "unlabeled sentences"}
+    needed = scheme_inputs(scheme)
+    for name in needed:
+        if inputs[name] is None:
+            raise DataError(f"scheme {scheme!r} requires {nouns[name]}")
+    configs = {"labeled": config, "source": source_config or config}
+    stages = [(name, STAGES[name]) for name in SCHEMES[scheme]]
+    for name, stage in stages:
+        if stage.trainer is train_prototype and configs[stage.reads].freeze_encoder:
+            raise DataError(
+                f"scheme {scheme!r}: {name} has nothing to train with freeze_encoder set"
+            )
+    if "unlabeled" in needed:  # built once, only for the stages that read it
+        inputs["unlabeled"] = word_ids(unlabeled)
+        weighted = config.lambda_u and len(inputs["unlabeled"].offsets) > 1
+    # what the stages read and pass on
+    run = SimpleNamespace(inputs=inputs, configs=configs, init=init, model=None, soft=None)
+    for _, stage in stages:
+        if stage.reads == "unlabeled" and not weighted:
+            break
+        stage.step(run, stage)
+    return run.model
 
 
 def run_scheme(
-    labeled: TaggedCorpus,
+    labeled: TaggedCorpus, config: TrainConfig, source: TaggedCorpus | None = None,
+    unlabeled=None, source_config: TrainConfig | None = None,
+) -> Model:
+    """Run config.scheme's stages (SCHEMES) on these inputs: see _run."""
+    return _run(config.scheme, labeled, config, source, unlabeled, source_config)
+
+
+def pretrain_transfer(
+    source: TaggedCorpus,
+    target: TaggedCorpus,
     config: TrainConfig,
-    source: TaggedCorpus | None = None,
-    unlabeled=None,
     source_config: TrainConfig | None = None,
 ) -> Model:
-    """Run config.scheme's stages (SCHEMES): a pretrain stage gives the
-    initial encoder, then a self-training round or the scheme's trainer runs.
-    A missing input or a prototype stage with a frozen encoder is a DataError.
-    """
-    scheme = config.scheme
-    stages = SCHEMES[scheme]
-    given = {"source": source, "unlabeled": unlabeled}
-    nouns = {"source": "a source corpus", "unlabeled": "unlabeled sentences"}
-    for name in scheme_inputs(scheme):
-        if given[name] is None:
-            raise DataError(f"scheme {scheme!r} requires {nouns[name]}")
-    stage1_config = source_config if source_config is not None else config
-    for stage in stages:
-        stage_config = stage1_config if stage.startswith("pretrain:") else config
-        if _trainer(stage) is train_prototype and stage_config.freeze_encoder:
-            raise DataError(
-                f"scheme {scheme!r}: {stage} has nothing to train with freeze_encoder set"
-            )
-    init = None
-    if stages[0].startswith("pretrain:"):  # train on the source's own tags, keep the encoder
-        init = _trainer(stages[0])(source, stage1_config).encoder
-    if "soft_labels" in stages:
-        return self_train(labeled, unlabeled, config, init=init)
-    return _trainer(stages[-1])(labeled, config, init=init)
+    """Two-stage transfer, run_scheme with a source and no unlabeled text:
+    train on the source with its own tags (under source_config if given),
+    then keep the encoder under a fresh head and fine-tune on the target.
+    A scheme without a pretrain stage, or one that needs unlabeled text,
+    is a DataError."""
+    if "source" not in scheme_inputs(config.scheme):
+        raise DataError(f"scheme {config.scheme!r} has no pretrain stage")
+    return run_scheme(target, config, source=source, source_config=source_config)
+
+
+def self_train(
+    labeled: TaggedCorpus, unlabeled, config: TrainConfig, init: EncoderParams | None = None
+) -> Model:
+    """One teacher -> student round, the stages of SCHEMES["lc+st"]
+    (_student): a linear teacher on the labeled corpus soft-labels the
+    unlabeled sentences, then a fresh student trains on both. init (e.g. a
+    pre-trained encoder) warm-starts the teacher and the student. With
+    lambda_u = 0 or no unlabeled data this is exactly supervised training."""
+    return _run("lc+st", labeled, config, unlabeled=unlabeled, init=init)

@@ -751,6 +751,37 @@ def test_overflow_prints_no_numpy_warnings(tmp_path, learning_rate, code, stderr
     assert not (tmp_path / "model.json").exists()
 
 
+@pytest.fixture(scope="module")
+def diverged(tmp_path_factory):
+    """An lc checkpoint trained at learning rate 2e153, and test files. Every
+    training window's pre-activations stay finite, so training succeeds,
+    but those of the test files' windows overflow."""
+    d = tmp_path_factory.mktemp("diverged")
+    (d / "train.conll").write_text(write_conll(make_corpus(30, seed=0)), encoding="utf-8")
+    for seed in (1, 2, 3):
+        test = write_conll(make_corpus(200, seed=seed))
+        (d / f"test{seed}.conll").write_text(test, encoding="utf-8")
+    config = {"seed": 0, "epochs": 2, "learning_rate": 2e153}
+    (d / "config.json").write_text(json.dumps(config), encoding="utf-8")
+    train = ["--config", str(d / "config.json"), "--train", str(d / "train.conll")]
+    assert main(["train", "lc", *train, "--out", str(d / "model.json")]) == 0
+    return d
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+@pytest.mark.parametrize("command", ["eval", "protoinfer"])
+def test_overflowing_inference_is_numeric_error(diverged, capsys, command, seed):
+    model, test = str(diverged / "model.json"), str(diverged / f"test{seed}.conll")
+    argv = {
+        "eval": ["eval", model, test],
+        "protoinfer": ["protoinfer", model, "--support", str(diverged / "train.conll")]
+        + ["--test", test, "--shots", "5"],
+    }[command]
+    capsys.readouterr()
+    assert main(argv) == 3
+    assert capsys.readouterr() == ("", "fewner: non-finite encoder pre-activation\n")
+
+
 class TestUsage:
     def test_unknown_scheme(self, workdir):
         with pytest.raises(SystemExit) as exc:

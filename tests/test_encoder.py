@@ -22,7 +22,7 @@ from fewner.encoder import (
     window_indices,
     word_windows,
 )
-from fewner.errors import DataError
+from fewner.errors import DataError, NumericError
 
 from oracles import (
     assert_grad_close,
@@ -230,6 +230,17 @@ class TestBlocks:
         got = encode_blocks(params, word_ids([]), head)
         assert calls == [(0, params.hidden_dim)]
         assert got.shape == (0, 5) and got.dtype == np.intp
+
+    def test_overflowing_pre_activation_raises(self):
+        # every parameter is finite but their products overflow; tanh would
+        # map the infinite pre-activations to +-1 and hide them
+        params = _random_encoder(random.Random(33))
+        params.embedding_table[:] = 1e200
+        params.context_weights[:] = 1e200
+        heads = []
+        with np.errstate(over="ignore"), pytest.raises(NumericError, match="^non-finite encoder"):
+            encode_blocks(params, word_ids([["w0", "w1"], ["w2"]]), heads.append)
+        assert heads == []
 
 
 class TestEncodeBackward:

@@ -389,21 +389,15 @@ class TestTrainingArena:
     @pytest.mark.parametrize("scheme", ["lc+nsp", "proto+nsp"])
     def test_pretrain_transfer_leaves_stage1_encoder_unchanged(self, monkeypatch, scheme):
         stage1 = []
-        real = training._trainer
+        name = training.SCHEMES[scheme][0]
+        entry = training.STAGES[name]
 
-        def recorded(stage):
-            train = real(stage)
-            if not stage.startswith("pretrain:"):
-                return train
+        def train_source(*args, **kwargs):
+            model = entry.trainer(*args, **kwargs)
+            stage1.append((model.encoder, model.encoder.copy()))
+            return model
 
-            def train_source(*args, **kwargs):
-                model = train(*args, **kwargs)
-                stage1.append((model.encoder, model.encoder.copy()))
-                return model
-
-            return train_source
-
-        monkeypatch.setattr(training, "_trainer", recorded)
+        monkeypatch.setitem(training.STAGES, name, entry._replace(trainer=train_source))
         source = _make_corpus(20, seed=15, types=("FINEA", "FINEB"))
         target = _make_corpus(12, seed=16)
         model = pretrain_transfer(source, target, _tiny_config(scheme=scheme, epochs=2))
@@ -768,6 +762,47 @@ class TestRunScheme:
         configs[frozen] = configs[frozen].with_(freeze_encoder=True)
         with pytest.raises(DataError, match="freeze_encoder"):
             run_scheme(_make_corpus(12, seed=44), **configs, **self._inputs())
+
+
+class TestStageTable:
+    """run_scheme walks SCHEMES through STAGES."""
+
+    def _record(self, monkeypatch):
+        """The names of the stages that run, in order, from wrapped steps."""
+        ran = []
+        for name, entry in training.STAGES.items():
+
+            def step(run, stage, name=name, real=entry.step):
+                ran.append(name)
+                real(run, stage)
+
+            monkeypatch.setitem(training.STAGES, name, entry._replace(step=step))
+        return ran
+
+    @pytest.mark.parametrize("scheme", ALL_SCHEMES)
+    def test_stages_run_in_scheme_order(self, monkeypatch, scheme):
+        ran = self._record(monkeypatch)
+        config = _tiny_config(scheme=scheme, epochs=1)
+        run_scheme(_make_corpus(12, seed=45), config, **TestRunScheme()._inputs())
+        assert ran == list(training.SCHEMES[scheme])
+
+    @pytest.mark.parametrize("scheme", ["lc+st", "lc+nsp+st"])
+    @pytest.mark.parametrize("variant", ["lambda_u_0", "empty_pool"])
+    def test_self_training_stops_after_the_teacher(self, monkeypatch, scheme, variant):
+        ran = self._record(monkeypatch)
+        inputs = TestRunScheme()._inputs()
+        config = _tiny_config(scheme=scheme, epochs=1)
+        if variant == "lambda_u_0":
+            config = config.with_(lambda_u=0.0)
+        else:
+            inputs["unlabeled"] = []
+        run_scheme(_make_corpus(12, seed=46), config, **inputs)
+        stages = training.SCHEMES[scheme]
+        assert ran == list(stages[: stages.index("teacher:train_linear") + 1])
+
+    def test_every_stage_name_has_one_entry_and_every_entry_is_used(self):
+        used = {name for stages in training.SCHEMES.values() for name in stages}
+        assert used == set(training.STAGES)
 
 
 class TestConfigFile:
