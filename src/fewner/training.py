@@ -503,6 +503,22 @@ def train_prototype(
     return Model(encoder, corpus.labels)
 
 
+def pretrain_transfer(
+    source: TaggedCorpus,
+    target: TaggedCorpus,
+    config: TrainConfig,
+    source_config: TrainConfig | None = None,
+) -> Model:
+    """Two-stage transfer, run_scheme with a source and no unlabeled text:
+    train on the source with its own tags (under source_config if given),
+    then keep the encoder under a fresh head and fine-tune on the target.
+    A scheme without a pretrain stage, or one that needs unlabeled text,
+    is a DataError."""
+    if "source" not in scheme_inputs(config.scheme):
+        raise DataError(f"scheme {config.scheme!r} has no pretrain stage")
+    return run_scheme(target, config, source=source, source_config=source_config)
+
+
 def generate_soft_labels(teacher: Model, words: WordIds) -> np.ndarray:
     """The teacher's full distribution (no argmax) over its
     labels.tag_vocabulary for every token of the word-id column: one
@@ -544,13 +560,13 @@ def _student(run, stage: _Stage) -> None:
     tags = labeled.labels.tag_vocabulary
     encoder = _start_encoder(labeled, config, run.init, extra_words=pool.words)
     head = init_linear_head(len(tags), encoder.hidden_dim, config.seed + SEED_HEAD)
+    student = Model(encoder, labeled.labels, head)
     # the labeled sentences, then the unlabeled ones
     windows = np.concatenate([word_windows(encoder, labeled.word_ids), word_windows(encoder, pool)])
     offsets = np.concatenate([labeled.offsets, labeled.offsets[-1] + pool.offsets[1:]])
     targets = np.concatenate([np.eye(len(tags))[labeled.tag_ids], run.soft])
     n_unlabeled = len(pool.offsets) - 1
     weights = [1.0 / len(labeled)] * len(labeled) + [config.lambda_u / n_unlabeled] * n_unlabeled
-    student = Model(encoder, labeled.labels, head)
     run.model = stage.trainer(student, windows, offsets, targets, weights, config)
 
 
@@ -613,22 +629,6 @@ def run_scheme(
 ) -> Model:
     """Run config.scheme's stages (SCHEMES) on these inputs: see _run."""
     return _run(config.scheme, labeled, config, source, unlabeled, source_config)
-
-
-def pretrain_transfer(
-    source: TaggedCorpus,
-    target: TaggedCorpus,
-    config: TrainConfig,
-    source_config: TrainConfig | None = None,
-) -> Model:
-    """Two-stage transfer, run_scheme with a source and no unlabeled text:
-    train on the source with its own tags (under source_config if given),
-    then keep the encoder under a fresh head and fine-tune on the target.
-    A scheme without a pretrain stage, or one that needs unlabeled text,
-    is a DataError."""
-    if "source" not in scheme_inputs(config.scheme):
-        raise DataError(f"scheme {config.scheme!r} has no pretrain stage")
-    return run_scheme(target, config, source=source, source_config=source_config)
 
 
 def self_train(
