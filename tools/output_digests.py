@@ -30,7 +30,13 @@ Prints one ``name sha256`` line per output:
   for predictions that include types outside the gold label set and for an
   empty test corpus, and of ``repeated_eval`` on a small ``Experiment``
   (``lc`` on a few-shot sample and ``proto``, whose runs score support
-  prototypes).
+  prototypes);
+* the episodes ``sample_episode`` draws for seeds 0-9 from
+  ``transfer_benchmark(0).source`` (M, K, K') = (5, 2, 3) and from
+  ``make_corpus(60, 4)`` (2, 2, 3), and the DataError texts that carry a
+  sampler's count: ``proto`` on ``make_corpus(30, 0)`` with the default
+  (K, K') = (5, 15), and a ``sample_fewshot`` request for more shots than
+  a type has.
 
 A run that raises DataError or NumericError is digested as its error text,
 so refusals are compared too. Only the standard library and numpy are used.
@@ -220,6 +226,27 @@ def loss_digests(fewner):
             yield f"losses/{name}/seed{seed}", _guarded(fewner, losses)
 
 
+def sampling_digests(fewner):
+    """Episode draws and the sampler errors that carry a count."""
+    from fewner.checkpoint import dumps
+    from fewner.synthetic import make_corpus, transfer_benchmark
+    from fewner.training import sample_episode
+
+    corpora = {
+        "transfer_source": (transfer_benchmark(0).source, (5, 2, 3)),
+        "corpus60": (make_corpus(60, 4), (2, 2, 3)),
+    }
+    for name, (corpus, (m, k, k_query)) in corpora.items():
+        for seed in range(10):
+            draw = lambda: repr(sample_episode(corpus, m, k, k_query, seed))
+            yield f"sample/episode/{name}/seed{seed}", _guarded(fewner, draw)
+    small = make_corpus(30, 0)
+    run = lambda: dumps(fewner.run_scheme(small, fewner.TrainConfig(seed=0, scheme="proto")))
+    yield "sample/error/proto_default_episodes", _guarded(fewner, run)
+    shots = lambda: fewner.write_conll(fewner.sample_fewshot(small, 20, 0))
+    yield "sample/error/fewshot_too_many_shots", _guarded(fewner, shots)
+
+
 def cli_digests(fewner, workdir: Path):
     """The CLI on cli_infer-style files: stats, sample, train, eval, protoinfer."""
     from fewner import cli
@@ -377,7 +404,12 @@ def main(argv=None) -> int:
     import fewner
 
     python_digests = (
-        scheme_digests, stop_rule_digests, prediction_digests, loss_digests, report_digests
+        scheme_digests,
+        stop_rule_digests,
+        prediction_digests,
+        loss_digests,
+        report_digests,
+        sampling_digests,
     )
     for digests in python_digests:
         for name, output in digests(fewner):
