@@ -395,6 +395,22 @@ def reference_sample_fewshot(corpus, shots: int, seed: int):
     return TaggedCorpus(tuple(corpus.sentences[i] for i in sorted(selected)), corpus.labels)
 
 
+def reference_top_up(rng, members, bucket, want, exclude=()) -> int:
+    """corpus.top_up as a walk over every member: the candidates are the
+    members in neither the bucket nor exclude, in ascending order, and the
+    draw is rng.sample over that list."""
+    have = 0
+    candidates = []
+    for i in members:
+        if i in bucket:
+            have += 1
+        elif i not in exclude:
+            candidates.append(i)
+    if have < want <= have + len(candidates):
+        bucket.update(rng.sample(candidates, want - have))
+    return have + len(candidates)
+
+
 def reference_sample_episode(corpus, m_types: int, k_support: int, k_query: int, seed: int):
     """The episode sampler as first written (same scan as above, with
     support and query kept disjoint)."""

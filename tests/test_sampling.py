@@ -1,5 +1,8 @@
 """The few-shot and episode samplers: draw order against the whole-corpus
-scans they replaced, and their invariants on generated corpora."""
+scans they replaced, top_up against the walk over members it replaced, and
+their invariants on generated corpora."""
+
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -11,13 +14,19 @@ from fewner.corpus import (
     TokenSequence,
     parse_conll,
     sample_fewshot,
+    top_up,
     write_conll,
 )
 from fewner.errors import DataError
 from fewner.synthetic import make_corpus
 from fewner.training import sample_episode
 
-from oracles import reference_sample_episode, reference_sample_fewshot, tag_type
+from oracles import (
+    reference_sample_episode,
+    reference_sample_fewshot,
+    reference_top_up,
+    tag_type,
+)
 
 CORPORA = [
     make_corpus(40, seed=1, fine=True),
@@ -95,6 +104,57 @@ class TestDrawOrder:
                     outcomes.append(isinstance(got, str))
         assert len(outcomes) >= 200
         assert any(outcomes) and not all(outcomes)
+
+
+@st.composite
+def top_up_cases(draw):
+    """Ascending members (possibly none), bucket and exclude sets that mix
+    members with non-members and may share entries, and a want of 0-30.
+    Sizes come from a seeded generator: Hypothesis's own draws cluster at
+    the smallest sizes, where nothing is drawn."""
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    members = sorted(rng.sample(range(120), rng.randint(0, 40)))
+
+    def entries() -> set[int]:
+        picks = (
+            rng.choice(members) if members and rng.random() < 0.7 else rng.randint(-3, 125)
+            for _ in range(rng.randint(0, 12))
+        )
+        return set(picks)
+
+    bucket, exclude = entries(), entries()
+    exclude |= set(rng.sample(sorted(bucket), min(len(bucket), rng.randint(0, 2))))
+    return tuple(members), bucket, exclude, rng.randint(0, 30)
+
+
+class TestTopUp:
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(top_up_cases(), st.integers(0, 2**32 - 1))
+    def test_matches_walk_over_members(self, case, seed):
+        members, bucket, exclude, want = case
+        results = []
+        for sampler in (top_up, reference_top_up):
+            rng, filled = random.Random(seed), set(bucket)
+            available = sampler(rng, members, filled, want, exclude)
+            results.append((available, filled, rng.getstate()))
+        assert results[0] == results[1]
+
+    def test_edge_cases_match_walk(self):
+        members = (2, 5, 7, 11, 13)
+        cases = [
+            ((), {1}, {2}, 3),  # no members
+            (members, {2, 5}, set(), 2),  # want <= have: nothing drawn
+            (members, {2}, {5, 7, 11}, 3),  # too few candidates: nothing drawn
+            (members, {2, 99}, {5, 2, -1}, 3),  # entries in both sets and outside members
+            (members, set(), set(members), 1),  # everything excluded
+            (members, set(), set(), 5),  # every member drawn
+        ]
+        for members_, bucket, exclude, want in cases:
+            got, ref = set(bucket), set(bucket)
+            rng_got, rng_ref = random.Random(3), random.Random(3)
+            available = top_up(rng_got, members_, got, want, exclude)
+            assert available == reference_top_up(rng_ref, members_, ref, want, exclude)
+            assert got == ref and rng_got.getstate() == rng_ref.getstate()
 
 
 @st.composite

@@ -1,12 +1,15 @@
+import json
 import math
 import random
 import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fewner import training
-from fewner.checkpoint import LINEAR, PROTOTYPE, dumps
+from fewner.checkpoint import LINEAR, PROTOTYPE, dumps, from_document
 from fewner.corpus import (
     LabelSet,
     TaggedCorpus,
@@ -17,6 +20,7 @@ from fewner.corpus import (
 )
 from fewner.encoder import encode, encode_backward, init_encoder
 from fewner.errors import DataError, NumericError
+from fewner.evaluation import evaluate_model, support_prototypes
 from fewner.heads import cross_entropy, init_linear_head, linear_backward, linear_forward
 from fewner.synthetic import make_corpus
 from fewner.training import (
@@ -435,6 +439,61 @@ class TestStepChecks:
         plain = trainer(corpus, config)
         assert len(losses) == config.epochs and all(math.isfinite(x) for x in losses)
         assert dumps(hooked) == dumps(plain)
+
+
+NUMERIC_TRAIN = make_corpus(30, seed=0)
+NUMERIC_TEST = make_corpus(50, seed=1)
+NUMERIC_UNLABELED = [s.tokens for s in make_corpus(20, seed=2).sentences]
+
+
+@st.composite
+def numeric_runs(draw):
+    """A scheme, freeze_encoder (linear schemes only), 1-3 epochs and a
+    learning rate log-uniform over [1e-8, 1e308]."""
+    scheme = draw(st.sampled_from(("lc", "proto", "lc+st")))
+    freeze = scheme != "proto" and draw(st.booleans())
+    episodes = {"K": 1, "K_prime": 2} if scheme == "proto" else {}
+    return TrainConfig(
+        seed=0,
+        scheme=scheme,
+        freeze_encoder=freeze,
+        epochs=draw(st.integers(1, 3)),
+        learning_rate=10.0 ** draw(st.floats(-8.0, math.log10(1e308))),
+        embed_dim=8,
+        hidden_dim=16,
+        **episodes,
+    )
+
+
+class TestNumericContract:
+    """A non-finite value in training or inference is a NumericError: every
+    other run ends in a checkpoint that loads back as itself and an
+    evaluation that is finite without one overflow or invalid operation."""
+
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    @given(numeric_runs())
+    def test_numeric_error_or_finite_run(self, config):
+        # the CLI runs every command under np.errstate(all="ignore")
+        with np.errstate(all="ignore"):
+            try:
+                model = run_scheme(NUMERIC_TRAIN, config, unlabeled=NUMERIC_UNLABELED)
+            except NumericError:
+                return
+        text = dumps(model)
+        assert dumps(from_document(json.loads(text))) == text
+
+        def f1() -> float:
+            protos = None if model.head else support_prototypes(model.encoder, NUMERIC_TRAIN)
+            return evaluate_model(model, NUMERIC_TEST, protos=protos).f1
+
+        with np.errstate(all="ignore"):
+            try:
+                score = f1()
+            except NumericError:
+                return
+        assert math.isfinite(score)
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            assert f1() == score
 
 
 class TestFullBatchDescent:
