@@ -21,7 +21,8 @@ from __future__ import annotations
 
 import json
 import random
-from collections.abc import Container
+from bisect import bisect_left
+from collections.abc import Collection
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import chain, pairwise
@@ -416,31 +417,45 @@ def sentence_rows(offsets: np.ndarray, sentences) -> np.ndarray:
     return np.arange(lengths.sum()) + np.repeat(starts - first, lengths)
 
 
+def _positions(members: tuple[int, ...], items) -> set[int]:
+    """Positions in the ascending `members` of those items that are members."""
+    return {p for i in items if (p := bisect_left(members, i)) < len(members) and members[p] == i}
+
+
 def top_up(
     rng: random.Random,
     members: tuple[int, ...],
     bucket: set[int],
     want: int,
-    exclude: Container[int] = (),
+    exclude: Collection[int] = (),
 ) -> int:
     """Draw sentences of `members` (ascending indices of the sentences with
     one type) into `bucket`, without replacement and avoiding `exclude`,
-    until `want` of the bucket's sentences are members. The draw is
-    rng.sample over the remaining members in ascending order.
+    until `want` of the bucket's sentences are members.
 
     Returns how many members the bucket can reach (those in it plus the
-    candidates); when that is below `want`, nothing is drawn.
+    n candidates); when that is below `want`, nothing is drawn. The draw is
+    rng.sample(range(n), k) over the candidates' positions in ascending
+    member order. rng.sample picks indices from the population's length and
+    the RNG alone, so this draws what rng.sample over the candidate list
+    would; position j is the j-th member neither in the bucket nor
+    excluded. The cost is one bisection of `members` per bucket or exclude
+    entry and one pass over those entries per drawn sentence, not a walk
+    over the members.
     """
-    have = 0
-    candidates = []
-    for i in members:
-        if i in bucket:
-            have += 1
-        elif i not in exclude:
-            candidates.append(i)
-    if have < want <= have + len(candidates):
-        bucket.update(rng.sample(candidates, want - have))
-    return have + len(candidates)
+    in_bucket = _positions(members, bucket)
+    blocked = sorted(in_bucket | _positions(members, exclude))
+    have, n = len(in_bucket), len(members) - len(blocked)
+    if have < want <= have + n:
+        picks = []
+        for j in rng.sample(range(n), want - have):
+            for b in blocked:  # skip the blocked positions up to the j-th free one
+                if b > j:
+                    break
+                j += 1
+            picks.append(members[j])
+        bucket.update(picks)
+    return have + n
 
 
 def sample_fewshot(corpus: TaggedCorpus, shots: int, seed: int) -> TaggedCorpus:

@@ -188,11 +188,11 @@ def _proto_log_probs(centroids: np.ndarray, reprs: np.ndarray) -> tuple[np.ndarr
 
 
 def proto_loss_grads(
-    centroids: np.ndarray, reprs: np.ndarray, targets: np.ndarray
-) -> tuple[float, np.ndarray, np.ndarray]:
+    centroids: np.ndarray, reprs: np.ndarray, targets: np.ndarray, with_loss: bool = True
+) -> tuple[float | None, np.ndarray, np.ndarray]:
     """sum_i KL(T_i || softmax(-||reprs[i] - centroids||)) over (N, H) reprs,
     (L, H) centroids and (N, L) targets, computed in log space, with its
-    gradients (d_reprs, d_centroids).
+    gradients (d_reprs, d_centroids); without with_loss the loss is None.
 
     With g = softmax - T and w = g / distance (0 at zero distance, where
     the norm's subgradient is taken as 0), d_reprs = w @ C - rowsum(w) * Q
@@ -204,9 +204,10 @@ def proto_loss_grads(
     dist, log_q = _proto_log_probs(centroids, reprs)
     if targets.shape != log_q.shape:
         raise ValueError(f"targets {targets.shape} do not fit {log_q.shape}")
-    # target entropy term with 0 * log 0 = 0
-    log_t = np.log(np.where(targets > 0.0, targets, 1.0))
-    loss = float(np.sum(targets * (log_t - log_q)))
+    loss = None
+    if with_loss:  # target entropy term with 0 * log 0 = 0
+        log_t = np.log(np.where(targets > 0.0, targets, 1.0))
+        loss = float(np.sum(targets * (log_t - log_q)))
     w = np.divide(
         np.exp(log_q) - targets, dist, out=np.zeros_like(dist), where=dist > 0.0
     )

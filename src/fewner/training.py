@@ -24,7 +24,7 @@ import random
 from collections import namedtuple
 from dataclasses import dataclass, field, replace
 from functools import partial
-from itertools import accumulate
+from itertools import accumulate, pairwise
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -450,6 +450,7 @@ def train_prototype(
     windows = word_windows(encoder, corpus.word_ids)
     lengths = np.diff(corpus.offsets)
     grads = EncoderGrads(*arena.grad_views.values())
+    with_loss = on_epoch is not None
 
     for epoch in range(config.epochs):
         epoch_losses: list[float] = []
@@ -476,28 +477,34 @@ def train_prototype(
             n_tokens = len(query_rows)
             if n_tokens == 0:
                 continue
-            centroids = np.stack(
-                [reprs[:n_support][support_label == k].mean(axis=0) for k in range(len(space))]
-            )
+            members = np.flatnonzero(support_label >= 0)
+            member_label = support_label[members]
+            counts = np.bincount(member_label, minlength=len(space))
+            # each label's support rows, label after label, in row order: every
+            # centroid is the sum and division that np.mean of its rows runs
+            grouped = reprs[members[np.argsort(member_label, kind="stable")]]
+            ends = np.cumsum(counts).tolist()
+            sums = [np.add.reduce(grouped[a:b], axis=0) for a, b in pairwise([0, *ends])]
+            centroids = np.stack(sums) / counts[:, None]
             targets = np.zeros((n_tokens, len(space)))
             targets[np.arange(n_tokens), row_label[query_rows]] = 1.0
-            loss, d_query, d_centroids = proto_loss_grads(centroids, reprs[query_rows], targets)
-            epoch_losses.append(loss / n_tokens)
+            loss, d_query, d_centroids = proto_loss_grads(
+                centroids, reprs[query_rows], targets, with_loss
+            )
+            if with_loss:
+                epoch_losses.append(loss / n_tokens)
 
             # a centroid is the mean of its support rows, so each of them gets
             # the centroid's gradient divided by the label's support count
             upstream = np.zeros_like(reprs)
             upstream[query_rows] = d_query
-            members = np.flatnonzero(support_label >= 0)
-            member_label = support_label[members]
-            counts = np.bincount(member_label, minlength=len(space))
             upstream[members] = (d_centroids / counts[:, None])[member_label]
             upstream /= n_tokens
             encode_windows_backward(encoder, episode_windows, reprs, upstream, grads, x)
             adam_step(state, arena)
             if error is not None:  # after the update: a bad gradient names its block
                 raise error
-        if on_epoch is not None:
+        if with_loss:
             mean_loss = sum(epoch_losses) / len(epoch_losses) if epoch_losses else 0.0
             on_epoch(epoch, mean_loss)
     return Model(encoder, corpus.labels)

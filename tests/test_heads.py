@@ -411,6 +411,19 @@ class TestProtoLossGrads:
             proto_loss_grads(np.zeros((2, 3)), np.zeros((4, 3)), np.zeros((4, 3)))
 
 
+def test_proto_loss_without_loss_gives_the_same_gradients():
+    rng = np.random.default_rng(17)
+    cents = rng.normal(size=(4, 5))
+    queries = rng.normal(size=(7, 5))
+    queries[2] = cents[1]  # a zero distance, where w is set to 0
+    targets = rng.dirichlet(np.ones(4), size=7)
+    _, *plain = proto_loss_grads(cents, queries, targets)
+    loss, *grads = proto_loss_grads(cents, queries, targets, False)
+    assert loss is None
+    for got, want in zip(grads, plain):
+        assert got.tobytes() == want.tobytes()
+
+
 class TestMultiPrototypes:
     def test_k5_reduces_to_single(self):
         rng = np.random.default_rng(8)
