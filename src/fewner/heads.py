@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DataError
+from .errors import DataError, NumericError
 
 
 @dataclass
@@ -93,10 +93,14 @@ def linear_log_probs(head: LinearHead, reprs: np.ndarray) -> np.ndarray:
 
 
 def linear_forward(head: LinearHead, repr_vec: np.ndarray) -> np.ndarray:
-    """softmax(W @ repr + b) of one H-vector, or row-wise of an (N, H) matrix."""
+    """softmax(W @ repr + b) of one H-vector, or row-wise of an (N, H) matrix;
+    a non-finite log-probability (logits overflowing or too far apart to
+    subtract) raises NumericError."""
     repr_vec = np.asarray(repr_vec, dtype=float)
-    probs = np.exp(linear_log_probs(head, np.atleast_2d(repr_vec)))
-    return probs[0] if repr_vec.ndim == 1 else probs
+    log_probs = linear_log_probs(head, np.atleast_2d(repr_vec))
+    if not np.isfinite(log_probs).all():
+        raise NumericError("non-finite linear-head log-probability")
+    return np.exp(log_probs[0] if repr_vec.ndim == 1 else log_probs)
 
 
 def linear_loss_grads(

@@ -782,6 +782,29 @@ def test_overflowing_inference_is_numeric_error(diverged, capsys, command, seed)
     assert capsys.readouterr() == ("", "fewner: non-finite encoder pre-activation\n")
 
 
+def test_overflowing_head_is_numeric_error(tmp_path, capsys):
+    # a frozen encoder at learning rate 1e308: one epoch leaves every head
+    # weight finite, but two logits lie too far apart for the log softmax
+    p = lambda name: str(tmp_path / name)
+    (tmp_path / "train.conll").write_text(write_conll(make_corpus(30, seed=0)), encoding="utf-8")
+    (tmp_path / "test.conll").write_text(write_conll(make_corpus(200, seed=1)), encoding="utf-8")
+    unlabeled = "".join(" ".join(s.tokens) + "\n" for s in make_corpus(20, seed=2).sentences)
+    (tmp_path / "unlabeled.txt").write_text(unlabeled, encoding="utf-8")
+    config = {"seed": 0, "epochs": 1, "learning_rate": 1e308, "freeze_encoder": True}
+    (tmp_path / "config.json").write_text(json.dumps(config), encoding="utf-8")
+    train = ["--config", p("config.json"), "--train", p("train.conll")]
+    assert main(["train", "lc", *train, "--out", p("lc.json")]) == 0
+    error = ("", "fewner: non-finite linear-head log-probability\n")
+    capsys.readouterr()
+    assert main(["eval", p("lc.json"), p("test.conll")]) == 3
+    assert capsys.readouterr() == error
+    # the teacher's soft labels are inference too
+    st_run = ["train", "lc+st", *train, "--unlabeled", p("unlabeled.txt"), "--out", p("st.json")]
+    assert main(st_run) == 3
+    assert capsys.readouterr() == error
+    assert not (tmp_path / "st.json").exists()
+
+
 class TestUsage:
     def test_unknown_scheme(self, workdir):
         with pytest.raises(SystemExit) as exc:

@@ -5,7 +5,7 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fewner import training
@@ -446,23 +446,28 @@ NUMERIC_TEST = make_corpus(50, seed=1)
 NUMERIC_UNLABELED = [s.tokens for s in make_corpus(20, seed=2).sentences]
 
 
+def _numeric_config(scheme: str, freeze: bool, epochs: int, learning_rate: float):
+    episodes = {"K": 1, "K_prime": 2} if scheme == "proto" else {}
+    return TrainConfig(
+        seed=0,
+        scheme=scheme,
+        freeze_encoder=freeze,
+        epochs=epochs,
+        learning_rate=learning_rate,
+        embed_dim=8,
+        hidden_dim=16,
+        **episodes,
+    )
+
+
 @st.composite
 def numeric_runs(draw):
     """A scheme, freeze_encoder (linear schemes only), 1-3 epochs and a
     learning rate log-uniform over [1e-8, 1e308]."""
     scheme = draw(st.sampled_from(("lc", "proto", "lc+st")))
     freeze = scheme != "proto" and draw(st.booleans())
-    episodes = {"K": 1, "K_prime": 2} if scheme == "proto" else {}
-    return TrainConfig(
-        seed=0,
-        scheme=scheme,
-        freeze_encoder=freeze,
-        epochs=draw(st.integers(1, 3)),
-        learning_rate=10.0 ** draw(st.floats(-8.0, math.log10(1e308))),
-        embed_dim=8,
-        hidden_dim=16,
-        **episodes,
-    )
+    epochs = draw(st.integers(1, 3))
+    return _numeric_config(scheme, freeze, epochs, 10.0 ** draw(st.floats(-8.0, 308.0)))
 
 
 class TestNumericContract:
@@ -472,6 +477,11 @@ class TestNumericContract:
 
     @settings(max_examples=80, deadline=None, derandomize=True)
     @given(numeric_runs())
+    # training stays finite and evaluation overflows in the encoder matmul
+    @example(_numeric_config("lc", False, 1, 1e200))
+    # a frozen encoder: the teacher's logits lie too far apart to subtract
+    @example(_numeric_config("lc+st", True, 1, 1e308))
+    @example(_numeric_config("proto", False, 2, 1e200))  # training overflows
     def test_numeric_error_or_finite_run(self, config):
         # the CLI runs every command under np.errstate(all="ignore")
         with np.errstate(all="ignore"):
@@ -483,7 +493,9 @@ class TestNumericContract:
         assert dumps(from_document(json.loads(text))) == text
 
         def f1() -> float:
-            protos = None if model.head else support_prototypes(model.encoder, NUMERIC_TRAIN)
+            protos = None
+            if model.head is None:  # a prototype model scores support prototypes
+                protos = support_prototypes(model.encoder, NUMERIC_TRAIN)
             return evaluate_model(model, NUMERIC_TEST, protos=protos).f1
 
         with np.errstate(all="ignore"):
