@@ -431,18 +431,16 @@ def top_up(
 ) -> int:
     """Draw sentences of `members` (ascending indices of the sentences with
     one type) into `bucket`, without replacement and avoiding `exclude`,
-    until `want` of the bucket's sentences are members.
+    until `want` of the bucket's sentences are members. Returns how many
+    members the bucket can reach (those in it plus the n candidates); when
+    that is below `want`, nothing is drawn.
 
-    Returns how many members the bucket can reach (those in it plus the
-    n candidates); when that is below `want`, nothing is drawn. The draw is
-    rng.sample(range(n), k) over the candidates' positions in ascending
-    member order. rng.sample picks indices from the population's length and
-    the RNG alone, so this draws what rng.sample over the candidate list
-    would; position j is the j-th member neither in the bucket nor
-    excluded. The cost is one bisection of `members` per bucket or exclude
-    entry and one pass over those entries per drawn sentence, not a walk
-    over the members.
-    """
+    The draw is rng.sample(range(n), k) over the candidates' positions in
+    ascending member order, which draws what rng.sample over the candidate
+    list would (it picks indices from the length and the RNG alone); drawn
+    position j is the j-th member in neither the bucket nor exclude. Cost:
+    a bisection per bucket or exclude entry and a pass over those entries
+    per drawn sentence, not a walk over the members."""
     in_bucket = _positions(members, bucket)
     blocked = sorted(in_bucket | _positions(members, exclude))
     have, n = len(in_bucket), len(members) - len(blocked)

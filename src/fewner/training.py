@@ -480,11 +480,10 @@ def train_prototype(
             members = np.flatnonzero(support_label >= 0)
             member_label = support_label[members]
             counts = np.bincount(member_label, minlength=len(space))
-            # each label's support rows, label after label, in row order: every
-            # centroid is the sum and division that np.mean of its rows runs
+            # each label's support rows in row order, summed and divided as np.mean does
             grouped = reprs[members[np.argsort(member_label, kind="stable")]]
-            ends = np.cumsum(counts).tolist()
-            sums = [np.add.reduce(grouped[a:b], axis=0) for a, b in pairwise([0, *ends])]
+            bounds = pairwise([0, *np.cumsum(counts).tolist()])
+            sums = [np.add.reduce(grouped[a:b], axis=0) for a, b in bounds]
             centroids = np.stack(sums) / counts[:, None]
             targets = np.zeros((n_tokens, len(space)))
             targets[np.arange(n_tokens), row_label[query_rows]] = 1.0

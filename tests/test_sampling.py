@@ -5,7 +5,7 @@ their invariants on generated corpora."""
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fewner.corpus import (
@@ -127,9 +127,18 @@ def top_up_cases(draw):
     return tuple(members), bucket, exclude, rng.randint(0, 30)
 
 
+MEMBERS = (2, 5, 7, 11, 13)
+
+
 class TestTopUp:
     @settings(max_examples=300, deadline=None, derandomize=True)
     @given(top_up_cases(), st.integers(0, 2**32 - 1))
+    @example(((), {1}, {2}, 3), 0)  # no members
+    @example((MEMBERS, {2, 5}, set(), 2), 0)  # want <= have: nothing drawn
+    @example((MEMBERS, {2}, {5, 7, 11}, 3), 0)  # too few candidates: nothing drawn
+    @example((MEMBERS, {2, 99}, {5, 2, -1}, 3), 0)  # entries in both sets, and non-members
+    @example((MEMBERS, set(), set(MEMBERS), 1), 0)  # every member excluded
+    @example((MEMBERS, set(), set(), 5), 0)  # every member drawn
     def test_matches_walk_over_members(self, case, seed):
         members, bucket, exclude, want = case
         results = []
@@ -138,23 +147,6 @@ class TestTopUp:
             available = sampler(rng, members, filled, want, exclude)
             results.append((available, filled, rng.getstate()))
         assert results[0] == results[1]
-
-    def test_edge_cases_match_walk(self):
-        members = (2, 5, 7, 11, 13)
-        cases = [
-            ((), {1}, {2}, 3),  # no members
-            (members, {2, 5}, set(), 2),  # want <= have: nothing drawn
-            (members, {2}, {5, 7, 11}, 3),  # too few candidates: nothing drawn
-            (members, {2, 99}, {5, 2, -1}, 3),  # entries in both sets and outside members
-            (members, set(), set(members), 1),  # everything excluded
-            (members, set(), set(), 5),  # every member drawn
-        ]
-        for members_, bucket, exclude, want in cases:
-            got, ref = set(bucket), set(bucket)
-            rng_got, rng_ref = random.Random(3), random.Random(3)
-            available = top_up(rng_got, members_, got, want, exclude)
-            assert available == reference_top_up(rng_ref, members_, ref, want, exclude)
-            assert got == ref and rng_got.getstate() == rng_ref.getstate()
 
 
 @st.composite
