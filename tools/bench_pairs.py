@@ -8,8 +8,9 @@ Both sides are extracted with ``git archive`` from the local repository into
 a temporary directory: the parent from ``--parent`` and the change from
 ``--change`` (default HEAD), so only committed files are measured. Pair i
 (1-based) runs each tree's own ``perfbench/run.py --workload all --seed S
---seconds T --trace 0`` with S = seed base + i, the parent first in odd
-pairs and the change first in even ones.
+--seconds T --trace 0`` with S = seed base + i and T the change's
+``BENCHMARK.json`` ``run_seconds`` unless ``--seconds`` is given, the parent
+first in odd pairs and the change first in even ones.
 
 The output follows BENCH_15.json's layout: per workload and end-to-end
 metric each side's median and quartiles, the pairs the change wins and the
@@ -121,7 +122,7 @@ def main(argv=None) -> int:
     parser.add_argument("--out", required=True, help="the BENCH_<n>.json file to write")
     parser.add_argument("--title", required=True, help="one line saying what the change does")
     parser.add_argument("--pairs", type=int, default=10)
-    parser.add_argument("--seconds", type=float, default=30.0)
+    parser.add_argument("--seconds", type=float, help="run length (default: BENCHMARK.json's)")
     parser.add_argument("--seed-base", type=int, required=True, help="pair i runs seed base + i")
     parser.add_argument("--claim", metavar="WORKLOAD:METRIC", help="the metric the change claims")
     args = parser.parse_args(argv)
@@ -130,17 +131,16 @@ def main(argv=None) -> int:
         trees = {side: Path(tmp, side) for side in SIDES}
         revs = {"parent": args.parent, "change": args.change}
         commits = {side: extract(revs[side], trees[side]) for side in SIDES}
+        spec = json.loads((trees["change"] / "BENCHMARK.json").read_text(encoding="utf-8"))
+        seconds = args.seconds or spec["run_seconds"]
         seeds = [args.seed_base + i for i in range(1, args.pairs + 1)]
         for i, seed in enumerate(seeds, 1):
-            run_pair(trees, SIDES if i % 2 else SIDES[::-1], seed, args.seconds)
+            run_pair(trees, SIDES if i % 2 else SIDES[::-1], seed, seconds)
         compare = load_compare(trees["change"])
-        spec = json.loads((trees["change"] / "BENCHMARK.json").read_text(encoding="utf-8"))
         results = {side: trees[side] / "perfbench" / "results" for side in SIDES}
         records = {side: compare.load_records(results[side]) for side in SIDES}
-        verdicts = subprocess.run(
-            [sys.executable, "perfbench/compare.py", str(results["parent"]), str(results["change"])],
-            cwd=trees["change"], capture_output=True, text=True,
-        )
+        argv = [sys.executable, "perfbench/compare.py", *(str(results[s]) for s in SIDES)]
+        verdicts = subprocess.run(argv, cwd=trees["change"], capture_output=True, text=True)
         lines = {side: package_lines(trees[side]) for side in SIDES}
 
     print(verdicts.stdout, end="")
@@ -148,7 +148,7 @@ def main(argv=None) -> int:
     bench = {
         "change": args.title,
         "command": (
-            f"python3 perfbench/run.py --workload all --seed S --seconds {args.seconds:g} "
+            f"python3 perfbench/run.py --workload all --seed S --seconds {seconds:g} "
             f"--trace 0 (S = {args.seed_base} + pair number, {seeds[0]}-{seeds[-1]})"
         ),
         "pairs": (
