@@ -24,36 +24,25 @@ from __future__ import annotations
 
 import argparse
 import importlib.util
-import io
 import json
 import subprocess
 import sys
-import tarfile
 import tempfile
 from pathlib import Path
 
-REPO = Path(__file__).resolve().parents[1]
+from output_digests import REPO, extract, package_lines
+
 SIDES = ("parent", "change")
 
 
-def extract(rev: str, dest: Path) -> str:
-    """Write rev's tree to dest; return rev's full commit id."""
+def commit_id(rev: str) -> str:
     commit = subprocess.run(
         ["git", "-C", str(REPO), "rev-parse", "--verify", f"{rev}^{{commit}}"],
         capture_output=True, text=True,
     )
     if commit.returncode:
         raise SystemExit(commit.stderr.strip())
-    archive = subprocess.run(["git", "-C", str(REPO), "archive", rev], capture_output=True)
-    if archive.returncode:
-        raise SystemExit(archive.stderr.decode(errors="replace").strip())
-    with tarfile.open(fileobj=io.BytesIO(archive.stdout)) as tar:
-        tar.extractall(dest, filter="data")
     return commit.stdout.strip()
-
-
-def package_lines(tree: Path) -> int:
-    return sum(len(f.read_bytes().splitlines()) for f in (tree / "src" / "fewner").glob("*.py"))
 
 
 def load_compare(tree: Path):
@@ -130,7 +119,9 @@ def main(argv=None) -> int:
     with tempfile.TemporaryDirectory() as tmp:
         trees = {side: Path(tmp, side) for side in SIDES}
         revs = {"parent": args.parent, "change": args.change}
-        commits = {side: extract(revs[side], trees[side]) for side in SIDES}
+        commits = {side: commit_id(revs[side]) for side in SIDES}
+        for side in SIDES:
+            extract(commits[side], trees[side])
         spec = json.loads((trees["change"] / "BENCHMARK.json").read_text(encoding="utf-8"))
         seconds = args.seconds or spec["run_seconds"]
         seeds = [args.seed_base + i for i in range(1, args.pairs + 1)]
@@ -141,7 +132,7 @@ def main(argv=None) -> int:
         records = {side: compare.load_records(results[side]) for side in SIDES}
         argv = [sys.executable, "perfbench/compare.py", *(str(results[s]) for s in SIDES)]
         verdicts = subprocess.run(argv, cwd=trees["change"], capture_output=True, text=True)
-        lines = {side: package_lines(trees[side]) for side in SIDES}
+        lines = {side: package_lines(trees[side] / "src") for side in SIDES}
 
     print(verdicts.stdout, end="")
     workloads = summarize(compare, spec, records)

@@ -362,15 +362,21 @@ def package_lines(src: str | Path) -> int:
     return sum(len(f.read_bytes().splitlines()) for f in Path(src, "fewner").glob("*.py"))
 
 
+def extract(rev: str, dest: str | Path, *paths: str) -> None:
+    """Write rev's files under paths (all of them if none) from the local
+    repository to dest with git archive; exit with git's message if it fails."""
+    git = subprocess.run(["git", "-C", str(REPO), "archive", rev, *paths], capture_output=True)
+    if git.returncode:
+        raise SystemExit(git.stderr.decode(errors="replace").strip())
+    with tarfile.open(fileobj=io.BytesIO(git.stdout)) as tar:
+        tar.extractall(dest, filter="data")
+
+
 def against(src: str, rev: str) -> int:
     """Print the outputs whose digests differ between rev's src/ and src,
     then both trees' package line counts; 1 if any differ, else 0."""
-    git = subprocess.run(["git", "-C", str(REPO), "archive", rev, "src"], capture_output=True)
-    if git.returncode:
-        raise SystemExit(git.stderr.decode(errors="replace").strip())
     with tempfile.TemporaryDirectory() as tmp:
-        with tarfile.open(fileobj=io.BytesIO(git.stdout)) as tar:
-            tar.extractall(tmp, filter="data")
+        extract(rev, tmp, "src")
         runs = [
             subprocess.Popen(
                 [sys.executable, __file__, "--src", tree], stdout=subprocess.PIPE, text=True
