@@ -7,17 +7,20 @@
 Both sides are extracted with ``git archive`` from the local repository into
 a temporary directory: the parent from ``--parent`` and the change from
 ``--change`` (default HEAD), so only committed files are measured. Pair i
-(1-based) runs each tree's own ``perfbench/run.py --workload all --seed S
---seconds T --trace 0`` with S = seed base + i and T the change's
-``BENCHMARK.json`` ``run_seconds`` unless ``--seconds`` is given, the parent
-first in odd pairs and the change first in even ones.
+(1-based) of 10 runs each tree's own ``perfbench/run.py --workload all
+--seed S --seconds T --trace 0`` with S = seed base + i and T the change's
+``BENCHMARK.json`` ``run_seconds``, the parent first in odd pairs and the
+change first in even ones.
 
 The output follows BENCH_15.json's layout: per workload and end-to-end
 metric each side's median and quartiles, the pairs the change wins and the
 verdict of the change tree's ``perfbench/compare.py``; failed and attempted
-operations; ``compare.py``'s exit code; the machine's core count, Python,
-numpy and BLAS versions; and the line count of ``src/fewner/*.py`` in each
-tree. Only the standard library and numpy are used.
+operations; the exit code ``compare.py`` would give (1 when a verdict is
+"worse"); the machine's core count, Python, numpy and BLAS versions; and the
+line count of ``src/fewner/*.py`` in each tree. ``compare.py`` pairs runs by
+start order, so when a workload of the change's ``BENCHMARK.json`` lacks a
+record of some run on either side, the tool exits 1 and writes no file. Only
+the standard library and numpy are used.
 """
 
 from __future__ import annotations
@@ -33,6 +36,7 @@ from pathlib import Path
 from output_digests import REPO, extract, package_lines
 
 SIDES = ("parent", "change")
+PAIRS = 10  # the fewest pairs a claimed gain is judged on
 
 
 def commit_id(rev: str) -> str:
@@ -61,6 +65,16 @@ def run_pair(trees: dict[str, Path], order, seed: int, seconds: float) -> None:
         # a failed output check still writes its records and is counted from them
         status = "ok" if proc.returncode == 0 else f"exit {proc.returncode}"
         print(f"seed {seed} {side}: {status}", file=sys.stderr, flush=True)
+
+
+def missing_runs(workloads, records: dict[str, dict]) -> list[str]:
+    """The workloads and sides with fewer than PAIRS records."""
+    return [
+        f"{workload} {side}: {n} of {PAIRS} runs"
+        for workload in workloads
+        for side in SIDES
+        if (n := len(records[side].get(workload, ()))) != PAIRS
+    ]
 
 
 def summarize(compare, spec: dict, records: dict[str, dict]) -> dict:
@@ -110,8 +124,6 @@ def main(argv=None) -> int:
     parser.add_argument("--change", default="HEAD", metavar="REV")
     parser.add_argument("--out", required=True, help="the BENCH_<n>.json file to write")
     parser.add_argument("--title", required=True, help="one line saying what the change does")
-    parser.add_argument("--pairs", type=int, default=10)
-    parser.add_argument("--seconds", type=float, help="run length (default: BENCHMARK.json's)")
     parser.add_argument("--seed-base", type=int, required=True, help="pair i runs seed base + i")
     parser.add_argument("--claim", metavar="WORKLOAD:METRIC", help="the metric the change claims")
     args = parser.parse_args(argv)
@@ -123,19 +135,21 @@ def main(argv=None) -> int:
         for side in SIDES:
             extract(commits[side], trees[side])
         spec = json.loads((trees["change"] / "BENCHMARK.json").read_text(encoding="utf-8"))
-        seconds = args.seconds or spec["run_seconds"]
-        seeds = [args.seed_base + i for i in range(1, args.pairs + 1)]
+        seconds = spec["run_seconds"]
+        seeds = [args.seed_base + i for i in range(1, PAIRS + 1)]
         for i, seed in enumerate(seeds, 1):
             run_pair(trees, SIDES if i % 2 else SIDES[::-1], seed, seconds)
         compare = load_compare(trees["change"])
         results = {side: trees[side] / "perfbench" / "results" for side in SIDES}
         records = {side: compare.load_records(results[side]) for side in SIDES}
-        argv = [sys.executable, "perfbench/compare.py", *(str(results[s]) for s in SIDES)]
-        verdicts = subprocess.run(argv, cwd=trees["change"], capture_output=True, text=True)
         lines = {side: package_lines(trees[side] / "src") for side in SIDES}
 
-    print(verdicts.stdout, end="")
+    missing = missing_runs([w["name"] for w in spec["workloads"]], records)
+    if missing:
+        print("no BENCH file written; runs are missing:", *missing, sep="\n", file=sys.stderr)
+        return 1
     workloads = summarize(compare, spec, records)
+    verdicts = [m["verdict"] for w in workloads.values() for m in w["metrics"].values()]
     bench = {
         "change": args.title,
         "command": (
@@ -143,7 +157,7 @@ def main(argv=None) -> int:
             f"--trace 0 (S = {args.seed_base} + pair number, {seeds[0]}-{seeds[-1]})"
         ),
         "pairs": (
-            f"{args.pairs} alternating parent/change pairs (parent first in odd pairs), "
+            f"{PAIRS} alternating parent/change pairs (parent first in odd pairs), "
             "same seed on both sides of a pair, written by tools/bench_pairs.py"
         ),
         "verdicts": "python3 perfbench/compare.py PARENT_RESULTS CHANGE_RESULTS",
@@ -156,9 +170,10 @@ def main(argv=None) -> int:
         workload, metric = args.claim.split(":")
         verdict = workloads[workload]["metrics"][metric]["verdict"]
         bench["claimed"] = {"workload": workload, "metric": metric, "compare_verdict": verdict}
-    bench["compare_exit_code"] = verdicts.returncode
+    bench["compare_exit_code"] = int("worse" in verdicts)
     bench["src_lines"] = lines
     Path(args.out).write_text(json.dumps(bench, indent=2) + "\n", encoding="utf-8")
+    print(f"wrote {args.out}: {verdicts.count('worse')} verdicts worse", file=sys.stderr)
     return 0
 
 
