@@ -437,10 +437,10 @@ def top_up(
 
     The draw is rng.sample(range(n), k) over the candidates' positions in
     ascending member order, which draws what rng.sample over the candidate
-    list would (it picks indices from the length and the RNG alone); drawn
-    position j is the j-th member in neither the bucket nor exclude. Cost:
-    a bisection per bucket or exclude entry and a pass over those entries
-    per drawn sentence, not a walk over the members."""
+    list would; drawn position j is the j-th member in neither set. Cost
+    follows len(bucket) + len(exclude), not len(members): a bisection per
+    entry and a pass over the blocked positions per draw. In sample_fewshot
+    the bucket is the whole selection so far and can outgrow the members."""
     in_bucket = _positions(members, bucket)
     blocked = sorted(in_bucket | _positions(members, exclude))
     have, n = len(in_bucket), len(members) - len(blocked)
