@@ -37,12 +37,8 @@ from .heads import (
 )
 from .training import (
     Episode,
-    OptimizerState,
-    ParamArena,
     TrainConfig,
-    adam_step,
     generate_soft_labels,
-    lr_at,
     pretrain_transfer,
     run_scheme,
     sample_episode,

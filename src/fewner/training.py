@@ -13,7 +13,8 @@ decay schedule planned over the whole run. The per-batch loss is a
 (weighted) mean over tokens, so learning rates are comparable across
 batch sizes. A run copies its trainable arrays into one flat ParamArena
 and rebinds the model's attributes to views of it; a step writes its
-gradients into the arena's views, then takes one Adam pass over the arena.
+gradients into the arena's views, then takes one Adam pass over the arena,
+which also holds Adam's moments (OptimizerState is the rate plan).
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ import json
 import math
 import random
 from collections import namedtuple
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from functools import partial
 from itertools import accumulate, pairwise
 from pathlib import Path
@@ -166,6 +167,7 @@ class ParamArena:
     The blocks are copied into `params` in the given order; `views` holds
     each block as a reshaped view of it, and `grad_views` the same of `grads`,
     a gradient buffer of the same layout. Block i is params[bounds[i]:bounds[i + 1]].
+    Adam's zeroed moments and the two work rows adam_step reuses share it.
     """
 
     def __init__(self, blocks: dict[str, np.ndarray]):
@@ -173,6 +175,9 @@ class ParamArena:
         self.bounds = np.cumsum([0, *(b.size for b in blocks.values())])
         self.params = np.concatenate([b.ravel() for b in blocks.values()])
         self.grads = np.zeros_like(self.params)
+        self.first_moment = np.zeros_like(self.params)
+        self.second_moment = np.zeros_like(self.params)
+        self.work = np.empty((2, *self.params.shape))
         spans = list(zip(blocks, self.bounds, self.bounds[1:], (b.shape for b in blocks.values())))
         self.views = {name: self.params[a:z].reshape(shape) for name, a, z, shape in spans}
         self.grad_views = {name: self.grads[a:z].reshape(shape) for name, a, z, shape in spans}
@@ -184,37 +189,17 @@ class ParamArena:
 
 @dataclass
 class OptimizerState:
-    """Adam accumulators over one flat parameter array, plus the
-    learning-rate plan."""
+    """Adam's learning-rate plan and step count; the moments it updates
+    live in the ParamArena."""
 
     base_lr: float
     warmup_fraction: float
     total_steps: int
     step: int = 0
-    first_moment: np.ndarray = field(default_factory=lambda: np.zeros(0))
-    second_moment: np.ndarray = field(default_factory=lambda: np.zeros(0))
-    # two work rows of the parameters' size that adam_step reuses
-    work: np.ndarray = field(default_factory=lambda: np.empty((2, 0)), repr=False)
 
     beta1 = 0.9
     beta2 = 0.999
     eps = 1e-8
-
-
-def init_optimizer(
-    params: np.ndarray, base_lr: float, warmup_fraction: float, total_steps: int
-) -> OptimizerState:
-    """Zeroed accumulators for the flat parameter array params."""
-    if total_steps < 0:
-        raise ValueError("total_steps must be >= 0")
-    return OptimizerState(
-        base_lr=base_lr,
-        warmup_fraction=warmup_fraction,
-        total_steps=total_steps,
-        first_moment=np.zeros_like(params),
-        second_moment=np.zeros_like(params),
-        work=np.empty((2, *params.shape)),
-    )
 
 
 def lr_at(state: OptimizerState) -> float:
@@ -230,9 +215,9 @@ def lr_at(state: OptimizerState) -> float:
 
 
 def adam_step(state: OptimizerState, arena: ParamArena) -> None:
-    """One Adam update of arena.params from arena.grads, in place; the
-    step's rate comes from lr_at. A non-finite gradient raises NumericError
-    naming its block before any parameter changes."""
+    """One Adam update of arena.params from arena.grads and its moments, in
+    place; the step's rate comes from lr_at. A non-finite gradient raises
+    NumericError naming its block before any parameter changes."""
     g = arena.grads
     finite = np.isfinite(g)
     if not finite.all():
@@ -242,8 +227,8 @@ def adam_step(state: OptimizerState, arena: ParamArena) -> None:
     t = state.step + 1
     bias1 = 1.0 - state.beta1**t
     bias2 = 1.0 - state.beta2**t
-    m, v = state.first_moment, state.second_moment
-    num, den = state.work
+    m, v = arena.first_moment, arena.second_moment
+    num, den = arena.work
     # m = b1 m + (1 - b1) g;  v = b2 v + ((1 - b2) g) g
     np.multiply(g, 1.0 - state.beta1, out=num)
     m *= state.beta1
@@ -352,7 +337,7 @@ def _train_weighted(
     n = len(offsets) - 1
     total_steps = config.epochs * math.ceil(n / config.batch_size)
     arena = _arena({"head": head} if config.freeze_encoder else {"head": head, "encoder": encoder})
-    state = init_optimizer(arena.params, config.learning_rate, config.warmup_fraction, total_steps)
+    state = OptimizerState(config.learning_rate, config.warmup_fraction, total_steps)
     # the gradient views in block order: the head's two, then the encoder's
     grads = list(arena.grad_views.values())
     head_grads = grads[:2]
@@ -443,7 +428,7 @@ def train_prototype(
     iters_per_epoch = math.ceil(len(corpus) / per_episode)
     total_steps = config.epochs * iters_per_epoch
     arena = _arena({"encoder": encoder})
-    state = init_optimizer(arena.params, config.learning_rate, config.warmup_fraction, total_steps)
+    state = OptimizerState(config.learning_rate, config.warmup_fraction, total_steps)
     episode_rng = random.Random(config.seed + SEED_EPISODES)
     tag_type = corpus.labels.codes[0]
     # the vocabulary is fixed during training, so the windows are too

@@ -10,7 +10,7 @@ import tempfile
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import fewner
@@ -406,6 +406,8 @@ class TestBadInputs:
             ({"seed": 0, "learning_rate": math.nan, "epochs": 1}, "learning_rate"),
             ({"seed": 0, "learning_rate": math.inf, "epochs": 1}, "learning_rate"),
             ({"seed": 0, "lambda_u": math.nan}, "lambda_u"),
+            ({"seed": 0, "epochs": -1}, "epochs"),
+            ({"seed": 0, "warmup_fraction": 1.5}, "warmup_fraction"),
         ],
     )
     def test_invalid_config(self, workdir, capsys, config, field):
@@ -424,6 +426,24 @@ class TestBadInputs:
         )
         err = self._assert_data_error(code, capsys)
         assert "bad.json" in err and field in err
+        assert not (workdir / "x.json").exists()
+        assert not (workdir / "x.json.manifest.json").exists()
+
+    @pytest.mark.parametrize(
+        "scheme, flag, text, message",
+        [
+            ("proto", "--train", "", "cannot train on an empty corpus"),
+            ("proto", "--train", "a O\nb O\n\nc O\n", "corpus has no entity types"),
+            ("proto+nsp", "--source", "a O\nb O\n\nc O\n", "corpus has no entity types"),
+        ],
+    )
+    def test_untrainable_corpus(self, workdir, capsys, scheme, flag, text, message):
+        (workdir / "bad.conll").write_text(text, encoding="utf-8")
+        p = lambda name: str(workdir / name)
+        files = {"--train": p("train.conll"), "--source": p("train.conll"), flag: p("bad.conll")}
+        argv = ["train", scheme, "--config", p("config.json"), "--out", p("x.json")]
+        assert main([*argv, *(a for pair in files.items() for a in pair)]) == 2
+        assert capsys.readouterr().err == f"fewner: {message}\n"
         assert not (workdir / "x.json").exists()
         assert not (workdir / "x.json.manifest.json").exists()
 
@@ -554,6 +574,24 @@ class TestBadCheckpoints:
             f"fewner: {path}: checkpoint vocabulary lists {word!r} more than once\n"
         )
 
+    @pytest.mark.parametrize(
+        "field, message",
+        [
+            ("embed_dim", "checkpoint field 'embed_dim' must be positive, got 0"),
+            ("tags", "checkpoint tag ordering disagrees with its label set"),
+        ],
+    )
+    def test_invalid_field(self, workdir, capsys, doc, field, message):
+        if field == "embed_dim":
+            doc["embed_dim"] = 0
+        else:
+            doc["head"]["tags"].reverse()
+        path = workdir / "bad.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        capsys.readouterr()
+        assert main(["eval", str(path), str(workdir / "test.conll")]) == 2
+        assert capsys.readouterr().err == f"fewner: {path}: {message}\n"
+
     def test_missing_file(self, workdir, capsys):
         missing = workdir / "nope.json"
         assert main(["eval", str(missing), str(workdir / "test.conll")]) == 2
@@ -607,8 +645,8 @@ class TestDeepNesting:
 
 
 class TestFileErrors:
-    """A non-UTF-8 input file and an unwritable output path end as one-line
-    data errors naming the file, not as tracebacks."""
+    """A missing, directory or non-UTF-8 input file and an unwritable output
+    path end as one-line data errors naming the file, not as tracebacks."""
 
     @pytest.mark.parametrize(
         "command", ["stats", "sample", "train", "train_unlabeled", "eval", "protoinfer"]
@@ -637,6 +675,25 @@ class TestFileErrors:
         err = capsys.readouterr().err
         assert err.startswith(f"fewner: cannot read {bad}: not UTF-8") and err.count("\n") == 1
         assert not (workdir / "x.json").exists() and not (workdir / "x.conll").exists()
+
+    @pytest.mark.parametrize(
+        "scheme, flag, target, reason",
+        [
+            ("lc", "--train", "missing.conll", "No such file or directory"),
+            ("lc", "--train", "a_directory", "Is a directory"),
+            ("lc+nsp", "--source", "missing.conll", "No such file or directory"),
+            ("lc+st", "--unlabeled", "missing.txt", "No such file or directory"),
+        ],
+    )
+    def test_unreadable_train_input(self, workdir, capsys, scheme, flag, target, reason):
+        (workdir / "a_directory").mkdir()
+        p = lambda name: str(workdir / name)
+        files = {"--train": p("train.conll"), flag: p(target)}
+        argv = ["train", scheme, "--config", p("config.json"), "--out", p("x.json")]
+        assert main([*argv, *(a for pair in files.items() for a in pair)]) == 2
+        assert capsys.readouterr().err == f"fewner: cannot read {p(target)}: {reason}\n"
+        assert not (workdir / "x.json").exists()
+        assert not (workdir / "x.json.manifest.json").exists()
 
     @pytest.mark.parametrize("command", ["train", "sample"])
     @pytest.mark.parametrize(
@@ -803,6 +860,80 @@ def test_overflowing_head_is_numeric_error(tmp_path, capsys):
     assert main(st_run) == 3
     assert capsys.readouterr() == error
     assert not (tmp_path / "st.json").exists()
+
+
+@functools.cache
+def _contract_files() -> dict[str, str]:
+    pool = "".join(" ".join(s.tokens) + "\n" for s in make_corpus(20, seed=2).sentences)
+    return {
+        "train.conll": write_conll(make_corpus(30, seed=0)),
+        "test.conll": write_conll(make_corpus(50, seed=1)),
+        "pool.txt": pool,
+    }
+
+
+def _run_main(argv: list[str]) -> tuple[int, str]:
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, err.getvalue()
+
+
+def _assert_contract(code: int, err: str) -> None:
+    """Exit 0 with nothing on stderr, or exit 3 with one `fewner:` line."""
+    if code == 0:
+        assert err == ""
+    else:
+        assert code == 3, err
+        assert err.startswith("fewner: ") and err.count("\n") == 1 and err.endswith("\n"), err
+
+
+# the outcome of (scheme, epochs, learning rate) points pinned by @example:
+# train's exit code, then the inference command's, or train's stderr
+CONTRACT_POINTS = {
+    ("lc", 1, 1e200): (0, 3),
+    ("lc", 2, 1e308): (3, "fewner: non-finite gradient in parameter block 'head.weights'\n"),
+}
+
+
+@settings(max_examples=10, derandomize=True, deadline=None)
+@given(
+    st.sampled_from(["lc", "proto", "lc+st"]),
+    st.integers(1, 2),
+    # log-uniform over whole powers of ten; a float exponent mostly draws 1.0
+    st.integers(-8, 308).map(lambda exponent: 10.0**exponent),
+)
+@example("lc", 1, 1e200)
+@example("lc", 2, 1e308)
+def test_numeric_contract_through_main(scheme, epochs, learning_rate):
+    """At any learning rate, train and then eval (lc, lc+st) or protoinfer
+    (proto) exit 0 with empty stderr or 3 with one line, and a failed train
+    leaves no checkpoint or manifest."""
+    config = {"seed": 0, "epochs": epochs, "learning_rate": learning_rate}
+    config.update(embed_dim=8, hidden_dim=16, K=1, K_prime=2)
+    with tempfile.TemporaryDirectory() as tmp:
+        p = lambda name: str(Path(tmp, name))
+        for name, text in _contract_files().items():
+            Path(tmp, name).write_text(text, encoding="utf-8")
+        Path(tmp, "config.json").write_text(json.dumps(config), encoding="utf-8")
+        argv = ["train", scheme, "--config", p("config.json"), "--train", p("train.conll")]
+        argv += ["--unlabeled", p("pool.txt")] if scheme == "lc+st" else []
+        code, err = _run_main([*argv, "--out", p("model.json")])
+        _assert_contract(code, err)
+        pinned = CONTRACT_POINTS.get((scheme, epochs, learning_rate))
+        if code != 0:
+            assert not Path(tmp, "model.json").exists()
+            assert not Path(tmp, "model.json.manifest.json").exists()
+            assert pinned in (None, (code, err))
+            return
+        infer = {
+            "eval": ["eval", p("model.json"), p("test.conll")],
+            "protoinfer": ["protoinfer", p("model.json"), "--support", p("train.conll")]
+            + ["--test", p("test.conll"), "--shots", "1"],
+        }["protoinfer" if scheme == "proto" else "eval"]
+        infer_code, infer_err = _run_main(infer)
+        _assert_contract(infer_code, infer_err)
+        assert pinned in (None, (code, infer_code))
 
 
 class TestUsage:

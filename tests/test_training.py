@@ -2,6 +2,7 @@ import json
 import math
 import random
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -30,7 +31,6 @@ from fewner.training import (
     adam_step,
     build_vocabulary,
     generate_soft_labels,
-    init_optimizer,
     load_config,
     lr_at,
     pretrain_transfer,
@@ -120,8 +120,7 @@ class TestSchedule:
 
 def _adam(blocks: dict, base_lr, warmup_fraction, total_steps):
     """An arena over copies of blocks and a fresh optimizer for it."""
-    arena = ParamArena(blocks)
-    return arena, init_optimizer(arena.params, base_lr, warmup_fraction, total_steps)
+    return ParamArena(blocks), OptimizerState(base_lr, warmup_fraction, total_steps)
 
 
 def _step(state, arena, grads: dict) -> None:
@@ -192,8 +191,8 @@ class TestAdam:
         for k in shapes:
             assert np.array_equal(arena.views[k], ref_params[k])
         assert np.array_equal(arena.params, flat(ref_params))
-        assert np.array_equal(state.first_moment, flat(ref_state.first_moment))
-        assert np.array_equal(state.second_moment, flat(ref_state.second_moment))
+        assert np.array_equal(arena.first_moment, flat(ref_state.first_moment))
+        assert np.array_equal(arena.second_moment, flat(ref_state.second_moment))
         # the arena copied its blocks in: the arrays it was built from are untouched
         for k in shapes:
             assert not np.array_equal(params[k], ref_params[k])
@@ -202,6 +201,22 @@ class TestAdam:
         arena, state = _adam({"x": np.zeros(1)}, 0.1, 0.0, 5)
         _step(state, arena, {"x": np.ones(1)})
         assert state.step == 1
+
+    def test_step_reuses_the_arena_work_rows(self):
+        """A step allocates no parameter-sized temporaries: its traced peak
+        is the boolean finiteness mask, an eighth of the parameters' bytes."""
+        rng = np.random.default_rng(3)
+        arena, state = _adam({"x": rng.normal(size=200_000)}, 0.01, 0.0, 10)
+        arena.grads[:] = rng.normal(size=200_000)
+        adam_step(state, arena)
+        tracemalloc.start()
+        try:
+            adam_step(state, arena)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert state.step == 2
+        assert peak < arena.params.nbytes / 4
 
 
 class TestParamArena:

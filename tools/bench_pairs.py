@@ -17,9 +17,13 @@ metric each side's median and quartiles, the pairs the change wins and the
 verdict of the change tree's ``perfbench/compare.py``; failed and attempted
 operations; the exit code ``compare.py`` would give (1 when a verdict is
 "worse"); the machine's core count, Python, numpy and BLAS versions; and the
-line count of ``src/fewner/*.py`` in each tree. ``compare.py`` pairs runs by
-start order, so when a workload of the change's ``BENCHMARK.json`` lacks a
-record of some run on either side, the tool exits 1 and writes no file. Only
+line count of ``src/fewner/*.py`` in each tree; and the digest result:
+before the pairs, the change tree's ``tools/output_digests.py --src`` digests
+each tree's ``src/`` in a subprocess, and the file records how many outputs
+are identical, of how many, and the names of those that differ. A failed
+digest run exits 1 and writes no file. ``compare.py`` pairs runs by start
+order, so when a workload of the change's ``BENCHMARK.json`` lacks a record
+of some run on either side, the tool also exits 1 and writes no file. Only
 the standard library and numpy are used.
 """
 
@@ -33,7 +37,7 @@ import sys
 import tempfile
 from pathlib import Path
 
-from output_digests import REPO, extract, package_lines
+from output_digests import REPO, digest_result, digest_trees, extract, package_lines
 
 SIDES = ("parent", "change")
 PAIRS = 10  # the fewest pairs a claimed gain is judged on
@@ -134,6 +138,8 @@ def main(argv=None) -> int:
         commits = {side: commit_id(revs[side]) for side in SIDES}
         for side in SIDES:
             extract(commits[side], trees[side])
+        script = trees["change"] / "tools" / "output_digests.py"
+        digests = digest_result(*digest_trees(script, *(trees[side] / "src" for side in SIDES)))
         spec = json.loads((trees["change"] / "BENCHMARK.json").read_text(encoding="utf-8"))
         seconds = spec["run_seconds"]
         seeds = [args.seed_base + i for i in range(1, PAIRS + 1)]
@@ -172,6 +178,7 @@ def main(argv=None) -> int:
         bench["claimed"] = {"workload": workload, "metric": metric, "compare_verdict": verdict}
     bench["compare_exit_code"] = int("worse" in verdicts)
     bench["src_lines"] = lines
+    bench["digests"] = digests
     Path(args.out).write_text(json.dumps(bench, indent=2) + "\n", encoding="utf-8")
     print(f"wrote {args.out}: {verdicts.count('worse')} verdicts worse", file=sys.stderr)
     return 0

@@ -372,29 +372,41 @@ def extract(rev: str, dest: str | Path, *paths: str) -> None:
         tar.extractall(dest, filter="data")
 
 
+def digest_trees(script: str | Path, *srcs: str | Path) -> list[dict[str, str]]:
+    """Each src's digests by output name, from `script --src src` run in one
+    subprocess per tree; exit if a run fails."""
+    runs = [
+        subprocess.Popen(
+            [sys.executable, str(script), "--src", str(src)], stdout=subprocess.PIPE, text=True
+        )
+        for src in srcs
+    ]
+    outputs = [run.communicate()[0] for run in runs]
+    if any(run.returncode for run in runs):
+        raise SystemExit("a digest run failed")
+    return [dict(line.split() for line in out.splitlines()) for out in outputs]
+
+
+def digest_result(old: dict[str, str], new: dict[str, str]) -> dict:
+    """How many of the outputs named in old or new have the same digest in
+    both, out of how many, and the sorted names of those that differ."""
+    names = old.keys() | new.keys()
+    differ = sorted(name for name in names if old.get(name) != new.get(name))
+    return {"identical": len(names) - len(differ), "total": len(names), "differ": differ}
+
+
 def against(src: str, rev: str) -> int:
     """Print the outputs whose digests differ between rev's src/ and src,
     then both trees' package line counts; 1 if any differ, else 0."""
     with tempfile.TemporaryDirectory() as tmp:
         extract(rev, tmp, "src")
-        runs = [
-            subprocess.Popen(
-                [sys.executable, __file__, "--src", tree], stdout=subprocess.PIPE, text=True
-            )
-            for tree in (str(Path(tmp, "src")), src)
-        ]
-        outputs = [run.communicate()[0] for run in runs]
+        result = digest_result(*digest_trees(__file__, Path(tmp, "src"), src))
         lines = package_lines(Path(tmp, "src")), package_lines(src)
-    if any(run.returncode for run in runs):
-        raise SystemExit("a digest run failed")
-    old, new = (dict(line.split() for line in out.splitlines()) for out in outputs)
-    names = old.keys() | new.keys()
-    differ = sorted(name for name in names if old.get(name) != new.get(name))
-    for name in differ:
+    for name in result["differ"]:
         print(name)
-    print(f"{len(names) - len(differ)} of {len(names)} outputs identical to {rev}")
+    print(f"{result['identical']} of {result['total']} outputs identical to {rev}")
     print(f"fewner/*.py lines: {lines[0]} at {rev}, {lines[1]} in {src}")
-    return 1 if differ else 0
+    return 1 if result["differ"] else 0
 
 
 def main(argv=None) -> int:
