@@ -32,7 +32,7 @@ from .corpus import (
 )
 from .encoder import EncoderParams, encode_blocks
 from .errors import DataError
-from .heads import PrototypeSet, build_multi_prototypes, linear_forward, multi_proto_scores
+from .heads import PrototypeSet, build_multi_prototypes, linear_forward, multi_proto_argmax
 from .training import TrainConfig, run_scheme
 
 
@@ -127,19 +127,21 @@ def _predict_ids(
     model: Model, words: WordIds, protos: PrototypeSet | None = None
 ) -> tuple[list[str], np.ndarray]:
     """Labels and, for every token of the word-id column, the index of its
-    predicted label among them (see predict_corpus)."""
+    predicted label among them (see predict_corpus). A block's head is
+    heads.multi_proto_argmax when protos are given, else the linear
+    head's ranked argmax."""
     order = model.labels.tag_vocabulary
     if protos is not None:
-        labels, score = protos.labels, partial(multi_proto_scores, protos)
+        labels = protos.labels
+        ranked = _ranking(labels, order)
+        head = partial(multi_proto_argmax, protos, ranked=ranked)
     elif model.head is not None:
-        labels, score = order, partial(linear_forward, model.head)
+        labels = order
+        ranked = _ranking(labels, order)
+        head = lambda reprs: np.argmax(linear_forward(model.head, reprs)[:, ranked], axis=1)
     else:
         raise DataError("prototype checkpoints carry no head arrays; supply a support set")
-    ranked = _ranking(labels, order)
-    best = encode_blocks(
-        model.encoder, words, lambda reprs: np.argmax(score(reprs)[:, ranked], axis=1)
-    )
-    return [labels[i] for i in ranked], best
+    return [labels[i] for i in ranked], encode_blocks(model.encoder, words, head)
 
 
 def predict_corpus(
@@ -153,7 +155,9 @@ def predict_corpus(
 
     Sentences are encoded and scored in one encoder.encode_blocks pass
     whose head is the ranked argmax: one encode, one head call and one
-    argmax per block of whole sentences.
+    argmax per block of whole sentences. Prototype distances come from one
+    matrix product per block; a token whose winner they cannot certify is
+    rescored exactly, so the tags equal the exact scores' argmax.
     """
     words = word_ids(s.tokens for s in sentences)
     names, ids = _predict_ids(model, words, protos)

@@ -321,3 +321,42 @@ def multi_proto_scores(protos: PrototypeSet, reprs: np.ndarray) -> np.ndarray:
         [flat[:, a:b].mean(axis=1) for a, b in zip(bounds[:-1], bounds[1:])]
     )
     return scores / scores.sum(axis=1, keepdims=True)
+
+
+def multi_proto_argmax(protos: PrototypeSet, reprs: np.ndarray, ranked) -> np.ndarray:
+    """np.argmax(multi_proto_scores(protos, reprs)[:, ranked], axis=1) for
+    (N, H) reprs, ranked being a permutation of the label indices.
+
+    One matmul gives the squared distances as ||r||^2 + ||c||^2 - 2 r.c,
+    which differ from the exact path's by less than E = 8(H + 8) u (max
+    ||r||^2 + max ||c||^2), u = 2^-53, in any summation order. So each
+    distance moves by at most delta = sqrt(E), and each label's mean of
+    exp(min d - d) by a factor e^(+-delta): a row whose best label beats
+    every other by more than e^(2 delta) (1 + 1e-9) has the exact argmax.
+    The other rows (ties, near-ties, anything not finite) are rescored
+    exactly; row i of multi_proto_scores depends on row i only.
+    """
+    reprs = np.asarray(reprs, dtype=float)
+    cents = [protos.entries[j][1] for j in ranked]
+    sizes = [len(c) for c in cents]
+    all_cents = np.vstack(cents)
+    mean = np.repeat(np.eye(len(cents)) / sizes, sizes, axis=0)  # centroid to label means
+    with np.errstate(all="ignore"):  # what is not finite is rescored exactly
+        r2 = np.einsum("ij,ij->i", reprs, reprs)
+        c2 = np.einsum("ij,ij->i", all_cents, all_cents)
+        dist = reprs @ (-2.0 * all_cents.T)
+        dist += r2[:, None]
+        dist += c2
+        np.sqrt(np.maximum(dist, 0.0, out=dist), out=dist)
+        flat = np.exp(dist.min(axis=1, keepdims=True) - dist)
+        scores = flat @ mean
+        delta = np.sqrt(8 * (reprs.shape[1] + 8) * 2.0**-53 * (r2.max(initial=0.0) + c2.max()))
+        margin = np.exp(2 * delta) * (1 + 1e-9)
+        rows = np.arange(len(reprs))
+        best = np.argmax(scores, axis=1)
+        top = scores[rows, best]
+        scores[rows, best] = -np.inf
+        doubt = np.flatnonzero(~(top > scores.max(axis=1) * margin))
+    if len(doubt):
+        best[doubt] = np.argmax(multi_proto_scores(protos, reprs[doubt])[:, ranked], axis=1)
+    return best

@@ -3,8 +3,12 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from fewner import heads
 from fewner.errors import DataError
+from fewner.evaluation import _ranking
 from fewner.heads import (
     LinearHead,
     _distances,
@@ -16,6 +20,7 @@ from fewner.heads import (
     linear_backward,
     linear_forward,
     linear_loss_grads,
+    multi_proto_argmax,
     multi_proto_score,
     multi_proto_scores,
     proto_backward,
@@ -542,3 +547,65 @@ class TestMultiProtoScore:
                 ]
             )
             _assert_distribution(multi_proto_score(protos, rng.normal(size=3)))
+
+
+VOCAB = ("O", "B-PER", "I-PER", "B-LOC", "I-LOC")
+
+
+@st.composite
+def tie_prone_blocks(draw):
+    """A prototype set over labels in and outside VOCAB (1-4 centroids
+    each, the first label's maybe copied, exactly or nudged, into the last),
+    its ranking and a block of query rows, many on a centroid or midway
+    between two."""
+    dim = draw(st.sampled_from((1, 7, 8, 13, 64, 129)))
+    scale = 10.0 ** draw(st.integers(-6, 3))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    labels = draw(st.permutations((*VOCAB, "B-MISC", "I-MISC")))[: draw(st.integers(1, 7))]
+    cents = [rng.normal(size=(draw(st.integers(1, 4)), dim)) * scale for _ in labels]
+    if len(labels) > 1 and draw(st.booleans()):  # exact ties or near-ties between labels
+        nudge = draw(st.sampled_from((0.0, 1e-12, 1e-9, 1e-6, 1e-4))) * scale
+        cents[-1] = cents[0] + nudge * rng.normal(size=cents[0].shape)
+    all_cents = np.vstack(cents)
+    reprs = rng.normal(size=(draw(st.integers(0, 30)), dim)) * scale
+    for row in reprs:
+        a, b = all_cents[rng.integers(len(all_cents), size=2)]
+        place = rng.integers(3)
+        if place:
+            row[:] = a if place == 1 else (a + b) / 2
+    protos = PrototypeSet(list(zip(labels, cents)))
+    return protos, reprs, _ranking(labels, VOCAB)
+
+
+class TestMultiProtoArgmax:
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(tie_prone_blocks())
+    def test_equals_exact_ranked_argmax(self, block):
+        protos, reprs, ranked = block
+        want = np.argmax(multi_proto_scores(protos, reprs)[:, ranked], axis=1)
+        got = multi_proto_argmax(protos, reprs, ranked)
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+        empty = multi_proto_argmax(protos, reprs[:0], ranked)
+        assert empty.shape == (0,) and empty.dtype == want.dtype
+
+    def test_only_uncertified_rows_are_rescored(self, monkeypatch):
+        rng = np.random.default_rng(31)
+        a, b = rng.normal(size=(2, 8))
+        # "I-PER" copies "B-PER"'s centroid, so the two tie exactly near it
+        protos = PrototypeSet([("I-PER", a[None]), ("B-LOC", b[None]), ("B-PER", a[None])])
+        ranked = _ranking(protos.labels, VOCAB)
+        reprs = np.vstack([b, a, (a + b) / 2, b + 0.01, a + 0.01])
+        rescored = []
+
+        def spy(protos, rows):
+            rescored.append(rows.copy())
+            return multi_proto_scores(protos, rows)
+
+        monkeypatch.setattr(heads, "multi_proto_scores", spy)
+        got = multi_proto_argmax(protos, reprs, ranked)
+        # the exact tie and the midpoint reach the exact path, and only they
+        assert len(rescored) == 1 and np.array_equal(rescored[0], reprs[[1, 2, 4]])
+        monkeypatch.undo()
+        assert np.array_equal(got, np.argmax(multi_proto_scores(protos, reprs)[:, ranked], axis=1))
+        # the tie goes to the label earliest in the vocabulary
+        assert [protos.labels[ranked[i]] for i in got[[0, 1, 3, 4]]] == ["B-LOC", "B-PER"] * 2

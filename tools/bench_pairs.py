@@ -17,14 +17,18 @@ metric each side's median and quartiles, the pairs the change wins and the
 verdict of the change tree's ``perfbench/compare.py``; failed and attempted
 operations; the exit code ``compare.py`` would give (1 when a verdict is
 "worse"); the machine's core count, Python, numpy and BLAS versions; and the
-line count of ``src/fewner/*.py`` in each tree; and the digest result:
-before the pairs, the change tree's ``tools/output_digests.py --src`` digests
-each tree's ``src/`` in a subprocess, and the file records how many outputs
-are identical, of how many, and the names of those that differ. A failed
-digest run exits 1 and writes no file. ``compare.py`` pairs runs by start
-order, so when a workload of the change's ``BENCHMARK.json`` lacks a record
-of some run on either side, the tool also exits 1 and writes no file. Only
-the standard library and numpy are used.
+line count of ``src/fewner/*.py`` in each tree; the digest result: before
+the pairs, the change tree's ``tools/output_digests.py --src`` digests each
+tree's ``src/`` in a subprocess, and the file records how many outputs are
+identical, of how many, and the names of those that differ; and the tier-1
+time: after the digests, each tree runs its tier-1 suite (``python -m pytest
+-q --continue-on-collection-errors`` with ``src`` on ``PYTHONPATH``) 3 times,
+the trees alternating, and the file records each tree's median wall time and
+test count. A failed digest run or a failed suite exits 1 and writes no
+file. ``compare.py`` pairs runs by start order, so when a workload of the
+change's ``BENCHMARK.json`` lacks a record of some run on either side, the
+tool also exits 1 and writes no file. Only the standard library and numpy
+are used.
 """
 
 from __future__ import annotations
@@ -32,15 +36,21 @@ from __future__ import annotations
 import argparse
 import importlib.util
 import json
+import os
+import re
+import statistics
 import subprocess
 import sys
 import tempfile
+import time
 from pathlib import Path
 
 from output_digests import REPO, digest_result, digest_trees, extract, package_lines
 
 SIDES = ("parent", "change")
 PAIRS = 10  # the fewest pairs a claimed gain is judged on
+TIER1 = ("-m", "pytest", "-q", "--continue-on-collection-errors")
+TIER1_RUNS = 3
 
 
 def commit_id(rev: str) -> str:
@@ -69,6 +79,30 @@ def run_pair(trees: dict[str, Path], order, seed: int, seconds: float) -> None:
         # a failed output check still writes its records and is counted from them
         status = "ok" if proc.returncode == 0 else f"exit {proc.returncode}"
         print(f"seed {seed} {side}: {status}", file=sys.stderr, flush=True)
+
+
+def tier1_times(trees: dict[str, Path]) -> dict | None:
+    """Each tree's median wall time and test count over TIER1_RUNS runs of
+    its tier-1 suite, the parent first in odd runs; None if a run fails."""
+    path = os.pathsep.join(filter(None, ("src", os.environ.get("PYTHONPATH"))))
+    env = {**os.environ, "PYTHONPATH": path}
+    times = {side: [] for side in SIDES}
+    tests = {}
+    for i in range(TIER1_RUNS):
+        for side in SIDES if i % 2 == 0 else SIDES[::-1]:
+            start = time.perf_counter()
+            proc = subprocess.run(
+                [sys.executable, *TIER1], cwd=trees[side], env=env, capture_output=True, text=True
+            )
+            times[side].append(time.perf_counter() - start)
+            summary = (proc.stdout.strip().splitlines() or [""])[-1]
+            print(f"tier-1 {side}: {summary}", file=sys.stderr, flush=True)
+            if proc.returncode:
+                return None
+            tests[side] = int(re.search(r"(\d+) passed", summary)[1])
+    return {
+        side: {"median_s": statistics.median(times[side]), "tests": tests[side]} for side in SIDES
+    }
 
 
 def missing_runs(workloads, records: dict[str, dict]) -> list[str]:
@@ -140,6 +174,10 @@ def main(argv=None) -> int:
             extract(commits[side], trees[side])
         script = trees["change"] / "tools" / "output_digests.py"
         digests = digest_result(*digest_trees(script, *(trees[side] / "src" for side in SIDES)))
+        tier1 = tier1_times(trees)
+        if tier1 is None:
+            print("no BENCH file written; a tier-1 suite failed", file=sys.stderr)
+            return 1
         spec = json.loads((trees["change"] / "BENCHMARK.json").read_text(encoding="utf-8"))
         seconds = spec["run_seconds"]
         seeds = [args.seed_base + i for i in range(1, PAIRS + 1)]
@@ -179,6 +217,11 @@ def main(argv=None) -> int:
     bench["compare_exit_code"] = int("worse" in verdicts)
     bench["src_lines"] = lines
     bench["digests"] = digests
+    bench["tier1"] = {
+        "command": f"PYTHONPATH=src python {' '.join(TIER1)}",
+        "runs": f"{TIER1_RUNS} per tree, alternating, the parent first",
+        **tier1,
+    }
     Path(args.out).write_text(json.dumps(bench, indent=2) + "\n", encoding="utf-8")
     print(f"wrote {args.out}: {verdicts.count('worse')} verdicts worse", file=sys.stderr)
     return 0
