@@ -24,7 +24,7 @@ from . import checkpoint
 from .corpus import parse_conll, sample_fewshot, stats_json, write_conll
 from .errors import DataError, NumericError
 from .evaluation import evaluate_model, support_prototypes
-from .training import SCHEMES, load_config, run_scheme, scheme_inputs
+from .training import SCHEMES, load_config, run_scheme, scheme_inputs, scheme_stages
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -170,7 +170,7 @@ def cmd_train(args) -> int:
 
     manifest = {
         "scheme": args.scheme,
-        "stages": SCHEMES[args.scheme],
+        "stages": scheme_stages(args.scheme, config.lambda_u, len(unlabeled or ())),
         "config": asdict(config),
         "source_config": asdict(source_config) if source_config else None,
         "seeds": {"run": config.seed},

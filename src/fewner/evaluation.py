@@ -125,23 +125,22 @@ def _ranking(labels, label_order) -> list[int]:
 
 def _predict_ids(
     model: Model, words: WordIds, protos: PrototypeSet | None = None
-) -> tuple[list[str], np.ndarray]:
+) -> tuple[tuple[str, ...], np.ndarray]:
     """Labels and, for every token of the word-id column, the index of its
     predicted label among them (see predict_corpus). A block's head is
-    heads.multi_proto_argmax when protos are given, else the linear
-    head's ranked argmax."""
-    order = model.labels.tag_vocabulary
+    heads.multi_proto_argmax over the ranked prototype labels when protos
+    are given, else the argmax of the linear head, whose labels are the tag
+    vocabulary in order."""
     if protos is not None:
-        labels = protos.labels
-        ranked = _ranking(labels, order)
+        ranked = _ranking(protos.labels, model.labels.tag_vocabulary)
+        labels = tuple(protos.labels[i] for i in ranked)
         head = partial(multi_proto_argmax, protos, ranked=ranked)
     elif model.head is not None:
-        labels = order
-        ranked = _ranking(labels, order)
-        head = lambda reprs: np.argmax(linear_forward(model.head, reprs)[:, ranked], axis=1)
+        labels = model.labels.tag_vocabulary
+        head = lambda reprs: np.argmax(linear_forward(model.head, reprs), axis=1)
     else:
         raise DataError("prototype checkpoints carry no head arrays; supply a support set")
-    return [labels[i] for i in ranked], encode_blocks(model.encoder, words, head)
+    return labels, encode_blocks(model.encoder, words, head)
 
 
 def predict_corpus(

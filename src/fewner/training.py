@@ -3,10 +3,11 @@
 train_linear fine-tunes the encoder under a linear head; train_prototype
 trains it on episodes with prototypes. A scheme (SCHEMES) is a chain of
 named stages, and STAGES gives each name the input it reads, the trainer
-it calls and its step. run_scheme walks the chain, passing on the warm
-start (pretrain), the latest model and the soft labels that a student
-trains on with the teacher's data; pretrain_transfer and self_train are
-such runs. Every result is a deterministic function of (data, config, seed).
+it calls and its step. run_scheme walks the stages that scheme_stages
+says a run executes, passing on the warm start (pretrain), the latest model
+and the soft labels that a student trains on with the teacher's data;
+pretrain_transfer and self_train are such runs. Every result is a
+deterministic function of (data, config, seed).
 
 Optimization is Adam with bias correction under a linear warmup / linear
 decay schedule planned over the whole run. The per-batch loss is a
@@ -25,7 +26,7 @@ import random
 from collections import namedtuple
 from dataclasses import dataclass, replace
 from functools import partial
-from itertools import accumulate, pairwise
+from itertools import accumulate, pairwise, takewhile
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -45,8 +46,8 @@ from .encoder import (
 from .errors import DataError, NumericError
 from .heads import init_linear_head, linear_forward, linear_loss_grads, proto_loss_grads
 
-# each scheme's stages in run order, as the run manifest records them; STAGES
-# says what each one reads and does
+# each scheme's stages in run order (scheme_stages gives those a run executes);
+# STAGES says what each one reads and does
 SCHEMES = {
     "lc": ("train_linear",),
     "proto": ("train_prototype",),
@@ -582,13 +583,19 @@ def scheme_inputs(scheme: str) -> tuple[str, ...]:
     return tuple(dict.fromkeys(r for r in reads if r != "labeled"))
 
 
+def scheme_stages(scheme: str, lambda_u: float, n_unlabeled: int) -> tuple[str, ...]:
+    """The stages of SCHEMES[scheme] that a run executes, in order: soft
+    labels with no weight (lambda_u 0 or no unlabeled sentences) end the run
+    after the teacher."""
+    stages = SCHEMES[scheme]
+    return stages if lambda_u and n_unlabeled else tuple(takewhile("soft_labels".__ne__, stages))
+
+
 def _run(scheme, labeled, config, source=None, unlabeled=None, source_config=None, init=None):
-    """Run scheme's stages in order through STAGES; return the last model.
-    init warm-starts the stages on the labeled corpus; source_config
+    """Run scheme_stages' stages in order through STAGES; return the last
+    model. init warm-starts the stages on the labeled corpus; source_config
     configures those on the source. A missing input, or a prototype stage
-    whose config freezes the encoder, is a DataError before any stage runs.
-    Soft labels with no weight (lambda_u = 0, no unlabeled sentences) end
-    the run after the teacher."""
+    whose config freezes the encoder, is a DataError before any stage runs."""
     inputs = {"labeled": labeled, "source": source, "unlabeled": unlabeled}
     nouns = {"source": "a source corpus", "unlabeled": "unlabeled sentences"}
     needed = scheme_inputs(scheme)
@@ -596,20 +603,19 @@ def _run(scheme, labeled, config, source=None, unlabeled=None, source_config=Non
         if inputs[name] is None:
             raise DataError(f"scheme {scheme!r} requires {nouns[name]}")
     configs = {"labeled": config, "source": source_config or config}
-    stages = [(name, STAGES[name]) for name in SCHEMES[scheme]]
+    n_unlabeled = 0
+    if "unlabeled" in needed:  # built once, only for the stages that read it
+        inputs["unlabeled"] = word_ids(unlabeled)
+        n_unlabeled = len(inputs["unlabeled"].offsets) - 1
+    stages = [(name, STAGES[name]) for name in scheme_stages(scheme, config.lambda_u, n_unlabeled)]
     for name, stage in stages:
         if stage.trainer is train_prototype and configs[stage.reads].freeze_encoder:
             raise DataError(
                 f"scheme {scheme!r}: {name} has nothing to train with freeze_encoder set"
             )
-    if "unlabeled" in needed:  # built once, only for the stages that read it
-        inputs["unlabeled"] = word_ids(unlabeled)
-        weighted = config.lambda_u and len(inputs["unlabeled"].offsets) > 1
     # what the stages read and pass on
     run = SimpleNamespace(inputs=inputs, configs=configs, init=init, model=None, soft=None)
     for _, stage in stages:
-        if stage.reads == "unlabeled" and not weighted:
-            break
         stage.step(run, stage)
     return run.model
 

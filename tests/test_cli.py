@@ -195,8 +195,8 @@ class TestTrainEval:
     def test_st_with_empty_unlabeled_is_data_error(
         self, workdir, capsys, monkeypatch, scheme, text
     ):
-        # an empty pool would make the run plain supervised training under a
-        # manifest that lists soft-labelling stages
+        # an empty pool would make the run plain supervised training, which a
+        # self-training scheme never falls back to
         flags = self._scheme_flags(workdir)
         unlabeled = workdir / "unlabeled.txt"
         unlabeled.write_text(text, encoding="utf-8")
@@ -244,6 +244,26 @@ class TestTrainEval:
         expected |= {"unlabeled"} if scheme.endswith("st") else set()
         assert set(manifest["inputs"]) == expected
         assert (manifest["source_config"] is not None) == pretrain
+
+    @pytest.mark.parametrize(
+        "scheme, stages",
+        [
+            ("lc+st", ["teacher:train_linear"]),
+            ("lc+nsp+st", ["pretrain:train_linear", "teacher:train_linear"]),
+        ],
+    )
+    def test_manifest_lists_the_stages_that_ran(self, workdir, scheme, stages):
+        # with lambda_u 0 the soft labels carry no weight: the run stops at the teacher
+        config = json.loads((workdir / "config.json").read_text())
+        config.update(M=2, K=2, K_prime=2, lambda_u=0.0)
+        (workdir / "config.json").write_text(json.dumps(config), encoding="utf-8")
+        flags = self._scheme_flags(workdir)
+        code, ckpt = self._train(workdir, scheme, extra=[*flags["source"], *flags["unlabeled"]])
+        assert code == 0
+        manifest = json.loads((ckpt.parent / f"{ckpt.name}.manifest.json").read_text())
+        assert manifest["stages"] == stages
+        if scheme == "lc+st":  # the teacher is the checkpoint: plain lc training
+            assert ckpt.read_bytes() == self._train(workdir)[1].read_bytes()
 
     @pytest.mark.parametrize("scheme, flag", [("lc+nsp", "source"), ("lc+st", "unlabeled")])
     def test_empty_scheme_input_is_usage_error(self, workdir, capsys, scheme, flag):

@@ -497,6 +497,10 @@ class TestNumericContract:
     # a frozen encoder: the teacher's logits lie too far apart to subtract
     @example(_numeric_config("lc+st", True, 1, 1e308))
     @example(_numeric_config("proto", False, 2, 1e200))  # training overflows
+    # the low end, which the whole exponents drawn above do not reach
+    @example(_numeric_config("lc", True, 2, 1e-4))
+    @example(_numeric_config("proto", False, 1, 1e-4))
+    @example(_numeric_config("lc+st", False, 1, 1e-4))
     def test_numeric_error_or_finite_run(self, config):
         # the CLI runs every command under np.errstate(all="ignore")
         with np.errstate(all="ignore"):
@@ -851,7 +855,7 @@ class TestRunScheme:
 
 
 class TestStageTable:
-    """run_scheme walks SCHEMES through STAGES."""
+    """run_scheme walks the stages scheme_stages lists through STAGES."""
 
     def _record(self, monkeypatch):
         """The names of the stages that run, in order, from wrapped steps."""
@@ -885,6 +889,29 @@ class TestStageTable:
         run_scheme(_make_corpus(12, seed=46), config, **inputs)
         stages = training.SCHEMES[scheme]
         assert ran == list(stages[: stages.index("teacher:train_linear") + 1])
+
+    @pytest.mark.parametrize("pool", ["empty", "non_empty"])
+    @pytest.mark.parametrize("lambda_u", [0.0, 0.5])
+    @pytest.mark.parametrize("scheme", ALL_SCHEMES)
+    def test_runs_exactly_scheme_stages(self, monkeypatch, scheme, lambda_u, pool):
+        ran = self._record(monkeypatch)
+        inputs = TestRunScheme()._inputs()
+        if pool == "empty":
+            inputs["unlabeled"] = []
+        config = _tiny_config(scheme=scheme, epochs=1, lambda_u=lambda_u)
+        run_scheme(_make_corpus(12, seed=47), config, **inputs)
+        n_unlabeled = len(inputs["unlabeled"])
+        assert ran == list(training.scheme_stages(scheme, lambda_u, n_unlabeled))
+
+    @pytest.mark.parametrize("scheme", ["lc+st", "lc+nsp+st"])
+    def test_the_run_has_no_stop_rule_of_its_own(self, monkeypatch, scheme):
+        """With lambda_u 0 the run still goes through the student when
+        scheme_stages lists it."""
+        ran = self._record(monkeypatch)
+        monkeypatch.setattr(training, "scheme_stages", lambda name, *_: training.SCHEMES[name])
+        config = _tiny_config(scheme=scheme, epochs=1, lambda_u=0.0)
+        run_scheme(_make_corpus(12, seed=48), config, **TestRunScheme()._inputs())
+        assert ran == list(training.SCHEMES[scheme])
 
     def test_every_stage_name_has_one_entry_and_every_entry_is_used(self):
         used = {name for stages in training.SCHEMES.values() for name in stages}

@@ -23,12 +23,16 @@ tree's ``src/`` in a subprocess, and the file records how many outputs are
 identical, of how many, and the names of those that differ; and the tier-1
 time: after the digests, each tree runs its tier-1 suite (``python -m pytest
 -q --continue-on-collection-errors`` with ``src`` on ``PYTHONPATH``) 3 times,
-the trees alternating, and the file records each tree's median wall time and
-test count. A failed digest run or a failed suite exits 1 and writes no
-file. ``compare.py`` pairs runs by start order, so when a workload of the
-change's ``BENCHMARK.json`` lacks a record of some run on either side, the
-tool also exits 1 and writes no file. Only the standard library and numpy
-are used.
+the trees alternating. Every run draws its Hypothesis examples from one seed
+(``--hypothesis-seed``, the seed base) and starts without a ``.hypothesis``
+example database, so both trees' unseeded property tests run the same
+examples each time. The file records each tree's wall and CPU seconds per
+run (CPU from ``getrusage(RUSAGE_CHILDREN)``) with their medians, its test
+count and the 10 slowest tests of its last run (``--durations=10``). A
+failed digest run or a failed suite exits 1 and writes no file.
+``compare.py`` pairs runs by start order, so when a workload of the change's
+``BENCHMARK.json`` lacks a record of some run on either side, the tool also
+exits 1 and writes no file. Only the standard library and numpy are used.
 """
 
 from __future__ import annotations
@@ -38,6 +42,8 @@ import importlib.util
 import json
 import os
 import re
+import resource
+import shutil
 import statistics
 import subprocess
 import sys
@@ -49,8 +55,10 @@ from output_digests import REPO, digest_result, digest_trees, extract, package_l
 
 SIDES = ("parent", "change")
 PAIRS = 10  # the fewest pairs a claimed gain is judged on
-TIER1 = ("-m", "pytest", "-q", "--continue-on-collection-errors")
+TIER1 = ("-m", "pytest", "-q", "--continue-on-collection-errors", "--durations=10")
 TIER1_RUNS = 3
+# a --durations line: seconds, phase, test id
+DURATION = re.compile(r"^(\d+\.\d+)s (setup|call|teardown) +(.+)$", re.M)
 
 
 def commit_id(rev: str) -> str:
@@ -81,28 +89,41 @@ def run_pair(trees: dict[str, Path], order, seed: int, seconds: float) -> None:
         print(f"seed {seed} {side}: {status}", file=sys.stderr, flush=True)
 
 
-def tier1_times(trees: dict[str, Path]) -> dict | None:
-    """Each tree's median wall time and test count over TIER1_RUNS runs of
-    its tier-1 suite, the parent first in odd runs; None if a run fails."""
+def children_cpu_s() -> float:
+    """User plus system CPU seconds of this process's waited-for children."""
+    usage = resource.getrusage(resource.RUSAGE_CHILDREN)
+    return usage.ru_utime + usage.ru_stime
+
+
+def tier1_times(trees: dict[str, Path], hypothesis_seed: int) -> dict | None:
+    """Each tree's wall and CPU seconds over TIER1_RUNS runs of its tier-1
+    suite, the parent first in odd runs, with their medians, its test count
+    and the slowest tests of its last run; every run has one Hypothesis seed
+    and no example database. None if a run fails."""
     path = os.pathsep.join(filter(None, ("src", os.environ.get("PYTHONPATH"))))
     env = {**os.environ, "PYTHONPATH": path}
-    times = {side: [] for side in SIDES}
-    tests = {}
+    argv = [sys.executable, *TIER1, f"--hypothesis-seed={hypothesis_seed}"]
+    record = {side: {"wall_s": [], "cpu_s": []} for side in SIDES}
     for i in range(TIER1_RUNS):
         for side in SIDES if i % 2 == 0 else SIDES[::-1]:
-            start = time.perf_counter()
-            proc = subprocess.run(
-                [sys.executable, *TIER1], cwd=trees[side], env=env, capture_output=True, text=True
-            )
-            times[side].append(time.perf_counter() - start)
+            shutil.rmtree(trees[side] / ".hypothesis", ignore_errors=True)
+            cpu, start = children_cpu_s(), time.perf_counter()
+            proc = subprocess.run(argv, cwd=trees[side], env=env, capture_output=True, text=True)
+            record[side]["wall_s"].append(time.perf_counter() - start)
+            record[side]["cpu_s"].append(children_cpu_s() - cpu)
             summary = (proc.stdout.strip().splitlines() or [""])[-1]
             print(f"tier-1 {side}: {summary}", file=sys.stderr, flush=True)
             if proc.returncode:
                 return None
-            tests[side] = int(re.search(r"(\d+) passed", summary)[1])
-    return {
-        side: {"median_s": statistics.median(times[side]), "tests": tests[side]} for side in SIDES
-    }
+            record[side]["tests"] = int(re.search(r"(\d+) passed", summary)[1])
+            record[side]["slowest"] = [
+                {"test": test, "phase": phase, "s": float(s)}
+                for s, phase, test in DURATION.findall(proc.stdout)
+            ]
+    for runs in record.values():
+        runs["median_s"] = statistics.median(runs["wall_s"])
+        runs["median_cpu_s"] = statistics.median(runs["cpu_s"])
+    return record
 
 
 def missing_runs(workloads, records: dict[str, dict]) -> list[str]:
@@ -174,7 +195,7 @@ def main(argv=None) -> int:
             extract(commits[side], trees[side])
         script = trees["change"] / "tools" / "output_digests.py"
         digests = digest_result(*digest_trees(script, *(trees[side] / "src" for side in SIDES)))
-        tier1 = tier1_times(trees)
+        tier1 = tier1_times(trees, args.seed_base)
         if tier1 is None:
             print("no BENCH file written; a tier-1 suite failed", file=sys.stderr)
             return 1
@@ -218,8 +239,13 @@ def main(argv=None) -> int:
     bench["src_lines"] = lines
     bench["digests"] = digests
     bench["tier1"] = {
-        "command": f"PYTHONPATH=src python {' '.join(TIER1)}",
-        "runs": f"{TIER1_RUNS} per tree, alternating, the parent first",
+        "command": (
+            f"PYTHONPATH=src python {' '.join(TIER1)} --hypothesis-seed={args.seed_base}"
+        ),
+        "runs": (
+            f"{TIER1_RUNS} per tree, alternating, the parent first, "
+            "each without a .hypothesis directory"
+        ),
         **tier1,
     }
     Path(args.out).write_text(json.dumps(bench, indent=2) + "\n", encoding="utf-8")

@@ -15,7 +15,8 @@ Prints one ``name sha256`` line per output:
   ``protoinfer``, and the checkpoint bytes that ``fewner train`` writes for
   ``lc``, ``proto`` and ``lc+st`` (with an ``--unlabeled`` file), on files
   laid out like the cli_infer benchmark workload's;
-* the run manifest of each ``fewner train``, without its
+* the run manifest of each ``fewner train``, and of ``train lc+st`` with
+  ``lambda_u`` 0, whose run stops at its teacher, without its
   ``duration_seconds`` and with the work directory written as ``<dir>``;
 * the tag strings ``predict_corpus`` returns for a test corpus, from a
   linear model (by its head and by support prototypes) and a prototype
@@ -269,12 +270,12 @@ def cli_digests(fewner, workdir: Path):
         d = workdir / f"seed{seed}"
         d.mkdir()
         bench = transfer_benchmark(seed)
+        config = {"seed": seed, "learning_rate": 0.01, "batch_size": 4, "K": 2, "K_prime": 3}
         files = {
             "train.conll": fewner.write_conll(bench.train),
             "test.conll": fewner.write_conll(make_corpus(300, seed * 7919 + 5)),
-            "config.json": json.dumps(
-                {"seed": seed, "learning_rate": 0.01, "batch_size": 4, "K": 2, "K_prime": 3}
-            ),
+            "config.json": json.dumps(config),
+            "config_lambda0.json": json.dumps({**config, "lambda_u": 0.0}),
             "unlabeled.txt": "".join(" ".join(tokens) + "\n" for tokens in bench.unlabeled),
         }
         for name, text in files.items():
@@ -294,6 +295,10 @@ def cli_digests(fewner, workdir: Path):
             yield f"cli/train_{scheme}/{tag}", run(argv)
             yield f"cli/train_{scheme}_checkpoint/{tag}", Path(out).read_bytes()
             yield f"cli/train_{scheme}_manifest/{tag}", manifest(out)
+        out = p("lc+st_lambda0.json")
+        argv = ["train", "lc+st", "--config", p("config_lambda0.json"), "--train", p("train.conll")]
+        run([*argv, "--unlabeled", p("unlabeled.txt"), "--out", out])
+        yield f"cli/train_lc+st_lambda0_manifest/{tag}", manifest(out)
         yield f"cli/eval/{tag}", run(["eval", p("lc.json"), p("test.conll")])
         yield f"cli/eval_io/{tag}", run(["eval", p("lc.json"), p("test.conll"), "--schema", "io"])
         for scheme in ("lc", "proto"):
