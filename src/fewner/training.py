@@ -9,13 +9,10 @@ and the soft labels that a student trains on with the teacher's data;
 pretrain_transfer and self_train are such runs. Every result is a
 deterministic function of (data, config, seed).
 
-Optimization is Adam with bias correction under a linear warmup / linear
-decay schedule planned over the whole run. The per-batch loss is a
-(weighted) mean over tokens, so learning rates are comparable across
-batch sizes. A run copies its trainable arrays into one flat ParamArena
-and rebinds the model's attributes to views of it; a step writes its
-gradients into the arena's views, then takes one Adam pass over the arena,
-which also holds Adam's moments (OptimizerState is the rate plan).
+Every trainer hands its batches to one epoch loop, _fit, which takes one
+Adam step per batch over a flat ParamArena whose views the model's arrays
+become; the rate plan (OptimizerState) is a linear warmup and decay over
+the whole run, and a batch's loss is a (weighted) mean over its tokens.
 """
 
 from __future__ import annotations
@@ -314,6 +311,24 @@ def _arena(owners: dict) -> ParamArena:
     return arena
 
 
+def _fit(arena, config, steps, batches, epoch_loss, on_epoch) -> None:
+    """The one epoch loop: Adam planned over config.epochs x steps; per epoch,
+    one adam_step per (loss, error) batches(with_loss) yields after writing a
+    batch's gradients, then that error raised (a bad gradient names its block
+    first). Losses, computed only for on_epoch, reach it as epoch_loss(losses)."""
+    state = OptimizerState(config.learning_rate, config.warmup_fraction, config.epochs * steps)
+    with_loss = on_epoch is not None
+    for epoch in range(config.epochs):
+        losses = []
+        for loss, error in batches(with_loss):
+            adam_step(state, arena)
+            if error is not None:
+                raise error
+            losses.append(loss)
+        if with_loss:
+            on_epoch(epoch, epoch_loss(losses))
+
+
 def _train_weighted(
     model: Model,
     windows: np.ndarray,
@@ -330,51 +345,55 @@ def _train_weighted(
     A token's loss carries its sentence's weight; each batch is normalized
     by the run-wide mean token weight times the batch's token count, so the
     weighting between sentence groups holds across batches and uniform
-    weights reduce to the plain token mean. Each batch is one encode, one
-    head forward/backward and one encoder backward over its sentences' rows;
-    the loss is computed only for on_epoch.
+    weights reduce to the plain token mean. A batch is a run of shuffled
+    sentences, one encode, head forward/backward and encoder backward over
+    their rows; an epoch's loss is its batch losses' sum over weight_sum.
     """
     encoder, head = model.encoder, model.head
     n = len(offsets) - 1
-    total_steps = config.epochs * math.ceil(n / config.batch_size)
     arena = _arena({"head": head} if config.freeze_encoder else {"head": head, "encoder": encoder})
-    state = OptimizerState(config.learning_rate, config.warmup_fraction, total_steps)
     # the gradient views in block order: the head's two, then the encoder's
     grads = list(arena.grad_views.values())
-    head_grads = grads[:2]
-    enc_grads = None if config.freeze_encoder else EncoderGrads(*grads[2:])
+    head_grads, enc_grads = grads[:2], None if config.freeze_encoder else EncoderGrads(*grads[2:])
     shuffle_rng = random.Random(config.seed + SEED_SHUFFLE)
     lengths = np.diff(offsets).tolist()
     weight_sum = sum(w * k for w, k in zip(weights, lengths))  # over every token
     mean_token_weight = weight_sum / sum(lengths)
     token_weights = np.repeat(weights, lengths)
-    with_loss = on_epoch is not None
+    epoch_loss = lambda losses: sum(losses) / weight_sum
 
-    for epoch in range(config.epochs):
+    def batches(with_loss):
         order = list(range(n))
         shuffle_rng.shuffle(order)
         # the epoch's rows in shuffled sentence order; a batch is a run of them
         rows = sentence_rows(offsets, order)
         bounds = [0, *accumulate(lengths[i] for i in order)]
-        epoch_loss = 0.0
         for start in range(0, n, config.batch_size):
             batch = rows[bounds[start] : bounds[min(start + config.batch_size, n)]]
             batch_windows = windows[batch]
             x, reprs, error = _encode_checked(encoder, batch_windows)
-            batch_loss, _, _, upstream = linear_loss_grads(
+            loss, _, _, upstream = linear_loss_grads(
                 head, reprs, targets[batch], token_weights[batch], head_grads, with_loss
             )
             if enc_grads is not None:
                 encode_windows_backward(encoder, batch_windows, reprs, upstream, enc_grads, x)
             arena.grads /= mean_token_weight * len(batch)
-            adam_step(state, arena)
-            if error is not None:  # after the update: a bad gradient names its block
-                raise error
-            if with_loss:
-                epoch_loss += batch_loss
-        if with_loss:
-            on_epoch(epoch, epoch_loss / weight_sum)
+            yield loss, error
+
+    _fit(arena, config, math.ceil(n / config.batch_size), batches, epoch_loss, on_epoch)
     return model
+
+
+def _linear_start(labeled: TaggedCorpus, config: TrainConfig, init, *pools: WordIds):
+    """A linear model (a copy of init or a fresh encoder whose vocabulary covers
+    the pools' words too, under a head seeded at seed + SEED_HEAD), the windows
+    of the labeled sentences then the pools' and the labeled one-hot targets."""
+    tags = labeled.labels.tag_vocabulary
+    encoder = _start_encoder(labeled, config, init, [w for pool in pools for w in pool.words])
+    head = init_linear_head(len(tags), encoder.hidden_dim, config.seed + SEED_HEAD)
+    # the vocabulary is fixed during training, so the windows are too
+    windows = np.concatenate([word_windows(encoder, w) for w in (labeled.word_ids, *pools)])
+    return Model(encoder, labeled.labels, head), windows, np.eye(len(tags))[labeled.tag_ids]
 
 
 def train_linear(
@@ -389,13 +408,7 @@ def train_linear(
     """
     if len(corpus) == 0:
         raise DataError("cannot train on an empty corpus")
-    tags = corpus.labels.tag_vocabulary
-    encoder = _start_encoder(corpus, config, init)
-    head = init_linear_head(len(tags), encoder.hidden_dim, config.seed + SEED_HEAD)
-    model = Model(encoder, corpus.labels, head)
-    # the vocabulary is fixed during training, so the windows are too
-    windows = word_windows(encoder, corpus.word_ids)
-    targets = np.eye(len(tags))[corpus.tag_ids]
+    model, windows, targets = _linear_start(corpus, config, init)
     weights = [1.0] * len(corpus)
     return _train_weighted(model, windows, corpus.offsets, targets, weights, config, on_epoch)
 
@@ -412,9 +425,10 @@ def train_prototype(
     query representations and the prototype means.
 
     Only the encoder is trained; query tokens whose gold tag falls outside
-    the episode's label space contribute nothing. Each episode is one encode
-    of its support and query windows, one loss and gradient over all
-    in-scope query tokens and one encoder backward.
+    the episode's label space contribute nothing, and an episode without one
+    in scope takes no step. An episode is one encode of its support and query
+    windows, one loss and gradient over its in-scope query tokens and one
+    encoder backward; an epoch's loss is the mean of its episodes' losses.
     """
     if len(corpus) == 0:
         raise DataError("cannot train on an empty corpus")
@@ -425,21 +439,17 @@ def train_prototype(
         raise DataError("corpus has no entity types")
     m_types = min(config.M, len(types))
     encoder = _start_encoder(corpus, config, init)
-    per_episode = m_types * (config.K + config.K_prime)
-    iters_per_epoch = math.ceil(len(corpus) / per_episode)
-    total_steps = config.epochs * iters_per_epoch
+    iters_per_epoch = math.ceil(len(corpus) / (m_types * (config.K + config.K_prime)))
     arena = _arena({"encoder": encoder})
-    state = OptimizerState(config.learning_rate, config.warmup_fraction, total_steps)
     episode_rng = random.Random(config.seed + SEED_EPISODES)
     tag_type = corpus.labels.codes[0]
     # the vocabulary is fixed during training, so the windows are too
     windows = word_windows(encoder, corpus.word_ids)
     lengths = np.diff(corpus.offsets)
     grads = EncoderGrads(*arena.grad_views.values())
-    with_loss = on_epoch is not None
+    epoch_loss = lambda losses: sum(losses) / len(losses) if losses else 0.0
 
-    for epoch in range(config.epochs):
-        epoch_losses: list[float] = []
+    def batches(with_loss):
         for _ in range(iters_per_epoch):
             episode = sample_episode(
                 corpus, m_types, config.K, config.K_prime, seed=episode_rng.getrandbits(32)
@@ -476,9 +486,6 @@ def train_prototype(
             loss, d_query, d_centroids = proto_loss_grads(
                 centroids, reprs[query_rows], targets, with_loss
             )
-            if with_loss:
-                epoch_losses.append(loss / n_tokens)
-
             # a centroid is the mean of its support rows, so each of them gets
             # the centroid's gradient divided by the label's support count
             upstream = np.zeros_like(reprs)
@@ -486,12 +493,9 @@ def train_prototype(
             upstream[members] = (d_centroids / counts[:, None])[member_label]
             upstream /= n_tokens
             encode_windows_backward(encoder, episode_windows, reprs, upstream, grads, x)
-            adam_step(state, arena)
-            if error is not None:  # after the update: a bad gradient names its block
-                raise error
-        if with_loss:
-            mean_loss = sum(epoch_losses) / len(epoch_losses) if epoch_losses else 0.0
-            on_epoch(epoch, mean_loss)
+            yield (loss / n_tokens if with_loss else None), error
+
+    _fit(arena, config, iters_per_epoch, batches, epoch_loss, on_epoch)
     return Model(encoder, corpus.labels)
 
 
@@ -549,14 +553,10 @@ def _student(run, stage: _Stage) -> None:
     covers the unlabeled words too; with one it starts from it unchanged."""
     labeled, config = run.inputs[stage.reads], run.configs[stage.reads]
     pool = run.inputs["unlabeled"]
-    tags = labeled.labels.tag_vocabulary
-    encoder = _start_encoder(labeled, config, run.init, extra_words=pool.words)
-    head = init_linear_head(len(tags), encoder.hidden_dim, config.seed + SEED_HEAD)
-    student = Model(encoder, labeled.labels, head)
+    student, windows, targets = _linear_start(labeled, config, run.init, pool)
     # the labeled sentences, then the unlabeled ones
-    windows = np.concatenate([word_windows(encoder, labeled.word_ids), word_windows(encoder, pool)])
     offsets = np.concatenate([labeled.offsets, labeled.offsets[-1] + pool.offsets[1:]])
-    targets = np.concatenate([np.eye(len(tags))[labeled.tag_ids], run.soft])
+    targets = np.concatenate([targets, run.soft])
     n_unlabeled = len(pool.offsets) - 1
     weights = [1.0 / len(labeled)] * len(labeled) + [config.lambda_u / n_unlabeled] * n_unlabeled
     run.model = stage.trainer(student, windows, offsets, targets, weights, config)

@@ -431,14 +431,25 @@ class TestStepChecks:
     """What a training step checks and what on_epoch changes."""
 
     # tanh maps an overflowing pre-activation to +-1, so every gradient stays
-    # finite and only the step's own check stops training
-    @pytest.mark.parametrize("learning_rate", [1e200, 1e300])
-    @pytest.mark.parametrize("trainer", [train_linear, train_prototype])
-    def test_overflowing_pre_activations_raise(self, trainer, learning_rate):
+    # finite and only the step's own check stops training; at 1e308 the
+    # linear head's gradient overflows in the same batch, and the step that
+    # checks it comes before the stored pre-activation error is raised
+    @pytest.mark.parametrize(
+        "trainer, learning_rate, message",
+        [
+            pytest.param(trainer, rate, message, id=f"{trainer.__name__}-{rate:g}")
+            for trainer, rate, message in [
+                (train_linear, 1e200, "non-finite encoder pre-activation"),
+                (train_linear, 1e300, "non-finite encoder pre-activation"),
+                (train_prototype, 1e200, "non-finite encoder pre-activation"),
+                (train_prototype, 1e300, "non-finite encoder pre-activation"),
+                (train_linear, 1e308, "non-finite gradient in parameter block 'head.weights'"),
+            ]
+        ],
+    )
+    def test_overflowing_pre_activations_raise(self, trainer, learning_rate, message):
         config = TrainConfig.five_shot(seed=0, epochs=2, learning_rate=learning_rate)
-        with np.errstate(all="ignore"), pytest.raises(
-            NumericError, match="^non-finite encoder pre-activation$"
-        ):
+        with np.errstate(all="ignore"), pytest.raises(NumericError, match=f"^{re.escape(message)}$"):
             trainer(make_corpus(30, seed=0), config)
 
     @pytest.mark.parametrize(
@@ -642,13 +653,18 @@ class TestTrainPrototype:
         for name, arr in model.encoder.arrays().items():
             assert np.array_equal(arr, reference.arrays()[name]), name
 
-    def test_epoch_of_skipped_episodes_reported(self):
+    def test_epoch_of_skipped_episodes_reported(self, monkeypatch):
         # support and query never share a tag, so no query token is in scope
         corpus = parse_conll("a B-LOC\n\nb I-LOC\n")
         config = _tiny_config(M=1, K=1, K_prime=1, epochs=3)
-        calls = []
-        train_prototype(corpus, config, on_epoch=lambda e, loss: calls.append((e, loss)))
+        calls, steps = [], []
+        monkeypatch.setattr(training, "adam_step", lambda *args: steps.append(args))
+        model = train_prototype(corpus, config, on_epoch=lambda e, loss: calls.append((e, loss)))
         assert calls == [(0, 0.0), (1, 0.0), (2, 0.0)]
+        assert steps == []
+        fresh = init_encoder(build_vocabulary(corpus), 6, 10, config.seed)
+        for name, arr in model.encoder.arrays().items():
+            assert np.array_equal(arr, fresh.arrays()[name]), name
 
     def test_m_clamped_to_type_count(self):
         corpus = _make_corpus(20, seed=13)

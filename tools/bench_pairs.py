@@ -28,8 +28,13 @@ the trees alternating. Every run draws its Hypothesis examples from one seed
 example database, so both trees' unseeded property tests run the same
 examples each time. The file records each tree's wall and CPU seconds per
 run (CPU from ``getrusage(RUSAGE_CHILDREN)``) with their medians, its test
-count and the 10 slowest tests of its last run (``--durations=10``). A
-failed digest run or a failed suite exits 1 and writes no file.
+count and the 10 slowest tests of its last run (``--durations=10``). Beside
+the raw seconds it records them scaled to a reference CPU speed: the change
+tree's ``perfbench/speed.py`` probe runs in this process right before and
+after each suite run and every 0.1 s during it, as ``perfbench/run.py``
+takes it around each timed part, and a run's seconds are multiplied by the
+reference kernel time over the probe's mean time during that run. A failed
+digest run or a failed suite exits 1 and writes no file.
 ``compare.py`` pairs runs by start order, so when a workload of the change's
 ``BENCHMARK.json`` lacks a record of some run on either side, the tool also
 exits 1 and writes no file. Only the standard library and numpy are used.
@@ -71,10 +76,11 @@ def commit_id(rev: str) -> str:
     return commit.stdout.strip()
 
 
-def load_compare(tree: Path):
-    """The tree's perfbench/compare.py as a module."""
-    spec = importlib.util.spec_from_file_location("compare", tree / "perfbench" / "compare.py")
+def load_perfbench(tree: Path, name: str):
+    """The tree's perfbench/<name>.py as a module."""
+    spec = importlib.util.spec_from_file_location(name, tree / "perfbench" / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
+    sys.modules[name] = module  # dataclasses look their module up while it runs
     spec.loader.exec_module(module)
     return module
 
@@ -95,22 +101,31 @@ def children_cpu_s() -> float:
     return usage.ru_utime + usage.ru_stime
 
 
-def tier1_times(trees: dict[str, Path], hypothesis_seed: int) -> dict | None:
+def tier1_times(trees: dict[str, Path], hypothesis_seed: int, speed) -> dict | None:
     """Each tree's wall and CPU seconds over TIER1_RUNS runs of its tier-1
-    suite, the parent first in odd runs, with their medians, its test count
+    suite, the parent first in odd runs, raw and scaled to the reference
+    speed of the speed module's probe, with their medians, its test count
     and the slowest tests of its last run; every run has one Hypothesis seed
     and no example database. None if a run fails."""
     path = os.pathsep.join(filter(None, ("src", os.environ.get("PYTHONPATH"))))
     env = {**os.environ, "PYTHONPATH": path}
     argv = [sys.executable, *TIER1, f"--hypothesis-seed={hypothesis_seed}"]
-    record = {side: {"wall_s": [], "cpu_s": []} for side in SIDES}
+    fields = ("wall_s", "cpu_s", "scaled_wall_s", "scaled_cpu_s")
+    record = {side: {field: [] for field in fields} for side in SIDES}
+    meter = speed.SpeedMeter()
     for i in range(TIER1_RUNS):
         for side in SIDES if i % 2 == 0 else SIDES[::-1]:
             shutil.rmtree(trees[side] / ".hypothesis", ignore_errors=True)
-            cpu, start = children_cpu_s(), time.perf_counter()
-            proc = subprocess.run(argv, cwd=trees[side], env=env, capture_output=True, text=True)
-            record[side]["wall_s"].append(time.perf_counter() - start)
-            record[side]["cpu_s"].append(children_cpu_s() - cpu)
+            cpu_start, start = children_cpu_s(), time.perf_counter()
+            with meter.running(), meter.timed() as timing:
+                proc = subprocess.run(
+                    argv, cwd=trees[side], env=env, capture_output=True, text=True
+                )
+            wall, cpu = time.perf_counter() - start, children_cpu_s() - cpu_start
+            # the probe's speed over the run: reference time / probe's mean time
+            scale = timing.scaled / timing.seconds
+            for field, value in zip(fields, (wall, cpu, wall * scale, cpu * scale)):
+                record[side][field].append(value)
             summary = (proc.stdout.strip().splitlines() or [""])[-1]
             print(f"tier-1 {side}: {summary}", file=sys.stderr, flush=True)
             if proc.returncode:
@@ -123,6 +138,8 @@ def tier1_times(trees: dict[str, Path], hypothesis_seed: int) -> dict | None:
     for runs in record.values():
         runs["median_s"] = statistics.median(runs["wall_s"])
         runs["median_cpu_s"] = statistics.median(runs["cpu_s"])
+        runs["median_scaled_s"] = statistics.median(runs["scaled_wall_s"])
+        runs["median_scaled_cpu_s"] = statistics.median(runs["scaled_cpu_s"])
     return record
 
 
@@ -195,7 +212,7 @@ def main(argv=None) -> int:
             extract(commits[side], trees[side])
         script = trees["change"] / "tools" / "output_digests.py"
         digests = digest_result(*digest_trees(script, *(trees[side] / "src" for side in SIDES)))
-        tier1 = tier1_times(trees, args.seed_base)
+        tier1 = tier1_times(trees, args.seed_base, load_perfbench(trees["change"], "speed"))
         if tier1 is None:
             print("no BENCH file written; a tier-1 suite failed", file=sys.stderr)
             return 1
@@ -204,7 +221,7 @@ def main(argv=None) -> int:
         seeds = [args.seed_base + i for i in range(1, PAIRS + 1)]
         for i, seed in enumerate(seeds, 1):
             run_pair(trees, SIDES if i % 2 else SIDES[::-1], seed, seconds)
-        compare = load_compare(trees["change"])
+        compare = load_perfbench(trees["change"], "compare")
         results = {side: trees[side] / "perfbench" / "results" for side in SIDES}
         records = {side: compare.load_records(results[side]) for side in SIDES}
         lines = {side: package_lines(trees[side] / "src") for side in SIDES}
@@ -246,6 +263,7 @@ def main(argv=None) -> int:
             f"{TIER1_RUNS} per tree, alternating, the parent first, "
             "each without a .hypothesis directory"
         ),
+        "scaled": "seconds x perfbench/speed.py's REFERENCE_S / the probe's mean over the run",
         **tier1,
     }
     Path(args.out).write_text(json.dumps(bench, indent=2) + "\n", encoding="utf-8")

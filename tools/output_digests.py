@@ -27,6 +27,9 @@ Prints one ``name sha256`` line per output:
   CRLF line ends, tabs, leading and trailing blank runs);
 * the per-epoch losses that ``on_epoch`` reports for ``train_linear``, with
   the encoder trained and frozen, and for ``train_prototype``, on seeds 0-2;
+* the per-epoch losses and the checkpoint text of ``train_prototype`` on
+  ``SKIP_CORPUS``, where some but not all episodes have no in-scope query
+  token and take no step (4 of 9 on each of seeds 0-2);
 * the ``to_dict()`` JSON of ``entity_f1`` reports under BIO and IO scoring,
   for predictions that include types outside the gold label set and for an
   empty test corpus, and of ``repeated_eval`` on a small ``Experiment``
@@ -71,6 +74,10 @@ REPO = Path(__file__).resolve().parents[1]
 SEEDS = (0, 1, 2)
 SCHEMES = ("lc", "proto", "lc+nsp", "proto+nsp", "lc+st", "lc+nsp+st")
 FROZEN_SCHEMES = ("lc", "lc+st")
+
+# one-token LOC sentences and one with an "O" token: with M = K = K' = 1 an
+# episode steps only when its query shares a tag with its support
+SKIP_CORPUS = "a B-LOC\n\nb I-LOC\n\nc B-LOC\n\nd I-LOC\n\ne B-LOC\nf O\n"
 
 # name -> (CoNLL text, schema) for the parse digests
 PARSE_INPUTS = {
@@ -206,7 +213,9 @@ def prediction_digests(fewner):
 
 
 def loss_digests(fewner):
-    """The epoch and loss of each on_epoch call, one line per epoch."""
+    """The epoch and loss of each on_epoch call, one line per epoch, and the
+    checkpoints of the runs on SKIP_CORPUS."""
+    from fewner.checkpoint import dumps
     from fewner.synthetic import make_corpus
 
     for seed in SEEDS:
@@ -225,6 +234,18 @@ def loss_digests(fewner):
                 return "\n".join(lines)
 
             yield f"losses/{name}/seed{seed}", _guarded(fewner, losses)
+
+    skips = fewner.parse_conll(SKIP_CORPUS)
+    for seed in SEEDS:
+        config = fewner.TrainConfig.five_shot(
+            seed=seed, epochs=3, learning_rate=0.05, M=1, K=1, K_prime=1
+        )
+        lines = []
+        on_epoch = lambda e, loss: lines.append(f"{e} {loss!r}")
+        run = lambda: dumps(fewner.train_prototype(skips, config, on_epoch=on_epoch))
+        checkpoint = _guarded(fewner, run)
+        yield f"losses/prototype_skips/seed{seed}", "\n".join(lines)
+        yield f"checkpoint/prototype_skips/seed{seed}", checkpoint
 
 
 def sampling_digests(fewner):
