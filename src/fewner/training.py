@@ -428,7 +428,7 @@ def train_prototype(
     the episode's label space contribute nothing, and an episode without one
     in scope takes no step. An episode is one encode of its support and query
     windows, one loss and gradient over its in-scope query tokens and one
-    encoder backward; an epoch's loss is the mean of its episodes' losses.
+    encoder backward; an epoch's loss is the mean of its stepped episodes' losses.
     """
     if len(corpus) == 0:
         raise DataError("cannot train on an empty corpus")
