@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass, fields
-from functools import partial
 from itertools import chain, pairwise
 
 import numpy as np
@@ -32,7 +31,7 @@ from .corpus import (
 )
 from .encoder import EncoderParams, encode_blocks
 from .errors import DataError
-from .heads import PrototypeSet, build_multi_prototypes, linear_forward, multi_proto_argmax
+from .heads import PrototypeSet, build_multi_prototypes, linear_forward, proto_argmax_head
 from .training import TrainConfig, run_scheme
 
 
@@ -128,13 +127,13 @@ def _predict_ids(
 ) -> tuple[tuple[str, ...], np.ndarray]:
     """Labels and, for every token of the word-id column, the index of its
     predicted label among them (see predict_corpus). A block's head is
-    heads.multi_proto_argmax over the ranked prototype labels when protos
-    are given, else the argmax of the linear head, whose labels are the tag
-    vocabulary in order."""
+    heads.proto_argmax_head over the ranked prototype labels, built once for
+    the pass, when protos are given, else the argmax of the linear head,
+    whose labels are the tag vocabulary in order."""
     if protos is not None:
         ranked = _ranking(protos.labels, model.labels.tag_vocabulary)
         labels = tuple(protos.labels[i] for i in ranked)
-        head = partial(multi_proto_argmax, protos, ranked=ranked)
+        head = proto_argmax_head(protos, ranked)
     elif model.head is not None:
         labels = model.labels.tag_vocabulary
         head = lambda reprs: np.argmax(linear_forward(model.head, reprs), axis=1)

@@ -323,40 +323,56 @@ def multi_proto_scores(protos: PrototypeSet, reprs: np.ndarray) -> np.ndarray:
     return scores / scores.sum(axis=1, keepdims=True)
 
 
-def multi_proto_argmax(protos: PrototypeSet, reprs: np.ndarray, ranked) -> np.ndarray:
-    """np.argmax(multi_proto_scores(protos, reprs)[:, ranked], axis=1) for
-    (N, H) reprs, ranked being a permutation of the label indices.
+def proto_argmax_head(protos: PrototypeSet, ranked):
+    """multi_proto_argmax(protos, reprs, ranked) as a head of reprs alone,
+    with the set's constants (the ranked centroids C stacked, their squared
+    norms, -2C and the label-averaging matrix) built once for every block.
 
-    One matmul gives the squared distances as ||r||^2 + ||c||^2 - 2 r.c,
-    which differ from the exact path's by less than E = 8(H + 8) u (max
-    ||r||^2 + max ||c||^2), u = 2^-53, in any summation order. So each
+    It works label-major: one matmul gives the squared distances
+    (-2C) @ reprs.T + ||c||^2 + ||r||^2 as a (centroids, rows) matrix, and
+    the min, exp, label means, argmax and runner-up reduce over its axis 0.
+    These differ from the exact path's by less than E = 8(H + 8) u
+    (max ||r||^2 + max ||c||^2), u = 2^-53, in any summation order. So each
     distance moves by at most delta = sqrt(E), and each label's mean of
     exp(min d - d) by a factor e^(+-delta): a row whose best label beats
     every other by more than e^(2 delta) (1 + 1e-9) has the exact argmax.
     The other rows (ties, near-ties, anything not finite) are rescored
     exactly; row i of multi_proto_scores depends on row i only.
     """
-    reprs = np.asarray(reprs, dtype=float)
     cents = [protos.entries[j][1] for j in ranked]
     sizes = [len(c) for c in cents]
     all_cents = np.vstack(cents)
-    mean = np.repeat(np.eye(len(cents)) / sizes, sizes, axis=0)  # centroid to label means
-    with np.errstate(all="ignore"):  # what is not finite is rescored exactly
-        r2 = np.einsum("ij,ij->i", reprs, reprs)
-        c2 = np.einsum("ij,ij->i", all_cents, all_cents)
-        dist = reprs @ (-2.0 * all_cents.T)
-        dist += r2[:, None]
-        dist += c2
-        np.sqrt(np.maximum(dist, 0.0, out=dist), out=dist)
-        flat = np.exp(dist.min(axis=1, keepdims=True) - dist)
-        scores = flat @ mean
-        delta = np.sqrt(8 * (reprs.shape[1] + 8) * 2.0**-53 * (r2.max(initial=0.0) + c2.max()))
-        margin = np.exp(2 * delta) * (1 + 1e-9)
-        rows = np.arange(len(reprs))
-        best = np.argmax(scores, axis=1)
-        top = scores[rows, best]
-        scores[rows, best] = -np.inf
-        doubt = np.flatnonzero(~(top > scores.max(axis=1) * margin))
-    if len(doubt):
-        best[doubt] = np.argmax(multi_proto_scores(protos, reprs[doubt])[:, ranked], axis=1)
-    return best
+    neg2c = -2.0 * all_cents
+    c2 = np.einsum("ij,ij->i", all_cents, all_cents)[:, None]
+    mean = np.repeat(np.eye(len(cents)) / sizes, sizes, axis=1)  # label means of centroid rows
+    unit = 8 * (all_cents.shape[1] + 8) * 2.0**-53
+
+    def head(reprs: np.ndarray) -> np.ndarray:
+        reprs = np.asarray(reprs, dtype=float)
+        with np.errstate(all="ignore"):  # what is not finite is rescored exactly
+            r2 = np.einsum("ij,ij->i", reprs, reprs)
+            dist = neg2c @ reprs.T
+            dist += c2
+            dist += r2
+            np.sqrt(np.maximum(dist, 0.0, out=dist), out=dist)
+            flat = np.exp(np.subtract(dist.min(axis=0), dist, out=dist), out=dist)
+            scores = mean @ flat
+            delta = np.sqrt(unit * (r2.max(initial=0.0) + c2.max()))
+            margin = np.exp(2 * delta) * (1 + 1e-9)
+            cols = np.arange(len(reprs))
+            best = np.argmax(scores, axis=0)
+            top = scores[best, cols]
+            scores[best, cols] = -np.inf
+            doubt = np.flatnonzero(~(top > scores.max(axis=0) * margin))
+        if len(doubt):
+            best[doubt] = np.argmax(multi_proto_scores(protos, reprs[doubt])[:, ranked], axis=1)
+        return best
+
+    return head
+
+
+def multi_proto_argmax(protos: PrototypeSet, reprs: np.ndarray, ranked) -> np.ndarray:
+    """np.argmax(multi_proto_scores(protos, reprs)[:, ranked], axis=1) for
+    (N, H) reprs, ranked being a permutation of the label indices, certified
+    label-major by proto_argmax_head."""
+    return proto_argmax_head(protos, ranked)(reprs)

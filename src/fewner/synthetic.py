@@ -50,6 +50,10 @@ def base_type(word_index: int) -> str:
     return COARSE_TYPES[word_index % len(COARSE_TYPES)]
 
 
+# per coarse type, the entity indices of that base type: a pair's second word
+SAME_BASE = {t: tuple(j for j in range(N_ENTITY) if base_type(j) == t) for t in COARSE_TYPES}
+
+
 def subtype(word_index: int) -> int:
     return (word_index // len(COARSE_TYPES)) % 2 + 1
 
@@ -120,8 +124,7 @@ def _generate(
                 label = _fine(coarse, subtype(i)) if fine else coarse
                 label = _noisy(label, types, noise_rng, noise)
                 if rng.random() < PAIR_PROB:
-                    same_base = [j for j in range(N_ENTITY) if base_type(j) == coarse]
-                    j = rng.choice(same_base)
+                    j = rng.choice(SAME_BASE[coarse])
                     tokens.extend([ENTITY_WORDS[i], ENTITY_WORDS[j]])
                     tags.extend([f"B-{label}", f"I-{label}"])
                 else:

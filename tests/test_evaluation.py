@@ -27,6 +27,8 @@ from fewner.evaluation import (
     support_prototypes,
 )
 from fewner import encoder as encoder_module
+from fewner import evaluation as evaluation_module
+from fewner import heads as heads_module
 from fewner.checkpoint import Model
 from fewner.encoder import encode, init_encoder
 from fewner.heads import PrototypeSet, init_linear_head, linear_forward, multi_proto_score
@@ -490,6 +492,26 @@ class TestBlockInference:
                 assert np.array_equal(c, d)
             else:
                 np.testing.assert_allclose(c, d, rtol=0.0, atol=1e-14)
+
+    def test_prototype_constants_built_once_per_pass(self, monkeypatch):
+        rng = random.Random(50)
+        model = _random_model(np.random.default_rng(51), 32, 64)
+        test = _random_corpus(rng, model.labels, 80)
+        assert len(list(encoder_module._blocks(test.offsets))) >= 2
+        protos = support_prototypes(model.encoder, test, shots=10, seed=0)
+        want = evaluate_model(model, test, protos=protos)
+        built = []
+
+        def spy(protos, ranked):
+            built.append(ranked)
+            return make_head(protos, ranked)
+
+        make_head = heads_module.proto_argmax_head
+        # the head may be built through either module's name for it
+        for module in (heads_module, evaluation_module):
+            monkeypatch.setattr(module, "proto_argmax_head", spy)
+        assert evaluate_model(model, test, protos=protos) == want
+        assert len(built) == 1
 
     def test_one_sentence_corpus_matches_reference(self):
         rng = random.Random(48)

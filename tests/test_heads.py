@@ -23,6 +23,7 @@ from fewner.heads import (
     multi_proto_argmax,
     multi_proto_score,
     multi_proto_scores,
+    proto_argmax_head,
     proto_backward,
     proto_forward,
     proto_loss_grads,
@@ -557,7 +558,8 @@ def tie_prone_blocks(draw):
     """A prototype set over labels in and outside VOCAB (1-4 centroids
     each, the first label's maybe copied, exactly or nudged, into the last),
     its ranking and a block of query rows, many on a centroid or midway
-    between two."""
+    between two, and some holding NaN or +-inf or so large that their
+    squared norm overflows."""
     dim = draw(st.sampled_from((1, 7, 8, 13, 64, 129)))
     scale = 10.0 ** draw(st.integers(-6, 3))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
@@ -573,6 +575,13 @@ def tie_prone_blocks(draw):
         place = rng.integers(3)
         if place:
             row[:] = a if place == 1 else (a + b) / 2
+    for value in draw(st.lists(st.sampled_from((np.nan, np.inf, -np.inf, 1e154)), max_size=3)):
+        if len(reprs):
+            row = reprs[rng.integers(len(reprs))]
+            if value == 1e154:  # each square is finite; over dim > 1 their sum is not
+                row[:] = value
+            else:
+                row[rng.integers(dim)] = value
     protos = PrototypeSet(list(zip(labels, cents)))
     return protos, reprs, _ranking(labels, VOCAB)
 
@@ -582,11 +591,17 @@ class TestMultiProtoArgmax:
     @given(tie_prone_blocks())
     def test_equals_exact_ranked_argmax(self, block):
         protos, reprs, ranked = block
-        want = np.argmax(multi_proto_scores(protos, reprs)[:, ranked], axis=1)
-        got = multi_proto_argmax(protos, reprs, ranked)
-        assert got.dtype == want.dtype and np.array_equal(got, want)
-        empty = multi_proto_argmax(protos, reprs[:0], ranked)
-        assert empty.shape == (0,) and empty.dtype == want.dtype
+        with np.errstate(all="ignore"):  # the exact path warns on rows not finite
+            want = np.argmax(multi_proto_scores(protos, reprs)[:, ranked], axis=1)
+            got = multi_proto_argmax(protos, reprs, ranked)
+            assert got.dtype == want.dtype and np.array_equal(got, want)
+            empty = multi_proto_argmax(protos, reprs[:0], ranked)
+            assert empty.shape == (0,) and empty.dtype == want.dtype
+            # one head's constants serve every block of a pass, in any order
+            head = proto_argmax_head(protos, ranked)
+            for rows in (reprs[::-1], reprs[:0], reprs):
+                exact = multi_proto_scores(protos, rows)[:, ranked]
+                assert np.array_equal(head(rows), np.argmax(exact, axis=1))
 
     def test_only_uncertified_rows_are_rescored(self, monkeypatch):
         rng = np.random.default_rng(31)

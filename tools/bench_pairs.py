@@ -30,11 +30,11 @@ examples each time. The file records each tree's wall and CPU seconds per
 run (CPU from ``getrusage(RUSAGE_CHILDREN)``) with their medians, its test
 count and the 10 slowest tests of its last run (``--durations=10``). Beside
 the raw seconds it records them scaled to a reference CPU speed: the change
-tree's ``perfbench/speed.py`` probe runs in this process right before and
-after each suite run and every 0.1 s during it, as ``perfbench/run.py``
-takes it around each timed part, and a run's seconds are multiplied by the
-reference kernel time over the probe's mean time during that run. A failed
-digest run or a failed suite exits 1 and writes no file.
+tree's ``tools/tier1_probe.py`` pytest plugin runs its ``perfbench/speed.py``
+probe inside the suite's own process, right when the session starts and
+ends and every 0.1 s during it, and reports the session's seconds and
+their scaled value; a run's CPU seconds are scaled by the same factor.
+A failed digest run or a failed suite exits 1 and writes no file.
 ``compare.py`` pairs runs by start order, so when a workload of the change's
 ``BENCHMARK.json`` lacks a record of some run on either side, the tool also
 exits 1 and writes no file. Only the standard library and numpy are used.
@@ -57,10 +57,12 @@ import time
 from pathlib import Path
 
 from output_digests import REPO, digest_result, digest_trees, extract, package_lines
+from tier1_probe import PREFIX
 
 SIDES = ("parent", "change")
 PAIRS = 10  # the fewest pairs a claimed gain is judged on
 TIER1 = ("-m", "pytest", "-q", "--continue-on-collection-errors", "--durations=10")
+PROBE = ("-p", "tier1_probe")  # tools/tier1_probe.py, with tools/ on PYTHONPATH
 TIER1_RUNS = 3
 # a --durations line: seconds, phase, test id
 DURATION = re.compile(r"^(\d+\.\d+)s (setup|call|teardown) +(.+)$", re.M)
@@ -101,45 +103,42 @@ def children_cpu_s() -> float:
     return usage.ru_utime + usage.ru_stime
 
 
-def tier1_times(trees: dict[str, Path], hypothesis_seed: int, speed) -> dict | None:
+def tier1_times(trees: dict[str, Path], hypothesis_seed: int) -> dict | None:
     """Each tree's wall and CPU seconds over TIER1_RUNS runs of its tier-1
-    suite, the parent first in odd runs, raw and scaled to the reference
-    speed of the speed module's probe, with their medians, its test count
-    and the slowest tests of its last run; every run has one Hypothesis seed
-    and no example database. None if a run fails."""
-    path = os.pathsep.join(filter(None, ("src", os.environ.get("PYTHONPATH"))))
-    env = {**os.environ, "PYTHONPATH": path}
-    argv = [sys.executable, *TIER1, f"--hypothesis-seed={hypothesis_seed}"]
-    fields = ("wall_s", "cpu_s", "scaled_wall_s", "scaled_cpu_s")
+    suite, the parent first in odd runs, with the session seconds and their
+    scaled values from the change tree's probe plugin in the suite's
+    process, their medians, its test count and the slowest tests of its
+    last run; every run has one Hypothesis seed and no example database.
+    None if a run fails."""
+    path = ("src", str(trees["change"] / "tools"), os.environ.get("PYTHONPATH"))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
+    argv = [sys.executable, *TIER1, *PROBE, f"--hypothesis-seed={hypothesis_seed}"]
+    fields = ("wall_s", "cpu_s", "session_s", "scaled_s", "scaled_cpu_s")
     record = {side: {field: [] for field in fields} for side in SIDES}
-    meter = speed.SpeedMeter()
     for i in range(TIER1_RUNS):
         for side in SIDES if i % 2 == 0 else SIDES[::-1]:
             shutil.rmtree(trees[side] / ".hypothesis", ignore_errors=True)
             cpu_start, start = children_cpu_s(), time.perf_counter()
-            with meter.running(), meter.timed() as timing:
-                proc = subprocess.run(
-                    argv, cwd=trees[side], env=env, capture_output=True, text=True
-                )
+            proc = subprocess.run(argv, cwd=trees[side], env=env, capture_output=True, text=True)
             wall, cpu = time.perf_counter() - start, children_cpu_s() - cpu_start
-            # the probe's speed over the run: reference time / probe's mean time
-            scale = timing.scaled / timing.seconds
-            for field, value in zip(fields, (wall, cpu, wall * scale, cpu * scale)):
-                record[side][field].append(value)
             summary = (proc.stdout.strip().splitlines() or [""])[-1]
             print(f"tier-1 {side}: {summary}", file=sys.stderr, flush=True)
             if proc.returncode:
                 return None
+            probe = json.loads(re.search(f"^{PREFIX}(.+)$", proc.stdout, re.M)[1])
+            # the probe's speed over the session: reference time / probe's mean time
+            scale = probe["scaled_s"] / probe["session_s"]
+            values = (wall, cpu, probe["session_s"], probe["scaled_s"], cpu * scale)
+            for field, value in zip(fields, values):
+                record[side][field].append(value)
             record[side]["tests"] = int(re.search(r"(\d+) passed", summary)[1])
             record[side]["slowest"] = [
                 {"test": test, "phase": phase, "s": float(s)}
                 for s, phase, test in DURATION.findall(proc.stdout)
             ]
     for runs in record.values():
-        runs["median_s"] = statistics.median(runs["wall_s"])
-        runs["median_cpu_s"] = statistics.median(runs["cpu_s"])
-        runs["median_scaled_s"] = statistics.median(runs["scaled_wall_s"])
-        runs["median_scaled_cpu_s"] = statistics.median(runs["scaled_cpu_s"])
+        for field in fields:
+            runs[f"median_{field}"] = statistics.median(runs[field])
     return record
 
 
@@ -212,7 +211,7 @@ def main(argv=None) -> int:
             extract(commits[side], trees[side])
         script = trees["change"] / "tools" / "output_digests.py"
         digests = digest_result(*digest_trees(script, *(trees[side] / "src" for side in SIDES)))
-        tier1 = tier1_times(trees, args.seed_base, load_perfbench(trees["change"], "speed"))
+        tier1 = tier1_times(trees, args.seed_base)
         if tier1 is None:
             print("no BENCH file written; a tier-1 suite failed", file=sys.stderr)
             return 1
@@ -257,13 +256,17 @@ def main(argv=None) -> int:
     bench["digests"] = digests
     bench["tier1"] = {
         "command": (
-            f"PYTHONPATH=src python {' '.join(TIER1)} --hypothesis-seed={args.seed_base}"
+            f"PYTHONPATH=src:tools python {' '.join(TIER1 + PROBE)} "
+            f"--hypothesis-seed={args.seed_base}"
         ),
         "runs": (
             f"{TIER1_RUNS} per tree, alternating, the parent first, "
             "each without a .hypothesis directory"
         ),
-        "scaled": "seconds x perfbench/speed.py's REFERENCE_S / the probe's mean over the run",
+        "scaled": (
+            "seconds x perfbench/speed.py's REFERENCE_S / the probe's mean over the "
+            "session, the probe taken in the suite's process by tools/tier1_probe.py"
+        ),
         **tier1,
     }
     Path(args.out).write_text(json.dumps(bench, indent=2) + "\n", encoding="utf-8")

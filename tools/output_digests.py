@@ -20,7 +20,11 @@ Prints one ``name sha256`` line per output:
   ``duration_seconds`` and with the work directory written as ``<dir>``;
 * the tag strings ``predict_corpus`` returns for a test corpus, from a
   linear model (by its head and by support prototypes) and a prototype
-  model, trained on BIO and on IO corpora, on seeds 0-2;
+  model, trained on BIO and on IO corpora, on seeds 0-2; and, set up as
+  the episodic_proto benchmark workload is, from a ``proto+nsp`` model
+  through the support prototypes of a 20-shot sample with ``shots=10``
+  (2 centroids per tag) on ``transfer_benchmark(seed, n_test=1000).test``,
+  which spans 15 encoder blocks, on seeds 0-2;
 * the exit code, stdout and stderr of ``fewner stats`` on small CoNLL files
   (``PARSE_INPUTS``): malformed ones, whose one error line names the bad
   line, and valid ones with unusual layout (``-DOCSTART-`` lines, CR and
@@ -210,6 +214,31 @@ def prediction_digests(fewner):
                         " ".join(t) for t in predict_corpus(model, test.sentences, head_protos)
                     )
                     yield f"predict/{scheme}_{head}/{schema}/seed{seed}", _guarded(fewner, tags)
+
+
+def episodic_prediction_digests(fewner):
+    """Predicted tag strings of the episodic_proto workload's inference."""
+    from fewner.evaluation import predict_corpus
+    from fewner.synthetic import transfer_benchmark
+
+    for seed in SEEDS:
+        bench = transfer_benchmark(seed, n_test=1000)
+        labeled = fewner.sample_fewshot(bench.train, 5, seed)
+        support = fewner.sample_fewshot(bench.train, 20, seed)
+        config = fewner.TrainConfig.five_shot(
+            seed=seed, learning_rate=0.01, scheme="proto+nsp", K=1, K_prime=2
+        )
+        source_config = fewner.TrainConfig.five_shot(seed=seed, learning_rate=0.05)
+
+        def tags() -> str:
+            model = fewner.run_scheme(
+                labeled, config, source=bench.source, source_config=source_config
+            )
+            protos = fewner.support_prototypes(model.encoder, support, shots=10, seed=seed)
+            predicted = predict_corpus(model, bench.test.sentences, protos)
+            return "\n".join(" ".join(t) for t in predicted)
+
+        yield f"predict/episodic_proto/seed{seed}", _guarded(fewner, tags)
 
 
 def loss_digests(fewner):
@@ -451,6 +480,7 @@ def main(argv=None) -> int:
         scheme_digests,
         stop_rule_digests,
         prediction_digests,
+        episodic_prediction_digests,
         loss_digests,
         report_digests,
         sampling_digests,
