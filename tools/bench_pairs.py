@@ -43,7 +43,6 @@ exits 1 and writes no file. Only the standard library and numpy are used.
 from __future__ import annotations
 
 import argparse
-import importlib.util
 import json
 import os
 import re
@@ -57,7 +56,7 @@ import time
 from pathlib import Path
 
 from output_digests import REPO, digest_result, digest_trees, extract, package_lines
-from tier1_probe import PREFIX
+from tier1_probe import PREFIX, load_perfbench
 
 SIDES = ("parent", "change")
 PAIRS = 10  # the fewest pairs a claimed gain is judged on
@@ -76,15 +75,6 @@ def commit_id(rev: str) -> str:
     if commit.returncode:
         raise SystemExit(commit.stderr.strip())
     return commit.stdout.strip()
-
-
-def load_perfbench(tree: Path, name: str):
-    """The tree's perfbench/<name>.py as a module."""
-    spec = importlib.util.spec_from_file_location(name, tree / "perfbench" / f"{name}.py")
-    module = importlib.util.module_from_spec(spec)
-    sys.modules[name] = module  # dataclasses look their module up while it runs
-    spec.loader.exec_module(module)
-    return module
 
 
 def run_pair(trees: dict[str, Path], order, seed: int, seconds: float) -> None:

@@ -26,18 +26,18 @@ _timing = None
 _meter = None
 
 
-def _load_speed():
-    path = Path(__file__).resolve().parents[1] / "perfbench" / "speed.py"
-    spec = importlib.util.spec_from_file_location("speed", path)
+def load_perfbench(tree: Path, name: str):
+    """The tree's perfbench/<name>.py as a module."""
+    spec = importlib.util.spec_from_file_location(name, tree / "perfbench" / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
-    sys.modules["speed"] = module  # dataclasses look their module up while it runs
+    sys.modules[name] = module  # dataclasses look their module up while it runs
     spec.loader.exec_module(module)
     return module
 
 
 def pytest_sessionstart(session):
     global _meter, _timing
-    _meter = _load_speed().SpeedMeter()
+    _meter = load_perfbench(Path(__file__).resolve().parents[1], "speed").SpeedMeter()
     _stack.enter_context(_meter.running())
     _timing = _stack.enter_context(_meter.timed())
 
@@ -47,8 +47,6 @@ def pytest_sessionfinish(session, exitstatus):
 
 
 def pytest_terminal_summary(terminalreporter):
-    if _timing is None:
-        return
     record = {
         "session_s": _timing.seconds,
         "scaled_s": _timing.scaled,
