@@ -157,7 +157,8 @@ def window_indices(params: EncoderParams, tokens) -> np.ndarray:
 
 def _window_input(params: EncoderParams, windows: np.ndarray) -> np.ndarray:
     """(N, 3E): the concatenated left, centre and right embeddings."""
-    return params.embedding_table[windows].reshape(len(windows), 3 * params.embed_dim)
+    rows = np.take(params.embedding_table, windows, axis=0)
+    return rows.reshape(len(windows), 3 * params.embed_dim)
 
 
 def _encode_checked(params: EncoderParams, windows: np.ndarray):

@@ -31,7 +31,7 @@ from .corpus import (
 )
 from .encoder import EncoderParams, encode_blocks
 from .errors import DataError
-from .heads import PrototypeSet, build_multi_prototypes, linear_forward, proto_argmax_head
+from .heads import PrototypeSet, build_multi_prototypes, linear_argmax_head, proto_argmax_head
 from .training import TrainConfig, run_scheme
 
 
@@ -126,17 +126,17 @@ def _predict_ids(
     model: Model, words: WordIds, protos: PrototypeSet | None = None
 ) -> tuple[tuple[str, ...], np.ndarray]:
     """Labels and, for every token of the word-id column, the index of its
-    predicted label among them (see predict_corpus). A block's head is
-    heads.proto_argmax_head over the ranked prototype labels, built once for
-    the pass, when protos are given, else the argmax of the linear head,
-    whose labels are the tag vocabulary in order."""
+    predicted label among them (see predict_corpus). A block's head, built
+    once for the pass, is heads.proto_argmax_head over the ranked prototype
+    labels when protos are given, else heads.linear_argmax_head, whose
+    labels are the tag vocabulary in order."""
     if protos is not None:
         ranked = _ranking(protos.labels, model.labels.tag_vocabulary)
         labels = tuple(protos.labels[i] for i in ranked)
         head = proto_argmax_head(protos, ranked)
     elif model.head is not None:
         labels = model.labels.tag_vocabulary
-        head = lambda reprs: np.argmax(linear_forward(model.head, reprs), axis=1)
+        head = linear_argmax_head(model.head)
     else:
         raise DataError("prototype checkpoints carry no head arrays; supply a support set")
     return labels, encode_blocks(model.encoder, words, head)
@@ -153,9 +153,10 @@ def predict_corpus(
 
     Sentences are encoded and scored in one encoder.encode_blocks pass
     whose head is the ranked argmax: one encode, one head call and one
-    argmax per block of whole sentences. Prototype distances come from one
-    matrix product per block; a token whose winner they cannot certify is
-    rescored exactly, so the tags equal the exact scores' argmax.
+    argmax per block of whole sentences. Linear logits and prototype
+    distances come from one matrix product per block; a winner it cannot
+    certify is rescored exactly (for the linear head, its whole block), so
+    the tags equal the exact scores' argmax.
     """
     words = word_ids(s.tokens for s in sentences)
     names, ids = _predict_ids(model, words, protos)

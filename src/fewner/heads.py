@@ -103,6 +103,46 @@ def linear_forward(head: LinearHead, repr_vec: np.ndarray) -> np.ndarray:
     return np.exp(log_probs[0] if repr_vec.ndim == 1 else log_probs)
 
 
+def linear_argmax_head(head: LinearHead):
+    """np.argmax(linear_forward(head, reprs), axis=1) as a head of (N, H)
+    reprs alone, certified label-major, with its constants built once.
+
+    z = (reprs @ W.T).T + b (W.T contiguous: faster than W @ reprs.T) is a
+    (labels, rows) matrix reduced over axis 0. With b_j as an (H + 1)-th
+    term, each logit here and on the exact path is a dot product summed in
+    some order, within g (max|r| ||W_j||_1 + |b_j|) of the real one,
+    g = (H + 1)u / (1 - (H + 1)u), u = 2^-53 (Higham, Accuracy and
+    Stability of Numerical Algorithms, 3.1); the two differ by at most
+    D = 2g (max|r| max_j ||W_j||_1 + max|b|). A block is certified when
+    m + t < 1e300, m = max|z|, t = 2D + 1e-9 (1 + m), and in each row only
+    the best logit reaches max - t. Each exact row then has the same unique
+    best logit, ahead by more than 1e-9 (1 + m) less a few ulps of m (the
+    rounding of t and the comparisons), which the max-shift, log-sum and exp
+    cannot close; no exact (shifted) logit overflows, so the exact path
+    would not raise. Other blocks (ties, near-ties, anything not finite) are
+    rescored exactly as a whole: the exact product's rounding depends on the
+    block's row count.
+    """
+    weights_t, bias = np.ascontiguousarray(head.weights.T), head.bias[:, None]
+    scale = 4 / (2.0**53 / (head.weights.shape[1] + 1) - 1)  # 4g: 2D = scale (max|r| w1 + b1)
+    w1, b1 = np.abs(head.weights).sum(axis=1).max(), np.abs(head.bias).max()
+
+    def argmax(reprs: np.ndarray) -> np.ndarray:
+        reprs = np.asarray(reprs, dtype=float)
+        with np.errstate(all="ignore"):  # what is not finite is rescored exactly
+            z = np.ascontiguousarray((reprs @ weights_t).T)
+            z += bias
+            top = z.max(axis=0)
+            m = np.maximum(top.max(initial=0.0), -z.min(initial=0.0))
+            r = np.maximum(reprs.max(initial=0.0), -reprs.min(initial=0.0))
+            t = scale * (r * w1 + b1) + 1e-9 * (1 + m)
+            if m + t < 1e300 and np.count_nonzero(z >= top - t) == len(reprs):
+                return np.argmax(z, axis=0)
+        return np.argmax(linear_forward(head, reprs), axis=1)
+
+    return argmax
+
+
 def linear_loss_grads(
     head: LinearHead, reprs: np.ndarray, targets: np.ndarray, weights: np.ndarray,
     out: tuple[np.ndarray, np.ndarray] | None = None, with_loss: bool = True,
@@ -308,11 +348,14 @@ def multi_proto_scores(protos: PrototypeSet, reprs: np.ndarray) -> np.ndarray:
     (N x all centroids) distance matrix, a row softmax over the negated
     distances, then each label's mean centroid probability, renormalized.
     Row i is computed with the same operations as multi_proto_score(reprs[i]).
+    A representation that is not finite raises NumericError.
     """
     reprs = np.asarray(reprs, dtype=float)
     all_cents = np.vstack([cents for _, cents in protos.entries])
     if reprs.ndim != 2 or reprs.shape[1] != all_cents.shape[1]:
         raise ValueError(f"reprs shape {reprs.shape} != (N, {all_cents.shape[1]})")
+    if not np.isfinite(reprs).all():
+        raise NumericError("non-finite prototype-head representation")
     neg = -_distances(all_cents, reprs)
     flat = np.exp(neg - neg.max(axis=1, keepdims=True))
     flat /= flat.sum(axis=1, keepdims=True)
@@ -336,8 +379,8 @@ def proto_argmax_head(protos: PrototypeSet, ranked):
     distance moves by at most delta = sqrt(E), and each label's mean of
     exp(min d - d) by a factor e^(+-delta): a row whose best label beats
     every other by more than e^(2 delta) (1 + 1e-9) has the exact argmax.
-    The other rows (ties, near-ties, anything not finite) are rescored
-    exactly; row i of multi_proto_scores depends on row i only.
+    The other rows (ties, near-ties, anything not finite, whose ||r||^2 delta
+    skips) are rescored exactly; row i of multi_proto_scores needs row i only.
     """
     cents = [protos.entries[j][1] for j in ranked]
     sizes = [len(c) for c in cents]
@@ -357,7 +400,7 @@ def proto_argmax_head(protos: PrototypeSet, ranked):
             np.sqrt(np.maximum(dist, 0.0, out=dist), out=dist)
             flat = np.exp(np.subtract(dist.min(axis=0), dist, out=dist), out=dist)
             scores = mean @ flat
-            delta = np.sqrt(unit * (r2.max(initial=0.0) + c2.max()))
+            delta = np.sqrt(unit * (r2.max(initial=0.0, where=r2 < np.inf) + c2.max()))
             margin = np.exp(2 * delta) * (1 + 1e-9)
             cols = np.arange(len(reprs))
             best = np.argmax(scores, axis=0)

@@ -33,7 +33,13 @@ from fewner.checkpoint import Model
 from fewner.encoder import encode, init_encoder
 from fewner.heads import PrototypeSet, init_linear_head, linear_forward, multi_proto_score
 from fewner.synthetic import transfer_benchmark
-from fewner.training import TrainConfig, generate_soft_labels, train_linear, train_prototype
+from fewner.training import (
+    TrainConfig,
+    generate_soft_labels,
+    run_scheme,
+    train_linear,
+    train_prototype,
+)
 
 from builders import word_identity_corpus
 from oracles import (
@@ -512,6 +518,35 @@ class TestBlockInference:
             monkeypatch.setattr(module, "proto_argmax_head", spy)
         assert evaluate_model(model, test, protos=protos) == want
         assert len(built) == 1
+
+    def test_linear_benchmark_blocks_are_all_certified(self, monkeypatch):
+        # the four linear schemes as the fewshot_lc benchmark workload trains them
+        bench = transfer_benchmark(0, n_test=1000)
+        labeled = sample_fewshot(bench.train, 5, 0)
+        config = TrainConfig.five_shot(seed=0, learning_rate=0.01)
+        source_config = TrainConfig(seed=0, learning_rate=0.05, batch_size=8)
+        blocks, exact = [], []
+        make_head = heads_module.linear_argmax_head
+
+        def counted_head(head):
+            argmax = make_head(head)
+            return lambda reprs: blocks.append(len(reprs)) or argmax(reprs)
+
+        def exact_spy(head, reprs):
+            exact.append(len(reprs))
+            return linear_forward(head, reprs)
+
+        for scheme in ("lc", "lc+nsp", "lc+st", "lc+nsp+st"):
+            model = run_scheme(
+                labeled, config.with_(scheme=scheme), source=bench.source,
+                unlabeled=bench.unlabeled, source_config=source_config,
+            )
+            with monkeypatch.context() as patch:
+                patch.setattr(evaluation_module, "linear_argmax_head", counted_head)
+                patch.setattr(heads_module, "linear_forward", exact_spy)
+                evaluate_model(model, bench.test, "BIO")
+        assert len(blocks) == 60 and sum(blocks) == 4 * bench.test.offsets[-1]
+        assert exact == []
 
     def test_one_sentence_corpus_matches_reference(self):
         rng = random.Random(48)

@@ -7,7 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fewner import heads
-from fewner.errors import DataError
+from fewner.corpus import word_ids
+from fewner.encoder import encode_blocks, init_encoder
+from fewner.errors import DataError, NumericError
 from fewner.evaluation import _ranking
 from fewner.heads import (
     LinearHead,
@@ -17,6 +19,7 @@ from fewner.heads import (
     build_prototypes,
     cross_entropy,
     init_linear_head,
+    linear_argmax_head,
     linear_backward,
     linear_forward,
     linear_loss_grads,
@@ -46,6 +49,21 @@ def _points(rng, n, dim, rounded):
 def _assert_distribution(probs):
     assert np.all(probs >= 0.0)
     assert abs(probs.sum() - 1.0) < 1e-9
+
+
+def _outcome(fn):
+    """fn()'s array, or the text of the NumericError it raises."""
+    try:
+        return fn()
+    except NumericError as exc:
+        return f"NumericError: {exc}"
+
+
+def _same(got, want) -> bool:
+    """Equal error texts, or equal arrays of the same dtype."""
+    if isinstance(want, str) or isinstance(got, str):
+        return got == want
+    return got.dtype == want.dtype and np.array_equal(got, want)
 
 
 class TestLinearForward:
@@ -538,6 +556,17 @@ class TestMultiProtoScore:
         with pytest.raises(ValueError):
             multi_proto_scores(protos, np.zeros((2, 4)))
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_representation_raises(self, value):
+        rng = np.random.default_rng(19)
+        protos = PrototypeSet([("A", rng.normal(size=(2, 8))), ("B", rng.normal(size=(2, 8)))])
+        with pytest.raises(NumericError, match="non-finite prototype-head representation"):
+            multi_proto_score(protos, np.full(8, value))
+        reprs = rng.normal(size=(3, 8))
+        reprs[1, 5] = value
+        with pytest.raises(NumericError, match="non-finite prototype-head representation"):
+            multi_proto_scores(protos, reprs)
+
     def test_sums_to_one(self):
         rng = np.random.default_rng(13)
         for _ in range(100):
@@ -558,8 +587,8 @@ def tie_prone_blocks(draw):
     """A prototype set over labels in and outside VOCAB (1-4 centroids
     each, the first label's maybe copied, exactly or nudged, into the last),
     its ranking and a block of query rows, many on a centroid or midway
-    between two, and some holding NaN or +-inf or so large that their
-    squared norm overflows."""
+    between two, and some holding NaN or +-inf (which the exact path
+    refuses) or so large that their squared norm overflows."""
     dim = draw(st.sampled_from((1, 7, 8, 13, 64, 129)))
     scale = 10.0 ** draw(st.integers(-6, 3))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
@@ -591,17 +620,16 @@ class TestMultiProtoArgmax:
     @given(tie_prone_blocks())
     def test_equals_exact_ranked_argmax(self, block):
         protos, reprs, ranked = block
-        with np.errstate(all="ignore"):  # the exact path warns on rows not finite
-            want = np.argmax(multi_proto_scores(protos, reprs)[:, ranked], axis=1)
-            got = multi_proto_argmax(protos, reprs, ranked)
-            assert got.dtype == want.dtype and np.array_equal(got, want)
+        exact = lambda rows: np.argmax(multi_proto_scores(protos, rows)[:, ranked], axis=1)
+        with np.errstate(all="ignore"):  # the exact path warns on overflowing rows
+            want = _outcome(lambda: exact(reprs))
+            assert _same(_outcome(lambda: multi_proto_argmax(protos, reprs, ranked)), want)
             empty = multi_proto_argmax(protos, reprs[:0], ranked)
-            assert empty.shape == (0,) and empty.dtype == want.dtype
+            assert empty.shape == (0,) and empty.dtype == np.intp
             # one head's constants serve every block of a pass, in any order
             head = proto_argmax_head(protos, ranked)
             for rows in (reprs[::-1], reprs[:0], reprs):
-                exact = multi_proto_scores(protos, rows)[:, ranked]
-                assert np.array_equal(head(rows), np.argmax(exact, axis=1))
+                assert _same(_outcome(lambda: head(rows)), _outcome(lambda: exact(rows)))
 
     def test_only_uncertified_rows_are_rescored(self, monkeypatch):
         rng = np.random.default_rng(31)
@@ -624,3 +652,134 @@ class TestMultiProtoArgmax:
         assert np.array_equal(got, np.argmax(multi_proto_scores(protos, reprs)[:, ranked], axis=1))
         # the tie goes to the label earliest in the vocabulary
         assert [protos.labels[ranked[i]] for i in got[[0, 1, 3, 4]]] == ["B-LOC", "B-PER"] * 2
+
+    def test_a_row_not_finite_is_rescored_alone(self, monkeypatch):
+        rng = np.random.default_rng(37)
+        protos = PrototypeSet([(t, rng.normal(size=(2, 16))) for t in VOCAB])
+        ranked = _ranking(protos.labels, VOCAB)
+        reprs = rng.normal(size=(513, 16))
+        reprs[200, 3] = np.nan
+        rescored = []
+
+        def spy(protos, rows):
+            rescored.append(len(rows))
+            return multi_proto_scores(protos, rows)
+
+        monkeypatch.setattr(heads, "multi_proto_scores", spy)
+        with pytest.raises(NumericError, match="non-finite prototype-head representation"):
+            proto_argmax_head(protos, ranked)(reprs)
+        # the bound comes from the 512 finite rows, which all stay certified
+        assert rescored == [1]
+
+
+@st.composite
+def tie_prone_linear(draw):
+    """A linear head (1-9 labels) whose rows may be equal, zero (with a zero
+    bias) or one ulp apart, with biases of 0, +-50 or normal, and a block of
+    rows holding exact 0 and +-1 entries; maybe one row holds NaN or +-inf,
+    or pushes the logits near 1e300."""
+    dim = draw(st.sampled_from((1, 7, 64)))
+    n_labels = draw(st.integers(1, 9))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    weights = rng.normal(size=(n_labels, dim)) * 10.0 ** draw(st.integers(-3, 2))
+    bias = rng.choice(draw(st.sampled_from(((0.0,), (50.0, -50.0, 0.0), (0.5, -1.3)))), n_labels)
+    for kind in draw(st.lists(st.sampled_from(("equal", "zero", "ulp")), max_size=4)):
+        a, b = rng.integers(n_labels, size=2)
+        if kind == "zero":
+            weights[a], bias[a] = 0.0, 0.0
+        else:
+            weights[b] = weights[a] if kind == "equal" else np.nextafter(weights[a], np.inf)
+            bias[b] = bias[a]
+    reprs = np.tanh(2 * rng.normal(size=(draw(st.sampled_from((40, 9, 2, 1, 0))), dim)))
+    exact = rng.integers(4, size=reprs.shape)
+    reprs[exact < 3] = np.array([0.0, 1.0, -1.0])[exact[exact < 3]]
+    special = draw(st.sampled_from((None, np.nan, np.inf, -np.inf, "near_1e300")))
+    if special is not None and len(reprs):
+        row = reprs[rng.integers(len(reprs))]
+        if special == "near_1e300":
+            row *= 10.0 ** draw(st.integers(296, 302)) / max(np.abs(weights).max(), 1e-300)
+        else:
+            row[rng.integers(dim)] = special
+    return LinearHead(weights, bias), reprs
+
+
+def _exact_argmax(head):
+    return lambda reprs: np.argmax(linear_forward(head, reprs), axis=1)
+
+
+class TestLinearArgmaxHead:
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(tie_prone_linear())
+    def test_equals_exact_argmax(self, case):
+        head, reprs = case
+        argmax, exact = linear_argmax_head(head), _exact_argmax(head)
+        with np.errstate(all="ignore"):  # the exact path warns on logits not finite
+            # one head's constants serve every block of a pass, in any order
+            for rows in (reprs, reprs[::-1], reprs[:0]):
+                assert _same(_outcome(lambda: argmax(rows)), _outcome(lambda: exact(rows)))
+
+    @pytest.mark.parametrize("lengths", [(), (1,), (511,), (512,), (513,), (300, 211, 1, 513)])
+    @pytest.mark.parametrize("ties", [False, True])
+    def test_blocks_through_encode_blocks(self, lengths, ties):
+        rng = np.random.default_rng(len(lengths))
+        vocab = [f"w{i}" for i in range(40)]
+        encoder = init_encoder(vocab, 6, 10, seed=3)
+        encoder.context_weights *= 3000  # saturated: most entries are exactly +-1
+        words = word_ids(tuple(rng.choice(vocab, size=n)) for n in lengths)
+        head = LinearHead(rng.normal(size=(5, 10)), rng.normal(size=5))
+        if ties:  # two zero rows and two equal rows
+            head.weights[[1, 2]], head.bias[[1, 2]] = 0.0, 0.0
+            head.weights[4], head.bias[4] = head.weights[0], head.bias[0]
+        got = encode_blocks(encoder, words, linear_argmax_head(head))
+        want = encode_blocks(encoder, words, _exact_argmax(head))
+        assert got.shape == (sum(lengths),) and _same(got, want)
+
+    @pytest.mark.parametrize("nudge", [0.0, 1e-13])
+    def test_only_doubtful_blocks_are_rescored_whole(self, monkeypatch, nudge):
+        rng = np.random.default_rng(43)
+        weights = rng.normal(size=(4, 8))
+        reprs = np.tanh(rng.normal(size=(40, 8)))
+        calls = []
+
+        def spy(head, rows):
+            calls.append(rows.copy())
+            return linear_forward(head, rows)
+
+        monkeypatch.setattr(heads, "linear_forward", spy)
+        certified = linear_argmax_head(LinearHead(weights, np.zeros(4)))(reprs)
+        assert calls == []
+        # label 4 copies label 2, exactly or within the margin, so the two tie
+        # or nearly tie wherever label 2 wins
+        tied = LinearHead(np.vstack([weights, weights[2] * (1 + nudge)]), np.zeros(5))
+        got = linear_argmax_head(tied)(reprs)
+        assert len(calls) == 1 and np.array_equal(calls[0], reprs)
+        assert 2 in certified and np.array_equal(np.where(got == 4, 2, got), certified)
+        if not nudge:  # an exact tie goes to the earlier label
+            assert 4 not in got
+
+    @pytest.mark.parametrize(
+        "weights, row, want",
+        [
+            ([[1.0], [2.0]], 4e299, 1),  # logits below 1e300 are certified
+            ([[1.0], [2.0]], 6e299, 1),  # 1.2e300 falls back
+            ([[-1.0], [1.0]], 1e308, "NumericError: non-finite linear-head log-probability"),
+            ([[1.0], [2.0]], np.nan, "NumericError: non-finite linear-head log-probability"),
+        ],
+    )
+    def test_logits_near_1e300_fall_back(self, monkeypatch, weights, row, want):
+        calls = []
+
+        def spy(head, rows):
+            calls.append(len(rows))
+            return linear_forward(head, rows)
+
+        monkeypatch.setattr(heads, "linear_forward", spy)
+        head = LinearHead(np.array(weights), np.zeros(2))
+        reprs = np.array([[1e299], [row], [-1e299]])  # the margin grows with max |logit|
+        with np.errstate(all="ignore"):
+            got = _outcome(lambda: linear_argmax_head(head)(reprs))
+        if isinstance(want, str):
+            assert got == want
+        else:
+            assert np.array_equal(got, [1, want, 0])
+        assert calls == ([] if row == 4e299 else [3])

@@ -24,7 +24,11 @@ Prints one ``name sha256`` line per output:
   the episodic_proto benchmark workload is, from a ``proto+nsp`` model
   through the support prototypes of a 20-shot sample with ``shots=10``
   (2 centroids per tag) on ``transfer_benchmark(seed, n_test=1000).test``,
-  which spans 15 encoder blocks, on seeds 0-2;
+  which spans 15 encoder blocks, on seeds 0-2; and from an ``lc`` model whose
+  head ties (``tie_head``: two zero rows and two equal rows) on a test
+  corpus of 5 encoder blocks, on seeds 0-2, and the ``fewner eval`` stdout of
+  the ``lc`` checkpoint with its head tied the same way, so the label an
+  exact tie goes to is pinned;
 * the exit code, stdout and stderr of ``fewner stats`` on small CoNLL files
   (``PARSE_INPUTS``): malformed ones, whose one error line names the bad
   line, and valid ones with unusual layout (``-DOCSTART-`` lines, CR and
@@ -216,6 +220,32 @@ def prediction_digests(fewner):
                     yield f"predict/{scheme}_{head}/{schema}/seed{seed}", _guarded(fewner, tags)
 
 
+def tie_head(head) -> None:
+    """Tie a linear head in place: rows 1 and 2 become zero (with zero
+    bias) and the last row a copy of row 0."""
+    head.weights[[1, 2]] = 0.0
+    head.bias[[1, 2]] = 0.0
+    head.weights[-1], head.bias[-1] = head.weights[0], head.bias[0]
+
+
+def linear_tie_digests(fewner):
+    """Predicted tag strings of lc models whose heads tie, on 5 blocks."""
+    from fewner.evaluation import predict_corpus
+    from fewner.synthetic import make_corpus
+
+    for seed in SEEDS:
+        train = make_corpus(40, seed * 7919 + 2)
+        test = make_corpus(300, seed * 7919 + 3)
+        config = fewner.TrainConfig.five_shot(seed=seed, epochs=3, learning_rate=0.05)
+
+        def tags() -> str:
+            model = fewner.run_scheme(train, config)
+            tie_head(model.head)
+            return "\n".join(" ".join(t) for t in predict_corpus(model, test.sentences))
+
+        yield f"predict/linear_ties/seed{seed}", _guarded(fewner, tags)
+
+
 def episodic_prediction_digests(fewner):
     """Predicted tag strings of the episodic_proto workload's inference."""
     from fewner.evaluation import predict_corpus
@@ -351,6 +381,10 @@ def cli_digests(fewner, workdir: Path):
         yield f"cli/train_lc+st_lambda0_manifest/{tag}", manifest(out)
         yield f"cli/eval/{tag}", run(["eval", p("lc.json"), p("test.conll")])
         yield f"cli/eval_io/{tag}", run(["eval", p("lc.json"), p("test.conll"), "--schema", "io"])
+        tied = fewner.load(p("lc.json"))
+        tie_head(tied.head)
+        fewner.save(tied, p("lc_ties.json"))
+        yield f"cli/eval_linear_ties/{tag}", run(["eval", p("lc_ties.json"), p("test.conll")])
         for scheme in ("lc", "proto"):
             argv = ["protoinfer", p(f"{scheme}.json"), "--support", p("support.conll")]
             argv += ["--test", p("test.conll"), "--shots", "20", "--seed", str(seed)]
@@ -480,6 +514,7 @@ def main(argv=None) -> int:
         scheme_digests,
         stop_rule_digests,
         prediction_digests,
+        linear_tie_digests,
         episodic_prediction_digests,
         loss_digests,
         report_digests,
