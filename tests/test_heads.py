@@ -697,7 +697,7 @@ def tie_prone_linear(draw):
     if special is not None and len(reprs):
         row = reprs[rng.integers(len(reprs))]
         if special == "near_1e300":
-            row *= 10.0 ** draw(st.integers(296, 302)) / max(np.abs(weights).max(), 1e-300)
+            row *= 10.0 ** draw(st.integers(296, 302)) / (np.abs(weights).max() or 1.0)
         else:
             row[rng.integers(dim)] = special
     return LinearHead(weights, bias), reprs
