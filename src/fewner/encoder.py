@@ -18,7 +18,9 @@ one sentence; training gathers each mini-batch from one window column per
 run. Inference (prediction, soft labels, support prototypes) is one
 encode_blocks pass over a word-id column's windows: row ranges of whole
 sentences, each encoded and handed to a head whose per-token results come
-back as one array in token order.
+back as one array in token order. Argmax prediction runs the same blocks
+through projected_blocks, which encodes them from per-word projection
+tables and lets its head certify each result against encode_windows.
 
 encode is a pure function: concurrent readers may share one EncoderParams.
 Training mutates the arrays in place and must be serialized externally.
@@ -132,20 +134,30 @@ def init_encoder(vocab, embed_dim: int, hidden_dim: int, seed: int) -> EncoderPa
 BLOCK_ROWS = 512
 
 
+def _column_windows(params: EncoderParams, words: WordIds) -> tuple[np.ndarray, np.ndarray]:
+    """The vocabulary rows a word-id column uses, <PAD>'s first and then
+    each distinct word's (out-of-vocabulary words giving <UNK>'s), and the
+    (tokens, 3) windows (left, centre, right) as indices into them, with
+    padding beyond each sequence's ends. Each distinct word is looked up
+    once."""
+    index, unk = params._index, params._index[UNK]
+    used = np.array([index[PAD], *(index.get(w, unk) for w in words.words)], dtype=np.intp)
+    lengths = np.diff(words.offsets)
+    # each token's place in one column with a padding slot before, between
+    # and after the sequences
+    at = np.arange(len(words.ids)) + np.repeat(np.arange(1, len(lengths) + 1), lengths)
+    padded = np.zeros(len(words.ids) + len(lengths) + 1, dtype=np.intp)
+    padded[at] = words.ids + 1
+    return used, np.stack((padded[at - 1], padded[at], padded[at + 1]), axis=1)
+
+
 def word_windows(params: EncoderParams, words: WordIds) -> np.ndarray:
     """(tokens, 3) vocabulary rows (left, centre, right) for every token of
     the word-id column, with padding beyond each sequence's ends. Each
     distinct word is looked up once; words outside the vocabulary get the
     unknown-word row."""
-    index, unk = params._index, params._index[UNK]
-    rows = np.array([index.get(w, unk) for w in words.words], dtype=np.intp)
-    lengths = np.diff(words.offsets)
-    # each token's place in one column with a padding slot before, between
-    # and after the sequences
-    at = np.arange(len(words.ids)) + np.repeat(np.arange(1, len(lengths) + 1), lengths)
-    padded = np.full(len(words.ids) + len(lengths) + 1, index[PAD], dtype=np.intp)
-    padded[at] = rows[words.ids]
-    return np.stack((padded[at - 1], padded[at], padded[at + 1]), axis=1)
+    used, windows = _column_windows(params, words)
+    return used[windows]
 
 
 def window_indices(params: EncoderParams, tokens) -> np.ndarray:
@@ -242,6 +254,82 @@ def encode_blocks(params: EncoderParams, words: WordIds, head) -> np.ndarray:
     return np.concatenate(
         [head(encode_windows(params, windows[a:b])) for a, b in _blocks(words.offsets)]
     )
+
+
+# numpy's tanh is assumed to be within this absolute error of the real tanh.
+# libm and SIMD tanh implementations are within a few ulps of 1 (about
+# 1e-15), so the bound is generous by orders of magnitude, as the prediction
+# heads' certificates are for exp and log.
+TANH_ERROR = 2.0**-40
+
+
+def projection_tables(params: EncoderParams, used: np.ndarray):
+    """Per-word projection tables of the embedding rows `used` and their
+    slack, or None where they are not certified.
+
+    The tables are a (3, U, H) array: P_L = E_used @ W_L.T,
+    P_C = E_used @ W_C.T + b and P_R = E_used @ W_R.T, W_L, W_C and W_R
+    being context_weights' left, centre and right E columns. So U x 3H
+    floats, U = len(used), at most the column's distinct words and <PAD>,
+    never the whole vocabulary. The representation of a window (l, c, r)
+    of indices into used is tanh(P_L[l] + P_C[c] + P_R[r]).
+
+    With S = max|E_used| max_j ||W_j||_1 + max|b| (W_j the j-th row of
+    context_weights), every pre-activation and its every partial sum on
+    either path is at most S in magnitude, up to rounding. Both paths sum
+    the same 3E + 1 terms in different orders, so their pre-activations
+    differ by at most 2 g S, g = (3E + 2)u / (1 - (3E + 2)u), u = 2^-53
+    (Higham, Accuracy and Stability of Numerical Algorithms, 3.1). tanh is
+    1-Lipschitz and numpy's is taken to be within TANH_ERROR of it, so every
+    representation entry differs from encode_windows' by at most the slack
+    2 g S + 2 TANH_ERROR. The tables are returned only when all their values
+    are finite and S < 1e300, where neither path can make a pre-activation
+    that is not finite; otherwise (NaN in a used row, weights near overflow)
+    encode_windows is the only certified encoder.
+    """
+    e, h = params.embed_dim, params.hidden_dim
+    emb = np.take(params.embedding_table, used, axis=0)
+    # (3, E, H): W_L.T, W_C.T and W_R.T
+    tables = emb @ params.context_weights.reshape(h, 3, e).transpose(1, 2, 0)
+    tables[1] += params.context_bias
+    with np.errstate(all="ignore"):  # what is not finite fails the gate
+        s = np.abs(emb).max(initial=0.0) * np.abs(params.context_weights).sum(axis=1).max()
+        s += np.abs(params.context_bias).max()
+        if not (s < 1e300 and np.isfinite(tables).all()):
+            return None
+    n = 3 * e + 2
+    return tables, 2 * n / (2.0**53 - n) * s + 2 * TANH_ERROR
+
+
+def projected_blocks(params: EncoderParams, words: WordIds, head) -> np.ndarray:
+    """head's rows for every token of a word-id column, in token order, for
+    a head that certifies its result against encode_windows' representations.
+
+    The blocks are encode_blocks', but each is encoded from the column's
+    projection_tables, built once: three row gathers, two adds and a tanh in
+    place of the (rows x 3E) (3E x H) product. head(reprs, slack, exact)
+    gets those representations, the bound on how far any entry is from
+    encode_windows' and a callable that returns the block's representations
+    from encode_windows; a head that cannot certify its result calls exact
+    and scores what it returns. Where the tables are not certified, the
+    whole pass is encode_blocks with head(reprs), so every NumericError is
+    raised as encode_blocks raises it.
+    """
+    used, windows = _column_windows(params, words)
+    certified = projection_tables(params, used)
+    if certified is None:
+        return encode_blocks(params, words, head)
+    (left, centre, right), slack = certified
+
+    def block(a: int, b: int) -> np.ndarray:
+        rows = windows[a:b]
+        reprs = np.take(left, rows[:, 0], axis=0)
+        reprs += np.take(centre, rows[:, 1], axis=0)
+        reprs += np.take(right, rows[:, 2], axis=0)
+        exact = lambda: encode_windows(params, used[rows])
+        return head(np.tanh(reprs, out=reprs), slack, exact)
+
+    return np.concatenate([block(a, b) for a, b in _blocks(words.offsets)])
 
 
 def encode(params: EncoderParams, sentence: TokenSequence) -> np.ndarray:

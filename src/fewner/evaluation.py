@@ -29,7 +29,7 @@ from .corpus import (
     tag_codes,
     word_ids,
 )
-from .encoder import EncoderParams, encode_blocks
+from .encoder import EncoderParams, encode_blocks, projected_blocks
 from .errors import DataError
 from .heads import PrototypeSet, build_multi_prototypes, linear_argmax_head, proto_argmax_head
 from .training import TrainConfig, run_scheme
@@ -126,10 +126,11 @@ def _predict_ids(
     model: Model, words: WordIds, protos: PrototypeSet | None = None
 ) -> tuple[tuple[str, ...], np.ndarray]:
     """Labels and, for every token of the word-id column, the index of its
-    predicted label among them (see predict_corpus). A block's head, built
-    once for the pass, is heads.proto_argmax_head over the ranked prototype
-    labels when protos are given, else heads.linear_argmax_head, whose
-    labels are the tag vocabulary in order."""
+    predicted label among them (see predict_corpus), from one
+    encoder.projected_blocks pass. A block's head, built once for the pass,
+    is heads.proto_argmax_head over the ranked prototype labels when protos
+    are given, else heads.linear_argmax_head, whose labels are the tag
+    vocabulary in order."""
     if protos is not None:
         ranked = _ranking(protos.labels, model.labels.tag_vocabulary)
         labels = tuple(protos.labels[i] for i in ranked)
@@ -139,7 +140,7 @@ def _predict_ids(
         head = linear_argmax_head(model.head)
     else:
         raise DataError("prototype checkpoints carry no head arrays; supply a support set")
-    return labels, encode_blocks(model.encoder, words, head)
+    return labels, projected_blocks(model.encoder, words, head)
 
 
 def predict_corpus(
@@ -151,12 +152,14 @@ def predict_corpus(
     tag vocabulary; prototype labels outside it rank after every label in
     it, in their given order.
 
-    Sentences are encoded and scored in one encoder.encode_blocks pass
-    whose head is the ranked argmax: one encode, one head call and one
-    argmax per block of whole sentences. Linear logits and prototype
-    distances come from one matrix product per block; a winner it cannot
-    certify is rescored exactly (for the linear head, its whole block), so
-    the tags equal the exact scores' argmax.
+    Sentences are encoded and scored in one encoder.projected_blocks pass
+    whose head is the ranked argmax: one encode from the column's per-word
+    projection tables, one head call and one argmax per block of whole
+    sentences. Linear logits and prototype distances come from one matrix
+    product per block; a winner the head cannot certify against the exact
+    encoder's representations is rescored exactly from them (its block is
+    re-encoded exactly and, for the linear head, rescored whole), so the tags
+    equal the exact scores' argmax.
     """
     words = word_ids(s.tokens for s in sentences)
     names, ids = _predict_ids(model, words, protos)

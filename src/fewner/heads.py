@@ -105,40 +105,55 @@ def linear_forward(head: LinearHead, repr_vec: np.ndarray) -> np.ndarray:
 
 def linear_argmax_head(head: LinearHead):
     """np.argmax(linear_forward(head, reprs), axis=1) as a head of (N, H)
-    reprs alone, certified label-major, with its constants built once.
+    reprs, certified label-major per row, with its constants built once.
+
+    The head is argmax(reprs, slack=0.0, exact=None): reprs are within slack
+    of the exact representations, entry by entry, and exact() returns those
+    (reprs themselves when exact is None).
 
     z = (reprs @ W.T).T + b (W.T contiguous: faster than W @ reprs.T) is a
     (labels, rows) matrix reduced over axis 0. With b_j as an (H + 1)-th
     term, each logit here and on the exact path is a dot product summed in
-    some order, within g (max|r| ||W_j||_1 + |b_j|) of the real one,
+    some order, within g (||r||_1 max|W| + |b_j|) of the real one,
     g = (H + 1)u / (1 - (H + 1)u), u = 2^-53 (Higham, Accuracy and
-    Stability of Numerical Algorithms, 3.1); the two differ by at most
-    D = 2g (max|r| max_j ||W_j||_1 + max|b|). A block is certified when
-    m + t < 1e300, m = max|z|, t = 2D + 1e-9 (1 + m), and in each row only
-    the best logit reaches max - t. Each exact row then has the same unique
-    best logit, ahead by more than 1e-9 (1 + m) less a few ulps of m (the
-    rounding of t and the comparisons), which the max-shift, log-sum and exp
-    cannot close; no exact (shifted) logit overflows, so the exact path
-    would not raise. Other blocks (ties, near-ties, anything not finite) are
-    rescored exactly as a whole: the exact product's rounding depends on the
-    block's row count.
+    Stability of Numerical Algorithms, 3.1), r being the row. (||r||_1 is
+    one matrix-vector product; a per-row max|r| is a reduction along the
+    short trailing axis, several times slower.) The exact row's real logits
+    differ from reprs' by at most ||W_j||_1 slack and its ||r||_1 is at most
+    reprs' plus H slack, so for row i the two paths' logits differ by at
+    most D_i = 2g ((r_i + H slack) max|W| + b1) + w1 slack,
+    w1 = max_j ||W_j||_1, b1 = max|b|, r_i = ||reprs[i]||_1. Row i is
+    certified when m_i + t_i < 1e300, m_i = max|z[:, i]|,
+    t_i = 2 D_i + 1e-9 (1 + m_i), and only its best logit reaches
+    max - t_i. Its exact row then has the same unique best logit, ahead by
+    more than 1e-9 (1 + m_i) less a few ulps of m_i (the rounding of t_i and
+    the comparisons), which the max-shift, log-sum and exp cannot close; no
+    exact (shifted) logit overflows, so the exact path would not raise. A
+    block with a row not certified (ties, near-ties, anything not finite)
+    takes exact() and is rescored exactly as a whole: the exact product's
+    rounding depends on the block's row count. The certified index comes
+    from the mask of logits reaching max - t_i, which holds one per row.
     """
     weights_t, bias = np.ascontiguousarray(head.weights.T), head.bias[:, None]
-    scale = 4 / (2.0**53 / (head.weights.shape[1] + 1) - 1)  # 4g: 2D = scale (max|r| w1 + b1)
+    n_labels, dim = head.weights.shape
+    scale = 4 / (2.0**53 / (dim + 1) - 1)  # 4g
     w1, b1 = np.abs(head.weights).sum(axis=1).max(), np.abs(head.bias).max()
+    w_max, ones, labels = np.abs(head.weights).max(), np.ones(dim), np.arange(n_labels)
 
-    def argmax(reprs: np.ndarray) -> np.ndarray:
+    def argmax(reprs: np.ndarray, slack: float = 0.0, exact=None) -> np.ndarray:
         reprs = np.asarray(reprs, dtype=float)
         with np.errstate(all="ignore"):  # what is not finite is rescored exactly
             z = np.ascontiguousarray((reprs @ weights_t).T)
             z += bias
             top = z.max(axis=0)
-            m = np.maximum(top.max(initial=0.0), -z.min(initial=0.0))
-            r = np.maximum(reprs.max(initial=0.0), -reprs.min(initial=0.0))
-            t = scale * (r * w1 + b1) + 1e-9 * (1 + m)
-            if m + t < 1e300 and np.count_nonzero(z >= top - t) == len(reprs):
-                return np.argmax(z, axis=0)
-        return np.argmax(linear_forward(head, reprs), axis=1)
+            m = np.maximum(top, -z.min(axis=0))
+            r = np.abs(reprs) @ ones + dim * slack
+            t = scale * (r * w_max + b1) + 2 * w1 * slack + 1e-9 * (1 + m)
+            best = z >= top - t
+            if (m + t).max(initial=0.0) < 1e300 and np.count_nonzero(best) == len(reprs):
+                return labels @ best
+        rows = reprs if exact is None else exact()
+        return np.argmax(linear_forward(head, rows), axis=1)
 
     return argmax
 
@@ -375,12 +390,21 @@ def proto_argmax_head(protos: PrototypeSet, ranked):
     (-2C) @ reprs.T + ||c||^2 + ||r||^2 as a (centroids, rows) matrix, and
     the min, exp, label means, argmax and runner-up reduce over its axis 0.
     These differ from the exact path's by less than E = 8(H + 8) u
-    (max ||r||^2 + max ||c||^2), u = 2^-53, in any summation order. So each
-    distance moves by at most delta = sqrt(E), and each label's mean of
-    exp(min d - d) by a factor e^(+-delta): a row whose best label beats
-    every other by more than e^(2 delta) (1 + 1e-9) has the exact argmax.
-    The other rows (ties, near-ties, anything not finite, whose ||r||^2 delta
-    skips) are rescored exactly; row i of multi_proto_scores needs row i only.
+    (max ||r||^2 + max ||c||^2), u = 2^-53, in any summation order (each
+    path's squared distances are within E/4 of the real ones, so their
+    distances are within sqrt(E)/2). So each distance moves by at most
+    delta = sqrt(E), and each label's mean of exp(min d - d) by a factor
+    e^(+-delta): a row whose best label beats every other by more than
+    e^(2 delta) (1 + 1e-9) has the exact argmax.
+
+    The head is head(reprs, slack=0.0, exact=None): reprs are within slack
+    of the exact representations, entry by entry, and exact() returns those
+    (reprs themselves when exact is None). An exact row is then within
+    sqrt(H) slack of reprs' in Euclidean norm, so max ||r|| in E grows by
+    that, and so does every real distance, which delta gains. The rows not
+    certified (ties, near-ties, anything not finite, whose ||r||^2 delta
+    skips) are rescored exactly from exact(); row i of multi_proto_scores
+    needs row i only.
     """
     cents = [protos.entries[j][1] for j in ranked]
     sizes = [len(c) for c in cents]
@@ -389,8 +413,9 @@ def proto_argmax_head(protos: PrototypeSet, ranked):
     c2 = np.einsum("ij,ij->i", all_cents, all_cents)[:, None]
     mean = np.repeat(np.eye(len(cents)) / sizes, sizes, axis=1)  # label means of centroid rows
     unit = 8 * (all_cents.shape[1] + 8) * 2.0**-53
+    root_h = math.sqrt(all_cents.shape[1])
 
-    def head(reprs: np.ndarray) -> np.ndarray:
+    def head(reprs: np.ndarray, slack: float = 0.0, exact=None) -> np.ndarray:
         reprs = np.asarray(reprs, dtype=float)
         with np.errstate(all="ignore"):  # what is not finite is rescored exactly
             r2 = np.einsum("ij,ij->i", reprs, reprs)
@@ -400,7 +425,9 @@ def proto_argmax_head(protos: PrototypeSet, ranked):
             np.sqrt(np.maximum(dist, 0.0, out=dist), out=dist)
             flat = np.exp(np.subtract(dist.min(axis=0), dist, out=dist), out=dist)
             scores = mean @ flat
-            delta = np.sqrt(unit * (r2.max(initial=0.0, where=r2 < np.inf) + c2.max()))
+            r2_max, spread = r2.max(initial=0.0, where=r2 < np.inf), root_h * slack
+            r2_max += spread * (2 * np.sqrt(r2_max) + spread)  # (max ||r|| + spread)^2
+            delta = np.sqrt(unit * (r2_max + c2.max())) + spread
             margin = np.exp(2 * delta) * (1 + 1e-9)
             cols = np.arange(len(reprs))
             best = np.argmax(scores, axis=0)
@@ -408,7 +435,8 @@ def proto_argmax_head(protos: PrototypeSet, ranked):
             scores[best, cols] = -np.inf
             doubt = np.flatnonzero(~(top > scores.max(axis=0) * margin))
         if len(doubt):
-            best[doubt] = np.argmax(multi_proto_scores(protos, reprs[doubt])[:, ranked], axis=1)
+            rows = (reprs if exact is None else exact())[doubt]
+            best[doubt] = np.argmax(multi_proto_scores(protos, rows)[:, ranked], axis=1)
         return best
 
     return head

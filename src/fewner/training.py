@@ -235,9 +235,13 @@ def adam_step(state: OptimizerState, arena: ParamArena) -> None:
     num *= g
     v *= state.beta2
     v += num
-    # p -= (lr m_hat) / (sqrt(v_hat) + eps)
-    np.divide(m, bias1, out=num)
-    num *= lr
+    # p -= (lr m_hat) / (sqrt(v_hat) + eps); from step 356 on bias1 is 1.0,
+    # and x / 1.0 is x bit for bit
+    if bias1 == 1.0:
+        np.multiply(m, lr, out=num)
+    else:
+        np.divide(m, bias1, out=num)
+        num *= lr
     np.divide(v, bias2, out=den)
     np.sqrt(den, out=den)
     den += state.eps

@@ -243,6 +243,104 @@ class TestBlocks:
         assert heads == []
 
 
+def _column(rng, params, n_sentences=40):
+    """A word-id column of random sentences over params' vocabulary and one
+    out-of-vocabulary word, and its used rows and local windows."""
+    words = [*params.vocab[2:], "oov-word"]
+    seqs = [[rng.choice(words) for _ in range(rng.randint(1, 30))] for _ in range(n_sentences)]
+    column = word_ids(seqs)
+    return column, *encoder._column_windows(params, column)
+
+
+def _gate_sum(params, used) -> float:
+    """S of projection_tables: max|E_used| max_j ||W_j||_1 + max|b|."""
+    emb = np.abs(params.embedding_table[used]).max()
+    return emb * np.abs(params.context_weights).sum(axis=1).max() + np.abs(params.context_bias).max()
+
+
+class TestProjectionTables:
+    def test_used_rows_index_the_word_windows(self):
+        params = _random_encoder(random.Random(34), vocab_size=20)
+        column, used, windows = _column(random.Random(35), params)
+        # <PAD> first, then one row per distinct word of the column
+        assert used[0] == params._index[PAD] and len(used) == len(column.words) + 1
+        assert np.array_equal(used[windows], word_windows(params, column))
+
+    @pytest.mark.parametrize("scale", [1e-3, 1.0, 1e3, 1e100, 0.9e300])
+    def test_within_the_slack_of_encode_windows(self, scale):
+        """scale multiplies the weights; the last one puts S just under 1e300."""
+        rng = random.Random(36)
+        params = _random_encoder(rng, vocab_size=20, embed_dim=8, hidden_dim=16)
+        column, used, windows = _column(rng, params)
+        if scale > 1e200:
+            scale /= _gate_sum(params, used)
+        params.context_weights *= scale
+        tables, slack = encoder.projection_tables(params, used)
+        assert tables.shape == (3, len(used), params.hidden_dim)
+        pre = tables[0][windows[:, 0]] + tables[1][windows[:, 1]] + tables[2][windows[:, 2]]
+        exact = encode_windows(params, used[windows])
+        assert np.abs(np.tanh(pre) - exact).max() <= slack
+        assert slack >= 2 * encoder.TANH_ERROR
+
+    def test_gate(self):
+        rng = random.Random(37)
+        params = _random_encoder(rng, vocab_size=30, embed_dim=4, hidden_dim=6)
+        column, used, _ = _column(rng, params, n_sentences=3)
+        unused = sorted(set(range(len(params.vocab))) - set(used.tolist()))
+        assert unused
+        params.embedding_table[unused[0]] = np.nan  # a row no window reads
+        assert encoder.projection_tables(params, used) is not None
+        params.embedding_table[used[1]] = np.nan
+        assert encoder.projection_tables(params, used) is None
+        params.embedding_table[used[1]] = 0.5
+        params.context_bias[:] = 0.0  # S scales with the weights
+        gate = 1e300 / _gate_sum(params, used)
+        params.context_weights *= 0.5 * gate
+        assert encoder.projection_tables(params, used) is not None
+        params.context_weights *= 4.0  # S is now 2e300: past the gate, still finite
+        assert encoder.projection_tables(params, used) is None
+        params.context_weights *= np.inf
+        with np.errstate(invalid="ignore"):
+            assert encoder.projection_tables(params, used) is None
+
+    def test_projected_blocks_hand_the_head_its_certificate(self):
+        rng = random.Random(38)
+        params = _random_encoder(rng, vocab_size=20, embed_dim=8, hidden_dim=16)
+        column, used, windows = _column(rng, params, n_sentences=60)
+        _, slack = encoder.projection_tables(params, used)
+        seen = []
+
+        def head(reprs, head_slack, exact):
+            seen.append((reprs.copy(), head_slack, exact()))
+            return np.arange(len(reprs))
+
+        got = encoder.projected_blocks(params, column, head)
+        blocks = list(encoder._blocks(column.offsets))
+        assert len(seen) == len(blocks) >= 2
+        assert np.array_equal(got, np.concatenate([np.arange(b - a) for a, b in blocks]))
+        whole = word_windows(params, column)
+        for (reprs, head_slack, exact), (a, b) in zip(seen, blocks):
+            # exact() is the block's encode_windows, the reprs within the slack of it
+            assert head_slack == slack
+            assert np.array_equal(exact, encode_windows(params, whole[a:b]))
+            assert np.abs(reprs - exact).max() <= slack
+
+    def test_projected_blocks_without_tables_are_encode_blocks(self):
+        params = _random_encoder(random.Random(39))
+        column = word_ids([["w0", "w1"], ["w2"]])
+        params.context_bias[:] = 0.0  # S scales with the weights
+        used, _ = encoder._column_windows(params, column)
+        params.context_weights *= 2e300 / _gate_sum(params, used)
+        # the head is called with reprs alone, as encode_blocks calls it
+        got = encoder.projected_blocks(params, column, lambda r: r)
+        assert np.array_equal(got, encode_blocks(params, column, lambda r: r))
+        params.embedding_table[params._index["w1"]] = np.nan
+        calls = []
+        with pytest.raises(NumericError, match="^non-finite encoder pre-activation$"):
+            encoder.projected_blocks(params, column, calls.append)
+        assert calls == []
+
+
 class TestEncodeBackward:
     def test_zero_upstream_zero_grads(self):
         rng = random.Random(11)

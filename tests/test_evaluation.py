@@ -15,7 +15,7 @@ from fewner.corpus import (
     sample_fewshot,
     word_ids,
 )
-from fewner.errors import DataError
+from fewner.errors import DataError, NumericError
 from fewner.evaluation import (
     AggregateReport,
     Experiment,
@@ -31,7 +31,13 @@ from fewner import evaluation as evaluation_module
 from fewner import heads as heads_module
 from fewner.checkpoint import Model
 from fewner.encoder import encode, init_encoder
-from fewner.heads import PrototypeSet, init_linear_head, linear_forward, multi_proto_score
+from fewner.heads import (
+    PrototypeSet,
+    init_linear_head,
+    linear_forward,
+    multi_proto_score,
+    multi_proto_scores,
+)
 from fewner.synthetic import transfer_benchmark
 from fewner.training import (
     TrainConfig,
@@ -525,16 +531,23 @@ class TestBlockInference:
         labeled = sample_fewshot(bench.train, 5, 0)
         config = TrainConfig.five_shot(seed=0, learning_rate=0.01)
         source_config = TrainConfig(seed=0, learning_rate=0.05, batch_size=8)
-        blocks, exact = [], []
+        blocks, exact, encoded = [], [], []
         make_head = heads_module.linear_argmax_head
+        encode_windows = encoder_module.encode_windows
 
         def counted_head(head):
             argmax = make_head(head)
-            return lambda reprs: blocks.append(len(reprs)) or argmax(reprs)
+            return lambda reprs, *certificate: blocks.append(len(reprs)) or argmax(
+                reprs, *certificate
+            )
 
         def exact_spy(head, reprs):
             exact.append(len(reprs))
             return linear_forward(head, reprs)
+
+        def encode_spy(params, windows):
+            encoded.append(len(windows))
+            return encode_windows(params, windows)
 
         for scheme in ("lc", "lc+nsp", "lc+st", "lc+nsp+st"):
             model = run_scheme(
@@ -544,9 +557,11 @@ class TestBlockInference:
             with monkeypatch.context() as patch:
                 patch.setattr(evaluation_module, "linear_argmax_head", counted_head)
                 patch.setattr(heads_module, "linear_forward", exact_spy)
+                patch.setattr(encoder_module, "encode_windows", encode_spy)
                 evaluate_model(model, bench.test, "BIO")
         assert len(blocks) == 60 and sum(blocks) == 4 * bench.test.offsets[-1]
-        assert exact == []
+        # every block is encoded from the projection tables and certified there
+        assert exact == [] and encoded == []
 
     def test_one_sentence_corpus_matches_reference(self):
         rng = random.Random(48)
@@ -554,6 +569,92 @@ class TestBlockInference:
         corpus = _random_corpus(rng, model.labels, 20)
         for sent in corpus.sentences:
             assert predict_corpus(model, [sent]) == [reference_sentence_tags(model, sent)]
+
+
+def _exact_block_ids(model, words, protos=None):
+    """_predict_ids' label ids from the exact per-block path: each block's
+    encode_windows, then the exact head (the linear log softmax, or the
+    multi-prototype scores over the ranked labels) and its argmax."""
+    if protos is None:
+        head = lambda reprs: np.argmax(linear_forward(model.head, reprs), axis=1)
+    else:
+        ranked = evaluation_module._ranking(protos.labels, model.labels.tag_vocabulary)
+        head = lambda reprs: np.argmax(multi_proto_scores(protos, reprs)[:, ranked], axis=1)
+    return encoder_module.encode_blocks(model.encoder, words, head)
+
+
+def _gate_sum(encoder, words) -> float:
+    """S of encoder.projection_tables over the rows the column uses."""
+    used, _ = encoder_module._column_windows(encoder, words)
+    emb = np.abs(encoder.embedding_table[used]).max()
+    weights = np.abs(encoder.context_weights).sum(axis=1).max()
+    return emb * weights + np.abs(encoder.context_bias).max()
+
+
+class TestProjectedPrediction:
+    """Argmax prediction from the projection tables against the exact
+    per-block path."""
+
+    # weight scales; "below" and "past" put S at 0.5e300 and 2e300
+    @pytest.mark.parametrize("scale", [1e-2, 1.0, 10.0, 1e3, 1e100, "below", "past"])
+    @pytest.mark.parametrize("kind", ["linear", "protos"])
+    def test_equals_the_exact_per_block_path(self, scale, kind):
+        rng = random.Random(60)
+        np_rng = np.random.default_rng(61)
+        model = _random_model(np_rng, 32, 64)
+        test = _random_corpus(rng, model.labels, 100, long_at=60)
+        words = test.word_ids
+        model.head.weights[:] = np_rng.normal(size=model.head.weights.shape)
+        protos = None
+        if kind == "protos":
+            protos = support_prototypes(model.encoder, test, shots=10, seed=0)
+        if isinstance(scale, str):
+            model.encoder.context_bias[:] = 0.0  # S scales with the weights
+            scale = (0.5e300 if scale == "below" else 2e300) / _gate_sum(model.encoder, words)
+        model.encoder.context_weights *= scale
+        used, _ = encoder_module._column_windows(model.encoder, words)
+        certified = encoder_module.projection_tables(model.encoder, used) is not None
+        assert certified == (_gate_sum(model.encoder, words) < 1e300)
+        labels, got = evaluation_module._predict_ids(model, words, protos)
+        want = _exact_block_ids(model, words, protos)
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+        assert len(got) == words.offsets[-1]
+
+    def test_a_tied_head_re_encodes_every_block(self, monkeypatch):
+        rng = random.Random(62)
+        model = _random_model(np.random.default_rng(63), 32, 64)
+        test = _random_corpus(rng, model.labels, 150)
+        # rows 1 and 2 zero with zero bias, the last row a copy of row 0
+        head = model.head
+        head.weights[[1, 2]], head.bias[[1, 2]] = 0.0, 0.0
+        head.weights[-1], head.bias[-1] = head.weights[0], head.bias[0]
+        blocks = list(encoder_module._blocks(test.offsets))
+        encode_windows = encoder_module.encode_windows
+        encoded = []
+
+        def spy(params, windows):
+            encoded.append(len(windows))
+            return encode_windows(params, windows)
+
+        monkeypatch.setattr(encoder_module, "encode_windows", spy)
+        _, got = evaluation_module._predict_ids(model, test.word_ids)
+        assert len(blocks) >= 4 and encoded == [b - a for a, b in blocks]
+        monkeypatch.undo()
+        assert np.array_equal(got, _exact_block_ids(model, test.word_ids))
+
+    def test_embedding_rows_outside_the_column_do_not_matter(self):
+        rng = random.Random(64)
+        model = _random_model(np.random.default_rng(65), 32, 64)
+        test = _random_corpus(rng, model.labels, 10)
+        used, _ = encoder_module._column_windows(model.encoder, test.word_ids)
+        unused = sorted(set(range(len(model.encoder.vocab))) - set(used.tolist()))
+        assert len(unused) > 10
+        want = predict_corpus(model, test.sentences)
+        model.encoder.embedding_table[unused] = np.nan
+        assert predict_corpus(model, test.sentences) == want
+        model.encoder.embedding_table[used[-1]] = np.nan
+        with pytest.raises(NumericError, match="^non-finite encoder pre-activation$"):
+            predict_corpus(model, test.sentences)
 
 
 class TestEvaluateModel:

@@ -59,6 +59,13 @@ def _outcome(fn):
         return f"NumericError: {exc}"
 
 
+def _within(rows, slack, seed):
+    """rows moved by at most slack / 2 each entry (so that, rounding
+    included, by at most slack)."""
+    rng = np.random.default_rng(seed)
+    return rows + rng.uniform(-slack / 2, slack / 2, size=rows.shape)
+
+
 def _same(got, want) -> bool:
     """Equal error texts, or equal arrays of the same dtype."""
     if isinstance(want, str) or isinstance(got, str):
@@ -671,6 +678,19 @@ class TestMultiProtoArgmax:
         # the bound comes from the 512 finite rows, which all stay certified
         assert rescored == [1]
 
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(tie_prone_blocks(), st.sampled_from((1e-15, 1e-12, 1e-9, 1e-6)), st.integers(0, 2**32 - 1))
+    def test_rows_within_a_slack_certify_the_exact_rows(self, block, slack, seed):
+        """reprs within slack of the exact rows, entry by entry, give the
+        exact rows' ranked argmax; doubtful rows are rescored from exact()."""
+        protos, exact_rows, ranked = block
+        reprs = _within(exact_rows, slack, seed)
+        exact = lambda rows: np.argmax(multi_proto_scores(protos, rows)[:, ranked], axis=1)
+        head = proto_argmax_head(protos, ranked)
+        with np.errstate(all="ignore"):
+            want = _outcome(lambda: exact(exact_rows))
+            assert _same(_outcome(lambda: head(reprs, slack, lambda: exact_rows)), want)
+
 
 @st.composite
 def tie_prone_linear(draw):
@@ -717,6 +737,50 @@ class TestLinearArgmaxHead:
             # one head's constants serve every block of a pass, in any order
             for rows in (reprs, reprs[::-1], reprs[:0]):
                 assert _same(_outcome(lambda: argmax(rows)), _outcome(lambda: exact(rows)))
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(tie_prone_linear(), st.sampled_from((1e-15, 1e-12, 1e-9, 1e-6)), st.integers(0, 2**32 - 1))
+    def test_rows_within_a_slack_certify_the_exact_rows(self, case, slack, seed):
+        """reprs within slack of the exact rows, entry by entry, give the
+        exact rows' argmax; a doubtful block is rescored from exact()."""
+        head, exact_rows = case
+        reprs = _within(exact_rows, slack, seed)
+        argmax = linear_argmax_head(head)
+        with np.errstate(all="ignore"):
+            want = _outcome(lambda: _exact_argmax(head)(exact_rows))
+            assert _same(_outcome(lambda: argmax(reprs, slack, lambda: exact_rows)), want)
+
+    def test_a_doubtful_block_scores_the_exact_rows(self):
+        # labels 0 and 2 tie on every row, so the block is not certified
+        head = LinearHead(np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 0.0]]), np.zeros(3))
+        reprs = np.array([[1.0, 0.0], [0.0, 1.0]])
+        exact_rows = np.array([[0.0, 1.0], [0.0, 1.0]])
+        calls = []
+
+        def exact():
+            calls.append(1)
+            return exact_rows
+
+        argmax = linear_argmax_head(head)
+        assert np.array_equal(argmax(reprs, 1e-12, exact), [1, 1]) and calls == [1]
+        # a certified block never asks for the exact rows
+        certified = LinearHead(head.weights[:2], head.bias[:2])
+        assert np.array_equal(linear_argmax_head(certified)(reprs, 1e-12, exact), [0, 1])
+        assert calls == [1]
+
+    def test_one_huge_row_leaves_the_others_certified(self, monkeypatch):
+        """The margin is per row: logits of +-1 and +-2 beside a row at 4e299
+        and 8e299 stay certified, so the block never reaches the exact head."""
+        calls = []
+
+        def spy(head, rows):
+            calls.append(len(rows))
+            return linear_forward(head, rows)
+
+        monkeypatch.setattr(heads, "linear_forward", spy)
+        head = LinearHead(np.array([[1.0], [2.0]]), np.zeros(2))
+        got = linear_argmax_head(head)(np.array([[1.0], [4e299], [-1.0]]))
+        assert np.array_equal(got, [1, 1, 0]) and calls == []
 
     @pytest.mark.parametrize("lengths", [(), (1,), (511,), (512,), (513,), (300, 211, 1, 513)])
     @pytest.mark.parametrize("ties", [False, True])

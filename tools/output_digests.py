@@ -28,7 +28,11 @@ Prints one ``name sha256`` line per output:
   head ties (``tie_head``: two zero rows and two equal rows) on a test
   corpus of 5 encoder blocks, on seeds 0-2, and the ``fewner eval`` stdout of
   the ``lc`` checkpoint with its head tied the same way, so the label an
-  exact tie goes to is pinned;
+  exact tie goes to is pinned; and from an ``lc`` model (by its head and by
+  support prototypes) whose encoder drives prediction's projection-table
+  gate: NaN in an embedding row the test reads (the error text), NaN in a
+  row it does not read, and context weights scaled past the gate, on seeds
+  0-2;
 * the exit code, stdout and stderr of ``fewner stats`` on small CoNLL files
   (``PARSE_INPUTS``): malformed ones, whose one error line names the bad
   line, and valid ones with unusual layout (``-DOCSTART-`` lines, CR and
@@ -244,6 +248,49 @@ def linear_tie_digests(fewner):
             return "\n".join(" ".join(t) for t in predict_corpus(model, test.sentences))
 
         yield f"predict/linear_ties/seed{seed}", _guarded(fewner, tags)
+
+
+def gate_digests(fewner):
+    """Predicted tag strings (or the error text) of lc models, by their head
+    and by support prototypes, where the encoder drives prediction's
+    projection-table gate: NaN in an embedding row the test reads, NaN in a
+    row it does not read, and context weights scaled so that
+    max|E| max_j ||W_j||_1 over the rows it reads is 2e300."""
+    from fewner.checkpoint import Model
+    from fewner.evaluation import predict_corpus
+    from fewner.synthetic import make_corpus
+
+    for seed in SEEDS:
+        train = make_corpus(40, seed * 7919 + 2)
+        test = make_corpus(100, seed * 7919 + 3)
+        config = fewner.TrainConfig.five_shot(seed=seed, epochs=3, learning_rate=0.05)
+        model = fewner.run_scheme(train, config)
+        support = fewner.sample_fewshot(train, 5, seed)
+        protos = fewner.support_prototypes(model.encoder, support, shots=5, seed=seed)
+        index = {w: i for i, w in enumerate(model.encoder.vocab)}
+        words = {t for s in test.sentences for t in s.tokens}
+        read = sorted({0, *(index.get(w, 1) for w in words)})  # <PAD>, <UNK> are rows 0, 1
+        unread = [i for i in range(len(index)) if i not in read]
+
+        def nan_read(encoder):
+            encoder.embedding_table[read[-1]] = float("nan")
+
+        def nan_unread(encoder):
+            encoder.embedding_table[unread[0]] = float("nan")
+
+        def past_gate(encoder):
+            emb = abs(encoder.embedding_table[read]).max()
+            encoder.context_weights *= 2e300 / (emb * abs(encoder.context_weights).sum(1).max())
+
+        for name, change in (("nan_read", nan_read), ("nan_unread", nan_unread),
+                             ("past_gate", past_gate)):
+            changed = Model(model.encoder.copy(), model.labels, model.head)
+            change(changed.encoder)
+            for head, head_protos in (("head", None), ("protos", protos)):
+                tags = lambda: "\n".join(
+                    " ".join(t) for t in predict_corpus(changed, test.sentences, head_protos)
+                )
+                yield f"predict/gate_{name}/{head}/seed{seed}", _guarded(fewner, tags)
 
 
 def episodic_prediction_digests(fewner):
@@ -515,6 +562,7 @@ def main(argv=None) -> int:
         stop_rule_digests,
         prediction_digests,
         linear_tie_digests,
+        gate_digests,
         episodic_prediction_digests,
         loss_digests,
         report_digests,
