@@ -822,3 +822,11 @@ def reference_batched_train_prototype(corpus, config, encoder) -> list[float]:
             losses.append(sum(epoch_losses) / len(epoch_losses) if epoch_losses else 0.0)
             epoch_losses = []
     return losses
+
+
+def reference_gate_sum(params, used) -> float:
+    """S of encoder.projection_tables over the embedding rows used:
+    max|E_used| max_j ||W_j||_1 + max|b|."""
+    emb = np.abs(params.embedding_table[used]).max()
+    weights = np.abs(params.context_weights).sum(axis=1).max()
+    return emb * weights + np.abs(params.context_bias).max()

@@ -28,6 +28,7 @@ from oracles import (
     assert_grad_close,
     finite_difference,
     reference_encode_windows_backward,
+    reference_gate_sum,
     reference_windows,
 )
 
@@ -252,12 +253,6 @@ def _column(rng, params, n_sentences=40):
     return column, *encoder._column_windows(params, column)
 
 
-def _gate_sum(params, used) -> float:
-    """S of projection_tables: max|E_used| max_j ||W_j||_1 + max|b|."""
-    emb = np.abs(params.embedding_table[used]).max()
-    return emb * np.abs(params.context_weights).sum(axis=1).max() + np.abs(params.context_bias).max()
-
-
 class TestProjectionTables:
     def test_used_rows_index_the_word_windows(self):
         params = _random_encoder(random.Random(34), vocab_size=20)
@@ -273,7 +268,7 @@ class TestProjectionTables:
         params = _random_encoder(rng, vocab_size=20, embed_dim=8, hidden_dim=16)
         column, used, windows = _column(rng, params)
         if scale > 1e200:
-            scale /= _gate_sum(params, used)
+            scale /= reference_gate_sum(params, used)
         params.context_weights *= scale
         tables, slack = encoder.projection_tables(params, used)
         assert tables.shape == (3, len(used), params.hidden_dim)
@@ -294,7 +289,7 @@ class TestProjectionTables:
         assert encoder.projection_tables(params, used) is None
         params.embedding_table[used[1]] = 0.5
         params.context_bias[:] = 0.0  # S scales with the weights
-        gate = 1e300 / _gate_sum(params, used)
+        gate = 1e300 / reference_gate_sum(params, used)
         params.context_weights *= 0.5 * gate
         assert encoder.projection_tables(params, used) is not None
         params.context_weights *= 4.0  # S is now 2e300: past the gate, still finite
@@ -330,7 +325,7 @@ class TestProjectionTables:
         column = word_ids([["w0", "w1"], ["w2"]])
         params.context_bias[:] = 0.0  # S scales with the weights
         used, _ = encoder._column_windows(params, column)
-        params.context_weights *= 2e300 / _gate_sum(params, used)
+        params.context_weights *= 2e300 / reference_gate_sum(params, used)
         # the head is called with reprs alone, as encode_blocks calls it
         got = encoder.projected_blocks(params, column, lambda r: r)
         assert np.array_equal(got, encode_blocks(params, column, lambda r: r))

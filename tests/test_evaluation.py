@@ -54,6 +54,7 @@ from oracles import (
     oracle_f1,
     oracle_type_counts,
     reference_entity_f1,
+    reference_gate_sum,
     random_tagseq,
     reference_generate_soft_labels,
     reference_multi_proto_scores,
@@ -585,10 +586,7 @@ def _exact_block_ids(model, words, protos=None):
 
 def _gate_sum(encoder, words) -> float:
     """S of encoder.projection_tables over the rows the column uses."""
-    used, _ = encoder_module._column_windows(encoder, words)
-    emb = np.abs(encoder.embedding_table[used]).max()
-    weights = np.abs(encoder.context_weights).sum(axis=1).max()
-    return emb * weights + np.abs(encoder.context_bias).max()
+    return reference_gate_sum(encoder, encoder_module._column_windows(encoder, words)[0])
 
 
 class TestProjectedPrediction:

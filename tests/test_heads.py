@@ -678,6 +678,15 @@ class TestMultiProtoArgmax:
         # the bound comes from the 512 finite rows, which all stay certified
         assert rescored == [1]
 
+    def test_a_lead_within_the_slack_is_not_certified(self):
+        protos = PrototypeSet([("O", np.zeros((1, 2))), ("B-PER", np.array([[1.0, 0.0]]))])
+        ranked = _ranking(protos.labels, VOCAB)
+        exact_rows = np.array([[0.5 + 4e-7, 0.0]])  # nearer B-PER
+        reprs = exact_rows - [[1e-6, 0.0]]  # within a slack of 1e-6, and nearer O
+        head = proto_argmax_head(protos, ranked)
+        assert head(reprs).tolist() == [0]  # certified on reprs alone
+        assert head(reprs, 1e-6, lambda: exact_rows).tolist() == [1]
+
     @settings(max_examples=150, deadline=None, derandomize=True)
     @given(tie_prone_blocks(), st.sampled_from((1e-15, 1e-12, 1e-9, 1e-6)), st.integers(0, 2**32 - 1))
     def test_rows_within_a_slack_certify_the_exact_rows(self, block, slack, seed):
@@ -749,6 +758,14 @@ class TestLinearArgmaxHead:
         with np.errstate(all="ignore"):
             want = _outcome(lambda: _exact_argmax(head)(exact_rows))
             assert _same(_outcome(lambda: argmax(reprs, slack, lambda: exact_rows)), want)
+
+    def test_a_lead_within_the_slack_is_not_certified(self):
+        head = LinearHead(np.eye(2), np.zeros(2))
+        exact_rows = np.array([[0.5, 0.5 + 4e-7]])  # label 1 leads by 4e-7
+        reprs = exact_rows + [[5e-7, -5e-7]]  # within a slack of 1e-6; label 0 leads
+        argmax = linear_argmax_head(head)
+        assert argmax(reprs).tolist() == [0]  # certified on reprs alone
+        assert argmax(reprs, 1e-6, lambda: exact_rows).tolist() == [1]
 
     def test_a_doubtful_block_scores_the_exact_rows(self):
         # labels 0 and 2 tie on every row, so the block is not certified
