@@ -311,25 +311,32 @@ def projected_blocks(params: EncoderParams, words: WordIds, head) -> np.ndarray:
     gets those representations, the bound on how far any entry is from
     encode_windows' and a callable that returns the block's representations
     from encode_windows; a head that cannot certify its result calls exact
-    and scores what it returns. Where the tables are not certified, the
-    whole pass is encode_blocks with head(reprs), so every NumericError is
-    raised as encode_blocks raises it.
+    and scores what it returns. reprs is a view of a buffer that the next
+    block overwrites, so head must not keep it. Where the tables are not
+    certified, the whole pass is encode_blocks with head(reprs), so every
+    NumericError is raised as encode_blocks raises it.
     """
     used, windows = _column_windows(params, words)
     certified = projection_tables(params, used)
     if certified is None:
         return encode_blocks(params, words, head)
     (left, centre, right), slack = certified
+    blocks = list(_blocks(words.offsets))
+    # two work buffers for every block: fresh (rows x H) arrays per block
+    # would each be mapped and unmapped by malloc at these sizes
+    work = np.empty((2, max(b - a for a, b in blocks), params.hidden_dim))
 
     def block(a: int, b: int) -> np.ndarray:
         rows = windows[a:b]
-        reprs = np.take(left, rows[:, 0], axis=0)
-        reprs += np.take(centre, rows[:, 1], axis=0)
-        reprs += np.take(right, rows[:, 2], axis=0)
+        reprs, addend = work[:, : b - a]
+        # "clip" keeps take from buffering out; every index is in range
+        np.take(left, rows[:, 0], axis=0, out=reprs, mode="clip")
+        reprs += np.take(centre, rows[:, 1], axis=0, out=addend, mode="clip")
+        reprs += np.take(right, rows[:, 2], axis=0, out=addend, mode="clip")
         exact = lambda: encode_windows(params, used[rows])
         return head(np.tanh(reprs, out=reprs), slack, exact)
 
-    return np.concatenate([block(a, b) for a, b in _blocks(words.offsets)])
+    return np.concatenate([block(a, b) for a, b in blocks])
 
 
 def encode(params: EncoderParams, sentence: TokenSequence) -> np.ndarray:
