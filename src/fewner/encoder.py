@@ -33,7 +33,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .corpus import TokenSequence, WordIds, word_ids
-from .errors import DataError, NumericError
+from .errors import OVERFLOW_BOUND, DataError, NumericError
 
 PAD = "<PAD>"
 UNK = "<UNK>"
@@ -283,9 +283,9 @@ def projection_tables(params: EncoderParams, used: np.ndarray):
     1-Lipschitz and numpy's is taken to be within TANH_ERROR of it, so every
     representation entry differs from encode_windows' by at most the slack
     2 g S + 2 TANH_ERROR. The tables are returned only when all their values
-    are finite and S < 1e300, where neither path can make a pre-activation
-    that is not finite; otherwise (NaN in a used row, weights near overflow)
-    encode_windows is the only certified encoder.
+    are finite and S < OVERFLOW_BOUND (1e300), where neither path can make a
+    pre-activation that is not finite; otherwise (NaN in a used row, weights
+    near overflow) encode_windows is the only certified encoder.
     """
     e, h = params.embed_dim, params.hidden_dim
     emb = np.take(params.embedding_table, used, axis=0)
@@ -295,7 +295,7 @@ def projection_tables(params: EncoderParams, used: np.ndarray):
     with np.errstate(all="ignore"):  # what is not finite fails the gate
         s = np.abs(emb).max(initial=0.0) * np.abs(params.context_weights).sum(axis=1).max()
         s += np.abs(params.context_bias).max()
-        if not (s < 1e300 and np.isfinite(tables).all()):
+        if not (s < OVERFLOW_BOUND and np.isfinite(tables).all()):
             return None
     n = 3 * e + 2
     return tables, 2 * n / (2.0**53 - n) * s + 2 * TANH_ERROR
@@ -313,13 +313,13 @@ def projected_blocks(params: EncoderParams, words: WordIds, head) -> np.ndarray:
     from encode_windows; a head that cannot certify its result calls exact
     and scores what it returns. reprs is a view of a buffer that the next
     block overwrites, so head must not keep it. Where the tables are not
-    certified, the whole pass is encode_blocks with head(reprs), so every
-    NumericError is raised as encode_blocks raises it.
+    certified, the pass is encode_blocks with head(r, 0.0, lambda: r), so
+    every NumericError is raised as encode_blocks raises it.
     """
     used, windows = _column_windows(params, words)
     certified = projection_tables(params, used)
     if certified is None:
-        return encode_blocks(params, words, head)
+        return encode_blocks(params, words, lambda r: head(r, 0.0, lambda: r))
     (left, centre, right), slack = certified
     blocks = list(_blocks(words.offsets))
     # two work buffers for every block: fresh (rows x H) arrays per block
@@ -333,8 +333,7 @@ def projected_blocks(params: EncoderParams, words: WordIds, head) -> np.ndarray:
         np.take(left, rows[:, 0], axis=0, out=reprs, mode="clip")
         reprs += np.take(centre, rows[:, 1], axis=0, out=addend, mode="clip")
         reprs += np.take(right, rows[:, 2], axis=0, out=addend, mode="clip")
-        exact = lambda: encode_windows(params, used[rows])
-        return head(np.tanh(reprs, out=reprs), slack, exact)
+        return head(np.tanh(reprs, out=reprs), slack, lambda: encode_windows(params, used[rows]))
 
     return np.concatenate([block(a, b) for a, b in blocks])
 

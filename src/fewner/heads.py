@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DataError, NumericError
+from .errors import OVERFLOW_BOUND, DataError, NumericError
 
 
 @dataclass
@@ -107,9 +107,9 @@ def linear_argmax_head(head: LinearHead):
     """np.argmax(linear_forward(head, reprs), axis=1) as a head of (N, H)
     reprs, certified label-major per row, with its constants built once.
 
-    The head is argmax(reprs, slack=0.0, exact=None): reprs are within slack
-    of the exact representations, entry by entry, and exact() returns those
-    (reprs themselves when exact is None).
+    The head is argmax(reprs, slack, exact): reprs are within slack of the
+    exact representations, entry by entry, and exact() returns those (a
+    caller holding the exact rows passes slack 0 and lambda: reprs).
 
     z = (reprs @ W.T).T + b (W.T contiguous: faster than W @ reprs.T) is a
     (labels, rows) matrix reduced over axis 0. With b_j as an (H + 1)-th
@@ -123,7 +123,7 @@ def linear_argmax_head(head: LinearHead):
     reprs' plus H slack, so for row i the two paths' logits differ by at
     most D_i = 2g ((r_i + H slack) max|W| + b1) + w1 slack,
     w1 = max_j ||W_j||_1, b1 = max|b|, r_i = ||reprs[i]||_1. Row i is
-    certified when m_i + t_i < 1e300, m_i = max|z[:, i]|,
+    certified when m_i + t_i < OVERFLOW_BOUND (1e300), m_i = max|z[:, i]|,
     t_i = 2 D_i + 1e-9 (1 + m_i), and only its best logit reaches
     max - t_i. Its exact row then has the same unique best logit, ahead by
     more than 1e-9 (1 + m_i) less a few ulps of m_i (the rounding of t_i and
@@ -140,7 +140,7 @@ def linear_argmax_head(head: LinearHead):
     w1, b1 = np.abs(head.weights).sum(axis=1).max(), np.abs(head.bias).max()
     w_max, ones, labels = np.abs(head.weights).max(), np.ones(dim), np.arange(n_labels)
 
-    def argmax(reprs: np.ndarray, slack: float = 0.0, exact=None) -> np.ndarray:
+    def argmax(reprs: np.ndarray, slack: float, exact) -> np.ndarray:
         reprs = np.asarray(reprs, dtype=float)
         with np.errstate(all="ignore"):  # what is not finite is rescored exactly
             z = np.ascontiguousarray((reprs @ weights_t).T)
@@ -150,10 +150,9 @@ def linear_argmax_head(head: LinearHead):
             r = np.abs(reprs) @ ones + dim * slack
             t = scale * (r * w_max + b1) + 2 * w1 * slack + 1e-9 * (1 + m)
             best = z >= top - t
-            if (m + t).max(initial=0.0) < 1e300 and np.count_nonzero(best) == len(reprs):
+            if (m + t).max(initial=0.0) < OVERFLOW_BOUND and np.count_nonzero(best) == len(reprs):
                 return labels @ best
-        rows = reprs if exact is None else exact()
-        return np.argmax(linear_forward(head, rows), axis=1)
+        return np.argmax(linear_forward(head, exact()), axis=1)
 
     return argmax
 
@@ -382,29 +381,31 @@ def multi_proto_scores(protos: PrototypeSet, reprs: np.ndarray) -> np.ndarray:
 
 
 def proto_argmax_head(protos: PrototypeSet, ranked):
-    """multi_proto_argmax(protos, reprs, ranked) as a head of reprs alone,
-    with the set's constants (the ranked centroids C stacked, their squared
-    norms, -2C and the label-averaging matrix) built once for every block.
+    """np.argmax(multi_proto_scores(protos, reprs)[:, ranked], axis=1) as a
+    head of (N, H) reprs, ranked being a permutation of the label indices,
+    certified label-major per row, with the set's constants (the ranked
+    centroids C stacked, their squared norms, -2C and the label-averaging
+    matrix) built once for every block.
 
-    It works label-major: one matmul gives the squared distances
-    (-2C) @ reprs.T + ||c||^2 + ||r||^2 as a (centroids, rows) matrix, and
-    the min, exp, label means, argmax and runner-up reduce over its axis 0.
-    These differ from the exact path's by less than E = 8(H + 8) u
-    (max ||r||^2 + max ||c||^2), u = 2^-53, in any summation order (each
-    path's squared distances are within E/4 of the real ones, so their
-    distances are within sqrt(E)/2). So each distance moves by at most
-    delta = sqrt(E), and each label's mean of exp(min d - d) by a factor
-    e^(+-delta): a row whose best label beats every other by more than
-    e^(2 delta) (1 + 1e-9) has the exact argmax.
+    One matmul gives the squared distances (-2C) @ reprs.T + ||c||^2 +
+    ||r||^2 as a (centroids, rows) matrix, and the min, exp, label means and
+    top reduce over its axis 0. These differ from the exact path's by less
+    than E = 8(H + 8) u (max ||r||^2 + max ||c||^2), u = 2^-53, in any
+    summation order (each path's squared distances are within E/4 of the
+    real ones, so their distances are within sqrt(E)/2). So each distance
+    moves by at most delta = sqrt(E), and each label's mean of exp(min d - d)
+    by a factor e^(+-delta): a row has the exact argmax when its top score is
+    finite and positive and only its best label reaches the floor
+    top / (e^(2 delta) (1 + 1e-9)). Its label is labels @ mask, the mask of
+    the labels reaching the floor. A NaN score reaches no floor; a margin
+    that overflows to inf makes the floor 0, which every label reaches.
 
-    The head is head(reprs, slack=0.0, exact=None): reprs are within slack
-    of the exact representations, entry by entry, and exact() returns those
-    (reprs themselves when exact is None). An exact row is then within
-    sqrt(H) slack of reprs' in Euclidean norm, so max ||r|| in E grows by
-    that, and so does every real distance, which delta gains. The rows not
-    certified (ties, near-ties, anything not finite, whose ||r||^2 delta
-    skips) are rescored exactly from exact(); row i of multi_proto_scores
-    needs row i only.
+    The head is head(reprs, slack, exact), as linear_argmax_head's is. An
+    exact row is within sqrt(H) slack of reprs' in Euclidean norm, so
+    max ||r|| in E grows by that, and so does every real distance, which
+    delta gains. The rows not certified (ties, near-ties, anything not
+    finite, whose ||r||^2 delta skips) are rescored exactly from exact();
+    row i of multi_proto_scores needs row i only.
     """
     cents = [protos.entries[j][1] for j in ranked]
     sizes = [len(c) for c in cents]
@@ -412,10 +413,11 @@ def proto_argmax_head(protos: PrototypeSet, ranked):
     neg2c = -2.0 * all_cents
     c2 = np.einsum("ij,ij->i", all_cents, all_cents)[:, None]
     mean = np.repeat(np.eye(len(cents)) / sizes, sizes, axis=1)  # label means of centroid rows
+    label_count = np.stack([np.arange(len(cents)), np.ones_like(sizes)])  # mask -> label, count
     unit = 8 * (all_cents.shape[1] + 8) * 2.0**-53
     root_h = math.sqrt(all_cents.shape[1])
 
-    def head(reprs: np.ndarray, slack: float = 0.0, exact=None) -> np.ndarray:
+    def head(reprs: np.ndarray, slack: float, exact) -> np.ndarray:
         reprs = np.asarray(reprs, dtype=float)
         with np.errstate(all="ignore"):  # what is not finite is rescored exactly
             r2 = np.einsum("ij,ij->i", reprs, reprs)
@@ -428,22 +430,11 @@ def proto_argmax_head(protos: PrototypeSet, ranked):
             r2_max, spread = r2.max(initial=0.0, where=r2 < np.inf), root_h * slack
             r2_max += spread * (2 * np.sqrt(r2_max) + spread)  # (max ||r|| + spread)^2
             delta = np.sqrt(unit * (r2_max + c2.max())) + spread
-            margin = np.exp(2 * delta) * (1 + 1e-9)
-            cols = np.arange(len(reprs))
-            best = np.argmax(scores, axis=0)
-            top = scores[best, cols]
-            scores[best, cols] = -np.inf
-            doubt = np.flatnonzero(~(top > scores.max(axis=0) * margin))
+            top = scores.max(axis=0)
+            best, count = label_count @ (scores >= top / (np.exp(2 * delta) * (1 + 1e-9)))
+            doubt = np.flatnonzero(~((count == 1) & (top > 0) & (top < np.inf)))
         if len(doubt):
-            rows = (reprs if exact is None else exact())[doubt]
-            best[doubt] = np.argmax(multi_proto_scores(protos, rows)[:, ranked], axis=1)
+            best[doubt] = np.argmax(multi_proto_scores(protos, exact()[doubt])[:, ranked], axis=1)
         return best
 
     return head
-
-
-def multi_proto_argmax(protos: PrototypeSet, reprs: np.ndarray, ranked) -> np.ndarray:
-    """np.argmax(multi_proto_scores(protos, reprs)[:, ranked], axis=1) for
-    (N, H) reprs, ranked being a permutation of the label indices, certified
-    label-major by proto_argmax_head."""
-    return proto_argmax_head(protos, ranked)(reprs)

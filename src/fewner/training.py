@@ -40,7 +40,7 @@ from .encoder import (
     init_encoder,
     word_windows,
 )
-from .errors import DataError, NumericError
+from .errors import OVERFLOW_BOUND, DataError, NumericError
 from .heads import init_linear_head, linear_forward, linear_loss_grads, proto_loss_grads
 
 # each scheme's stages in run order (scheme_stages gives those a run executes);
@@ -352,6 +352,8 @@ def _train_weighted(
     weights reduce to the plain token mean. A batch is a run of shuffled
     sentences, one encode, head forward/backward and encoder backward over
     their rows; an epoch's loss is its batch losses' sum over weight_sum.
+    A run ending with max_j ||W_j||_1 + max|b|, which bounds every logit of
+    tanh-bounded rows, not below OVERFLOW_BOUND raises NumericError.
     """
     encoder, head = model.encoder, model.head
     n = len(offsets) - 1
@@ -385,6 +387,9 @@ def _train_weighted(
             yield loss, error
 
     _fit(arena, config, math.ceil(n / config.batch_size), batches, epoch_loss, on_epoch)
+    with np.errstate(all="ignore"):  # inf and NaN fail the check
+        if not np.abs(head.weights).sum(axis=1).max() + np.abs(head.bias).max() < OVERFLOW_BOUND:
+            raise NumericError(f"linear-head logit bound reached {OVERFLOW_BOUND:g}")
     return model
 
 

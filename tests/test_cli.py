@@ -9,6 +9,7 @@ import sys
 import tempfile
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -861,7 +862,7 @@ def test_overflowing_inference_is_numeric_error(diverged, capsys, command, seed)
 
 def test_overflowing_head_is_numeric_error(tmp_path, capsys):
     # a frozen encoder at learning rate 1e308: one epoch leaves every head
-    # weight finite, but two logits lie too far apart for the log softmax
+    # weight finite, but the head's logit bound past 1e300
     p = lambda name: str(tmp_path / name)
     (tmp_path / "train.conll").write_text(write_conll(make_corpus(30, seed=0)), encoding="utf-8")
     (tmp_path / "test.conll").write_text(write_conll(make_corpus(200, seed=1)), encoding="utf-8")
@@ -870,16 +871,24 @@ def test_overflowing_head_is_numeric_error(tmp_path, capsys):
     config = {"seed": 0, "epochs": 1, "learning_rate": 1e308, "freeze_encoder": True}
     (tmp_path / "config.json").write_text(json.dumps(config), encoding="utf-8")
     train = ["--config", p("config.json"), "--train", p("train.conll")]
-    assert main(["train", "lc", *train, "--out", p("lc.json")]) == 0
-    error = ("", "fewner: non-finite linear-head log-probability\n")
+    diverged = ("", "fewner: linear-head logit bound reached 1e+300\n")
     capsys.readouterr()
-    assert main(["eval", p("lc.json"), p("test.conll")]) == 3
-    assert capsys.readouterr() == error
-    # the teacher's soft labels are inference too
+    assert main(["train", "lc", *train, "--out", p("lc.json")]) == 3
+    assert capsys.readouterr() == diverged
+    # the teacher stops before it makes soft labels
     st_run = ["train", "lc+st", *train, "--unlabeled", p("unlabeled.txt"), "--out", p("st.json")]
     assert main(st_run) == 3
-    assert capsys.readouterr() == error
-    assert not (tmp_path / "st.json").exists()
+    assert capsys.readouterr() == diverged
+    assert not (tmp_path / "lc.json").exists() and not (tmp_path / "st.json").exists()
+    # a checkpoint with finite logits too far apart for the log softmax
+    (tmp_path / "config.json").write_text(json.dumps({**config, "learning_rate": 0.01}))
+    assert main(["train", "lc", *train, "--out", p("lc.json")]) == 0
+    model = fewner.load(p("lc.json"))
+    model.head.bias[:] = 1.7e308 * (-1.0) ** np.arange(len(model.head.bias))
+    fewner.save(model, p("lc.json"))
+    capsys.readouterr()
+    assert main(["eval", p("lc.json"), p("test.conll")]) == 3
+    assert capsys.readouterr() == ("", "fewner: non-finite linear-head log-probability\n")
 
 
 @functools.cache

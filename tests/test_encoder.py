@@ -326,14 +326,21 @@ class TestProjectionTables:
         params.context_bias[:] = 0.0  # S scales with the weights
         used, _ = encoder._column_windows(params, column)
         params.context_weights *= 2e300 / reference_gate_sum(params, used)
-        # the head is called with reprs alone, as encode_blocks calls it
-        got = encoder.projected_blocks(params, column, lambda r: r)
-        assert np.array_equal(got, encode_blocks(params, column, lambda r: r))
-        params.embedding_table[params._index["w1"]] = np.nan
+        # the head gets encode_blocks' reprs with slack 0, and exact() returns them
         calls = []
+
+        def head(reprs, slack, exact):
+            calls.append(slack)
+            assert exact() is reprs
+            return reprs
+
+        got = encoder.projected_blocks(params, column, head)
+        assert np.array_equal(got, encode_blocks(params, column, lambda r: r))
+        assert calls == [0.0]
+        params.embedding_table[params._index["w1"]] = np.nan
         with pytest.raises(NumericError, match="^non-finite encoder pre-activation$"):
-            encoder.projected_blocks(params, column, calls.append)
-        assert calls == []
+            encoder.projected_blocks(params, column, head)
+        assert calls == [0.0]
 
 
 class TestEncodeBackward:

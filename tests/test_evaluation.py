@@ -564,6 +564,44 @@ class TestBlockInference:
         # every block is encoded from the projection tables and certified there
         assert exact == [] and encoded == []
 
+    def test_prototype_benchmark_rows_are_all_certified(self, monkeypatch):
+        # proto+nsp as the episodic_proto benchmark workload trains it, scored
+        # by 20-shot support prototypes with 2 centroids per label
+        bench = transfer_benchmark(0, n_test=1000)
+        labeled, support = sample_fewshot(bench.train, 5, 0), sample_fewshot(bench.train, 20, 0)
+        config = TrainConfig.five_shot(
+            seed=0, learning_rate=0.01, scheme="proto+nsp", K=1, K_prime=2
+        )
+        source_config = TrainConfig.five_shot(seed=0, learning_rate=0.05)
+        model = run_scheme(labeled, config, source=bench.source, source_config=source_config)
+        protos = support_prototypes(model.encoder, support, shots=10, seed=0)
+        blocks, exact, encoded = [], [], []
+        make_head = heads_module.proto_argmax_head
+        scores, encode_windows = heads_module.multi_proto_scores, encoder_module.encode_windows
+
+        def counted_head(protos, ranked):
+            head = make_head(protos, ranked)
+            return lambda reprs, *certificate: blocks.append(len(reprs)) or head(
+                reprs, *certificate
+            )
+
+        def exact_spy(protos, reprs):
+            exact.append(len(reprs))
+            return scores(protos, reprs)
+
+        def encode_spy(params, windows):
+            encoded.append(len(windows))
+            return encode_windows(params, windows)
+
+        # attached after support_prototypes, whose encode is exact by design
+        monkeypatch.setattr(evaluation_module, "proto_argmax_head", counted_head)
+        monkeypatch.setattr(heads_module, "multi_proto_scores", exact_spy)
+        monkeypatch.setattr(encoder_module, "encode_windows", encode_spy)
+        evaluate_model(model, bench.test, "BIO", protos=protos)
+        assert len(blocks) == 15 and sum(blocks) == bench.test.offsets[-1]
+        # every row is encoded from the projection tables and certified there
+        assert exact == [] and encoded == []
+
     def test_one_sentence_corpus_matches_reference(self):
         rng = random.Random(48)
         model = _random_model(np.random.default_rng(49), 32, 64)

@@ -23,7 +23,6 @@ from fewner.heads import (
     linear_backward,
     linear_forward,
     linear_loss_grads,
-    multi_proto_argmax,
     multi_proto_score,
     multi_proto_scores,
     proto_argmax_head,
@@ -49,6 +48,12 @@ def _points(rng, n, dim, rounded):
 def _assert_distribution(probs):
     assert np.all(probs >= 0.0)
     assert abs(probs.sum() - 1.0) < 1e-9
+
+
+def _on_exact(head):
+    """A certified head called on rows that are the exact ones: slack 0 and
+    an exact() that returns the rows themselves."""
+    return lambda reprs: head(reprs, 0.0, lambda: reprs)
 
 
 def _outcome(fn):
@@ -630,11 +635,11 @@ class TestMultiProtoArgmax:
         exact = lambda rows: np.argmax(multi_proto_scores(protos, rows)[:, ranked], axis=1)
         with np.errstate(all="ignore"):  # the exact path warns on overflowing rows
             want = _outcome(lambda: exact(reprs))
-            assert _same(_outcome(lambda: multi_proto_argmax(protos, reprs, ranked)), want)
-            empty = multi_proto_argmax(protos, reprs[:0], ranked)
+            head = _on_exact(proto_argmax_head(protos, ranked))
+            assert _same(_outcome(lambda: head(reprs)), want)
+            empty = head(reprs[:0])
             assert empty.shape == (0,) and empty.dtype == np.intp
             # one head's constants serve every block of a pass, in any order
-            head = proto_argmax_head(protos, ranked)
             for rows in (reprs[::-1], reprs[:0], reprs):
                 assert _same(_outcome(lambda: head(rows)), _outcome(lambda: exact(rows)))
 
@@ -652,7 +657,7 @@ class TestMultiProtoArgmax:
             return multi_proto_scores(protos, rows)
 
         monkeypatch.setattr(heads, "multi_proto_scores", spy)
-        got = multi_proto_argmax(protos, reprs, ranked)
+        got = _on_exact(proto_argmax_head(protos, ranked))(reprs)
         # the exact tie and the midpoint reach the exact path, and only they
         assert len(rescored) == 1 and np.array_equal(rescored[0], reprs[[1, 2, 4]])
         monkeypatch.undo()
@@ -674,9 +679,36 @@ class TestMultiProtoArgmax:
 
         monkeypatch.setattr(heads, "multi_proto_scores", spy)
         with pytest.raises(NumericError, match="non-finite prototype-head representation"):
-            proto_argmax_head(protos, ranked)(reprs)
+            _on_exact(proto_argmax_head(protos, ranked))(reprs)
         # the bound comes from the 512 finite rows, which all stay certified
         assert rescored == [1]
+
+    def test_an_infinite_margin_beside_a_zero_score_is_not_certified(self, monkeypatch):
+        # B-PER's score exp(-1e4) is 0; a slack of 1e3 overflows the margin to
+        # inf, and 0 reaches the floor top / inf = 0 (where 0 inf is NaN)
+        protos = PrototypeSet([("O", np.zeros((1, 1))), ("B-PER", np.full((1, 1), 1e4))])
+        ranked = _ranking(protos.labels, VOCAB)
+        reprs, rescored = np.zeros((1, 1)), []
+
+        def spy(protos, rows):
+            rescored.append(len(rows))
+            return multi_proto_scores(protos, rows)
+
+        monkeypatch.setattr(heads, "multi_proto_scores", spy)
+        head = proto_argmax_head(protos, ranked)
+        assert head(reprs, 0.0, lambda: reprs).tolist() == [0] and rescored == []
+        assert head(reprs, 1e3, lambda: reprs).tolist() == [0] and rescored == [1]
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_a_single_label_row_not_finite_raises(self, value):
+        # one label always wins, but a row not finite must reach the exact path
+        protos = PrototypeSet([("O", np.random.default_rng(41).normal(size=(2, 4)))])
+        reprs = np.zeros((3, 4))
+        head = _on_exact(proto_argmax_head(protos, [0]))
+        assert head(reprs).tolist() == [0, 0, 0]
+        reprs[1, 2] = value
+        with pytest.raises(NumericError, match="^non-finite prototype-head representation$"):
+            head(reprs)
 
     def test_a_lead_within_the_slack_is_not_certified(self):
         protos = PrototypeSet([("O", np.zeros((1, 2))), ("B-PER", np.array([[1.0, 0.0]]))])
@@ -684,7 +716,7 @@ class TestMultiProtoArgmax:
         exact_rows = np.array([[0.5 + 4e-7, 0.0]])  # nearer B-PER
         reprs = exact_rows - [[1e-6, 0.0]]  # within a slack of 1e-6, and nearer O
         head = proto_argmax_head(protos, ranked)
-        assert head(reprs).tolist() == [0]  # certified on reprs alone
+        assert _on_exact(head)(reprs).tolist() == [0]  # certified on reprs alone
         assert head(reprs, 1e-6, lambda: exact_rows).tolist() == [1]
 
     @settings(max_examples=150, deadline=None, derandomize=True)
@@ -741,7 +773,7 @@ class TestLinearArgmaxHead:
     @given(tie_prone_linear())
     def test_equals_exact_argmax(self, case):
         head, reprs = case
-        argmax, exact = linear_argmax_head(head), _exact_argmax(head)
+        argmax, exact = _on_exact(linear_argmax_head(head)), _exact_argmax(head)
         with np.errstate(all="ignore"):  # the exact path warns on logits not finite
             # one head's constants serve every block of a pass, in any order
             for rows in (reprs, reprs[::-1], reprs[:0]):
@@ -764,7 +796,7 @@ class TestLinearArgmaxHead:
         exact_rows = np.array([[0.5, 0.5 + 4e-7]])  # label 1 leads by 4e-7
         reprs = exact_rows + [[5e-7, -5e-7]]  # within a slack of 1e-6; label 0 leads
         argmax = linear_argmax_head(head)
-        assert argmax(reprs).tolist() == [0]  # certified on reprs alone
+        assert _on_exact(argmax)(reprs).tolist() == [0]  # certified on reprs alone
         assert argmax(reprs, 1e-6, lambda: exact_rows).tolist() == [1]
 
     def test_a_doubtful_block_scores_the_exact_rows(self):
@@ -796,7 +828,7 @@ class TestLinearArgmaxHead:
 
         monkeypatch.setattr(heads, "linear_forward", spy)
         head = LinearHead(np.array([[1.0], [2.0]]), np.zeros(2))
-        got = linear_argmax_head(head)(np.array([[1.0], [4e299], [-1.0]]))
+        got = _on_exact(linear_argmax_head(head))(np.array([[1.0], [4e299], [-1.0]]))
         assert np.array_equal(got, [1, 1, 0]) and calls == []
 
     @pytest.mark.parametrize("lengths", [(), (1,), (511,), (512,), (513,), (300, 211, 1, 513)])
@@ -811,7 +843,7 @@ class TestLinearArgmaxHead:
         if ties:  # two zero rows and two equal rows
             head.weights[[1, 2]], head.bias[[1, 2]] = 0.0, 0.0
             head.weights[4], head.bias[4] = head.weights[0], head.bias[0]
-        got = encode_blocks(encoder, words, linear_argmax_head(head))
+        got = encode_blocks(encoder, words, _on_exact(linear_argmax_head(head)))
         want = encode_blocks(encoder, words, _exact_argmax(head))
         assert got.shape == (sum(lengths),) and _same(got, want)
 
@@ -827,12 +859,12 @@ class TestLinearArgmaxHead:
             return linear_forward(head, rows)
 
         monkeypatch.setattr(heads, "linear_forward", spy)
-        certified = linear_argmax_head(LinearHead(weights, np.zeros(4)))(reprs)
+        certified = _on_exact(linear_argmax_head(LinearHead(weights, np.zeros(4))))(reprs)
         assert calls == []
         # label 4 copies label 2, exactly or within the margin, so the two tie
         # or nearly tie wherever label 2 wins
         tied = LinearHead(np.vstack([weights, weights[2] * (1 + nudge)]), np.zeros(5))
-        got = linear_argmax_head(tied)(reprs)
+        got = _on_exact(linear_argmax_head(tied))(reprs)
         assert len(calls) == 1 and np.array_equal(calls[0], reprs)
         assert 2 in certified and np.array_equal(np.where(got == 4, 2, got), certified)
         if not nudge:  # an exact tie goes to the earlier label
@@ -858,7 +890,7 @@ class TestLinearArgmaxHead:
         head = LinearHead(np.array(weights), np.zeros(2))
         reprs = np.array([[1e299], [row], [-1e299]])  # the margin grows with max |logit|
         with np.errstate(all="ignore"):
-            got = _outcome(lambda: linear_argmax_head(head)(reprs))
+            got = _outcome(lambda: _on_exact(linear_argmax_head(head))(reprs))
         if isinstance(want, str):
             assert got == want
         else:

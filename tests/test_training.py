@@ -454,6 +454,27 @@ class TestStepChecks:
         with np.errstate(all="ignore"), pytest.raises(NumericError, match=f"^{re.escape(message)}$"):
             trainer(make_corpus(30, seed=0), config)
 
+    @pytest.mark.parametrize("learning_rate", [1e299, 1e300])
+    def test_a_diverging_linear_head_raises(self, monkeypatch, learning_rate):
+        """A frozen encoder keeps every head gradient finite, so only the
+        check at the end of a linear run stops a head whose logit bound
+        reached 1e300; the teacher stops before it makes soft labels."""
+        config = TrainConfig(seed=0, epochs=2, learning_rate=learning_rate, freeze_encoder=True)
+        message = "^linear-head logit bound reached 1e\\+300$"
+        with np.errstate(all="ignore"), pytest.raises(NumericError, match=message):
+            train_linear(NUMERIC_TRAIN, config)
+        made = []
+        monkeypatch.setattr(training, "generate_soft_labels", lambda *args: made.append(args))
+        with np.errstate(all="ignore"), pytest.raises(NumericError, match=message):
+            run_scheme(NUMERIC_TRAIN, config.with_(scheme="lc+st"), unlabeled=NUMERIC_UNLABELED)
+        assert made == []
+
+    def test_a_head_below_the_bound_trains(self):
+        # at 1e298 the bound is 7.9e299
+        config = TrainConfig(seed=0, epochs=2, learning_rate=1e298, freeze_encoder=True)
+        head = train_linear(NUMERIC_TRAIN, config).head
+        assert 1e299 < np.abs(head.weights).sum(axis=1).max() + np.abs(head.bias).max() < 1e300
+
     @pytest.mark.parametrize(
         "trainer, freeze",
         [(train_linear, False), (train_linear, True), (train_prototype, False)],
@@ -491,11 +512,13 @@ def _numeric_config(scheme: str, freeze: bool, epochs: int, learning_rate: float
 @st.composite
 def numeric_runs(draw):
     """A scheme, freeze_encoder (linear schemes only), 1-3 epochs and a
-    learning rate 10^e for a whole e in [-8, 308]."""
+    learning rate 10^e for a whole e in [-8, 308], drawn as often from
+    [-7, -1] as from the whole range."""
     scheme = draw(st.sampled_from(("lc", "proto", "lc+st")))
     freeze = scheme != "proto" and draw(st.booleans())
     epochs = draw(st.integers(1, 3))
-    return _numeric_config(scheme, freeze, epochs, 10.0 ** draw(st.integers(-8, 308)))
+    exponent = draw(st.one_of(st.integers(-7, -1), st.integers(-8, 308)))
+    return _numeric_config(scheme, freeze, epochs, 10.0**exponent)
 
 
 class TestNumericContract:
@@ -507,10 +530,12 @@ class TestNumericContract:
     @given(numeric_runs())
     # training stays finite and evaluation overflows in the encoder matmul
     @example(_numeric_config("lc", False, 1, 1e200))
-    # a frozen encoder: the teacher's logits lie too far apart to subtract
+    # a frozen encoder: the teacher's logit bound overflows, so it stops
     @example(_numeric_config("lc+st", True, 1, 1e308))
+    # a frozen encoder keeps every gradient finite; the head's bound stops it
+    @example(_numeric_config("lc", True, 2, 1e300))
     @example(_numeric_config("proto", False, 2, 1e200))  # training overflows
-    # the low end, which the whole exponents drawn above do not reach
+    # the low end
     @example(_numeric_config("lc", True, 2, 1e-4))
     @example(_numeric_config("proto", False, 1, 1e-4))
     @example(_numeric_config("lc+st", False, 1, 1e-4))
