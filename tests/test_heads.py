@@ -685,7 +685,7 @@ class TestMultiProtoArgmax:
 
     def test_an_infinite_margin_beside_a_zero_score_is_not_certified(self, monkeypatch):
         # B-PER's score exp(-1e4) is 0; a slack of 1e3 overflows the margin to
-        # inf, and 0 reaches the floor top / inf = 0 (where 0 inf is NaN)
+        # inf, so the floor top / inf is 0, which B-PER's score reaches
         protos = PrototypeSet([("O", np.zeros((1, 1))), ("B-PER", np.full((1, 1), 1e4))])
         ranked = _ranking(protos.labels, VOCAB)
         reprs, rescored = np.zeros((1, 1)), []
