@@ -20,7 +20,7 @@ encode_blocks pass over a word-id column's windows: row ranges of whole
 sentences, each encoded and handed to a head whose per-token results come
 back as one array in token order. Argmax prediction runs the same blocks
 through projected_blocks, which encodes them from per-word projection
-tables and lets its head certify each result against encode_windows.
+tables and re-encodes exactly only the blocks its head cannot certify.
 
 encode is a pure function: concurrent readers may share one EncoderParams.
 Training mutates the arrays in place and must be serialized externally.
@@ -301,25 +301,25 @@ def projection_tables(params: EncoderParams, used: np.ndarray):
     return tables, 2 * n / (2.0**53 - n) * s + 2 * TANH_ERROR
 
 
-def projected_blocks(params: EncoderParams, words: WordIds, head) -> np.ndarray:
-    """head's rows for every token of a word-id column, in token order, for
-    a head that certifies its result against encode_windows' representations.
+def projected_blocks(params: EncoderParams, words: WordIds, certify, exact) -> np.ndarray:
+    """encode_blocks(params, words, exact), each block's result taken from
+    certify where it can vouch for it.
 
-    The blocks are encode_blocks', but each is encoded from the column's
-    projection_tables, built once: three row gathers, two adds and a tanh in
-    place of the (rows x 3E) (3E x H) product. head(reprs, slack, exact)
-    gets those representations, the bound on how far any entry is from
-    encode_windows' and a callable that returns the block's representations
-    from encode_windows; a head that cannot certify its result calls exact
-    and scores what it returns. reprs is a view of a buffer that the next
-    block overwrites, so head must not keep it. Where the tables are not
-    certified, the pass is encode_blocks with head(r, 0.0, lambda: r), so
+    The blocks are encoded from the column's projection_tables, built once:
+    three row gathers, two adds and a tanh in place of the (rows x 3E)
+    (3E x H) product. certify(reprs, slack) gets those representations and
+    the bound on how far any entry is from encode_windows', and gives
+    exact's result on encode_windows' representations or None. reprs is a
+    view of a buffer that the next block overwrites, so certify must not
+    keep it. A declined block is re-encoded by encode_windows and scored by
+    exact as a whole: prediction's one fallback. Where the tables are not
+    certified, the pass is encode_blocks(params, words, exact) itself, so
     every NumericError is raised as encode_blocks raises it.
     """
     used, windows = _column_windows(params, words)
     certified = projection_tables(params, used)
     if certified is None:
-        return encode_blocks(params, words, lambda r: head(r, 0.0, lambda: r))
+        return encode_blocks(params, words, exact)
     (left, centre, right), slack = certified
     blocks = list(_blocks(words.offsets))
     # two work buffers for every block: fresh (rows x H) arrays per block
@@ -333,7 +333,8 @@ def projected_blocks(params: EncoderParams, words: WordIds, head) -> np.ndarray:
         np.take(left, rows[:, 0], axis=0, out=reprs, mode="clip")
         reprs += np.take(centre, rows[:, 1], axis=0, out=addend, mode="clip")
         reprs += np.take(right, rows[:, 2], axis=0, out=addend, mode="clip")
-        return head(np.tanh(reprs, out=reprs), slack, lambda: encode_windows(params, used[rows]))
+        labels = certify(np.tanh(reprs, out=reprs), slack)
+        return exact(encode_windows(params, used[rows])) if labels is None else labels
 
     return np.concatenate([block(a, b) for a, b in blocks])
 

@@ -127,20 +127,20 @@ def _predict_ids(
 ) -> tuple[tuple[str, ...], np.ndarray]:
     """Labels and, for every token of the word-id column, the index of its
     predicted label among them (see predict_corpus), from one
-    encoder.projected_blocks pass. A block's head, built once for the pass,
-    is heads.proto_argmax_head over the ranked prototype labels when protos
-    are given, else heads.linear_argmax_head, whose labels are the tag
-    vocabulary in order."""
+    encoder.projected_blocks pass. Its certifier and exact scorer, built
+    once for the pass, are heads.proto_argmax_head's over the ranked
+    prototype labels when protos are given, else heads.linear_argmax_head's,
+    whose labels are the tag vocabulary in order."""
     if protos is not None:
         ranked = _ranking(protos.labels, model.labels.tag_vocabulary)
         labels = tuple(protos.labels[i] for i in ranked)
-        head = proto_argmax_head(protos, ranked)
+        certify, exact = proto_argmax_head(protos, ranked)
     elif model.head is not None:
         labels = model.labels.tag_vocabulary
-        head = linear_argmax_head(model.head)
+        certify, exact = linear_argmax_head(model.head)
     else:
         raise DataError("prototype checkpoints carry no head arrays; supply a support set")
-    return labels, projected_blocks(model.encoder, words, head)
+    return labels, projected_blocks(model.encoder, words, certify, exact)
 
 
 def predict_corpus(
@@ -156,10 +156,9 @@ def predict_corpus(
     whose head is the ranked argmax: one encode from the column's per-word
     projection tables, one head call and one argmax per block of whole
     sentences. Linear logits and prototype distances come from one matrix
-    product per block; a winner the head cannot certify against the exact
-    encoder's representations is rescored exactly from them (its block is
-    re-encoded exactly and, for the linear head, rescored whole), so the tags
-    equal the exact scores' argmax.
+    product per block; a block with a winner the head cannot certify against
+    the exact encoder's representations is re-encoded exactly and rescored
+    as a whole, so the tags equal the exact scores' argmax.
     """
     words = word_ids(s.tokens for s in sentences)
     names, ids = _predict_ids(model, words, protos)

@@ -104,12 +104,11 @@ def linear_forward(head: LinearHead, repr_vec: np.ndarray) -> np.ndarray:
 
 
 def linear_argmax_head(head: LinearHead):
-    """np.argmax(linear_forward(head, reprs), axis=1) as a head of (N, H)
-    reprs, certified label-major per row, with its constants built once.
-
-    The head is argmax(reprs, slack, exact): reprs are within slack of the
-    exact representations, entry by entry, and exact() returns those (a
-    caller holding the exact rows passes slack 0 and lambda: reprs).
+    """The pair (certify, exact): exact(reprs) is
+    np.argmax(linear_forward(head, reprs), axis=1) for (N, H) reprs, and
+    certify(reprs, slack) gives exact's labels for rows within slack of reprs,
+    entry by entry (slack 0 for exact rows), or None when it cannot certify
+    every row. certify works label-major per row, its constants built once.
 
     z = (reprs @ W.T).T + b (W.T contiguous: faster than W @ reprs.T) is a
     (labels, rows) matrix reduced over axis 0. With b_j as an (H + 1)-th
@@ -128,11 +127,10 @@ def linear_argmax_head(head: LinearHead):
     max - t_i. Its exact row then has the same unique best logit, ahead by
     more than 1e-9 (1 + m_i) less a few ulps of m_i (the rounding of t_i and
     the comparisons), which the max-shift, log-sum and exp cannot close; no
-    exact (shifted) logit overflows, so the exact path would not raise. A
-    block with a row not certified (ties, near-ties, anything not finite)
-    takes exact() and is rescored exactly as a whole: the exact product's
-    rounding depends on the block's row count. The certified index comes
-    from the mask of logits reaching max - t_i, which holds one per row.
+    exact (shifted) logit overflows, so exact would not raise. Ties,
+    near-ties and anything not finite are not certified; a declined block is
+    rescored whole, as the exact product's rounding depends on its row count.
+    The certified index is read from the mask of logits reaching max - t_i.
     """
     weights_t, bias = np.ascontiguousarray(head.weights.T), head.bias[:, None]
     n_labels, dim = head.weights.shape
@@ -140,9 +138,9 @@ def linear_argmax_head(head: LinearHead):
     w1, b1 = np.abs(head.weights).sum(axis=1).max(), np.abs(head.bias).max()
     w_max, ones, labels = np.abs(head.weights).max(), np.ones(dim), np.arange(n_labels)
 
-    def argmax(reprs: np.ndarray, slack: float, exact) -> np.ndarray:
+    def certify(reprs: np.ndarray, slack: float) -> np.ndarray | None:
         reprs = np.asarray(reprs, dtype=float)
-        with np.errstate(all="ignore"):  # what is not finite is rescored exactly
+        with np.errstate(all="ignore"):  # what is not finite is not certified
             z = np.ascontiguousarray((reprs @ weights_t).T)
             z += bias
             top = z.max(axis=0)
@@ -150,11 +148,10 @@ def linear_argmax_head(head: LinearHead):
             r = np.abs(reprs) @ ones + dim * slack
             t = scale * (r * w_max + b1) + 2 * w1 * slack + 1e-9 * (1 + m)
             best = z >= top - t
-            if (m + t).max(initial=0.0) < OVERFLOW_BOUND and np.count_nonzero(best) == len(reprs):
-                return labels @ best
-        return np.argmax(linear_forward(head, exact()), axis=1)
+            certified = (m + t).max(initial=0.0) < OVERFLOW_BOUND
+        return labels @ best if certified and np.count_nonzero(best) == len(reprs) else None
 
-    return argmax
+    return certify, lambda reprs: np.argmax(linear_forward(head, reprs), axis=1)
 
 
 def linear_loss_grads(
@@ -381,11 +378,11 @@ def multi_proto_scores(protos: PrototypeSet, reprs: np.ndarray) -> np.ndarray:
 
 
 def proto_argmax_head(protos: PrototypeSet, ranked):
-    """np.argmax(multi_proto_scores(protos, reprs)[:, ranked], axis=1) as a
-    head of (N, H) reprs, ranked being a permutation of the label indices,
-    certified label-major per row, with the set's constants (the ranked
-    centroids C stacked, their squared norms, -2C and the label-averaging
-    matrix) built once for every block.
+    """linear_argmax_head's pair (certify, exact) for exact(reprs) =
+    np.argmax(multi_proto_scores(protos, reprs)[:, ranked], axis=1), ranked
+    a permutation of the label indices; certify works label-major per row,
+    with the set's constants (the ranked centroids C stacked, their squared
+    norms, -2C and the label-averaging matrix) built once for every block.
 
     One matmul gives the squared distances (-2C) @ reprs.T + ||c||^2 +
     ||r||^2 as a (centroids, rows) matrix, and the min, exp, label means and
@@ -400,12 +397,11 @@ def proto_argmax_head(protos: PrototypeSet, ranked):
     the labels reaching the floor. A NaN score reaches no floor; a margin
     that overflows to inf makes the floor 0, which every label reaches.
 
-    The head is head(reprs, slack, exact), as linear_argmax_head's is. An
-    exact row is within sqrt(H) slack of reprs' in Euclidean norm, so
+    An exact row is within sqrt(H) slack of reprs' in Euclidean norm, so
     max ||r|| in E grows by that, and so does every real distance, which
-    delta gains. The rows not certified (ties, near-ties, anything not
-    finite, whose ||r||^2 delta skips) are rescored exactly from exact();
-    row i of multi_proto_scores needs row i only.
+    delta gains. One row not certified (a tie, a near-tie, anything not
+    finite) declines the block; row i of multi_proto_scores needs row i
+    only, so rescoring the block whole changes no certified row's label.
     """
     cents = [protos.entries[j][1] for j in ranked]
     sizes = [len(c) for c in cents]
@@ -417,9 +413,9 @@ def proto_argmax_head(protos: PrototypeSet, ranked):
     unit = 8 * (all_cents.shape[1] + 8) * 2.0**-53
     root_h = math.sqrt(all_cents.shape[1])
 
-    def head(reprs: np.ndarray, slack: float, exact) -> np.ndarray:
+    def certify(reprs: np.ndarray, slack: float) -> np.ndarray | None:
         reprs = np.asarray(reprs, dtype=float)
-        with np.errstate(all="ignore"):  # what is not finite is rescored exactly
+        with np.errstate(all="ignore"):  # what is not finite is not certified
             r2 = np.einsum("ij,ij->i", reprs, reprs)
             dist = neg2c @ reprs.T
             dist += c2
@@ -427,14 +423,12 @@ def proto_argmax_head(protos: PrototypeSet, ranked):
             np.sqrt(np.maximum(dist, 0.0, out=dist), out=dist)
             flat = np.exp(np.subtract(dist.min(axis=0), dist, out=dist), out=dist)
             scores = mean @ flat
-            r2_max, spread = r2.max(initial=0.0, where=r2 < np.inf), root_h * slack
+            r2_max, spread = r2.max(initial=0.0), root_h * slack
             r2_max += spread * (2 * np.sqrt(r2_max) + spread)  # (max ||r|| + spread)^2
             delta = np.sqrt(unit * (r2_max + c2.max())) + spread
             top = scores.max(axis=0)
             best, count = label_count @ (scores >= top / (np.exp(2 * delta) * (1 + 1e-9)))
-            doubt = np.flatnonzero(~((count == 1) & (top > 0) & (top < np.inf)))
-        if len(doubt):
-            best[doubt] = np.argmax(multi_proto_scores(protos, exact()[doubt])[:, ranked], axis=1)
-        return best
+            certified = ((count == 1) & (top > 0) & (top < np.inf)).all()
+        return best if certified else None
 
-    return head
+    return certify, lambda reprs: np.argmax(multi_proto_scores(protos, reprs)[:, ranked], axis=1)

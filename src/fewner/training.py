@@ -20,6 +20,7 @@ from __future__ import annotations
 import json
 import math
 import random
+import sys
 from collections import namedtuple
 from dataclasses import dataclass, replace
 from functools import partial
@@ -96,11 +97,14 @@ class TrainConfig:
         for name in ("batch_size", "M", "K", "K_prime", "embed_dim", "hidden_dim"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be positive")
+        # numpy refuses (hidden_dim, 3 embed_dim) context weights of more bytes than an intp holds
+        if 24 * self.embed_dim * self.hidden_dim > np.iinfo(np.intp).max:
+            raise ValueError("embed_dim and hidden_dim make the context weights too large")
         if self.epochs < 0:
             raise ValueError("epochs must be >= 0")
-        if not 0 < self.learning_rate < math.inf:
+        if not 0 < self.learning_rate <= sys.float_info.max:  # an int may pass any float
             raise ValueError("learning_rate must be positive and finite")
-        if not 0 <= self.lambda_u < math.inf:
+        if not 0 <= self.lambda_u <= sys.float_info.max:
             raise ValueError("lambda_u must be >= 0 and finite")
         if not 0.0 <= self.warmup_fraction <= 1.0:
             raise ValueError("warmup_fraction must be in [0, 1]")

@@ -429,6 +429,12 @@ class TestBadInputs:
             ({"seed": 0, "lambda_u": math.nan}, "lambda_u"),
             ({"seed": 0, "epochs": -1}, "epochs"),
             ({"seed": 0, "warmup_fraction": 1.5}, "warmup_fraction"),
+            # JSON integers too big for a float; train lc never reads lambda_u
+            ({"seed": 0, "learning_rate": 10**400}, "learning_rate"),
+            ({"seed": 0, "lambda_u": 10**400}, "lambda_u"),
+            # context weights of more bytes than numpy can index, refused unallocated
+            ({"seed": 0, "embed_dim": 10**20}, "embed_dim"),
+            ({"seed": 0, "hidden_dim": 10**20}, "hidden_dim"),
         ],
     )
     def test_invalid_config(self, workdir, capsys, config, field):

@@ -303,22 +303,31 @@ class TestProjectionTables:
         params = _random_encoder(rng, vocab_size=20, embed_dim=8, hidden_dim=16)
         column, used, windows = _column(rng, params, n_sentences=60)
         _, slack = encoder.projection_tables(params, used)
-        seen = []
-
-        def head(reprs, head_slack, exact):
-            seen.append((reprs.copy(), head_slack, exact()))
-            return np.arange(len(reprs))
-
-        got = encoder.projected_blocks(params, column, head)
         blocks = list(encoder._blocks(column.offsets))
-        assert len(seen) == len(blocks) >= 2
-        assert np.array_equal(got, np.concatenate([np.arange(b - a) for a, b in blocks]))
+        assert len(blocks) >= 2
+        declined = {1}  # the second block is declined, the first certified
+        seen, scored = [], []
+
+        def certify(reprs, head_slack):
+            seen.append((reprs.copy(), head_slack))
+            return None if len(seen) - 1 in declined else np.arange(len(reprs))
+
+        def exact(reprs):
+            scored.append(reprs.copy())
+            return -np.arange(len(reprs))
+
+        got = encoder.projected_blocks(params, column, certify, exact)
+        want = [(-1 if k in declined else 1) * np.arange(b - a) for k, (a, b) in enumerate(blocks)]
+        assert np.array_equal(got, np.concatenate(want))
         whole = word_windows(params, column)
-        for (reprs, head_slack, exact), (a, b) in zip(seen, blocks):
-            # exact() is the block's encode_windows, the reprs within the slack of it
+        assert len(seen) == len(blocks) and len(scored) == len(declined)
+        for (reprs, head_slack), (a, b) in zip(seen, blocks):
+            # the reprs are within the slack of the block's encode_windows
             assert head_slack == slack
-            assert np.array_equal(exact, encode_windows(params, whole[a:b]))
-            assert np.abs(reprs - exact).max() <= slack
+            assert np.abs(reprs - encode_windows(params, whole[a:b])).max() <= slack
+        # a declined block is re-encoded by encode_windows and scored whole
+        (a, b), = (blocks[k] for k in declined)
+        assert np.array_equal(scored[0], encode_windows(params, whole[a:b]))
 
     def test_projected_blocks_without_tables_are_encode_blocks(self):
         params = _random_encoder(random.Random(39))
@@ -326,21 +335,18 @@ class TestProjectionTables:
         params.context_bias[:] = 0.0  # S scales with the weights
         used, _ = encoder._column_windows(params, column)
         params.context_weights *= 2e300 / reference_gate_sum(params, used)
-        # the head gets encode_blocks' reprs with slack 0, and exact() returns them
-        calls = []
+        # exact gets encode_blocks' reprs, and no certificate is asked for
+        certified = []
 
-        def head(reprs, slack, exact):
-            calls.append(slack)
-            assert exact() is reprs
-            return reprs
+        def certify(reprs, slack):
+            certified.append(slack)
 
-        got = encoder.projected_blocks(params, column, head)
+        got = encoder.projected_blocks(params, column, certify, lambda r: r)
         assert np.array_equal(got, encode_blocks(params, column, lambda r: r))
-        assert calls == [0.0]
         params.embedding_table[params._index["w1"]] = np.nan
         with pytest.raises(NumericError, match="^non-finite encoder pre-activation$"):
-            encoder.projected_blocks(params, column, head)
-        assert calls == [0.0]
+            encoder.projected_blocks(params, column, certify, lambda r: r)
+        assert certified == []
 
 
 class TestEncodeBackward:

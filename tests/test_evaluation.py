@@ -391,6 +391,19 @@ def _random_corpus(rng, labels, n_sentences, long_at=None):
 SOFT_LABEL_RTOL = 1e-12
 
 
+def _counted(make_head, blocks, declined):
+    """make_head with its (certify, exact) pair counted: each block certify
+    gets appends its row count to blocks, and each block exact scores, which
+    is each block certify declines, its row count to declined."""
+
+    def counted_head(*args):
+        certify, exact = make_head(*args)
+        counted_certify = lambda reprs, slack: blocks.append(len(reprs)) or certify(reprs, slack)
+        return counted_certify, lambda reprs: declined.append(len(reprs)) or exact(reprs)
+
+    return counted_head
+
+
 class TestBlockInference:
     """predict_corpus, soft labels and support prototypes, encoded in
     blocks of sentences, against the one-sentence-at-a-time reference."""
@@ -532,19 +545,9 @@ class TestBlockInference:
         labeled = sample_fewshot(bench.train, 5, 0)
         config = TrainConfig.five_shot(seed=0, learning_rate=0.01)
         source_config = TrainConfig(seed=0, learning_rate=0.05, batch_size=8)
-        blocks, exact, encoded = [], [], []
-        make_head = heads_module.linear_argmax_head
+        blocks, declined, encoded = [], [], []
+        counted_head = _counted(heads_module.linear_argmax_head, blocks, declined)
         encode_windows = encoder_module.encode_windows
-
-        def counted_head(head):
-            argmax = make_head(head)
-            return lambda reprs, *certificate: blocks.append(len(reprs)) or argmax(
-                reprs, *certificate
-            )
-
-        def exact_spy(head, reprs):
-            exact.append(len(reprs))
-            return linear_forward(head, reprs)
 
         def encode_spy(params, windows):
             encoded.append(len(windows))
@@ -557,12 +560,11 @@ class TestBlockInference:
             )
             with monkeypatch.context() as patch:
                 patch.setattr(evaluation_module, "linear_argmax_head", counted_head)
-                patch.setattr(heads_module, "linear_forward", exact_spy)
                 patch.setattr(encoder_module, "encode_windows", encode_spy)
                 evaluate_model(model, bench.test, "BIO")
         assert len(blocks) == 60 and sum(blocks) == 4 * bench.test.offsets[-1]
         # every block is encoded from the projection tables and certified there
-        assert exact == [] and encoded == []
+        assert declined == [] and encoded == []
 
     def test_prototype_benchmark_rows_are_all_certified(self, monkeypatch):
         # proto+nsp as the episodic_proto benchmark workload trains it, scored
@@ -575,32 +577,23 @@ class TestBlockInference:
         source_config = TrainConfig.five_shot(seed=0, learning_rate=0.05)
         model = run_scheme(labeled, config, source=bench.source, source_config=source_config)
         protos = support_prototypes(model.encoder, support, shots=10, seed=0)
-        blocks, exact, encoded = [], [], []
-        make_head = heads_module.proto_argmax_head
-        scores, encode_windows = heads_module.multi_proto_scores, encoder_module.encode_windows
-
-        def counted_head(protos, ranked):
-            head = make_head(protos, ranked)
-            return lambda reprs, *certificate: blocks.append(len(reprs)) or head(
-                reprs, *certificate
-            )
-
-        def exact_spy(protos, reprs):
-            exact.append(len(reprs))
-            return scores(protos, reprs)
+        blocks, declined, encoded = [], [], []
+        encode_windows = encoder_module.encode_windows
 
         def encode_spy(params, windows):
             encoded.append(len(windows))
             return encode_windows(params, windows)
 
         # attached after support_prototypes, whose encode is exact by design
-        monkeypatch.setattr(evaluation_module, "proto_argmax_head", counted_head)
-        monkeypatch.setattr(heads_module, "multi_proto_scores", exact_spy)
+        monkeypatch.setattr(
+            evaluation_module, "proto_argmax_head",
+            _counted(heads_module.proto_argmax_head, blocks, declined),
+        )
         monkeypatch.setattr(encoder_module, "encode_windows", encode_spy)
         evaluate_model(model, bench.test, "BIO", protos=protos)
         assert len(blocks) == 15 and sum(blocks) == bench.test.offsets[-1]
-        # every row is encoded from the projection tables and certified there
-        assert exact == [] and encoded == []
+        # every block is encoded from the projection tables and certified there
+        assert declined == [] and encoded == []
 
     def test_one_sentence_corpus_matches_reference(self):
         rng = random.Random(48)

@@ -6,9 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fewner import heads
 from fewner.corpus import word_ids
-from fewner.encoder import encode_blocks, init_encoder
+from fewner import encoder
+from fewner.encoder import encode_blocks, init_encoder, projected_blocks
 from fewner.errors import DataError, NumericError
 from fewner.evaluation import _ranking
 from fewner.heads import (
@@ -35,6 +35,7 @@ from oracles import (
     assert_grad_close,
     finite_difference,
     reference_build_multi_prototypes,
+    reference_gate_sum,
     reference_multi_proto_score,
 )
 
@@ -50,10 +51,17 @@ def _assert_distribution(probs):
     assert abs(probs.sum() - 1.0) < 1e-9
 
 
-def _on_exact(head):
-    """A certified head called on rows that are the exact ones: slack 0 and
-    an exact() that returns the rows themselves."""
-    return lambda reprs: head(reprs, 0.0, lambda: reprs)
+def _decided(pair):
+    """A head's (certify, exact) pair as encoder.projected_blocks applies it
+    to one block: certify's labels for reprs within slack of exact_rows
+    (reprs themselves by default), else exact's labels for exact_rows."""
+    certify, exact = pair
+
+    def head(reprs, slack=0.0, exact_rows=None):
+        labels = certify(reprs, slack)
+        return exact(reprs if exact_rows is None else exact_rows) if labels is None else labels
+
+    return head
 
 
 def _outcome(fn):
@@ -635,7 +643,7 @@ class TestMultiProtoArgmax:
         exact = lambda rows: np.argmax(multi_proto_scores(protos, rows)[:, ranked], axis=1)
         with np.errstate(all="ignore"):  # the exact path warns on overflowing rows
             want = _outcome(lambda: exact(reprs))
-            head = _on_exact(proto_argmax_head(protos, ranked))
+            head = _decided(proto_argmax_head(protos, ranked))
             assert _same(_outcome(lambda: head(reprs)), want)
             empty = head(reprs[:0])
             assert empty.shape == (0,) and empty.dtype == np.intp
@@ -643,68 +651,53 @@ class TestMultiProtoArgmax:
             for rows in (reprs[::-1], reprs[:0], reprs):
                 assert _same(_outcome(lambda: head(rows)), _outcome(lambda: exact(rows)))
 
-    def test_only_uncertified_rows_are_rescored(self, monkeypatch):
+    def test_a_doubtful_row_declines_the_block(self):
         rng = np.random.default_rng(31)
         a, b = rng.normal(size=(2, 8))
         # "I-PER" copies "B-PER"'s centroid, so the two tie exactly near it
         protos = PrototypeSet([("I-PER", a[None]), ("B-LOC", b[None]), ("B-PER", a[None])])
         ranked = _ranking(protos.labels, VOCAB)
         reprs = np.vstack([b, a, (a + b) / 2, b + 0.01, a + 0.01])
-        rescored = []
-
-        def spy(protos, rows):
-            rescored.append(rows.copy())
-            return multi_proto_scores(protos, rows)
-
-        monkeypatch.setattr(heads, "multi_proto_scores", spy)
-        got = _on_exact(proto_argmax_head(protos, ranked))(reprs)
-        # the exact tie and the midpoint reach the exact path, and only they
-        assert len(rescored) == 1 and np.array_equal(rescored[0], reprs[[1, 2, 4]])
-        monkeypatch.undo()
+        certify, exact = proto_argmax_head(protos, ranked)
+        # rows 0 and 3 are certified; the exact tie and the midpoint are not,
+        # and each of them declines a block it is in
+        assert np.array_equal(certify(reprs[[0, 3]], 0.0), exact(reprs[[0, 3]]))
+        for doubtful in (1, 2, 4):
+            assert certify(reprs[[0, 3, doubtful]], 0.0) is None
+        assert certify(reprs, 0.0) is None
+        got = exact(reprs)
         assert np.array_equal(got, np.argmax(multi_proto_scores(protos, reprs)[:, ranked], axis=1))
         # the tie goes to the label earliest in the vocabulary
         assert [protos.labels[ranked[i]] for i in got[[0, 1, 3, 4]]] == ["B-LOC", "B-PER"] * 2
 
-    def test_a_row_not_finite_is_rescored_alone(self, monkeypatch):
+    def test_a_row_not_finite_declines_the_block(self):
         rng = np.random.default_rng(37)
         protos = PrototypeSet([(t, rng.normal(size=(2, 16))) for t in VOCAB])
         ranked = _ranking(protos.labels, VOCAB)
         reprs = rng.normal(size=(513, 16))
+        certify, exact = proto_argmax_head(protos, ranked)
+        assert certify(reprs, 0.0) is not None  # the finite rows are all certified
         reprs[200, 3] = np.nan
-        rescored = []
-
-        def spy(protos, rows):
-            rescored.append(len(rows))
-            return multi_proto_scores(protos, rows)
-
-        monkeypatch.setattr(heads, "multi_proto_scores", spy)
+        assert certify(reprs, 0.0) is None
         with pytest.raises(NumericError, match="non-finite prototype-head representation"):
-            _on_exact(proto_argmax_head(protos, ranked))(reprs)
-        # the bound comes from the 512 finite rows, which all stay certified
-        assert rescored == [1]
+            _decided((certify, exact))(reprs)
 
-    def test_an_infinite_margin_beside_a_zero_score_is_not_certified(self, monkeypatch):
+    def test_an_infinite_margin_beside_a_zero_score_is_not_certified(self):
         # B-PER's score exp(-1e4) is 0; a slack of 1e3 overflows the margin to
         # inf, so the floor top / inf is 0, which B-PER's score reaches
         protos = PrototypeSet([("O", np.zeros((1, 1))), ("B-PER", np.full((1, 1), 1e4))])
         ranked = _ranking(protos.labels, VOCAB)
-        reprs, rescored = np.zeros((1, 1)), []
-
-        def spy(protos, rows):
-            rescored.append(len(rows))
-            return multi_proto_scores(protos, rows)
-
-        monkeypatch.setattr(heads, "multi_proto_scores", spy)
-        head = proto_argmax_head(protos, ranked)
-        assert head(reprs, 0.0, lambda: reprs).tolist() == [0] and rescored == []
-        assert head(reprs, 1e3, lambda: reprs).tolist() == [0] and rescored == [1]
+        reprs = np.zeros((1, 1))
+        certify, exact = proto_argmax_head(protos, ranked)
+        assert certify(reprs, 0.0).tolist() == [0]
+        assert certify(reprs, 1e3) is None and exact(reprs).tolist() == [0]
 
     @pytest.mark.parametrize("value", [np.nan, np.inf])
     def test_a_single_label_row_not_finite_raises(self, value):
         # one label always wins, but a row not finite must reach the exact path
         protos = PrototypeSet([("O", np.random.default_rng(41).normal(size=(2, 4)))])
         reprs = np.zeros((3, 4))
-        head = _on_exact(proto_argmax_head(protos, [0]))
+        head = _decided(proto_argmax_head(protos, [0]))
         assert head(reprs).tolist() == [0, 0, 0]
         reprs[1, 2] = value
         with pytest.raises(NumericError, match="^non-finite prototype-head representation$"):
@@ -715,22 +708,22 @@ class TestMultiProtoArgmax:
         ranked = _ranking(protos.labels, VOCAB)
         exact_rows = np.array([[0.5 + 4e-7, 0.0]])  # nearer B-PER
         reprs = exact_rows - [[1e-6, 0.0]]  # within a slack of 1e-6, and nearer O
-        head = proto_argmax_head(protos, ranked)
-        assert _on_exact(head)(reprs).tolist() == [0]  # certified on reprs alone
-        assert head(reprs, 1e-6, lambda: exact_rows).tolist() == [1]
+        head = _decided(proto_argmax_head(protos, ranked))
+        assert head(reprs).tolist() == [0]  # certified on reprs alone
+        assert head(reprs, 1e-6, exact_rows).tolist() == [1]
 
     @settings(max_examples=150, deadline=None, derandomize=True)
     @given(tie_prone_blocks(), st.sampled_from((1e-15, 1e-12, 1e-9, 1e-6)), st.integers(0, 2**32 - 1))
     def test_rows_within_a_slack_certify_the_exact_rows(self, block, slack, seed):
         """reprs within slack of the exact rows, entry by entry, give the
-        exact rows' ranked argmax; doubtful rows are rescored from exact()."""
+        exact rows' ranked argmax, or decline the block."""
         protos, exact_rows, ranked = block
         reprs = _within(exact_rows, slack, seed)
         exact = lambda rows: np.argmax(multi_proto_scores(protos, rows)[:, ranked], axis=1)
-        head = proto_argmax_head(protos, ranked)
+        head = _decided(proto_argmax_head(protos, ranked))
         with np.errstate(all="ignore"):
             want = _outcome(lambda: exact(exact_rows))
-            assert _same(_outcome(lambda: head(reprs, slack, lambda: exact_rows)), want)
+            assert _same(_outcome(lambda: head(reprs, slack, exact_rows)), want)
 
 
 @st.composite
@@ -758,7 +751,8 @@ def tie_prone_linear(draw):
     if special is not None and len(reprs):
         row = reprs[rng.integers(len(reprs))]
         if special == "near_1e300":
-            row *= 10.0 ** draw(st.integers(296, 302)) / (np.abs(weights).max() or 1.0)
+            with np.errstate(over="ignore", invalid="ignore"):  # a tiny max|W| overflows
+                row *= 10.0 ** draw(st.integers(296, 302)) / (np.abs(weights).max() or 1.0)
         else:
             row[rng.integers(dim)] = special
     return LinearHead(weights, bias), reprs
@@ -773,7 +767,7 @@ class TestLinearArgmaxHead:
     @given(tie_prone_linear())
     def test_equals_exact_argmax(self, case):
         head, reprs = case
-        argmax, exact = _on_exact(linear_argmax_head(head)), _exact_argmax(head)
+        argmax, exact = _decided(linear_argmax_head(head)), _exact_argmax(head)
         with np.errstate(all="ignore"):  # the exact path warns on logits not finite
             # one head's constants serve every block of a pass, in any order
             for rows in (reprs, reprs[::-1], reprs[:0]):
@@ -783,53 +777,40 @@ class TestLinearArgmaxHead:
     @given(tie_prone_linear(), st.sampled_from((1e-15, 1e-12, 1e-9, 1e-6)), st.integers(0, 2**32 - 1))
     def test_rows_within_a_slack_certify_the_exact_rows(self, case, slack, seed):
         """reprs within slack of the exact rows, entry by entry, give the
-        exact rows' argmax; a doubtful block is rescored from exact()."""
+        exact rows' argmax, or decline the block."""
         head, exact_rows = case
         reprs = _within(exact_rows, slack, seed)
-        argmax = linear_argmax_head(head)
+        argmax = _decided(linear_argmax_head(head))
         with np.errstate(all="ignore"):
             want = _outcome(lambda: _exact_argmax(head)(exact_rows))
-            assert _same(_outcome(lambda: argmax(reprs, slack, lambda: exact_rows)), want)
+            assert _same(_outcome(lambda: argmax(reprs, slack, exact_rows)), want)
 
     def test_a_lead_within_the_slack_is_not_certified(self):
         head = LinearHead(np.eye(2), np.zeros(2))
         exact_rows = np.array([[0.5, 0.5 + 4e-7]])  # label 1 leads by 4e-7
         reprs = exact_rows + [[5e-7, -5e-7]]  # within a slack of 1e-6; label 0 leads
-        argmax = linear_argmax_head(head)
-        assert _on_exact(argmax)(reprs).tolist() == [0]  # certified on reprs alone
-        assert argmax(reprs, 1e-6, lambda: exact_rows).tolist() == [1]
+        argmax = _decided(linear_argmax_head(head))
+        assert argmax(reprs).tolist() == [0]  # certified on reprs alone
+        assert argmax(reprs, 1e-6, exact_rows).tolist() == [1]
 
     def test_a_doubtful_block_scores_the_exact_rows(self):
         # labels 0 and 2 tie on every row, so the block is not certified
         head = LinearHead(np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 0.0]]), np.zeros(3))
         reprs = np.array([[1.0, 0.0], [0.0, 1.0]])
         exact_rows = np.array([[0.0, 1.0], [0.0, 1.0]])
-        calls = []
-
-        def exact():
-            calls.append(1)
-            return exact_rows
-
-        argmax = linear_argmax_head(head)
-        assert np.array_equal(argmax(reprs, 1e-12, exact), [1, 1]) and calls == [1]
-        # a certified block never asks for the exact rows
+        certify, exact = linear_argmax_head(head)
+        assert certify(reprs, 1e-12) is None
+        assert np.array_equal(_decided((certify, exact))(reprs, 1e-12, exact_rows), [1, 1])
+        # without label 2 the block is certified on reprs
         certified = LinearHead(head.weights[:2], head.bias[:2])
-        assert np.array_equal(linear_argmax_head(certified)(reprs, 1e-12, exact), [0, 1])
-        assert calls == [1]
+        assert np.array_equal(linear_argmax_head(certified)[0](reprs, 1e-12), [0, 1])
 
-    def test_one_huge_row_leaves_the_others_certified(self, monkeypatch):
+    def test_one_huge_row_leaves_the_others_certified(self):
         """The margin is per row: logits of +-1 and +-2 beside a row at 4e299
-        and 8e299 stay certified, so the block never reaches the exact head."""
-        calls = []
-
-        def spy(head, rows):
-            calls.append(len(rows))
-            return linear_forward(head, rows)
-
-        monkeypatch.setattr(heads, "linear_forward", spy)
-        head = LinearHead(np.array([[1.0], [2.0]]), np.zeros(2))
-        got = _on_exact(linear_argmax_head(head))(np.array([[1.0], [4e299], [-1.0]]))
-        assert np.array_equal(got, [1, 1, 0]) and calls == []
+        and 8e299 stay certified, so the block is not declined."""
+        certify, _ = linear_argmax_head(LinearHead(np.array([[1.0], [2.0]]), np.zeros(2)))
+        got = certify(np.array([[1.0], [4e299], [-1.0]]), 0.0)
+        assert np.array_equal(got, [1, 1, 0])
 
     @pytest.mark.parametrize("lengths", [(), (1,), (511,), (512,), (513,), (300, 211, 1, 513)])
     @pytest.mark.parametrize("ties", [False, True])
@@ -843,29 +824,24 @@ class TestLinearArgmaxHead:
         if ties:  # two zero rows and two equal rows
             head.weights[[1, 2]], head.bias[[1, 2]] = 0.0, 0.0
             head.weights[4], head.bias[4] = head.weights[0], head.bias[0]
-        got = encode_blocks(encoder, words, _on_exact(linear_argmax_head(head)))
+        got = encode_blocks(encoder, words, _decided(linear_argmax_head(head)))
         want = encode_blocks(encoder, words, _exact_argmax(head))
         assert got.shape == (sum(lengths),) and _same(got, want)
 
     @pytest.mark.parametrize("nudge", [0.0, 1e-13])
-    def test_only_doubtful_blocks_are_rescored_whole(self, monkeypatch, nudge):
+    def test_only_doubtful_blocks_are_rescored_whole(self, nudge):
         rng = np.random.default_rng(43)
         weights = rng.normal(size=(4, 8))
         reprs = np.tanh(rng.normal(size=(40, 8)))
-        calls = []
-
-        def spy(head, rows):
-            calls.append(rows.copy())
-            return linear_forward(head, rows)
-
-        monkeypatch.setattr(heads, "linear_forward", spy)
-        certified = _on_exact(linear_argmax_head(LinearHead(weights, np.zeros(4))))(reprs)
-        assert calls == []
+        certified = linear_argmax_head(LinearHead(weights, np.zeros(4)))[0](reprs, 0.0)
+        assert certified is not None
         # label 4 copies label 2, exactly or within the margin, so the two tie
         # or nearly tie wherever label 2 wins
-        tied = LinearHead(np.vstack([weights, weights[2] * (1 + nudge)]), np.zeros(5))
-        got = _on_exact(linear_argmax_head(tied))(reprs)
-        assert len(calls) == 1 and np.array_equal(calls[0], reprs)
+        certify, exact = linear_argmax_head(
+            LinearHead(np.vstack([weights, weights[2] * (1 + nudge)]), np.zeros(5))
+        )
+        assert certify(reprs, 0.0) is None
+        got = exact(reprs)
         assert 2 in certified and np.array_equal(np.where(got == 4, 2, got), certified)
         if not nudge:  # an exact tie goes to the earlier label
             assert 4 not in got
@@ -879,20 +855,67 @@ class TestLinearArgmaxHead:
             ([[1.0], [2.0]], np.nan, "NumericError: non-finite linear-head log-probability"),
         ],
     )
-    def test_logits_near_1e300_fall_back(self, monkeypatch, weights, row, want):
-        calls = []
-
-        def spy(head, rows):
-            calls.append(len(rows))
-            return linear_forward(head, rows)
-
-        monkeypatch.setattr(heads, "linear_forward", spy)
-        head = LinearHead(np.array(weights), np.zeros(2))
+    def test_logits_near_1e300_fall_back(self, weights, row, want):
+        certify, exact = linear_argmax_head(LinearHead(np.array(weights), np.zeros(2)))
         reprs = np.array([[1e299], [row], [-1e299]])  # the margin grows with max |logit|
         with np.errstate(all="ignore"):
-            got = _outcome(lambda: _on_exact(linear_argmax_head(head))(reprs))
+            declined = certify(reprs, 0.0) is None
+            got = _outcome(lambda: _decided((certify, exact))(reprs))
         if isinstance(want, str):
             assert got == want
         else:
             assert np.array_equal(got, [1, want, 0])
-        assert calls == ([] if row == 4e299 else [3])
+        assert declined == (row != 4e299)
+
+
+@st.composite
+def projected_passes(draw):
+    """An encoder, a word-id column of 1-4 sentences (up to 600 tokens each,
+    so up to 5 blocks) and a head's (certify, exact) pair. The encoder may
+    be saturated (most entries exactly +-1) or fail the projection gate (NaN
+    in a row the column reads, or S = 2e300), or hold NaN in a row the
+    column does not read. Prototype centroids are representations of the
+    column's own tokens. The head may be forced to tie: a linear head's two
+    zero rows and two equal rows, or I-PER copying B-PER's centroids, which
+    ties the tokens nearest them and so declines only their blocks."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    hidden = draw(st.sampled_from((1, 10, 32)))
+    vocab = [f"w{i}" for i in range(40)]
+    params = init_encoder([*vocab, "unread"], 6, hidden, seed=draw(st.integers(0, 9)))
+    params.context_weights *= draw(st.sampled_from((1.0, 3000.0)))
+    lengths = draw(st.lists(st.integers(1, 600), min_size=1, max_size=4))
+    words = word_ids(tuple(rng.choice([*vocab, "oov"], size=n)) for n in lengths)
+    windows = encoder.word_windows(params, words)
+    reprs = encoder.encode_windows(params, windows[rng.integers(len(windows), size=12)])
+    gate = draw(st.sampled_from(("pass", "nan_read", "nan_unread", "past")))
+    if gate == "nan_read":
+        params.embedding_table[params._index.get(words.words[0], 1)] = np.nan
+    elif gate == "nan_unread":
+        params.embedding_table[params._index["unread"]] = np.nan
+    elif gate == "past":
+        params.context_bias[:] = 0.0  # S scales with the weights
+        used, _ = encoder._column_windows(params, words)
+        params.context_weights *= 2e300 / reference_gate_sum(params, used)
+    ties = draw(st.booleans())
+    if draw(st.booleans()):
+        head = LinearHead(rng.normal(size=(5, hidden)), rng.normal(size=5))
+        if ties:
+            head.weights[[1, 2]], head.bias[[1, 2]] = 0.0, 0.0
+            head.weights[4], head.bias[4] = head.weights[0], head.bias[0]
+        return params, words, linear_argmax_head(head)
+    cents = {t: reprs[rng.integers(12, size=draw(st.integers(1, 3)))] for t in VOCAB}
+    if ties:
+        cents["I-PER"] = cents["B-PER"]
+    protos = PrototypeSet(list(cents.items()))
+    return params, words, proto_argmax_head(protos, _ranking(protos.labels, VOCAB))
+
+
+class TestProjectedBlocks:
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    @given(projected_passes())
+    def test_equals_encode_blocks_with_exact(self, case):
+        params, words, (certify, exact) = case
+        with np.errstate(all="ignore"):  # the gate's scaled weights overflow in places
+            want = _outcome(lambda: encode_blocks(params, words, exact))
+            got = _outcome(lambda: projected_blocks(params, words, certify, exact))
+        assert _same(got, want)

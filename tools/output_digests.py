@@ -28,7 +28,11 @@ Prints one ``name sha256`` line per output:
   head ties (``tie_head``: two zero rows and two equal rows) on a test
   corpus of 5 encoder blocks, on seeds 0-2, and the ``fewner eval`` stdout of
   the ``lc`` checkpoint with its head tied the same way, so the label an
-  exact tie goes to is pinned; and from an ``lc`` model (by its head and by
+  exact tie goes to is pinned; and from the same ``lc`` models' support
+  prototypes (a 5-shot sample, ``shots=5``) on the same test corpora, with
+  each ``I-X`` label given a copy of ``B-X``'s centroids (``tie_protos``), so
+  the two tie exactly wherever either is nearest, on seeds 0-2; and from an
+  ``lc`` model (by its head and by
   support prototypes) whose encoder drives prediction's projection-table
   gate: NaN in an embedding row the test reads (the error text), NaN in a
   row it does not read, and context weights scaled past the gate, on seeds
@@ -232,8 +236,19 @@ def tie_head(head) -> None:
     head.weights[-1], head.bias[-1] = head.weights[0], head.bias[0]
 
 
+def tie_protos(protos):
+    """protos with each I-X label's centroids replaced by a copy of B-X's,
+    where the set has both."""
+    from fewner.heads import PrototypeSet
+
+    cents = dict(protos.entries)
+    tied = lambda t, c: cents.get(f"B-{t[2:]}", c).copy() if t.startswith("I-") else c
+    return PrototypeSet([(t, tied(t, c)) for t, c in cents.items()])
+
+
 def linear_tie_digests(fewner):
-    """Predicted tag strings of lc models whose heads tie, on 5 blocks."""
+    """Predicted tag strings of lc models whose heads tie, and of their
+    support prototypes with tie_protos' ties, on 5 blocks."""
     from fewner.evaluation import predict_corpus
     from fewner.synthetic import make_corpus
 
@@ -247,7 +262,15 @@ def linear_tie_digests(fewner):
             tie_head(model.head)
             return "\n".join(" ".join(t) for t in predict_corpus(model, test.sentences))
 
+        def proto_tags() -> str:
+            model = fewner.run_scheme(train, config)
+            support = fewner.sample_fewshot(train, 5, seed)
+            protos = fewner.support_prototypes(model.encoder, support, shots=5, seed=seed)
+            predicted = predict_corpus(model, test.sentences, tie_protos(protos))
+            return "\n".join(" ".join(t) for t in predicted)
+
         yield f"predict/linear_ties/seed{seed}", _guarded(fewner, tags)
+        yield f"predict/proto_ties/seed{seed}", _guarded(fewner, proto_tags)
 
 
 def gate_digests(fewner):
