@@ -392,9 +392,9 @@ SOFT_LABEL_RTOL = 1e-12
 
 
 def _counted(make_head, blocks, declined):
-    """make_head with its (certify, exact) pair counted: each block certify
-    gets appends its row count to blocks, and each block exact scores, which
-    is each block certify declines, its row count to declined."""
+    """make_head whose (certify, exact) pair records row counts: of every
+    block certify gets in blocks, and of every block exact scores (the
+    blocks certify declined) in declined."""
 
     def counted_head(*args):
         certify, exact = make_head(*args)

@@ -7,8 +7,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fewner.corpus import word_ids
-from fewner import encoder
-from fewner.encoder import encode_blocks, init_encoder, projected_blocks
+from fewner.encoder import (
+    _column_windows,
+    encode_blocks,
+    encode_windows,
+    init_encoder,
+    projected_blocks,
+    word_windows,
+)
 from fewner.errors import DataError, NumericError
 from fewner.evaluation import _ranking
 from fewner.heads import (
@@ -885,8 +891,8 @@ def projected_passes(draw):
     params.context_weights *= draw(st.sampled_from((1.0, 3000.0)))
     lengths = draw(st.lists(st.integers(1, 600), min_size=1, max_size=4))
     words = word_ids(tuple(rng.choice([*vocab, "oov"], size=n)) for n in lengths)
-    windows = encoder.word_windows(params, words)
-    reprs = encoder.encode_windows(params, windows[rng.integers(len(windows), size=12)])
+    windows = word_windows(params, words)
+    reprs = encode_windows(params, windows[rng.integers(len(windows), size=12)])
     gate = draw(st.sampled_from(("pass", "nan_read", "nan_unread", "past")))
     if gate == "nan_read":
         params.embedding_table[params._index.get(words.words[0], 1)] = np.nan
@@ -894,7 +900,7 @@ def projected_passes(draw):
         params.embedding_table[params._index["unread"]] = np.nan
     elif gate == "past":
         params.context_bias[:] = 0.0  # S scales with the weights
-        used, _ = encoder._column_windows(params, words)
+        used, _ = _column_windows(params, words)
         params.context_weights *= 2e300 / reference_gate_sum(params, used)
     ties = draw(st.booleans())
     if draw(st.booleans()):
