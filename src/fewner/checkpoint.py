@@ -171,6 +171,16 @@ def write_atomic(path: str | Path, text: str) -> None:
         raise
 
 
+def read_text(path: str | Path) -> str:
+    """The file's UTF-8 text; a failed read or non-UTF-8 bytes raise a DataError naming path."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except OSError as exc:
+        raise DataError(f"cannot read {path}: {exc.strerror}") from exc
+    except UnicodeDecodeError as exc:
+        raise DataError(f"cannot read {path}: not UTF-8 text ({exc})") from exc
+
+
 def save(model: Model, path: str | Path) -> None:
     write_atomic(path, dumps(model))
 
@@ -179,10 +189,8 @@ def load(path: str | Path) -> Model:
     """Read and validate a checkpoint file (see from_document); every error
     message names the file."""
     try:
-        doc = json.loads(Path(path).read_text(encoding="utf-8"))
-    except OSError as exc:
-        raise DataError(f"cannot read {path}: {exc.strerror}") from exc
-    except (ValueError, RecursionError) as exc:  # not UTF-8, not JSON or nested too deeply
+        doc = json.loads(read_text(path))
+    except (ValueError, RecursionError) as exc:  # not JSON or nested too deeply
         raise DataError(f"{path}: not a checkpoint file ({exc})") from exc
     try:
         return from_document(doc)

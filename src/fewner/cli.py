@@ -42,15 +42,6 @@ class _Parser(argparse.ArgumentParser):
         sys.exit(EXIT_USAGE)
 
 
-def _read_text(path: str) -> str:
-    try:
-        return Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
-        raise DataError(f"cannot read {path}: {exc.strerror}") from exc
-    except UnicodeDecodeError as exc:
-        raise DataError(f"cannot read {path}: not UTF-8 text ({exc})") from exc
-
-
 @contextlib.contextmanager
 def _writing(path: str):
     """A failed write of path as a DataError naming path, not its temporary file."""
@@ -71,13 +62,13 @@ def _check_writable(path: str) -> None:
 
 
 def _read_corpus(path: str, schema: str):
-    return parse_conll(_read_text(path), schema)
+    return parse_conll(checkpoint.read_text(path), schema)
 
 
 def _read_unlabeled(path: str) -> list[tuple[str, ...]]:
     """The file's non-blank lines as token tuples; a file without one is a
     DataError, so a self-training scheme never falls back to plain training."""
-    lines = _read_text(path).splitlines()
+    lines = checkpoint.read_text(path).splitlines()
     sentences = [tokens for line in lines if (tokens := tuple(line.split()))]
     if not sentences:
         raise DataError(f"{path}: no unlabeled sentences")

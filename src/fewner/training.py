@@ -30,7 +30,7 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from .checkpoint import Model
+from .checkpoint import Model, read_text
 from .corpus import TaggedCorpus, WordIds, sentence_rows, top_up, word_ids
 from .encoder import (
     EncoderGrads,
@@ -131,17 +131,14 @@ def load_config(path: str | Path) -> TrainConfig:
     config raises DataError naming the file.
     """
     path = Path(path)
-    if path.suffix == ".toml":
-        try:
-            import tomllib
-        except ImportError as exc:
-            raise DataError("TOML configs need Python 3.11+; use JSON") from exc
+    text, parser = read_text(path), json
     try:
-        text = path.read_text(encoding="utf-8")
-        raw = tomllib.loads(text) if path.suffix == ".toml" else json.loads(text)
-    except OSError as exc:
-        raise DataError(f"cannot read {path}: {exc.strerror}") from exc
-    except (ValueError, RecursionError) as exc:  # not UTF-8, JSON or TOML, or nested too deeply
+        if path.suffix == ".toml":
+            import tomllib as parser  # Python 3.11+
+        raw = parser.loads(text)
+    except ImportError as exc:
+        raise DataError(f"{path}: invalid config (TOML needs Python 3.11+; use JSON)") from exc
+    except (ValueError, RecursionError) as exc:  # not JSON or TOML, or nested too deeply
         raise DataError(f"{path}: invalid config ({exc})") from exc
     if not isinstance(raw, dict):
         raise DataError(f"{path}: a config must be an object of fields")
@@ -356,6 +353,7 @@ def _train_weighted(
     weights reduce to the plain token mean. A batch is a run of shuffled
     sentences, one encode, head forward/backward and encoder backward over
     their rows; an epoch's loss is its batch losses' sum over weight_sum.
+    A weight sum that overflows raises NumericError before the first step.
     A run ending with max_j ||W_j||_1 + max|b|, which bounds every logit of
     tanh-bounded rows, not below OVERFLOW_BOUND raises NumericError.
     """
@@ -368,6 +366,8 @@ def _train_weighted(
     shuffle_rng = random.Random(config.seed + SEED_SHUFFLE)
     lengths = np.diff(offsets).tolist()
     weight_sum = sum(w * k for w, k in zip(weights, lengths))  # over every token
+    if not math.isfinite(weight_sum):  # every step would divide the gradients by it
+        raise NumericError("non-finite token weight sum")
     mean_token_weight = weight_sum / sum(lengths)
     token_weights = np.repeat(weights, lengths)
     epoch_loss = lambda losses: sum(losses) / weight_sum

@@ -676,7 +676,19 @@ class TestFileErrors:
     path end as one-line data errors naming the file, not as tracebacks."""
 
     @pytest.mark.parametrize(
-        "command", ["stats", "sample", "train", "train_unlabeled", "eval", "protoinfer"]
+        "command",
+        [
+            "stats",
+            "sample",
+            "train",
+            "train_unlabeled",
+            "train_config",
+            "train_source_config",
+            "eval",
+            "eval_checkpoint",
+            "protoinfer",
+            "protoinfer_checkpoint",
+        ],
     )
     def test_non_utf8_input(self, workdir, capsys, command):
         p = lambda name: str(workdir / name)
@@ -685,17 +697,23 @@ class TestFileErrors:
         train = ["--config", p("config.json"), "--train", p("train.conll")]
         if command in ("eval", "protoinfer"):
             assert main(["train", "lc", *train, "--out", p("lc.json")]) == 0
+        test = p("test.conll")
         argv = {
             "stats": ["stats", bad],
             "sample": ["sample", bad, "--shots", "1", "--seed", "0", "--out", p("x.conll")],
             "train": ["train", "lc", "--config", p("config.json"), "--train", bad],
             "train_unlabeled": ["train", "lc+st", *train, "--unlabeled", bad],
+            "train_config": ["train", "lc", "--config", bad, "--train", p("train.conll")],
+            "train_source_config": ["train", "lc+nsp", *train, "--source", p("train.conll")]
+            + ["--source-config", bad],
             "eval": ["eval", p("lc.json"), bad],
-            "protoinfer": ["protoinfer", p("lc.json"), "--test", p("test.conll"), "--support", bad],
+            "eval_checkpoint": ["eval", bad, test],
+            "protoinfer": ["protoinfer", p("lc.json"), "--test", test, "--support", bad],
+            "protoinfer_checkpoint": ["protoinfer", bad, "--test", test, "--support", test],
         }[command]
         if command.startswith("train"):
             argv += ["--out", p("x.json")]
-        if command == "protoinfer":
+        if command.startswith("protoinfer"):
             argv += ["--shots", "1"]
         capsys.readouterr()
         assert main(argv) == 2
@@ -766,8 +784,9 @@ class TestFileErrors:
     @pytest.mark.parametrize("command", ["train", "sample"])
     def test_empty_output_is_usage_error(self, workdir, capsys, monkeypatch, command):
         read = lambda *args, **kwargs: pytest.fail("read an input before checking --out")
-        for reader in ("_read_text", "_digest", "load_config"):
-            monkeypatch.setattr(fewner.cli, reader, read)
+        # every read of an input goes through one of these
+        for reader in ("checkpoint.read_text", "cli._digest", "cli.load_config"):
+            monkeypatch.setattr(f"fewner.{reader}", read)
         before = sorted(workdir.rglob("*"))
         p = lambda name: str(workdir / name)
         argv = {
@@ -969,6 +988,21 @@ def test_numeric_contract_through_main(scheme, epochs, learning_rate):
         infer_code, infer_err = _run_main(infer)
         _assert_contract(infer_code, infer_err)
         assert pinned in (None, (code, infer_code))
+
+
+def test_overflowing_weight_sum_exits_3(tmp_path, capsys):
+    """lambda_u 1e308 is finite, but the student's weight sum overflows:
+    train lc+st exits 3 before the student's first step and writes nothing."""
+    for name, text in _contract_files().items():
+        (tmp_path / name).write_text(text, encoding="utf-8")
+    config = {"seed": 0, "epochs": 1, "learning_rate": 0.01, "lambda_u": 1e308}
+    (tmp_path / "config.json").write_text(json.dumps(config), encoding="utf-8")
+    before = sorted(tmp_path.iterdir())
+    p = lambda name: str(tmp_path / name)
+    argv = ["train", "lc+st", "--config", p("config.json"), "--train", p("train.conll")]
+    assert main([*argv, "--unlabeled", p("pool.txt"), "--out", p("model.json")]) == 3
+    assert capsys.readouterr().err == "fewner: non-finite token weight sum\n"
+    assert sorted(tmp_path.iterdir()) == before
 
 
 class TestUsage:

@@ -2,6 +2,7 @@ import json
 import math
 import random
 import re
+import sys
 import tracemalloc
 
 import numpy as np
@@ -23,7 +24,7 @@ from fewner.encoder import encode, encode_backward, init_encoder
 from fewner.errors import DataError, NumericError
 from fewner.evaluation import evaluate_model, support_prototypes
 from fewner.heads import cross_entropy, init_linear_head, linear_backward, linear_forward
-from fewner.synthetic import make_corpus
+from fewner.synthetic import make_corpus, transfer_benchmark
 from fewner.training import (
     OptimizerState,
     ParamArena,
@@ -474,6 +475,32 @@ class TestStepChecks:
         config = TrainConfig(seed=0, epochs=2, learning_rate=1e298, freeze_encoder=True)
         head = train_linear(NUMERIC_TRAIN, config).head
         assert 1e299 < np.abs(head.weights).sum(axis=1).max() + np.abs(head.bias).max() < 1e300
+
+    def test_a_weight_sum_that_overflows_raises_before_the_first_step(self, monkeypatch):
+        """lambda_u 1e308 is finite, but the student's run-wide weight sum
+        overflows; every step would divide the gradients by inf and leave the
+        student at its initialization. At 1e306 the sum is 7.8e306 and the
+        student trains."""
+        bench = transfer_benchmark(0, n_source=40, n_train=30, n_test=20, n_unlabeled=20)
+        moved = []  # per _fit call: whether any parameter changed
+        fit = training._fit
+
+        def spy(arena, *args):
+            start = arena.params.copy()
+            fit(arena, *args)
+            moved.append(not np.array_equal(start, arena.params))
+
+        monkeypatch.setattr(training, "_fit", spy)
+        config = TrainConfig(seed=0, scheme="lc+st", epochs=1, learning_rate=0.01)
+        run = lambda lambda_u: run_scheme(
+            bench.train, config.with_(lambda_u=lambda_u), unlabeled=bench.unlabeled
+        )
+        with pytest.raises(NumericError, match="^non-finite token weight sum$"):
+            run(1e308)
+        assert moved == [True]  # the teacher trained; the student never stepped
+        moved.clear()
+        run(1e306)
+        assert moved == [True, True]
 
     @pytest.mark.parametrize(
         "trainer, freeze",
@@ -1043,6 +1070,20 @@ class TestConfigFile:
             load_config(path)
         with pytest.raises(ValueError, match="seed"):
             TrainConfig(seed=-1)
+
+    def test_toml_round_trip(self, tmp_path):
+        pytest.importorskip("tomllib")
+        path = tmp_path / "config.toml"
+        path.write_text('seed = 3\nlearning_rate = 0.01\nscheme = "lc+st"\n', encoding="utf-8")
+        assert load_config(path) == TrainConfig(seed=3, learning_rate=0.01, scheme="lc+st")
+
+    def test_toml_without_tomllib_names_file(self, tmp_path, monkeypatch):
+        path = tmp_path / "config.toml"
+        path.write_text("seed = 1\n", encoding="utf-8")
+        monkeypatch.setitem(sys.modules, "tomllib", None)  # as on Python 3.10
+        message = f"{path}: invalid config (TOML needs Python 3.11+; use JSON)"
+        with pytest.raises(DataError, match=f"^{re.escape(message)}$"):
+            load_config(path)
 
     @pytest.mark.parametrize(
         "name, content",

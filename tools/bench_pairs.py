@@ -26,14 +26,14 @@ time: after the digests, each tree runs its tier-1 suite (``python -m pytest
 the trees alternating. Every run draws its Hypothesis examples from one seed
 (``--hypothesis-seed``, the seed base) and starts without a ``.hypothesis``
 example database, so both trees' unseeded property tests run the same
-examples each time. The file records each tree's wall and CPU seconds per
-run (CPU from ``getrusage(RUSAGE_CHILDREN)``) with their medians, its test
-count and the 10 slowest tests of its last run (``--durations=10``). Beside
-the raw seconds it records them scaled to a reference CPU speed: the change
-tree's ``tools/tier1_probe.py`` pytest plugin runs its ``perfbench/speed.py``
-probe inside the suite's own process, right when the session starts and
-ends and every 0.1 s during it, and reports the session's seconds and
-their scaled value; a run's CPU seconds are scaled by the same factor.
+examples each time. The file records each tree's wall seconds per run
+with their median, its test count and the 10 slowest tests of its last run
+(``--durations=10``). Beside them it records the pytest session's seconds,
+raw and scaled to a reference CPU speed: the change tree's
+``tools/tier1_probe.py`` pytest plugin runs its ``perfbench/speed.py`` probe
+inside the suite's own process, right when the session starts and ends and
+every 0.1 s during it, and reports the session's seconds and their scaled
+value.
 A failed digest run or a failed suite exits 1 and writes no file.
 ``compare.py`` pairs runs by start order, so when a workload of the change's
 ``BENCHMARK.json`` lacks a record of some run on either side, the tool also
@@ -46,7 +46,6 @@ import argparse
 import json
 import os
 import re
-import resource
 import shutil
 import statistics
 import subprocess
@@ -87,14 +86,8 @@ def run_pair(trees: dict[str, Path], order, seed: int, seconds: float) -> None:
         print(f"seed {seed} {side}: {status}", file=sys.stderr, flush=True)
 
 
-def children_cpu_s() -> float:
-    """User plus system CPU seconds of this process's waited-for children."""
-    usage = resource.getrusage(resource.RUSAGE_CHILDREN)
-    return usage.ru_utime + usage.ru_stime
-
-
 def tier1_times(trees: dict[str, Path], hypothesis_seed: int) -> dict | None:
-    """Each tree's wall and CPU seconds over TIER1_RUNS runs of its tier-1
+    """Each tree's wall seconds over TIER1_RUNS runs of its tier-1
     suite, the parent first in odd runs, with the session seconds and their
     scaled values from the change tree's probe plugin in the suite's
     process, their medians, its test count and the slowest tests of its
@@ -103,22 +96,20 @@ def tier1_times(trees: dict[str, Path], hypothesis_seed: int) -> dict | None:
     path = ("src", str(trees["change"] / "tools"), os.environ.get("PYTHONPATH"))
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
     argv = [sys.executable, *TIER1, *PROBE, f"--hypothesis-seed={hypothesis_seed}"]
-    fields = ("wall_s", "cpu_s", "session_s", "scaled_s", "scaled_cpu_s")
+    fields = ("wall_s", "session_s", "scaled_s")
     record = {side: {field: [] for field in fields} for side in SIDES}
     for i in range(TIER1_RUNS):
         for side in SIDES if i % 2 == 0 else SIDES[::-1]:
             shutil.rmtree(trees[side] / ".hypothesis", ignore_errors=True)
-            cpu_start, start = children_cpu_s(), time.perf_counter()
+            start = time.perf_counter()
             proc = subprocess.run(argv, cwd=trees[side], env=env, capture_output=True, text=True)
-            wall, cpu = time.perf_counter() - start, children_cpu_s() - cpu_start
+            wall = time.perf_counter() - start
             summary = (proc.stdout.strip().splitlines() or [""])[-1]
             print(f"tier-1 {side}: {summary}", file=sys.stderr, flush=True)
             if proc.returncode:
                 return None
             probe = json.loads(re.search(f"^{PREFIX}(.+)$", proc.stdout, re.M)[1])
-            # the probe's speed over the session: reference time / probe's mean time
-            scale = probe["scaled_s"] / probe["session_s"]
-            values = (wall, cpu, probe["session_s"], probe["scaled_s"], cpu * scale)
+            values = (wall, probe["session_s"], probe["scaled_s"])
             for field, value in zip(fields, values):
                 record[side][field].append(value)
             record[side]["tests"] = int(re.search(r"(\d+) passed", summary)[1])
