@@ -159,8 +159,10 @@ def write_atomic(path: str | Path, text: str) -> None:
     """Write text to a new temporary file beside path, then rename it over
     path, so a failed write never leaves a truncated file at path. The
     temporary file is created exclusively under a random name, so no other
-    file is written or removed, and with the mode a plain write would give."""
-    tmp = Path(f"{path}.{os.urandom(8).hex()}.tmp")
+    file is written or removed, and with the mode a plain write would give.
+    Its name's length does not depend on path's, so a name near the
+    file-name limit still has room for it."""
+    tmp = Path(path).parent / f".{os.urandom(8).hex()}.tmp"
     fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with open(fd, "w", encoding="utf-8") as f:
@@ -172,9 +174,11 @@ def write_atomic(path: str | Path, text: str) -> None:
 
 
 def read_text(path: str | Path) -> str:
-    """The file's UTF-8 text; a failed read or non-UTF-8 bytes raise a DataError naming path."""
+    """The file's UTF-8 text with its line ends as they are, so
+    text.encode("utf-8") is the file's bytes; a failed read or non-UTF-8
+    bytes raise a DataError naming path."""
     try:
-        return Path(path).read_text(encoding="utf-8")
+        return Path(path).read_bytes().decode("utf-8")
     except OSError as exc:
         raise DataError(f"cannot read {path}: {exc.strerror}") from exc
     except UnicodeDecodeError as exc:

@@ -65,21 +65,13 @@ def _read_corpus(path: str, schema: str):
     return parse_conll(checkpoint.read_text(path), schema)
 
 
-def _read_unlabeled(path: str) -> list[tuple[str, ...]]:
-    """The file's non-blank lines as token tuples; a file without one is a
+def _unlabeled(text: str, path: str) -> list[tuple[str, ...]]:
+    """The text's non-blank lines as token tuples; a file without one is a
     DataError, so a self-training scheme never falls back to plain training."""
-    lines = checkpoint.read_text(path).splitlines()
-    sentences = [tokens for line in lines if (tokens := tuple(line.split()))]
+    sentences = [tokens for line in text.splitlines() if (tokens := tuple(line.split()))]
     if not sentences:
         raise DataError(f"{path}: no unlabeled sentences")
     return sentences
-
-
-def _digest(path: str) -> str:
-    try:
-        return hashlib.sha256(Path(path).read_bytes()).hexdigest()
-    except OSError as exc:
-        raise DataError(f"cannot read {path}: {exc.strerror}") from exc
 
 
 def _shots(args) -> int:
@@ -129,24 +121,22 @@ def cmd_train(args) -> int:
     seed = _seed(args)
     for path in (args.out, f"{args.out}.manifest.json"):
         _check_writable(path)  # a long run must not end in a write bound to fail
-    config = load_config(args.config)
+    inputs = {}  # each input is read once, in manifest order, and hashed from that read
+
+    def read(name: str) -> str:
+        text = checkpoint.read_text(path := getattr(args, name))
+        inputs[name] = {"path": path, "sha256": hashlib.sha256(text.encode()).hexdigest()}
+        return text
+
+    config = load_config(read("config"), args.config).with_(scheme=args.scheme)
     if seed is not None:
         config = config.with_(seed=seed)
-    config = config.with_(scheme=args.scheme)
-
-    inputs = {"config": args.config, "train": args.train}
-    inputs.update((name, getattr(args, name)) for name in needed)
-    digests = {name: _digest(path) for name, path in inputs.items()}
-
-    train_corpus = _read_corpus(args.train, args.schema)
-    source_corpus = _read_corpus(args.source, args.schema) if "source" in needed else None
-    unlabeled = _read_unlabeled(args.unlabeled) if "unlabeled" in needed else None
+    train_corpus = parse_conll(read("train"), args.schema)
+    source_corpus = parse_conll(read("source"), args.schema) if "source" in needed else None
+    unlabeled = _unlabeled(read("unlabeled"), args.unlabeled) if "unlabeled" in needed else None
     # the source config only configures the pretrain stage, which reads the source
-    source_config = None
-    if "source" in needed and args.source_config:
-        source_config = load_config(args.source_config)
-        digests["source_config"] = _digest(args.source_config)
-        inputs["source_config"] = args.source_config
+    pretrain = "source" in needed and args.source_config
+    source_config = load_config(read("source_config"), args.source_config) if pretrain else None
 
     started = time.monotonic()
     model = run_scheme(
@@ -165,7 +155,7 @@ def cmd_train(args) -> int:
         "config": asdict(config),
         "source_config": asdict(source_config) if source_config else None,
         "seeds": {"run": config.seed},
-        "inputs": {name: {"path": path, "sha256": digests[name]} for name, path in inputs.items()},
+        "inputs": inputs,
         "checkpoint": args.out,
         "metrics": None,
         "duration_seconds": time.monotonic() - started,

@@ -30,7 +30,7 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from .checkpoint import Model, read_text
+from .checkpoint import Model
 from .corpus import TaggedCorpus, WordIds, sentence_rows, top_up, word_ids
 from .encoder import (
     EncoderGrads,
@@ -124,14 +124,14 @@ class TrainConfig:
 _CONFIG_TYPES = {"int": int, "float": (int, float), "bool": bool, "str": str}
 
 
-def load_config(path: str | Path) -> TrainConfig:
-    """Read a TrainConfig from a JSON (or TOML, on Python 3.11+) file.
+def load_config(text: str, path: str | Path) -> TrainConfig:
+    """Parse a TrainConfig from the JSON (or TOML, on Python 3.11+) text of
+    the file at path, which picks the parser by its suffix and is not read.
 
     Every value must have its field's declared type; a malformed or invalid
     config raises DataError naming the file.
     """
-    path = Path(path)
-    text, parser = read_text(path), json
+    path, parser = Path(path), json
     try:
         if path.suffix == ".toml":
             import tomllib as parser  # Python 3.11+

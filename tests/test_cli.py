@@ -1,5 +1,7 @@
+import collections
 import contextlib
 import functools
+import hashlib
 import io
 import json
 import math
@@ -280,6 +282,49 @@ class TestTrainEval:
         assert code == 0
         assert ckpt.exists()
 
+    @pytest.mark.parametrize("scheme", ["lc", "lc+nsp", "lc+st"])
+    def test_each_input_is_read_once(self, workdir, monkeypatch, scheme):
+        flags = self._scheme_flags(workdir)
+        (workdir / "pretrain.json").write_bytes((workdir / "config.json").read_bytes())
+        extra, names = {
+            "lc": ([], []),
+            "lc+nsp": (
+                [*flags["source"], "--source-config", str(workdir / "pretrain.json")],
+                ["source.conll", "pretrain.json"],
+            ),
+            "lc+st": (flags["unlabeled"], ["unlabeled.txt"]),
+        }[scheme]
+        reads = collections.Counter()
+        for method in ("read_bytes", "read_text"):
+
+            def spy(path, *args, _read=getattr(Path, method), **kwargs):
+                reads[str(path)] += 1
+                return _read(path, *args, **kwargs)
+
+            monkeypatch.setattr(Path, method, spy)
+        code, _ = self._train(workdir, scheme, extra=extra)
+        monkeypatch.undo()
+        assert code == 0
+        assert reads == {str(workdir / name): 1 for name in ["config.json", "train.conll", *names]}
+
+    @pytest.mark.parametrize(
+        "line_end, prefix",
+        [("\n", ""), ("\r\n", ""), ("\r", ""), ("\n", "\ufeff")],
+        ids=["lf", "crlf", "cr", "bom"],
+    )
+    def test_manifest_hashes_the_file_bytes(self, workdir, line_end, prefix):
+        train = workdir / "train.conll"
+        text = prefix + train.read_text(encoding="utf-8").replace("\n", line_end)
+        train.write_bytes(text.encode("utf-8"))
+        code, ckpt = self._train(workdir)
+        assert code == 0
+        manifest = json.loads((ckpt.parent / f"{ckpt.name}.manifest.json").read_text())
+        for name, path in [("config", workdir / "config.json"), ("train", train)]:
+            assert manifest["inputs"][name] == {
+                "path": str(path),
+                "sha256": hashlib.sha256(path.read_bytes()).hexdigest(),
+            }
+
     @pytest.mark.parametrize(
         "scheme, missing",
         [
@@ -455,6 +500,20 @@ class TestBadInputs:
         assert "bad.json" in err and field in err
         assert not (workdir / "x.json").exists()
         assert not (workdir / "x.json.manifest.json").exists()
+
+    @pytest.mark.parametrize("line_end, code", [("\r\n", 0), ("\r", 2)], ids=["crlf", "cr"])
+    def test_toml_config_line_ends(self, workdir, capsys, line_end, code):
+        # bare CR is not a TOML newline, and the config is parsed as the file holds it
+        pytest.importorskip("tomllib")
+        config = workdir / "config.toml"
+        fields = json.loads((workdir / "config.json").read_text(encoding="utf-8"))
+        config.write_bytes("".join(f"{k} = {v}{line_end}" for k, v in fields.items()).encode())
+        argv = ["train", "lc", "--config", str(config), "--train", str(workdir / "train.conll")]
+        assert main([*argv, "--out", str(workdir / "x.json")]) == code
+        if code:
+            err = self._assert_data_error(code, capsys)
+            assert err.startswith(f"fewner: {config}: invalid config (")
+            assert not (workdir / "x.json").exists()
 
     @pytest.mark.parametrize(
         "scheme, flag, text, message",
@@ -740,6 +799,33 @@ class TestFileErrors:
         assert not (workdir / "x.json").exists()
         assert not (workdir / "x.json.manifest.json").exists()
 
+    @pytest.mark.parametrize(
+        "scheme, bad, data, missing",
+        [
+            ("lc+nsp", "--train", b"caf\xe9 B-LOC\n", "--source"),
+            ("lc+st", "--train", b"justonetoken\n", "--unlabeled"),
+            ("lc+nsp+st", "--source", b"justonetoken\n", "--unlabeled"),
+        ],
+        ids=["non_utf8_train", "malformed_train", "malformed_source"],
+    )
+    def test_inputs_are_checked_in_manifest_order(
+        self, workdir, capsys, scheme, bad, data, missing
+    ):
+        # config, train, source, unlabeled: each is read and parsed before the next is read
+        (workdir / "bad.conll").write_bytes(data)
+        p = lambda name: str(workdir / name)
+        files = {"--train": p("train.conll"), "--source": p("train.conll")}
+        files.update({bad: p("bad.conll"), missing: p("missing")})
+        argv = ["train", scheme, "--config", p("config.json"), "--out", p("x.json")]
+        assert main([*argv, *(a for pair in files.items() for a in pair)]) == 2
+        err = capsys.readouterr().err
+        expected = {
+            b"caf\xe9 B-LOC\n": f"fewner: cannot read {p('bad.conll')}: not UTF-8",
+            b"justonetoken\n": "fewner: line 1: expected token and tag columns",
+        }[data]
+        assert err.startswith(expected) and err.count("\n") == 1
+        assert not (workdir / "x.json").exists()
+
     @pytest.mark.parametrize("command", ["train", "sample"])
     @pytest.mark.parametrize(
         "target, reason",
@@ -755,7 +841,7 @@ class TestFileErrors:
         }[command] + ["--out", out]
         assert main(argv) == 2
         assert capsys.readouterr().err == f"fewner: cannot write {out}: {reason}\n"
-        assert not list(Path(out).parent.glob(f"{Path(out).name}.*tmp"))  # no temporary file
+        assert not list(Path(out).parent.glob(".*.tmp"))  # no temporary file
         assert not (workdir / "missing").exists()
         assert list((workdir / "a_directory").iterdir()) == []
 
@@ -765,6 +851,7 @@ class TestFileErrors:
             ("missing/m.json", "missing/m.json", "No such file or directory"),
             ("a_directory", "a_directory", "Is a directory"),
             ("m.json", "m.json.manifest.json", "Is a directory"),
+            pytest.param("m" * 256, "m" * 256, "File name too long", id="name_too_long"),
         ],
     )
     def test_unwritable_train_output_found_before_training(
@@ -781,12 +868,27 @@ class TestFileErrors:
         assert capsys.readouterr().err == f"fewner: cannot write {p(blocked)}: {reason}\n"
         assert sorted(workdir.rglob("*")) == before
 
+    @pytest.mark.parametrize("length", [230, 236, 241])
+    def test_long_output_name(self, workdir, length):
+        # the manifest's name is 14 bytes longer, 255 at most; the temporary
+        # files' names do not grow with them
+        out = workdir / ("m" * length)
+        before = {path.name for path in workdir.iterdir()}
+        p = lambda name: str(workdir / name)
+        argv = ["train", "lc", "--config", p("config.json"), "--train", p("train.conll")]
+        assert main([*argv, "--out", str(out)]) == 0
+        fewner.load(out)
+        assert {path.name for path in workdir.iterdir()} - before == {
+            out.name,
+            f"{out.name}.manifest.json",
+        }
+
     @pytest.mark.parametrize("command", ["train", "sample"])
     def test_empty_output_is_usage_error(self, workdir, capsys, monkeypatch, command):
         read = lambda *args, **kwargs: pytest.fail("read an input before checking --out")
-        # every read of an input goes through one of these
-        for reader in ("checkpoint.read_text", "cli._digest", "cli.load_config"):
-            monkeypatch.setattr(f"fewner.{reader}", read)
+        # every read of an input goes through the one reader, which reads the bytes
+        monkeypatch.setattr(fewner.checkpoint, "read_text", read)
+        monkeypatch.setattr(Path, "read_bytes", read)
         before = sorted(workdir.rglob("*"))
         p = lambda name: str(workdir / name)
         argv = {

@@ -11,7 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fewner import training
-from fewner.checkpoint import LINEAR, PROTOTYPE, dumps, from_document
+from fewner.checkpoint import LINEAR, PROTOTYPE, dumps, from_document, read_text
 from fewner.corpus import (
     LabelSet,
     TaggedCorpus,
@@ -992,7 +992,7 @@ class TestConfigFile:
     def test_json_round_trip(self, tmp_path):
         path = tmp_path / "config.json"
         path.write_text('{"seed": 3, "learning_rate": 0.01, "scheme": "lc+st"}')
-        config = load_config(path)
+        config = load_config(read_text(path), path)
         assert config.seed == 3
         assert config.learning_rate == 0.01
         assert config.scheme == "lc+st"
@@ -1002,13 +1002,13 @@ class TestConfigFile:
         path = tmp_path / "config.json"
         path.write_text('{"learning_rate": 0.01}')
         with pytest.raises(DataError, match="seed"):
-            load_config(path)
+            load_config(read_text(path), path)
 
     def test_unknown_field_rejected(self, tmp_path):
         path = tmp_path / "config.json"
         path.write_text('{"seed": 1, "learning_rte": 0.01}')
         with pytest.raises(DataError, match="learning_rte"):
-            load_config(path)
+            load_config(read_text(path), path)
 
     @pytest.mark.parametrize(
         "raw",
@@ -1025,24 +1025,24 @@ class TestConfigFile:
         path = tmp_path / "config.json"
         path.write_text(raw)
         with pytest.raises(DataError, match="config field"):
-            load_config(path)
+            load_config(read_text(path), path)
 
     def test_int_accepted_for_float_field(self, tmp_path):
         path = tmp_path / "config.json"
         path.write_text('{"seed": 1, "learning_rate": 1, "freeze_encoder": true}')
-        assert load_config(path).learning_rate == 1
+        assert load_config(read_text(path), path).learning_rate == 1
 
     def test_invalid_value_names_file(self, tmp_path):
         path = tmp_path / "config.json"
         path.write_text('{"seed": 1, "batch_size": 0}')
         with pytest.raises(DataError, match="config.json.*batch_size"):
-            load_config(path)
+            load_config(read_text(path), path)
 
     def test_bad_scheme_rejected(self, tmp_path):
         path = tmp_path / "config.json"
         path.write_text('{"seed": 1, "scheme": "magic"}')
         with pytest.raises(DataError, match=re.escape(f"expected one of {ALL_SCHEMES}")):
-            load_config(path)
+            load_config(read_text(path), path)
 
     @pytest.mark.parametrize(
         "field, value",
@@ -1059,7 +1059,7 @@ class TestConfigFile:
         path = tmp_path / "config.json"
         path.write_text(f'{{"seed": 0, "{field}": {value}}}')
         with pytest.raises(DataError, match=f"config.json.*{field} must be .*finite"):
-            load_config(path)
+            load_config(read_text(path), path)
         with pytest.raises(ValueError, match=field):
             TrainConfig(seed=0, **{field: float(value)})
 
@@ -1067,7 +1067,7 @@ class TestConfigFile:
         path = tmp_path / "config.json"
         path.write_text('{"seed": -1}')
         with pytest.raises(DataError, match="config.json.*seed"):
-            load_config(path)
+            load_config(read_text(path), path)
         with pytest.raises(ValueError, match="seed"):
             TrainConfig(seed=-1)
 
@@ -1075,7 +1075,8 @@ class TestConfigFile:
         pytest.importorskip("tomllib")
         path = tmp_path / "config.toml"
         path.write_text('seed = 3\nlearning_rate = 0.01\nscheme = "lc+st"\n', encoding="utf-8")
-        assert load_config(path) == TrainConfig(seed=3, learning_rate=0.01, scheme="lc+st")
+        expected = TrainConfig(seed=3, learning_rate=0.01, scheme="lc+st")
+        assert load_config(read_text(path), path) == expected
 
     def test_toml_without_tomllib_names_file(self, tmp_path, monkeypatch):
         path = tmp_path / "config.toml"
@@ -1083,7 +1084,7 @@ class TestConfigFile:
         monkeypatch.setitem(sys.modules, "tomllib", None)  # as on Python 3.10
         message = f"{path}: invalid config (TOML needs Python 3.11+; use JSON)"
         with pytest.raises(DataError, match=f"^{re.escape(message)}$"):
-            load_config(path)
+            load_config(read_text(path), path)
 
     @pytest.mark.parametrize(
         "name, content",
@@ -1100,4 +1101,4 @@ class TestConfigFile:
         if content is not None:
             path.write_bytes(content)
         with pytest.raises(DataError, match=name):
-            load_config(path)
+            load_config(read_text(path), path)

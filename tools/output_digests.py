@@ -14,7 +14,9 @@ Prints one ``name sha256`` line per output:
 * the stdout of ``fewner stats``, ``eval`` (BIO and IO scoring) and
   ``protoinfer``, and the checkpoint bytes that ``fewner train`` writes for
   ``lc``, ``proto`` and ``lc+st`` (with an ``--unlabeled`` file), on files
-  laid out like the cli_infer benchmark workload's;
+  laid out like the cli_infer benchmark workload's, and for ``lc`` on a
+  CRLF copy of the config and the train file and on a train file that
+  starts with a UTF-8 byte order mark, with its stdout and stderr;
 * the run manifest of each ``fewner train``, and of ``train lc+st`` with
   ``lambda_u`` 0, whose run stops at its teacher, without its
   ``duration_seconds`` and with the work directory written as ``<dir>``;
@@ -428,8 +430,12 @@ def cli_digests(fewner, workdir: Path):
             "config_lambda0.json": json.dumps({**config, "lambda_u": 0.0}),
             "unlabeled.txt": "".join(" ".join(tokens) + "\n" for tokens in bench.unlabeled),
         }
+        # the manifest hashes a file's bytes, whatever its line ends or BOM
+        files["config_crlf.json"] = json.dumps(config, indent=2).replace("\n", "\r\n")
+        files["train_crlf.conll"] = files["train.conll"].replace("\n", "\r\n")
+        files["train_bom.conll"] = "\ufeff" + files["train.conll"]
         for name, text in files.items():
-            (d / name).write_text(text, encoding="utf-8")
+            (d / name).write_bytes(text.encode("utf-8"))
         p = lambda name: str(d / name)
         tag = f"seed{seed}"
         yield f"cli/stats/{tag}", run(["stats", p("test.conll")])
@@ -449,6 +455,13 @@ def cli_digests(fewner, workdir: Path):
         argv = ["train", "lc+st", "--config", p("config_lambda0.json"), "--train", p("train.conll")]
         run([*argv, "--unlabeled", p("unlabeled.txt"), "--out", out])
         yield f"cli/train_lc+st_lambda0_manifest/{tag}", manifest(out)
+        for variant, config_file in (("crlf", "config_crlf.json"), ("bom", "config.json")):
+            out = p(f"lc_{variant}.json")
+            argv = ["train", "lc", "--config", p(config_file)]
+            argv += ["--train", p(f"train_{variant}.conll")]
+            yield f"cli/train_lc_{variant}/{tag}", run([*argv, "--out", out])
+            yield f"cli/train_lc_{variant}_checkpoint/{tag}", Path(out).read_bytes()
+            yield f"cli/train_lc_{variant}_manifest/{tag}", manifest(out)
         yield f"cli/eval/{tag}", run(["eval", p("lc.json"), p("test.conll")])
         yield f"cli/eval_io/{tag}", run(["eval", p("lc.json"), p("test.conll"), "--schema", "io"])
         tied = fewner.load(p("lc.json"))
