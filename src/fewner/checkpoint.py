@@ -173,12 +173,16 @@ def write_atomic(path: str | Path, text: str) -> None:
         raise
 
 
-def read_text(path: str | Path) -> str:
-    """The file's UTF-8 text with its line ends as they are, so
-    text.encode("utf-8") is the file's bytes; a failed read or non-UTF-8
-    bytes raise a DataError naming path."""
+def read_text(path: str | Path, digest=None) -> str:
+    """The file's UTF-8 text with its line ends as they are and one leading
+    byte order mark dropped; a failed read or non-UTF-8 bytes raise a
+    DataError naming path. digest (a hashlib object), if given, is updated
+    with the bytes read."""
     try:
-        return Path(path).read_bytes().decode("utf-8")
+        data = Path(path).read_bytes()
+        if digest is not None:
+            digest.update(data)
+        return data.decode("utf-8").removeprefix("\ufeff")
     except OSError as exc:
         raise DataError(f"cannot read {path}: {exc.strerror}") from exc
     except UnicodeDecodeError as exc:

@@ -124,8 +124,8 @@ def cmd_train(args) -> int:
     inputs = {}  # each input is read once, in manifest order, and hashed from that read
 
     def read(name: str) -> str:
-        text = checkpoint.read_text(path := getattr(args, name))
-        inputs[name] = {"path": path, "sha256": hashlib.sha256(text.encode()).hexdigest()}
+        text = checkpoint.read_text(path := getattr(args, name), digest := hashlib.sha256())
+        inputs[name] = {"path": path, "sha256": digest.hexdigest()}
         return text
 
     config = load_config(read("config"), args.config).with_(scheme=args.scheme)

@@ -256,16 +256,17 @@ def encode_blocks(params: EncoderParams, words: WordIds, head) -> np.ndarray:
     )
 
 
-# numpy's tanh is assumed to be within this absolute error of the real tanh.
-# libm and SIMD tanh implementations are within a few ulps of 1 (about
-# 1e-15), so the bound is generous by orders of magnitude, as the prediction
-# heads' certificates are for exp and log.
+# numpy's float64 and float32 tanh are assumed to be within these absolute
+# errors of the real tanh. libm and SIMD implementations are within a few
+# ulps of 1 (about 1e-15 and 6e-8), so the bounds are generous, as the
+# prediction heads' certificates are for exp and log.
 TANH_ERROR = 2.0**-40
+TANH32_ERROR = 2.0**-20
 
 
 def projection_tables(params: EncoderParams, used: np.ndarray):
-    """Per-word projection tables of the embedding rows `used` and their
-    slack, or None where they are not certified.
+    """Per-word float32 projection tables of the embedding rows `used` and
+    their slack, or None where they are not certified.
 
     The tables are a (3, U, H) array: P_L = E_used @ W_L.T,
     P_C = E_used @ W_C.T + b and P_R = E_used @ W_R.T, W_L, W_C and W_R
@@ -275,17 +276,26 @@ def projection_tables(params: EncoderParams, used: np.ndarray):
     of indices into used is tanh(P_L[l] + P_C[c] + P_R[r]).
 
     With S = max|E_used| max_j ||W_j||_1 + max|b| (W_j the j-th row of
-    context_weights), every pre-activation and its every partial sum on
-    either path is at most S in magnitude, up to rounding. Both paths sum
-    the same 3E + 1 terms in different orders, so their pre-activations
-    differ by at most 2 g S, g = (3E + 2)u / (1 - (3E + 2)u), u = 2^-53
-    (Higham, Accuracy and Stability of Numerical Algorithms, 3.1). tanh is
-    1-Lipschitz and numpy's is taken to be within TANH_ERROR of it, so every
+    context_weights), every pre-activation and its every partial sum is at
+    most S in magnitude, up to rounding. The float64 tables' sums and
+    encode_windows' pre-activations are each within g S of the real ones,
+    g = (3E + 2)u / (1 - (3E + 2)u), u = 2^-53 (Higham, Accuracy and
+    Stability of Numerical Algorithms, 3.1). Clipped to +-2^126 (so that no
+    float32 sum of three overflows) and rounded to float32 (unit v = 2^-24),
+    each unclipped entry moves by at most v times it or 2^-150 (subnormal);
+    each float32 add moves the sum by at most v times it (a subnormal sum is
+    exact; Higham 2.2). So the float32 pre-activation is within
+    3v(1 + 2^-22) t + 2^-148 of the float64 tables' real sum,
+    t = sum_X max|P_X|. tanh is 1-Lipschitz and numpy's float64 and float32
+    loops are taken to be within TANH_ERROR and TANH32_ERROR of it, so every
     representation entry differs from encode_windows' by at most the slack
-    2 g S + 2 TANH_ERROR. The tables are returned only when all their values
-    are finite and S < OVERFLOW_BOUND (1e300), where neither path can make a
-    pre-activation that is not finite; otherwise (NaN in a used row, weights
-    near overflow) encode_windows is the only certified encoder.
+    2 g S + 3v(1 + 2^-22) t + 2^-148 + TANH_ERROR + TANH32_ERROR. A clipped
+    entry makes t >= 2^126 and the slack over 2, the widest gap between two
+    representations, so the slack holds there too. The tables are returned
+    only when all their values are finite and S < OVERFLOW_BOUND (1e300),
+    where neither path can make a pre-activation that is not finite;
+    otherwise (NaN in a used row, weights near overflow) encode_windows is
+    the only certified encoder.
     """
     e, h = params.embed_dim, params.hidden_dim
     emb = np.take(params.embedding_table, used, axis=0)
@@ -295,10 +305,14 @@ def projection_tables(params: EncoderParams, used: np.ndarray):
     with np.errstate(all="ignore"):  # what is not finite fails the gate
         s = np.abs(emb).max(initial=0.0) * np.abs(params.context_weights).sum(axis=1).max()
         s += np.abs(params.context_bias).max()
-        if not (s < OVERFLOW_BOUND and np.isfinite(tables).all()):
+        # sum_X max|P_X|: NaN or inf where a value is not finite (no |tables| temporary)
+        t = np.maximum(tables.max(axis=(1, 2)), -tables.min(axis=(1, 2))).sum()
+        if not (s < OVERFLOW_BOUND and t < np.inf):
             return None
     n = 3 * e + 2
-    return tables, 2 * n / (2.0**53 - n) * s + 2 * TANH_ERROR
+    slack = 2 * n / (2.0**53 - n) * s + 3 * 2.0**-24 * (1 + 2.0**-22) * t + 2.0**-148
+    tables = np.clip(tables, -(2.0**126), 2.0**126, out=tables).astype(np.float32)
+    return tables, slack + TANH_ERROR + TANH32_ERROR
 
 
 def projected_blocks(params: EncoderParams, words: WordIds, certify, exact) -> np.ndarray:
@@ -306,15 +320,16 @@ def projected_blocks(params: EncoderParams, words: WordIds, certify, exact) -> n
     certify where it can vouch for it.
 
     The blocks are encoded from the column's projection_tables, built once:
-    three row gathers, two adds and a tanh in place of the (rows x 3E)
-    (3E x H) product. certify(reprs, slack) gets those representations and
-    the bound on how far any entry is from encode_windows', and gives
-    exact's result on encode_windows' representations or None. reprs is a
-    view of a buffer that the next block overwrites, so certify must not
-    keep it. A declined block is re-encoded by encode_windows and scored by
-    exact as a whole: prediction's one fallback. Where the tables are not
-    certified, the pass is encode_blocks(params, words, exact) itself, so
-    every NumericError is raised as encode_blocks raises it.
+    three row gathers, two adds and a tanh in float32 in place of the
+    (rows x 3E) (3E x H) product. certify(reprs, slack) gets those
+    representations widened to float64 and the bound on how far any entry
+    is from encode_windows', and gives exact's result on encode_windows'
+    representations or None. reprs is a view of a buffer that the next
+    block overwrites, so certify must not keep it. A declined block is
+    re-encoded by encode_windows and scored by exact as a whole:
+    prediction's one fallback. Where the tables are not certified, the pass
+    is encode_blocks(params, words, exact) itself, so every NumericError is
+    raised as encode_blocks raises it.
     """
     used, windows = _column_windows(params, words)
     certified = projection_tables(params, used)
@@ -322,18 +337,19 @@ def projected_blocks(params: EncoderParams, words: WordIds, certify, exact) -> n
         return encode_blocks(params, words, exact)
     (left, centre, right), slack = certified
     blocks = list(_blocks(words.offsets))
-    # two work buffers for every block: fresh (rows x H) arrays per block
-    # would each be mapped and unmapped by malloc at these sizes
-    work = np.empty((2, max(b - a for a, b in blocks), params.hidden_dim))
+    # one buffer for every block, as big as a float64 pair: malloc would map
+    # fresh ones, and a smaller one lowers its mmap threshold for later training
+    wide, work = np.empty((2, max(b - a for a, b in blocks), params.hidden_dim))
+    work = work.view(np.float32).reshape(2, *wide.shape)
 
     def block(a: int, b: int) -> np.ndarray:
         rows = windows[a:b]
-        reprs, addend = work[:, : b - a]
+        pre, addend = work[:, : b - a]
         # "clip" keeps take from buffering out; every index is in range
-        np.take(left, rows[:, 0], axis=0, out=reprs, mode="clip")
-        reprs += np.take(centre, rows[:, 1], axis=0, out=addend, mode="clip")
-        reprs += np.take(right, rows[:, 2], axis=0, out=addend, mode="clip")
-        labels = certify(np.tanh(reprs, out=reprs), slack)
+        np.take(left, rows[:, 0], axis=0, out=pre, mode="clip")
+        pre += np.take(centre, rows[:, 1], axis=0, out=addend, mode="clip")
+        pre += np.take(right, rows[:, 2], axis=0, out=addend, mode="clip")
+        labels = certify(np.tanh(pre, out=wide[: b - a], dtype=np.float32), slack)
         return exact(encode_windows(params, used[rows])) if labels is None else labels
 
     return np.concatenate([block(a, b) for a, b in blocks])

@@ -917,6 +917,46 @@ class TestFileErrors:
         assert sorted(workdir.iterdir()) == before
 
 
+class TestByteOrderMark:
+    """The one reader drops a leading UTF-8 byte order mark, so every input
+    reads as its copy without one."""
+
+    BOM = b"\xef\xbb\xbf"
+
+    def test_conll_with_docstart(self, tmp_path, capsys):
+        text = b"-DOCSTART- -X- -X- O\n\nEU B-ORG\nrejects O\n"
+        stats = []
+        for name, data in (("plain.conll", text), ("bom.conll", self.BOM + text)):
+            (tmp_path / name).write_bytes(data)
+            assert main(["stats", str(tmp_path / name)]) == 0
+            stats.append(json.loads(capsys.readouterr().out))
+        assert stats[0] == stats[1]
+        assert (stats[1]["sentences"], stats[1]["tokens"]) == (1, 2)
+
+    @pytest.mark.parametrize("name", ["config.json", "train.conll", "unlabeled.txt", "model.json"])
+    def test_input_reads_as_its_copy_without_bom(self, workdir, capsys, name):
+        unlabeled = make_corpus(10, seed=34).sentences
+        text = "".join(" ".join(s.tokens) + "\n" for s in unlabeled)
+        (workdir / "unlabeled.txt").write_text(text, encoding="utf-8")
+        if name != "model.json":
+            (workdir / f"bom_{name}").write_bytes(self.BOM + (workdir / name).read_bytes())
+
+        def outputs(bom: str | None) -> tuple[bytes, str]:
+            """The lc+st checkpoint and its eval report, the file named bom
+            read from its copy with a BOM."""
+            p = lambda f: str(workdir / (f"bom_{f}" if f == bom else f))
+            argv = ["train", "lc+st", "--config", p("config.json"), "--train", p("train.conll")]
+            argv += ["--unlabeled", p("unlabeled.txt"), "--out", str(workdir / "model.json")]
+            assert main(argv) == 0
+            model = (workdir / "model.json").read_bytes()
+            (workdir / "bom_model.json").write_bytes(self.BOM + model)
+            capsys.readouterr()
+            assert main(["eval", p("model.json"), p("test.conll")]) == 0
+            return model, capsys.readouterr().out
+
+        assert outputs(name) == outputs(None)
+
+
 def _python_m_fewner(argv: list[str]) -> subprocess.CompletedProcess:
     """Run `python -m fewner argv` in a fresh interpreter, which shows every
     warning that pytest would capture."""

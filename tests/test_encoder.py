@@ -261,21 +261,38 @@ class TestProjectionTables:
         assert used[0] == params._index[PAD] and len(used) == len(column.words) + 1
         assert np.array_equal(used[windows], word_windows(params, column))
 
-    @pytest.mark.parametrize("scale", [1e-3, 1.0, 1e3, 1e100, 0.9e300])
+    @pytest.mark.parametrize("scale", [1e-40, 1e-30, 1e-3, 1.0, 1e3, 1e20, 1e100, 0.9e300])
     def test_within_the_slack_of_encode_windows(self, scale):
-        """scale multiplies the weights; the last one puts S just under 1e300."""
+        """Every block's float32 representations are within the slack of
+        encode_windows', entry by entry. scale multiplies the weights, and
+        below 1e-20 the bias too, so at 1e-40 every table value is a float32
+        subnormal. From 1e20 on the float32 rounding alone makes the slack
+        exceed 2; from 1e100 on the tables pass float32's range and are
+        clipped. The last scale puts S just under 1e300."""
         rng = random.Random(36)
         params = _random_encoder(rng, vocab_size=20, embed_dim=8, hidden_dim=16)
-        column, used, windows = _column(rng, params)
+        column, used, _ = _column(rng, params)
         if scale > 1e200:
             scale /= reference_gate_sum(params, used)
         params.context_weights *= scale
+        if scale < 1e-20:
+            params.context_bias *= scale
         tables, slack = encoder.projection_tables(params, used)
-        assert tables.shape == (3, len(used), params.hidden_dim)
-        pre = tables[0][windows[:, 0]] + tables[1][windows[:, 1]] + tables[2][windows[:, 2]]
-        exact = encode_windows(params, used[windows])
-        assert np.abs(np.tanh(pre) - exact).max() <= slack
-        assert slack >= 2 * encoder.TANH_ERROR
+        assert tables.shape == (3, len(used), params.hidden_dim) and tables.dtype == np.float32
+        top = np.abs(tables).max()
+        assert top < np.finfo(np.float32).tiny if scale < 1e-35 else top > 1e-35
+        assert top == 2.0**126 if scale >= 1e100 else top < 2.0**126
+        assert (slack > 2) == (scale >= 1e20) and slack > encoder.TANH32_ERROR
+        whole, blocks, gaps = word_windows(params, column), list(encoder._blocks(column.offsets)), []
+
+        def certify(reprs, head_slack):
+            a, b = blocks[len(gaps)]
+            assert reprs.dtype == np.float64 and head_slack == slack
+            gaps.append(np.abs(reprs - encode_windows(params, whole[a:b])).max())
+            return np.zeros(len(reprs), dtype=int)
+
+        encoder.projected_blocks(params, column, certify, None)
+        assert len(gaps) == len(blocks) >= 2 and max(gaps) <= slack
 
     def test_gate(self):
         rng = random.Random(37)

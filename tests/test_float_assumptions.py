@@ -1,7 +1,8 @@
 """numpy's tanh, exp and log against a decimal reference.
 
 The certified prediction paths assume error bounds of these functions that
-no library documents: encoder.TANH_ERROR for tanh (the projection slack),
+no library documents: encoder.TANH_ERROR for tanh and
+encoder.TANH32_ERROR for its float32 loop (both in the projection slack),
 and a 1e-9 relative slack for exp and log (both heads' margins). Each check
 computes the function on a contiguous 512 x 64 block, the shape prediction
 hands it, and on a strided view of one, so both numpy's SIMD loops and its
@@ -15,7 +16,7 @@ from decimal import Decimal, localcontext
 import numpy as np
 import pytest
 
-from fewner.encoder import TANH_ERROR
+from fewner.encoder import TANH32_ERROR, TANH_ERROR
 
 # the heads' relative slack for exp and log; below the smallest normal float
 # it is taken on that float, as a subnormal result has fewer digits
@@ -24,9 +25,9 @@ TINY = np.finfo(float).tiny
 SUBNORMALS = np.array([5e-324, 1e-323, 2.5e-320, 1e-315, 1e-310, TINY / 2, np.nextafter(TINY, 0)])
 
 
-def _around(points) -> np.ndarray:
-    """Each point with its neighbours one and two ulps away."""
-    points = np.asarray(points, dtype=float)
+def _around(points, dtype=float) -> np.ndarray:
+    """Each point with its neighbours one and two ulps (of dtype) away."""
+    points = np.asarray(points, dtype=dtype)
     up, down = np.nextafter(points, np.inf), np.nextafter(points, -np.inf)
     return np.concatenate([points, up, down, np.nextafter(up, np.inf), np.nextafter(down, -np.inf)])
 
@@ -58,7 +59,7 @@ def _blocks(points: np.ndarray):
     that block as a contiguous array and as a strided view."""
     index = np.random.default_rng(0).permutation(np.resize(np.arange(len(points)), 512 * 64))
     index = index.reshape(512, 64)
-    strided = np.empty((512, 128))[:, ::2]
+    strided = np.empty((512, 128), dtype=points.dtype)[:, ::2]
     strided[...] = points[index]
     return index, (points[index], strided)
 
@@ -86,6 +87,28 @@ TANH_POINTS = np.unique(
             _signed([30.0, 100.0, 710.0, 1e300, np.finfo(float).max]),
             [0.0],
         ]
+    )
+)
+
+TINY32 = np.finfo(np.float32).tiny
+TANH32_POINTS = np.unique(
+    _around(
+        np.concatenate(
+            [
+                _signed(np.logspace(-45, 0, 300)),  # near 0
+                _signed([1e-45, 1e-42, 1e-40, TINY32 / 2, np.nextafter(TINY32, 0)]),  # subnormal
+                np.linspace(-25, 25, 1001),
+                # where float32 kernels switch formula: the powers of two
+                # that exponent-indexed tables split at, and ln(3)/2, 0.625,
+                # 9 and 22
+                _signed(2.0 ** np.arange(-30, 5)),
+                _signed([np.log(3) / 2, 0.625, 9.0, 22.0]),
+                _signed(np.linspace(8.5, 9.5, 401)),  # saturation: tanh rounds to 1 near 9.01
+                _signed([30.0, 100.0, 1e30, 1e38]),
+                [0.0],
+            ]
+        ),
+        np.float32,
     )
 )
 
@@ -125,6 +148,11 @@ LOG_POINTS = np.unique(
 def test_tanh_is_within_tanh_error():
     errors, _ = _errors(np.tanh, TANH_POINTS, _tanh_ref)
     assert max(error.max() for error in errors) <= TANH_ERROR
+
+
+def test_float32_tanh_is_within_tanh32_error():
+    errors, _ = _errors(np.tanh, TANH32_POINTS, _tanh_ref)
+    assert max(error.max() for error in errors) <= TANH32_ERROR
 
 
 @pytest.mark.parametrize(

@@ -16,7 +16,9 @@ Prints one ``name sha256`` line per output:
   ``lc``, ``proto`` and ``lc+st`` (with an ``--unlabeled`` file), on files
   laid out like the cli_infer benchmark workload's, and for ``lc`` on a
   CRLF copy of the config and the train file and on a train file that
-  starts with a UTF-8 byte order mark, with its stdout and stderr;
+  starts with a UTF-8 byte order mark, with its stdout and stderr; and the
+  stdout of ``fewner stats`` on a CoNLL file that starts with a byte order
+  mark and a ``-DOCSTART-`` line;
 * the run manifest of each ``fewner train``, and of ``train lc+st`` with
   ``lambda_u`` 0, whose run stops at its teacher, without its
   ``duration_seconds`` and with the work directory written as ``<dir>``;
@@ -38,7 +40,9 @@ Prints one ``name sha256`` line per output:
   support prototypes) whose encoder drives prediction's projection-table
   gate: NaN in an embedding row the test reads (the error text), NaN in a
   row it does not read, and context weights scaled past the gate, on seeds
-  0-2;
+  0-2; and from the same ``lc`` models by their head with context weights
+  scaled so that the tables pass the gate but not float32's range
+  (``f32_clip``: every block is declined and encoded exactly), on seeds 0-2;
 * the exit code, stdout and stderr of ``fewner stats`` on small CoNLL files
   (``PARSE_INPUTS``): malformed ones, whose one error line names the bad
   line, and valid ones with unusual layout (``-DOCSTART-`` lines, CR and
@@ -280,7 +284,8 @@ def gate_digests(fewner):
     and by support prototypes, where the encoder drives prediction's
     projection-table gate: NaN in an embedding row the test reads, NaN in a
     row it does not read, and context weights scaled so that
-    max|E| max_j ||W_j||_1 over the rows it reads is 2e300."""
+    max|E| max_j ||W_j||_1 over the rows it reads is 2e300; and by the head
+    alone with that sum at 1e100, past float32's range (f32_clip)."""
     from fewner.checkpoint import Model
     from fewner.evaluation import predict_corpus
     from fewner.synthetic import make_corpus
@@ -303,19 +308,22 @@ def gate_digests(fewner):
         def nan_unread(encoder):
             encoder.embedding_table[unread[0]] = float("nan")
 
-        def past_gate(encoder):
+        def scaled(encoder, gate_sum):
             emb = abs(encoder.embedding_table[read]).max()
-            encoder.context_weights *= 2e300 / (emb * abs(encoder.context_weights).sum(1).max())
+            encoder.context_weights *= gate_sum / (emb * abs(encoder.context_weights).sum(1).max())
 
-        for name, change in (("nan_read", nan_read), ("nan_unread", nan_unread),
-                             ("past_gate", past_gate)):
+        def tags(change, head_protos) -> str:
             changed = Model(model.encoder.copy(), model.labels, model.head)
             change(changed.encoder)
+            predicted = lambda: predict_corpus(changed, test.sentences, head_protos)
+            return _guarded(fewner, lambda: "\n".join(" ".join(t) for t in predicted()))
+
+        past_gate = lambda encoder: scaled(encoder, 2e300)
+        for name, change in (("nan_read", nan_read), ("nan_unread", nan_unread),
+                             ("past_gate", past_gate)):
             for head, head_protos in (("head", None), ("protos", protos)):
-                tags = lambda: "\n".join(
-                    " ".join(t) for t in predict_corpus(changed, test.sentences, head_protos)
-                )
-                yield f"predict/gate_{name}/{head}/seed{seed}", _guarded(fewner, tags)
+                yield f"predict/gate_{name}/{head}/seed{seed}", tags(change, head_protos)
+        yield f"predict/f32_clip/seed{seed}", tags(lambda encoder: scaled(encoder, 1e100), None)
 
 
 def episodic_prediction_digests(fewner):
@@ -418,6 +426,9 @@ def cli_digests(fewner, workdir: Path):
         del fields["duration_seconds"]
         return json.dumps(fields, indent=2).replace(str(workdir), "<dir>")
 
+    bom_docstart = workdir / "bom_docstart.conll"
+    bom_docstart.write_bytes("\ufeff-DOCSTART- -X- -X- O\n\nEU B-ORG\nrejects O\n".encode("utf-8"))
+    yield "cli/stats_bom_docstart", run(["stats", str(bom_docstart)])
     for seed in SEEDS:
         d = workdir / f"seed{seed}"
         d.mkdir()
