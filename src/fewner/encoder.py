@@ -33,7 +33,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .corpus import TokenSequence, WordIds, word_ids
-from .errors import OVERFLOW_BOUND, DataError, NumericError
+from .errors import DataError, NumericError
 
 PAD = "<PAD>"
 UNK = "<UNK>"
@@ -280,39 +280,36 @@ def projection_tables(params: EncoderParams, used: np.ndarray):
     most S in magnitude, up to rounding. The float64 tables' sums and
     encode_windows' pre-activations are each within g S of the real ones,
     g = (3E + 2)u / (1 - (3E + 2)u), u = 2^-53 (Higham, Accuracy and
-    Stability of Numerical Algorithms, 3.1). Clipped to +-2^126 (so that no
-    float32 sum of three overflows) and rounded to float32 (unit v = 2^-24),
-    each unclipped entry moves by at most v times it or 2^-150 (subnormal);
-    each float32 add moves the sum by at most v times it (a subnormal sum is
-    exact; Higham 2.2). So the float32 pre-activation is within
-    3v(1 + 2^-22) t + 2^-148 of the float64 tables' real sum,
+    Stability of Numerical Algorithms, 3.1). Rounded to float32 (unit
+    v = 2^-24), each entry moves by at most v times it or 2^-150
+    (subnormal); each float32 add moves the sum by at most v times it (a
+    subnormal sum is exact; Higham 2.2). So the float32 pre-activation is
+    within 3v(1 + 2^-22) t + 2^-148 of the float64 tables' real sum,
     t = sum_X max|P_X|. tanh is 1-Lipschitz and numpy's float64 and float32
     loops are taken to be within TANH_ERROR and TANH32_ERROR of it, so every
     representation entry differs from encode_windows' by at most the slack
-    2 g S + 3v(1 + 2^-22) t + 2^-148 + TANH_ERROR + TANH32_ERROR. A clipped
-    entry makes t >= 2^126 and the slack over 2, the widest gap between two
-    representations, so the slack holds there too. The tables are returned
-    only when all their values are finite and S < OVERFLOW_BOUND (1e300),
-    where neither path can make a pre-activation that is not finite;
-    otherwise (NaN in a used row, weights near overflow) encode_windows is
-    the only certified encoder.
+    2 g S + 3v(1 + 2^-22) t + 2^-148 + TANH_ERROR + TANH32_ERROR. The
+    tables are returned only when the slack is under 2, the widest gap
+    between two representations: a larger slack bounds nothing. That is the
+    whole gate: a value that is not finite (NaN in a used row, weights that
+    overflow) makes the slack NaN or inf; slack < 2 gives S < 1/g, so
+    neither path makes a pre-activation that is not finite, and 3v t < 2,
+    so every |P_X| < 2^24 and no float32 value or sum overflows.
     """
     e, h = params.embed_dim, params.hidden_dim
     emb = np.take(params.embedding_table, used, axis=0)
     # (3, E, H): W_L.T, W_C.T and W_R.T
     tables = emb @ params.context_weights.reshape(h, 3, e).transpose(1, 2, 0)
     tables[1] += params.context_bias
-    with np.errstate(all="ignore"):  # what is not finite fails the gate
+    n = 3 * e + 2
+    with np.errstate(all="ignore"):  # what is not finite makes the slack NaN or inf
         s = np.abs(emb).max(initial=0.0) * np.abs(params.context_weights).sum(axis=1).max()
         s += np.abs(params.context_bias).max()
-        # sum_X max|P_X|: NaN or inf where a value is not finite (no |tables| temporary)
+        # sum_X max|P_X| (no |tables| temporary)
         t = np.maximum(tables.max(axis=(1, 2)), -tables.min(axis=(1, 2))).sum()
-        if not (s < OVERFLOW_BOUND and t < np.inf):
-            return None
-    n = 3 * e + 2
-    slack = 2 * n / (2.0**53 - n) * s + 3 * 2.0**-24 * (1 + 2.0**-22) * t + 2.0**-148
-    tables = np.clip(tables, -(2.0**126), 2.0**126, out=tables).astype(np.float32)
-    return tables, slack + TANH_ERROR + TANH32_ERROR
+        slack = (2 * n / (2.0**53 - n) * s + 3 * 2.0**-24 * (1 + 2.0**-22) * t + 2.0**-148
+                 + TANH_ERROR + TANH32_ERROR)
+    return (tables.astype(np.float32), slack) if slack < 2 else None
 
 
 def projected_blocks(params: EncoderParams, words: WordIds, certify, exact) -> np.ndarray:
@@ -327,9 +324,9 @@ def projected_blocks(params: EncoderParams, words: WordIds, certify, exact) -> n
     representations or None. reprs is a view of a buffer that the next
     block overwrites, so certify must not keep it. A declined block is
     re-encoded by encode_windows and scored by exact as a whole:
-    prediction's one fallback. Where the tables are not certified, the pass
-    is encode_blocks(params, words, exact) itself, so every NumericError is
-    raised as encode_blocks raises it.
+    prediction's one fallback. Where projection_tables gives None, the pass
+    is encode_blocks(params, words, exact) itself, no certificate asked, so
+    every NumericError is raised as encode_blocks raises it.
     """
     used, windows = _column_windows(params, words)
     certified = projection_tables(params, used)

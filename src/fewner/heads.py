@@ -313,7 +313,8 @@ def build_multi_prototypes(
     support_reprs: dict[str, list[np.ndarray]], shots: int, seed: int
 ) -> PrototypeSet:
     """ceil(shots/5) centroids per label via 50 Lloyd iterations, clamped to
-    the label's representation count. shots <= 5 reduces to build_prototypes.
+    the label's representation count. With one centroid (k = 1), Lloyd's
+    first step makes it the label's mean: build_prototypes.
     """
     if shots < 1:
         raise ValueError(f"shots must be positive, got {shots}")
@@ -325,9 +326,6 @@ def build_multi_prototypes(
             raise DataError(f"no support representations for label {label!r}")
         points = np.asarray(reprs, dtype=float)
         k = min(k_target, points.shape[0])
-        if k == 1:
-            entries.append((label, points.mean(axis=0)[None, :]))
-            continue
         centroids = _kmeans_seed(points, k, rng)
         for _ in range(50):
             assign = np.argmin(_distances(centroids, points), axis=1)

@@ -22,6 +22,8 @@ from fewner.checkpoint import Model
 from fewner.corpus import DOCSTART, LabelSet, TaggedCorpus, TokenSequence, split_tag, word_ids
 from fewner.encoder import (
     PAD,
+    TANH32_ERROR,
+    TANH_ERROR,
     UNK,
     EncoderGrads,
     encode,
@@ -830,3 +832,33 @@ def reference_gate_sum(params, used) -> float:
     emb = np.abs(params.embedding_table[used]).max()
     weights = np.abs(params.context_weights).sum(axis=1).max()
     return emb * weights + np.abs(params.context_bias).max()
+
+
+def reference_slack(params, used) -> float:
+    """The slack of encoder.projection_tables over the embedding rows used:
+    2 g S + 3v (1 + 2^-22) t + 2^-148 + TANH_ERROR + TANH32_ERROR, with S
+    the gate sum, g = (3E + 2)u / (1 - (3E + 2)u), u = 2^-53, v = 2^-24 and
+    t = max|P_L| + max|P_C| + max|P_R| over the three float64 tables, each
+    one product with a third of the context weights. NaN or inf where a
+    value is not finite."""
+    e, n = params.embed_dim, 3 * params.embed_dim + 2
+    emb, weights = params.embedding_table[used], params.context_weights
+    g = n * 2.0**-53 / (1 - n * 2.0**-53)
+    with np.errstate(all="ignore"):
+        tables = [emb @ weights[:, j * e : (j + 1) * e].T for j in range(3)]
+        tables[1] = tables[1] + params.context_bias
+        t = sum(float(np.abs(table).max()) for table in tables)
+        s = float(reference_gate_sum(params, used))
+        return 2 * g * s + 3 * 2.0**-24 * (1 + 2.0**-22) * t + 2.0**-148 + TANH_ERROR + TANH32_ERROR
+
+
+def scale_to_slack(params, used, target: float) -> None:
+    """Zero the context bias and scale the context weights in place so that
+    reference_slack(params, used) is target, up to a few ulps: with no bias
+    the slack less its constant terms is linear in the weights."""
+    params.context_bias[:] = 0.0
+    weights = params.context_weights.copy()
+    base = reference_slack(params, used)
+    params.context_weights[:] = 0.0
+    fixed = reference_slack(params, used)
+    params.context_weights[:] = weights * ((target - fixed) / (base - fixed))

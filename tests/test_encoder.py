@@ -29,7 +29,9 @@ from oracles import (
     finite_difference,
     reference_encode_windows_backward,
     reference_gate_sum,
+    reference_slack,
     reference_windows,
+    scale_to_slack,
 )
 
 
@@ -261,29 +263,44 @@ class TestProjectionTables:
         assert used[0] == params._index[PAD] and len(used) == len(column.words) + 1
         assert np.array_equal(used[windows], word_windows(params, column))
 
-    @pytest.mark.parametrize("scale", [1e-40, 1e-30, 1e-3, 1.0, 1e3, 1e20, 1e100, 0.9e300])
+    @pytest.mark.parametrize(
+        "scale", [1e-40, 1e-30, 1e-3, 1.0, 1e3, 1e20, 1e100, 0.9e300, "under_two", "over_two"]
+    )
     def test_within_the_slack_of_encode_windows(self, scale):
-        """Every block's float32 representations are within the slack of
-        encode_windows', entry by entry. scale multiplies the weights, and
-        below 1e-20 the bias too, so at 1e-40 every table value is a float32
-        subnormal. From 1e20 on the float32 rounding alone makes the slack
-        exceed 2; from 1e100 on the tables pass float32's range and are
-        clipped. The last scale puts S just under 1e300."""
+        """projection_tables gives tables iff reference_slack is under 2.
+        With them, every block's float32 representations are within the
+        slack of encode_windows', entry by entry; without them,
+        projected_blocks asks no certificate and is encode_blocks. scale
+        multiplies the weights, and below 1e-20 the bias too, so at 1e-40
+        every table value is a float32 subnormal. From 1e20 on the float32
+        rounding alone makes the slack exceed 2 (1e100 would pass float32's
+        range); 0.9e300 puts S just under 1e300. The last two put the slack
+        a millionth under and over 2."""
         rng = random.Random(36)
         params = _random_encoder(rng, vocab_size=20, embed_dim=8, hidden_dim=16)
         column, used, _ = _column(rng, params)
-        if scale > 1e200:
-            scale /= reference_gate_sum(params, used)
-        params.context_weights *= scale
-        if scale < 1e-20:
-            params.context_bias *= scale
-        tables, slack = encoder.projection_tables(params, used)
+        if isinstance(scale, str):
+            scale_to_slack(params, used, 2 + (2e-6 if scale == "over_two" else -2e-6))
+        else:
+            factor = scale / reference_gate_sum(params, used) if scale > 1e200 else scale
+            params.context_weights *= factor
+            if scale < 1e-20:
+                params.context_bias *= factor
+        want = reference_slack(params, used)
+        certified = encoder.projection_tables(params, used)
+        assert (certified is not None) == (want < 2)
+        assert (want < 2) == (scale == "under_two" or isinstance(scale, float) and scale < 1e20)
+        whole, blocks, gaps = word_windows(params, column), list(encoder._blocks(column.offsets)), []
+        if certified is None:
+            certify = lambda reprs, head_slack: gaps.append(head_slack)
+            got = encoder.projected_blocks(params, column, certify, lambda r: r)
+            assert gaps == [] and np.array_equal(got, encode_blocks(params, column, lambda r: r))
+            return
+        tables, slack = certified
         assert tables.shape == (3, len(used), params.hidden_dim) and tables.dtype == np.float32
         top = np.abs(tables).max()
-        assert top < np.finfo(np.float32).tiny if scale < 1e-35 else top > 1e-35
-        assert top == 2.0**126 if scale >= 1e100 else top < 2.0**126
-        assert (slack > 2) == (scale >= 1e20) and slack > encoder.TANH32_ERROR
-        whole, blocks, gaps = word_windows(params, column), list(encoder._blocks(column.offsets)), []
+        assert top < np.finfo(np.float32).tiny if scale == 1e-40 else top > 1e-35
+        assert top < 2.0**24 and slack == pytest.approx(want, rel=1e-12)
 
         def certify(reprs, head_slack):
             a, b = blocks[len(gaps)]
@@ -295,25 +312,35 @@ class TestProjectionTables:
         assert len(gaps) == len(blocks) >= 2 and max(gaps) <= slack
 
     def test_gate(self):
+        """The tables come iff reference_slack is under 2: NaN in a row the
+        column reads, weights near overflow and a slack just past 2 all
+        fail that one comparison."""
         rng = random.Random(37)
         params = _random_encoder(rng, vocab_size=30, embed_dim=4, hidden_dim=6)
         column, used, _ = _column(rng, params, n_sentences=3)
         unused = sorted(set(range(len(params.vocab))) - set(used.tolist()))
         assert unused
+
+        def gate() -> float:
+            slack = reference_slack(params, used)
+            assert (encoder.projection_tables(params, used) is not None) == (slack < 2)
+            return slack
+
         params.embedding_table[unused[0]] = np.nan  # a row no window reads
-        assert encoder.projection_tables(params, used) is not None
+        assert gate() < 2
         params.embedding_table[used[1]] = np.nan
-        assert encoder.projection_tables(params, used) is None
+        assert np.isnan(gate())
         params.embedding_table[used[1]] = 0.5
-        params.context_bias[:] = 0.0  # S scales with the weights
-        gate = 1e300 / reference_gate_sum(params, used)
-        params.context_weights *= 0.5 * gate
-        assert encoder.projection_tables(params, used) is not None
-        params.context_weights *= 4.0  # S is now 2e300: past the gate, still finite
-        assert encoder.projection_tables(params, used) is None
+        for target in (2 * (1 - 1e-6), 2 * (1 + 1e-6)):
+            scale_to_slack(params, used, target)
+            assert gate() == pytest.approx(target, rel=1e-12)
+        params.context_weights *= 0.5e300 / reference_gate_sum(params, used)
+        assert gate() > 2  # S is 0.5e300: finite, far past the slack
+        params.context_weights *= 4.0  # S is now 2e300
+        assert gate() > 2
         params.context_weights *= np.inf
         with np.errstate(invalid="ignore"):
-            assert encoder.projection_tables(params, used) is None
+            assert not gate() < 2
 
     def test_projected_blocks_hand_the_head_its_certificate(self):
         rng = random.Random(38)

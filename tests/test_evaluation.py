@@ -38,7 +38,7 @@ from fewner.heads import (
     multi_proto_score,
     multi_proto_scores,
 )
-from fewner.synthetic import transfer_benchmark
+from fewner.synthetic import make_corpus, transfer_benchmark
 from fewner.training import (
     TrainConfig,
     generate_soft_labels,
@@ -55,11 +55,13 @@ from oracles import (
     oracle_type_counts,
     reference_entity_f1,
     reference_gate_sum,
+    reference_slack,
     random_tagseq,
     reference_generate_soft_labels,
     reference_multi_proto_scores,
     reference_sentence_tags,
     reference_support_prototypes,
+    scale_to_slack,
 )
 
 
@@ -624,8 +626,11 @@ class TestProjectedPrediction:
     """Argmax prediction from the projection tables against the exact
     per-block path."""
 
-    # weight scales; "below" and "past" put S at 0.5e300 and 2e300
-    @pytest.mark.parametrize("scale", [1e-2, 1.0, 10.0, 1e3, 1e100, "below", "past"])
+    # weight scales; "below" and "past" put S at 0.5e300 and 2e300,
+    # "under_two" and "over_two" the slack a millionth under and over 2
+    @pytest.mark.parametrize(
+        "scale", [1e-2, 1.0, 10.0, 1e3, 1e100, "below", "past", "under_two", "over_two"]
+    )
     @pytest.mark.parametrize("kind", ["linear", "protos"])
     def test_equals_the_exact_per_block_path(self, scale, kind):
         rng = random.Random(60)
@@ -637,17 +642,41 @@ class TestProjectedPrediction:
         protos = None
         if kind == "protos":
             protos = support_prototypes(model.encoder, test, shots=10, seed=0)
-        if isinstance(scale, str):
-            model.encoder.context_bias[:] = 0.0  # S scales with the weights
-            scale = (0.5e300 if scale == "below" else 2e300) / _gate_sum(model.encoder, words)
-        model.encoder.context_weights *= scale
         used, _ = encoder_module._column_windows(model.encoder, words)
+        if scale in ("under_two", "over_two"):
+            scale_to_slack(model.encoder, used, 2 + (2e-6 if scale == "over_two" else -2e-6))
+        else:
+            if isinstance(scale, str):
+                model.encoder.context_bias[:] = 0.0  # S scales with the weights
+                scale = (0.5e300 if scale == "below" else 2e300) / _gate_sum(model.encoder, words)
+            model.encoder.context_weights *= scale
         certified = encoder_module.projection_tables(model.encoder, used) is not None
-        assert certified == (_gate_sum(model.encoder, words) < 1e300)
+        assert certified == (reference_slack(model.encoder, used) < 2)
         labels, got = evaluation_module._predict_ids(model, words, protos)
         want = _exact_block_ids(model, words, protos)
         assert got.dtype == want.dtype and np.array_equal(got, want)
         assert len(got) == words.offsets[-1]
+
+    def test_a_pass_past_the_slack_asks_no_certificate(self, monkeypatch):
+        # an lc model set up as predict/f32_clip's: context weights scaled to
+        # a gate sum S of 1e100, far under 1e300, which puts the slack past 2
+        train, test = make_corpus(40, 2), make_corpus(100, 3)
+        model = run_scheme(train, TrainConfig.five_shot(seed=0, epochs=3, learning_rate=0.05))
+        words = test.word_ids
+        used, _ = encoder_module._column_windows(model.encoder, words)
+        model.encoder.context_weights *= 1e100 / reference_gate_sum(model.encoder, used)
+        assert reference_slack(model.encoder, used) >= 2
+        blocks, declined = [], []
+        monkeypatch.setattr(
+            evaluation_module, "linear_argmax_head",
+            _counted(heads_module.linear_argmax_head, blocks, declined),
+        )
+        _, got = evaluation_module._predict_ids(model, words)
+        # no certify call: every block goes straight to the exact scorer
+        n_blocks = len(list(encoder_module._blocks(words.offsets)))
+        assert blocks == [] and len(declined) == n_blocks >= 2
+        monkeypatch.undo()
+        assert np.array_equal(got, _exact_block_ids(model, words))
 
     def test_a_tied_head_re_encodes_every_block(self, monkeypatch):
         rng = random.Random(62)

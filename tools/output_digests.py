@@ -41,8 +41,9 @@ Prints one ``name sha256`` line per output:
   gate: NaN in an embedding row the test reads (the error text), NaN in a
   row it does not read, and context weights scaled past the gate, on seeds
   0-2; and from the same ``lc`` models by their head with context weights
-  scaled so that the tables pass the gate but not float32's range
-  (``f32_clip``: every block is declined and encoded exactly), on seeds 0-2;
+  scaled to a gate sum of 1e100 (``f32_clip``): far under 1e300, but past
+  the projection tables' slack gate, so every block is encoded exactly with
+  no certificate asked, on seeds 0-2;
 * the exit code, stdout and stderr of ``fewner stats`` on small CoNLL files
   (``PARSE_INPUTS``): malformed ones, whose one error line names the bad
   line, and valid ones with unusual layout (``-DOCSTART-`` lines, CR and
@@ -285,7 +286,8 @@ def gate_digests(fewner):
     projection-table gate: NaN in an embedding row the test reads, NaN in a
     row it does not read, and context weights scaled so that
     max|E| max_j ||W_j||_1 over the rows it reads is 2e300; and by the head
-    alone with that sum at 1e100, past float32's range (f32_clip)."""
+    alone with that sum at 1e100 (f32_clip), also past the slack gate, so
+    that every block is encoded exactly with no certificate asked."""
     from fewner.checkpoint import Model
     from fewner.evaluation import predict_corpus
     from fewner.synthetic import make_corpus
