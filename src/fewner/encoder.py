@@ -174,23 +174,21 @@ def _window_input(params: EncoderParams, windows: np.ndarray) -> np.ndarray:
 
 
 def _encode_checked(params: EncoderParams, windows: np.ndarray):
-    """The window input, representations and, if a pre-activation is not
-    finite (tanh would map it to +-1), the NumericError to raise, else None."""
+    """The window input and representations; a pre-activation that is not
+    finite (tanh would map it to +-1) raises NumericError."""
     x = _window_input(params, windows)
     pre = x @ params.context_weights.T
     pre += params.context_bias
-    error = None if np.isfinite(pre).all() else NumericError("non-finite encoder pre-activation")
-    return x, np.tanh(pre, out=pre), error
+    if not np.isfinite(pre).all():
+        raise NumericError("non-finite encoder pre-activation")
+    return x, np.tanh(pre, out=pre)
 
 
 def encode_windows(params: EncoderParams, windows: np.ndarray) -> np.ndarray:
     """Representations for a batch of windows; row i is the H-vector of
     the token whose window is windows[i]. A non-finite pre-activation
     raises NumericError."""
-    _, reprs, error = _encode_checked(params, windows)
-    if error is not None:
-        raise error
-    return reprs
+    return _encode_checked(params, windows)[1]
 
 
 def encode_windows_backward(

@@ -318,17 +318,14 @@ def _arena(owners: dict) -> ParamArena:
 
 def _fit(arena, config, steps, batches, epoch_loss, on_epoch) -> None:
     """The one epoch loop: Adam planned over config.epochs x steps; per epoch,
-    one adam_step per (loss, error) batches(with_loss) yields after writing a
-    batch's gradients, then that error raised (a bad gradient names its block
-    first). Losses, computed only for on_epoch, reach it as epoch_loss(losses)."""
+    one adam_step per loss batches(with_loss) yields after writing a batch's
+    gradients. Losses, computed only for on_epoch, reach it as epoch_loss(losses)."""
     state = OptimizerState(config.learning_rate, config.warmup_fraction, config.epochs * steps)
     with_loss = on_epoch is not None
     for epoch in range(config.epochs):
         losses = []
-        for loss, error in batches(with_loss):
+        for loss in batches(with_loss):
             adam_step(state, arena)
-            if error is not None:
-                raise error
             losses.append(loss)
         if with_loss:
             on_epoch(epoch, epoch_loss(losses))
@@ -381,14 +378,14 @@ def _train_weighted(
         for start in range(0, n, config.batch_size):
             batch = rows[bounds[start] : bounds[min(start + config.batch_size, n)]]
             batch_windows = windows[batch]
-            x, reprs, error = _encode_checked(encoder, batch_windows)
+            x, reprs = _encode_checked(encoder, batch_windows)
             loss, _, _, upstream = linear_loss_grads(
                 head, reprs, targets[batch], token_weights[batch], head_grads, with_loss
             )
             if enc_grads is not None:
                 encode_windows_backward(encoder, batch_windows, reprs, upstream, enc_grads, x)
             arena.grads /= mean_token_weight * len(batch)
-            yield loss, error
+            yield loss
 
     _fit(arena, config, math.ceil(n / config.batch_size), batches, epoch_loss, on_epoch)
     with np.errstate(all="ignore"):  # inf and NaN fail the check
@@ -439,9 +436,10 @@ def train_prototype(
 
     Only the encoder is trained; query tokens whose gold tag falls outside
     the episode's label space contribute nothing, and an episode without one
-    in scope takes no step. An episode is one encode of its support and query
-    windows, one loss and gradient over its in-scope query tokens and one
-    encoder backward; an epoch's loss is the mean of its stepped episodes' losses.
+    in scope is neither encoded nor stepped. An episode is one encode of its
+    support and query windows, one loss and gradient over its in-scope query
+    tokens and one encoder backward; an epoch's loss is the mean of its
+    stepped episodes' losses.
     """
     if len(corpus) == 0:
         raise DataError("cannot train on an empty corpus")
@@ -468,9 +466,7 @@ def train_prototype(
                 corpus, m_types, config.K, config.K_prime, seed=episode_rng.getrandbits(32)
             )
             rows = sentence_rows(corpus.offsets, episode.support_ids + episode.query_ids)
-            episode_windows = windows[rows]
             tag_ids = corpus.tag_ids[rows]
-            x, reprs, error = _encode_checked(encoder, episode_windows)
             n_support = int(lengths[list(episode.support_ids)].sum())
             # label space: the support's tags of the sampled types plus "O", in
             # vocabulary order; "O" has type id -1, the last slot of in_scope
@@ -486,6 +482,8 @@ def train_prototype(
             n_tokens = len(query_rows)
             if n_tokens == 0:
                 continue
+            episode_windows = windows[rows]
+            x, reprs = _encode_checked(encoder, episode_windows)
             members = np.flatnonzero(support_label >= 0)
             member_label = support_label[members]
             counts = np.bincount(member_label, minlength=len(space))
@@ -506,7 +504,7 @@ def train_prototype(
             upstream[members] = (d_centroids / counts[:, None])[member_label]
             upstream /= n_tokens
             encode_windows_backward(encoder, episode_windows, reprs, upstream, grads, x)
-            yield (loss / n_tokens if with_loss else None), error
+            yield loss / n_tokens if with_loss else None
 
     _fit(arena, config, iters_per_epoch, batches, epoch_loss, on_epoch)
     return Model(encoder, corpus.labels)

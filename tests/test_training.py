@@ -355,6 +355,19 @@ def _all_arrays(model):
     return [*model.encoder.arrays().values(), *model.head.arrays().values()]
 
 
+def _count_calls(monkeypatch, name: str) -> list:
+    """A list that grows by one entry per call of training.<name>, which
+    still runs."""
+    calls, real = [], getattr(training, name)
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(training, name, counted)
+    return calls
+
+
 class TestTrainingArena:
     """Training updates the model through one flat arena per run."""
 
@@ -433,27 +446,31 @@ class TestTrainingArena:
 class TestStepChecks:
     """What a training step checks and what on_epoch changes."""
 
-    # tanh maps an overflowing pre-activation to +-1, so every gradient stays
-    # finite and only the step's own check stops training; at 1e308 the
-    # linear head's gradient overflows in the same batch, and the step that
-    # checks it comes before the stored pre-activation error is raised
+    # tanh would map an overflowing pre-activation to +-1 and keep every
+    # gradient finite, so the encode checks it and raises before its batch's
+    # step: the run ends one adam_step short of its encodes, also at 1e308,
+    # where the linear head's gradient overflows in the same batch
     @pytest.mark.parametrize(
-        "trainer, learning_rate, message",
+        "trainer, learning_rate",
         [
-            pytest.param(trainer, rate, message, id=f"{trainer.__name__}-{rate:g}")
-            for trainer, rate, message in [
-                (train_linear, 1e200, "non-finite encoder pre-activation"),
-                (train_linear, 1e300, "non-finite encoder pre-activation"),
-                (train_prototype, 1e200, "non-finite encoder pre-activation"),
-                (train_prototype, 1e300, "non-finite encoder pre-activation"),
-                (train_linear, 1e308, "non-finite gradient in parameter block 'head.weights'"),
+            pytest.param(trainer, rate, id=f"{trainer.__name__}-{rate:g}")
+            for trainer, rate in [
+                (train_linear, 1e200),
+                (train_linear, 1e300),
+                (train_prototype, 1e200),
+                (train_prototype, 1e300),
+                (train_linear, 1e308),
             ]
         ],
     )
-    def test_overflowing_pre_activations_raise(self, trainer, learning_rate, message):
+    def test_overflowing_pre_activations_raise(self, monkeypatch, trainer, learning_rate):
+        encodes = _count_calls(monkeypatch, "_encode_checked")
+        steps = _count_calls(monkeypatch, "adam_step")
         config = TrainConfig.five_shot(seed=0, epochs=2, learning_rate=learning_rate)
-        with np.errstate(all="ignore"), pytest.raises(NumericError, match=f"^{re.escape(message)}$"):
+        message = "^non-finite encoder pre-activation$"
+        with np.errstate(all="ignore"), pytest.raises(NumericError, match=message):
             trainer(make_corpus(30, seed=0), config)
+        assert len(steps) == len(encodes) - 1
 
     @pytest.mark.parametrize("learning_rate", [1e299, 1e300])
     def test_a_diverging_linear_head_raises(self, monkeypatch, learning_rate):
@@ -711,11 +728,12 @@ class TestTrainPrototype:
         # support and query never share a tag, so no query token is in scope
         corpus = parse_conll("a B-LOC\n\nb I-LOC\n")
         config = _tiny_config(M=1, K=1, K_prime=1, epochs=3)
-        calls, steps = [], []
-        monkeypatch.setattr(training, "adam_step", lambda *args: steps.append(args))
+        calls = []
+        steps = _count_calls(monkeypatch, "adam_step")
+        encodes = _count_calls(monkeypatch, "_encode_checked")
         model = train_prototype(corpus, config, on_epoch=lambda e, loss: calls.append((e, loss)))
         assert calls == [(0, 0.0), (1, 0.0), (2, 0.0)]
-        assert steps == []
+        assert steps == encodes == []
         fresh = init_encoder(build_vocabulary(corpus), 6, 10, config.seed)
         for name, arr in model.encoder.arrays().items():
             assert np.array_equal(arr, fresh.arrays()[name]), name

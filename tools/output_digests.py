@@ -53,6 +53,10 @@ Prints one ``name sha256`` line per output:
 * the per-epoch losses and the checkpoint text of ``train_prototype`` on
   ``SKIP_CORPUS``, where some but not all episodes have no in-scope query
   token and take no step (4 of 9 on each of seeds 0-2);
+* the checkpoint text, or the NumericError text, of ``train_linear`` and
+  ``train_prototype`` on ``make_corpus(30, seed)`` with
+  ``TrainConfig.five_shot(seed, epochs=2, learning_rate=lr)`` at lr 1e200,
+  1e300 and 1e308, run under ``np.errstate(all="ignore")``, on seeds 0-2;
 * the ``to_dict()`` JSON of ``entity_f1`` reports under BIO and IO scoring,
   for predictions that include types outside the gold label set and for an
   empty test corpus, and of ``repeated_eval`` on a small ``Experiment``
@@ -389,6 +393,23 @@ def loss_digests(fewner):
         yield f"checkpoint/prototype_skips/seed{seed}", checkpoint
 
 
+def numeric_digests(fewner):
+    """The checkpoints, or the NumericError texts, of runs at learning rates
+    where training overflows, with numpy's warnings off."""
+    import numpy as np
+    from fewner.checkpoint import dumps
+    from fewner.synthetic import make_corpus
+
+    for seed in SEEDS:
+        corpus = make_corpus(30, seed)
+        for learning_rate in (1e200, 1e300, 1e308):
+            config = fewner.TrainConfig.five_shot(seed, epochs=2, learning_rate=learning_rate)
+            for train in (fewner.train_linear, fewner.train_prototype):
+                with np.errstate(all="ignore"):
+                    output = _guarded(fewner, lambda: dumps(train(corpus, config)))
+                yield f"numeric/{train.__name__}/{learning_rate:g}/seed{seed}", output
+
+
 def sampling_digests(fewner):
     """Episode draws and the sampler errors that carry a count."""
     from fewner.checkpoint import dumps
@@ -614,6 +635,7 @@ def main(argv=None) -> int:
         gate_digests,
         episodic_prediction_digests,
         loss_digests,
+        numeric_digests,
         report_digests,
         sampling_digests,
     )
