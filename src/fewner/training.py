@@ -222,10 +222,12 @@ def adam_step(state: OptimizerState, arena: ParamArena) -> None:
     if not finite.all():
         bad = arena.block_at(int(np.argmin(finite)))
         raise NumericError(f"non-finite gradient in parameter block {bad!r}")
-    lr = lr_at(state)
     t = state.step + 1
-    bias1 = 1.0 - state.beta1**t
-    bias2 = 1.0 - state.beta2**t
+    # Kingma & Ba's efficient order (Adam, after Algorithm 1): the bias
+    # corrections fold into the step size a_t and into eps_hat
+    root2 = math.sqrt(1.0 - state.beta2**t)
+    a_t = lr_at(state) * root2 / (1.0 - state.beta1**t)
+    eps_hat = state.eps * root2
     m, v = arena.first_moment, arena.second_moment
     num, den = arena.work
     # m = b1 m + (1 - b1) g;  v = b2 v + ((1 - b2) g) g
@@ -236,16 +238,10 @@ def adam_step(state: OptimizerState, arena: ParamArena) -> None:
     num *= g
     v *= state.beta2
     v += num
-    # p -= (lr m_hat) / (sqrt(v_hat) + eps); from step 356 on bias1 is 1.0,
-    # and x / 1.0 is x bit for bit
-    if bias1 == 1.0:
-        np.multiply(m, lr, out=num)
-    else:
-        np.divide(m, bias1, out=num)
-        num *= lr
-    np.divide(v, bias2, out=den)
-    np.sqrt(den, out=den)
-    den += state.eps
+    # p -= a_t m / (sqrt(v) + eps_hat)
+    np.multiply(m, a_t, out=num)
+    np.sqrt(v, out=den)
+    den += eps_hat
     num /= den
     arena.params -= num
     state.step = t
@@ -363,7 +359,7 @@ def _train_weighted(
     shuffle_rng = random.Random(config.seed + SEED_SHUFFLE)
     lengths = np.diff(offsets).tolist()
     weight_sum = sum(w * k for w, k in zip(weights, lengths))  # over every token
-    if not math.isfinite(weight_sum):  # every step would divide the gradients by it
+    if not math.isfinite(weight_sum):  # every step would divide the token weights by it
         raise NumericError("non-finite token weight sum")
     mean_token_weight = weight_sum / sum(lengths)
     token_weights = np.repeat(weights, lengths)
@@ -379,13 +375,15 @@ def _train_weighted(
             batch = rows[bounds[start] : bounds[min(start + config.batch_size, n)]]
             batch_windows = windows[batch]
             x, reprs = _encode_checked(encoder, batch_windows)
+            # every gradient is linear in the logit gradient, so the batch's
+            # normalization scales its token weights, not the arena
+            scale = mean_token_weight * len(batch)
             loss, _, _, upstream = linear_loss_grads(
-                head, reprs, targets[batch], token_weights[batch], head_grads, with_loss
+                head, reprs, targets[batch], token_weights[batch] / scale, head_grads, with_loss
             )
             if enc_grads is not None:
                 encode_windows_backward(encoder, batch_windows, reprs, upstream, enc_grads, x)
-            arena.grads /= mean_token_weight * len(batch)
-            yield loss
+            yield None if loss is None else loss * scale
 
     _fit(arena, config, math.ceil(n / config.batch_size), batches, epoch_loss, on_epoch)
     with np.errstate(all="ignore"):  # inf and NaN fail the check

@@ -277,11 +277,13 @@ def reference_init_optimizer(params, base_lr, warmup_fraction, total_steps):
 
 
 def reference_adam_step(state, params, grads):
-    """Adam as first written, block by block over dicts of arrays, one
-    full-size temporary per operation; the library's in-place version over
-    one flat array must match it bit for bit."""
-    lr = lr_at(state)
+    """Adam in Kingma & Ba's efficient order (the note after Algorithm 1),
+    block by block over dicts of arrays, one full-size temporary per
+    operation; the library's in-place version over one flat array must match
+    it bit for bit."""
     t = state.step + 1
+    a_t = lr_at(state) * math.sqrt(1.0 - state.beta2**t) / (1.0 - state.beta1**t)
+    eps_hat = state.eps * math.sqrt(1.0 - state.beta2**t)
     for name, p in params.items():
         g = grads[name]
         m = state.first_moment[name]
@@ -290,9 +292,7 @@ def reference_adam_step(state, params, grads):
         m += (1.0 - state.beta1) * g
         v *= state.beta2
         v += (1.0 - state.beta2) * g * g
-        m_hat = m / (1.0 - state.beta1**t)
-        v_hat = v / (1.0 - state.beta2**t)
-        p -= lr * m_hat / (np.sqrt(v_hat) + state.eps)
+        p -= a_t * m / (np.sqrt(v) + eps_hat)
     state.step = t
 
 
@@ -699,11 +699,13 @@ def reference_train_weighted(items, labels, config, encoder, head, on_epoch=None
             batch = order[start : start + config.batch_size]
             batch_windows = np.concatenate([windows[i] for i in batch])
             reprs = encode_windows(encoder, batch_windows)
+            norm = mean_token_weight * len(batch_windows)
+            # the normalization scales the logit gradient through the weights
             batch_loss, d_w, d_b, upstream = linear_loss_grads(
                 head,
                 reprs,
                 np.concatenate([items[i][1] for i in batch]),
-                np.concatenate([token_weights[i] for i in batch]),
+                np.concatenate([token_weights[i] for i in batch]) / norm,
             )
             grads = {"head.weights": d_w, "head.bias": d_b}
             if not config.freeze_encoder:
@@ -711,12 +713,9 @@ def reference_train_weighted(items, labels, config, encoder, head, on_epoch=None
                     encoder, batch_windows, reprs, upstream
                 )
                 grads.update({f"encoder.{k}": v for k, v in enc_grads.arrays().items()})
-            norm = mean_token_weight * len(batch_windows)
             if norm > 0.0:
-                for g in grads.values():
-                    g /= norm
                 reference_adam_step(state, trainable, grads)
-            epoch_loss += batch_loss
+            epoch_loss += batch_loss * norm
             epoch_norm += norm
         if on_epoch is not None:
             on_epoch(epoch, epoch_loss / epoch_norm if epoch_norm else 0.0)

@@ -170,8 +170,7 @@ class TestAdam:
                     _step(state, arena, grads)
 
     def test_in_place_update_matches_reference_bitwise(self):
-        # 400 steps: from step 356 on 1 - beta1^t is 1.0 and adam_step skips
-        # its divide by it
+        # 400 steps: from step 356 on 1 - beta1^t rounds to 1.0
         rng = np.random.default_rng(21)
         shapes = {"table": (300, 8), "weights": (5, 24), "bias": (5,)}
         params = {k: rng.normal(size=shape) for k, shape in shapes.items()}
@@ -199,6 +198,27 @@ class TestAdam:
         # the arena copied its blocks in: the arrays it was built from are untouched
         for k in shapes:
             assert not np.array_equal(params[k], ref_params[k])
+
+    def test_update_is_textbook_adam(self):
+        # a_t m / (sqrt(v) + eps_hat) is lr m_hat / (sqrt(v_hat) + eps) in real
+        # arithmetic, here to rounding over 400 steps that straddle step 356;
+        # the update reads no parameter, so each step starts them at 0 and
+        # leaves minus the update in them exactly
+        rng = np.random.default_rng(22)
+        b1, b2, eps = OptimizerState.beta1, OptimizerState.beta2, OptimizerState.eps
+        arena, state = _adam({"x": np.zeros(500)}, 0.05, 0.1, 400)
+        m, v = np.zeros(500), np.zeros(500)
+        for t in range(1, 401):
+            g = rng.normal(size=500) * 10.0 ** rng.integers(-6, 4)
+            lr = lr_at(state)
+            arena.params[:] = 0.0
+            _step(state, arena, {"x": g})
+            m = b1 * m + (1.0 - b1) * g
+            v = b2 * v + (1.0 - b2) * g * g
+            m_hat, v_hat = m / (1.0 - b1**t), v / (1.0 - b2**t)
+            want = lr * m_hat / (np.sqrt(v_hat) + eps)
+            np.testing.assert_allclose(-arena.params, want, rtol=1e-12, atol=0.0)
+        assert state.step == 400
 
     def test_step_counter_advances(self):
         arena, state = _adam({"x": np.zeros(1)}, 0.1, 0.0, 5)
@@ -337,6 +357,25 @@ class TestTrainLinear:
         assert len(losses) == config.epochs
         assert losses == ref_losses
         _assert_models_equal(model, reference)
+
+    @pytest.mark.parametrize("k", [-3, 5])
+    def test_batch_scale_is_relative_to_the_mean_weight(self, k):
+        # each batch is scaled by the run-wide mean token weight, so scaling
+        # every sentence weight by 2^k, which is exact, moves no byte
+        corpus = _make_corpus(20, seed=9)
+        config = _tiny_config(batch_size=6)
+        weights = [(1.0, 0.3, 2.5)[i % 3] for i in range(len(corpus))]
+
+        def run(factor):
+            model, windows, targets = training._linear_start(corpus, config, None)
+            losses = []
+            training._train_weighted(
+                model, windows, corpus.offsets, targets, [w * factor for w in weights],
+                config, on_epoch=lambda e, l: losses.append(l),
+            )
+            return dumps(model), losses
+
+        assert run(2.0**k) == run(1.0)
 
     def test_five_shot_preset(self):
         config = TrainConfig.five_shot(seed=1)

@@ -20,7 +20,8 @@ operations; the exit code ``compare.py`` would give (1 when a verdict is
 line count of ``src/fewner/*.py`` in each tree; the digest result: before
 the pairs, the change tree's ``tools/output_digests.py --src`` digests each
 tree's ``src/`` in a subprocess, and the file records how many outputs are
-identical, of how many, and the names of those that differ; and the tier-1
+identical, of how many, the names of those that differ and how many moved
+in each family; and the tier-1
 time: after the digests, each tree runs its tier-1 suite (``python -m pytest
 -q --continue-on-collection-errors`` with ``src`` on ``PYTHONPATH``) 3 times,
 the trees alternating. Every run draws its Hypothesis examples from one seed

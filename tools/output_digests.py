@@ -56,7 +56,9 @@ Prints one ``name sha256`` line per output:
 * the checkpoint text, or the NumericError text, of ``train_linear`` and
   ``train_prototype`` on ``make_corpus(30, seed)`` with
   ``TrainConfig.five_shot(seed, epochs=2, learning_rate=lr)`` at lr 1e200,
-  1e300 and 1e308, run under ``np.errstate(all="ignore")``, on seeds 0-2;
+  1e300 and 1e308, run under ``np.errstate(all="ignore")``, on seeds 0-2,
+  each followed by the number of ``training.adam_step`` calls the run made,
+  so a run that raises one step earlier or later moves its digest;
 * the ``to_dict()`` JSON of ``entity_f1`` reports under BIO and IO scoring,
   for predictions that include types outside the gold label set and for an
   empty test corpus, and of ``repeated_eval`` on a small ``Experiment``
@@ -76,8 +78,10 @@ so refusals are compared too. Only the standard library and numpy are used.
 commit, pass ``--against REV``: REV's ``src/`` is extracted with
 ``git archive`` from the local repository into a temporary directory, both
 trees are digested in subprocesses, and the names of the outputs whose
-digests differ are printed, followed by the line count of
-``fewner/*.py`` in each tree. The exit status is 0 when every output
+digests differ are printed, then one ``<family> <moved> of <total> moved``
+line per family (an output name's first two ``/`` components, such as
+``run_scheme/lc+st`` or ``cli/train_lc_checkpoint``), followed by the line
+count of ``fewner/*.py`` in each tree. The exit status is 0 when every output
 matches and 1 otherwise:
 
     python tools/output_digests.py --against HEAD~1
@@ -395,19 +399,33 @@ def loss_digests(fewner):
 
 def numeric_digests(fewner):
     """The checkpoints, or the NumericError texts, of runs at learning rates
-    where training overflows, with numpy's warnings off."""
+    where training overflows, with numpy's warnings off, each followed by
+    the number of Adam steps the run took."""
     import numpy as np
+    from fewner import training
     from fewner.checkpoint import dumps
     from fewner.synthetic import make_corpus
 
-    for seed in SEEDS:
-        corpus = make_corpus(30, seed)
-        for learning_rate in (1e200, 1e300, 1e308):
-            config = fewner.TrainConfig.five_shot(seed, epochs=2, learning_rate=learning_rate)
-            for train in (fewner.train_linear, fewner.train_prototype):
-                with np.errstate(all="ignore"):
-                    output = _guarded(fewner, lambda: dumps(train(corpus, config)))
-                yield f"numeric/{train.__name__}/{learning_rate:g}/seed{seed}", output
+    adam_step, steps = training.adam_step, []
+
+    def counted(*args):
+        steps.append(None)
+        return adam_step(*args)
+
+    training.adam_step = counted
+    try:
+        for seed in SEEDS:
+            corpus = make_corpus(30, seed)
+            for learning_rate in (1e200, 1e300, 1e308):
+                config = fewner.TrainConfig.five_shot(seed, epochs=2, learning_rate=learning_rate)
+                for train in (fewner.train_linear, fewner.train_prototype):
+                    steps.clear()
+                    with np.errstate(all="ignore"):
+                        output = _guarded(fewner, lambda: dumps(train(corpus, config)))
+                    name = f"numeric/{train.__name__}/{learning_rate:g}/seed{seed}"
+                    yield name, f"{output}\nadam steps: {len(steps)}"
+    finally:
+        training.adam_step = adam_step
 
 
 def sampling_digests(fewner):
@@ -593,12 +611,28 @@ def digest_trees(script: str | Path, *srcs: str | Path) -> list[dict[str, str]]:
     return [dict(line.split() for line in out.splitlines()) for out in outputs]
 
 
+def family(name: str) -> str:
+    """An output's family: the first two "/" components of its name."""
+    return "/".join(name.split("/")[:2])
+
+
 def digest_result(old: dict[str, str], new: dict[str, str]) -> dict:
     """How many of the outputs named in old or new have the same digest in
-    both, out of how many, and the sorted names of those that differ."""
+    both, out of how many, the sorted names of those that differ, and per
+    family (sorted) how many of its outputs differ of how many."""
     names = old.keys() | new.keys()
     differ = sorted(name for name in names if old.get(name) != new.get(name))
-    return {"identical": len(names) - len(differ), "total": len(names), "differ": differ}
+    families = {f: {"moved": 0, "total": 0} for f in sorted(map(family, names))}
+    for name in names:
+        families[family(name)]["total"] += 1
+    for name in differ:
+        families[family(name)]["moved"] += 1
+    return {
+        "identical": len(names) - len(differ),
+        "total": len(names),
+        "differ": differ,
+        "families": families,
+    }
 
 
 def against(src: str, rev: str) -> int:
@@ -610,6 +644,8 @@ def against(src: str, rev: str) -> int:
         lines = package_lines(Path(tmp, "src")), package_lines(src)
     for name in result["differ"]:
         print(name)
+    for name, counts in result["families"].items():
+        print(f"{name} {counts['moved']} of {counts['total']} moved")
     print(f"{result['identical']} of {result['total']} outputs identical to {rev}")
     print(f"fewner/*.py lines: {lines[0]} at {rev}, {lines[1]} in {src}")
     return 1 if result["differ"] else 0
