@@ -4,9 +4,10 @@ Serialized as a versioned JSON document. Floats are written with Python's
 shortest round-trip repr, so save/load is bit-exact and re-serializing an
 unchanged model is byte-identical.
 
-Prototype heads carry no arrays: they are reconstructed from a support
-set at inference time, so the descriptor stores only the head kind and
-the tag ordering.
+The document's array keys are the encoder's arrays() in order, after its
+vocabulary, and a linear head's arrays() in order, inside "head" after its
+tags. Prototype heads carry no arrays: they are rebuilt from a support set
+at inference time, so the descriptor stores only the kind and the tags.
 """
 
 from __future__ import annotations
@@ -19,9 +20,9 @@ from pathlib import Path
 import numpy as np
 
 from .corpus import LabelSet
-from .encoder import PAD, UNK, EncoderParams
+from .encoder import PAD, UNK, EncoderParams, array_shapes
 from .errors import DataError, NumericError
-from .heads import LinearHead
+from .heads import LinearHead, head_shapes
 
 FORMAT_VERSION = 1
 
@@ -39,12 +40,11 @@ class Model:
     head: LinearHead | None = None
 
     def __post_init__(self):
-        shape = (len(self.labels.tag_vocabulary), self.encoder.hidden_dim)
-        if self.head is not None and self.head.weights.shape != shape:
-            raise ValueError(
-                f"head shape {self.head.weights.shape} inconsistent with "
-                f"{shape[0]} tags and H={shape[1]}"
-            )
+        if self.head is not None:
+            have = {name: arr.shape for name, arr in self.head.arrays().items()}
+            want = head_shapes(len(self.labels.tag_vocabulary), self.encoder.hidden_dim)
+            if have != want:
+                raise ValueError(f"head shapes {have} != {want}")
 
     @property
     def head_kind(self) -> str:
@@ -57,9 +57,7 @@ def to_document(model: Model) -> dict:
         "embed_dim": model.encoder.embed_dim,
         "hidden_dim": model.encoder.hidden_dim,
         "vocab": list(model.encoder.vocab),
-        "embedding_table": model.encoder.embedding_table.tolist(),
-        "context_weights": model.encoder.context_weights.tolist(),
-        "context_bias": model.encoder.context_bias.tolist(),
+        **{name: arr.tolist() for name, arr in model.encoder.arrays().items()},
         "labels": {
             "entity_types": list(model.labels.entity_types),
             "schema": model.labels.schema,
@@ -70,8 +68,7 @@ def to_document(model: Model) -> dict:
         },
     }
     if model.head is not None:
-        doc["head"]["weights"] = model.head.weights.tolist()
-        doc["head"]["bias"] = model.head.bias.tolist()
+        doc["head"].update((name, arr.tolist()) for name, arr in model.head.arrays().items())
     return doc
 
 
@@ -138,20 +135,12 @@ def from_document(doc: dict) -> Model:
         raise DataError(f"unknown checkpoint head kind {kind!r}")
     if _strings(doc, "head.tags") != labels.tag_vocabulary:
         raise DataError("checkpoint tag ordering disagrees with its label set")
-    encoder = EncoderParams(
-        vocab=vocab,
-        embed_dim=e,
-        hidden_dim=h,
-        embedding_table=_array(doc, "embedding_table", (len(vocab), e)),
-        context_weights=_array(doc, "context_weights", (h, 3 * e)),
-        context_bias=_array(doc, "context_bias", (h,)),
-    )
+    shapes = array_shapes(len(vocab), e, h)
+    encoder = EncoderParams(vocab, e, h, **{k: _array(doc, k, s) for k, s in shapes.items()})
     head = None
     if kind == LINEAR:
-        n_tags = len(labels.tag_vocabulary)
-        head = LinearHead(
-            _array(doc, "head.weights", (n_tags, h)), _array(doc, "head.bias", (n_tags,))
-        )
+        shapes = head_shapes(len(labels.tag_vocabulary), h)
+        head = LinearHead(**{k: _array(doc, f"head.{k}", s) for k, s in shapes.items()})
     return Model(encoder, labels, head)
 
 

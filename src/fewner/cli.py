@@ -26,13 +26,17 @@ from .errors import DataError, NumericError
 from .evaluation import evaluate_model, support_prototypes
 from .training import SCHEMES, load_config, run_scheme, scheme_inputs, scheme_stages
 
+
+class UsageError(Exception):
+    pass
+
+
 EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_DATA = 2
 EXIT_NUMERIC = 3
-
-class UsageError(Exception):
-    pass
+# the exit code of each error that main reports as one "fewner: ..." line
+EXIT_CODES = {UsageError: EXIT_USAGE, DataError: EXIT_DATA, NumericError: EXIT_NUMERIC}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -258,15 +262,9 @@ def main(argv=None) -> int:
         # ends in its NumericError's one line
         with np.errstate(all="ignore"):
             return args.fn(args)
-    except UsageError as exc:
+    except tuple(EXIT_CODES) as exc:
         print(f"fewner: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except DataError as exc:
-        print(f"fewner: {exc}", file=sys.stderr)
-        return EXIT_DATA
-    except NumericError as exc:
-        print(f"fewner: {exc}", file=sys.stderr)
-        return EXIT_NUMERIC
+        return EXIT_CODES[type(exc)]
 
 
 if __name__ == "__main__":

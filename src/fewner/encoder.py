@@ -22,13 +22,16 @@ back as one array in token order. Argmax prediction runs the same blocks
 through projected_blocks, which encodes them from per-word projection
 tables and re-encodes exactly only the blocks its head cannot certify.
 
+A checkpoint document's encoder array keys are EncoderParams.arrays() in
+order: the arrays array_shapes names, each with the one shape it states.
+
 encode is a pure function: concurrent readers may share one EncoderParams.
 Training mutates the arrays in place and must be serialized externally.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
@@ -39,12 +42,20 @@ PAD = "<PAD>"
 UNK = "<UNK>"
 
 
+def array_shapes(n_vocab: int, embed_dim: int, hidden_dim: int) -> dict[str, tuple[int, ...]]:
+    """The encoder's trainable arrays and their shapes, in arrays() order."""
+    return {
+        "embedding_table": (n_vocab, embed_dim),
+        "context_weights": (hidden_dim, 3 * embed_dim),
+        "context_bias": (hidden_dim,),
+    }
+
+
 @dataclass
 class EncoderParams:
-    """All trainable weights of the encoder.
+    """All trainable weights of the encoder, shaped as array_shapes gives.
 
-    vocab includes the reserved <PAD> (row 0) and <UNK> (row 1) entries;
-    embedding_table is |vocab| x E, context_weights H x 3E, context_bias H.
+    vocab includes the reserved <PAD> (row 0) and <UNK> (row 1) entries.
     """
 
     vocab: tuple[str, ...]
@@ -56,39 +67,22 @@ class EncoderParams:
     _index: dict[str, int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        e, h = self.embed_dim, self.hidden_dim
-        if self.embedding_table.shape != (len(self.vocab), e):
-            raise ValueError(
-                f"embedding table {self.embedding_table.shape} != ({len(self.vocab)}, {e})"
-            )
-        if self.context_weights.shape != (h, 3 * e):
-            raise ValueError(
-                f"context weights {self.context_weights.shape} != ({h}, {3 * e})"
-            )
-        if self.context_bias.shape != (h,):
-            raise ValueError(f"context bias {self.context_bias.shape} != ({h},)")
-        for arr in (self.embedding_table, self.context_weights, self.context_bias):
-            if not np.all(np.isfinite(arr)):
-                raise ValueError("non-finite encoder parameter")
+        for name, shape in self.shapes().items():
+            if (have := getattr(self, name).shape) != shape:
+                raise ValueError(f"{name.replace('_', ' ')} {have} != {shape}")
+        if not all(np.isfinite(arr).all() for arr in self.arrays().values()):
+            raise ValueError("non-finite encoder parameter")
         self._index = {w: i for i, w in enumerate(self.vocab)}
 
+    def shapes(self) -> dict[str, tuple[int, ...]]:
+        return array_shapes(len(self.vocab), self.embed_dim, self.hidden_dim)
+
     def copy(self) -> "EncoderParams":
-        return EncoderParams(
-            self.vocab,
-            self.embed_dim,
-            self.hidden_dim,
-            self.embedding_table.copy(),
-            self.context_weights.copy(),
-            self.context_bias.copy(),
-        )
+        return replace(self, **{name: arr.copy() for name, arr in self.arrays().items()})
 
     def arrays(self) -> dict[str, np.ndarray]:
         """Named views of the trainable arrays (mutating them mutates self)."""
-        return {
-            "embedding_table": self.embedding_table,
-            "context_weights": self.context_weights,
-            "context_bias": self.context_bias,
-        }
+        return {name: getattr(self, name) for name in self.shapes()}
 
 
 @dataclass
@@ -100,15 +94,12 @@ class EncoderGrads:
     context_bias: np.ndarray
 
     def arrays(self) -> dict[str, np.ndarray]:
-        return {
-            "embedding_table": self.embedding_table,
-            "context_weights": self.context_weights,
-            "context_bias": self.context_bias,
-        }
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
 def init_encoder(vocab, embed_dim: int, hidden_dim: int, seed: int) -> EncoderParams:
-    """Fresh parameters: weights uniform in [-0.1, 0.1], bias zero."""
+    """Fresh parameters: weights uniform in [-0.1, 0.1], drawn in
+    array_shapes order, bias zero."""
     words = list(vocab)
     if not words:
         raise DataError("cannot initialize an encoder with an empty vocabulary")
@@ -118,14 +109,11 @@ def init_encoder(vocab, embed_dim: int, hidden_dim: int, seed: int) -> EncoderPa
     if len(set(full)) != len(full):
         raise DataError("vocabulary contains duplicates or reserved entries")
     rng = np.random.default_rng(seed)
-    return EncoderParams(
-        vocab=full,
-        embed_dim=embed_dim,
-        hidden_dim=hidden_dim,
-        embedding_table=rng.uniform(-0.1, 0.1, size=(len(full), embed_dim)),
-        context_weights=rng.uniform(-0.1, 0.1, size=(hidden_dim, 3 * embed_dim)),
-        context_bias=np.zeros(hidden_dim),
-    )
+    arrays = {
+        name: np.zeros(shape) if name.endswith("bias") else rng.uniform(-0.1, 0.1, size=shape)
+        for name, shape in array_shapes(len(full), embed_dim, hidden_dim).items()
+    }
+    return EncoderParams(full, embed_dim, hidden_dim, **arrays)
 
 
 # Most token rows encoded at once by encode_blocks: enough to amortize the
@@ -202,7 +190,7 @@ def encode_windows_backward(
     The padding embedding accumulates gradient like any other row.
     """
     if out is None:
-        out = EncoderGrads(*(np.empty_like(a) for a in params.arrays().values()))
+        out = EncoderGrads(**{name: np.empty_like(a) for name, a in params.arrays().items()})
     x = _window_input(params, windows) if window_input is None else window_input
     d_pre = upstream * (1.0 - reprs**2)
     np.matmul(d_pre.T, x, out=out.context_weights)

@@ -19,16 +19,21 @@ which for one-hot targets is the usual negative log-likelihood.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 from .errors import OVERFLOW_BOUND, DataError, NumericError
 
 
+def head_shapes(n_tags: int, hidden_dim: int) -> dict[str, tuple[int, ...]]:
+    """The linear head's trainable arrays and their shapes, in arrays() order."""
+    return {"weights": (n_tags, hidden_dim), "bias": (n_tags,)}
+
+
 @dataclass
 class LinearHead:
-    """Softmax classifier: weights (n_tags x H) and bias (n_tags)."""
+    """Softmax classifier over H-vectors, shaped as head_shapes gives."""
 
     weights: np.ndarray
     bias: np.ndarray
@@ -40,15 +45,17 @@ class LinearHead:
             )
 
     def arrays(self) -> dict[str, np.ndarray]:
-        return {"weights": self.weights, "bias": self.bias}
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
 def init_linear_head(n_labels: int, hidden_dim: int, seed: int) -> LinearHead:
+    """Weights uniform in [-0.1, 0.1], bias zero."""
     rng = np.random.default_rng(seed)
-    return LinearHead(
-        weights=rng.uniform(-0.1, 0.1, size=(n_labels, hidden_dim)),
-        bias=np.zeros(n_labels),
-    )
+    arrays = {
+        name: np.zeros(shape) if name.endswith("bias") else rng.uniform(-0.1, 0.1, size=shape)
+        for name, shape in head_shapes(n_labels, hidden_dim).items()
+    }
+    return LinearHead(**arrays)
 
 
 @dataclass

@@ -299,17 +299,19 @@ def _start_encoder(
     )
 
 
-def _arena(owners: dict) -> ParamArena:
+def _arena(owners: dict) -> tuple[ParamArena, dict[str, dict[str, np.ndarray]]]:
     """One arena over the owners' arrays, named "<owner>.<array>" in owner
-    order, with each owner's attributes rebound to their views: training
-    then updates the model through one flat array."""
+    order, with each owner's attributes rebound to their views (training then
+    updates the model through one flat array), and each owner's gradient views by name."""
     arena = ParamArena(
         {f"{prefix}.{k}": v for prefix, owner in owners.items() for k, v in owner.arrays().items()}
     )
+    grads = {prefix: {} for prefix in owners}
     for name, view in arena.views.items():
         prefix, attr = name.split(".")
         setattr(owners[prefix], attr, view)
-    return arena
+        grads[prefix][attr] = arena.grad_views[name]
+    return arena, grads
 
 
 def _fit(arena, config, steps, batches, epoch_loss, on_epoch) -> None:
@@ -352,10 +354,10 @@ def _train_weighted(
     """
     encoder, head = model.encoder, model.head
     n = len(offsets) - 1
-    arena = _arena({"head": head} if config.freeze_encoder else {"head": head, "encoder": encoder})
-    # the gradient views in block order: the head's two, then the encoder's
-    grads = list(arena.grad_views.values())
-    head_grads, enc_grads = grads[:2], None if config.freeze_encoder else EncoderGrads(*grads[2:])
+    owners = {"head": head} if config.freeze_encoder else {"head": head, "encoder": encoder}
+    arena, owner_grads = _arena(owners)
+    head_grads = tuple(owner_grads["head"].values())
+    enc_grads = EncoderGrads(**owner_grads["encoder"]) if "encoder" in owner_grads else None
     shuffle_rng = random.Random(config.seed + SEED_SHUFFLE)
     lengths = np.diff(offsets).tolist()
     weight_sum = sum(w * k for w, k in zip(weights, lengths))  # over every token
@@ -449,13 +451,13 @@ def train_prototype(
     m_types = min(config.M, len(types))
     encoder = _start_encoder(corpus, config, init)
     iters_per_epoch = math.ceil(len(corpus) / (m_types * (config.K + config.K_prime)))
-    arena = _arena({"encoder": encoder})
+    arena, owner_grads = _arena({"encoder": encoder})
+    grads = EncoderGrads(**owner_grads["encoder"])
     episode_rng = random.Random(config.seed + SEED_EPISODES)
     tag_type = corpus.labels.codes[0]
     # the vocabulary is fixed during training, so the windows are too
     windows = word_windows(encoder, corpus.word_ids)
     lengths = np.diff(corpus.offsets)
-    grads = EncoderGrads(*arena.grad_views.values())
     epoch_loss = lambda losses: sum(losses) / len(losses) if losses else 0.0
 
     def batches(with_loss):

@@ -79,6 +79,63 @@ class TestInitEncoder:
             init_encoder([], 4, 4, seed=0)
 
 
+def _param_arrays():
+    """Valid arrays for a 4-word vocabulary, E = 3 and H = 2."""
+    return {
+        "embedding_table": np.arange(12.0).reshape(4, 3),
+        "context_weights": np.arange(18.0).reshape(2, 9),
+        "context_bias": np.array([0.5, -0.5]),
+    }
+
+
+class TestEncoderParams:
+    VOCAB = (PAD, UNK, "a", "b")
+
+    @pytest.mark.parametrize(
+        "name, shape, message",
+        [
+            ("embedding_table", (5, 3), "embedding table (5, 3) != (4, 3)"),
+            ("embedding_table", (4,), "embedding table (4,) != (4, 3)"),
+            ("context_weights", (2, 6), "context weights (2, 6) != (2, 9)"),
+            ("context_weights", (9, 2), "context weights (9, 2) != (2, 9)"),
+            ("context_bias", (3,), "context bias (3,) != (2,)"),
+            ("context_bias", (2, 1), "context bias (2, 1) != (2,)"),
+        ],
+    )
+    def test_wrong_shape_names_the_array(self, name, shape, message):
+        arrays = {**_param_arrays(), name: np.zeros(shape)}
+        with pytest.raises(ValueError) as raised:
+            EncoderParams(self.VOCAB, 3, 2, **arrays)
+        assert str(raised.value) == message
+
+    @pytest.mark.parametrize("name", ["embedding_table", "context_weights", "context_bias"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_array(self, name, value):
+        arrays = _param_arrays()
+        arrays[name].flat[-1] = value
+        with pytest.raises(ValueError) as raised:
+            EncoderParams(self.VOCAB, 3, 2, **arrays)
+        assert str(raised.value) == "non-finite encoder parameter"
+
+    def test_shapes_are_checked_before_finiteness(self):
+        arrays = {**_param_arrays(), "context_bias": np.zeros(3)}
+        arrays["embedding_table"][0, 0] = np.nan
+        with pytest.raises(ValueError) as raised:
+            EncoderParams(self.VOCAB, 3, 2, **arrays)
+        assert str(raised.value) == "context bias (3,) != (2,)"
+
+    def test_copy_shares_no_memory(self):
+        params = EncoderParams(self.VOCAB, 3, 2, **_param_arrays())
+        copy = params.copy()
+        assert (copy.vocab, copy.embed_dim, copy.hidden_dim) == (self.VOCAB, 3, 2)
+        assert list(copy.arrays()) == ["embedding_table", "context_weights", "context_bias"]
+        for name, arr in params.arrays().items():
+            assert np.array_equal(copy.arrays()[name], arr), name
+            assert not np.shares_memory(copy.arrays()[name], arr), name
+        sentence = _sentence(["b", "oov-word", "a"])
+        assert np.array_equal(encode(copy, sentence), encode(params, sentence))
+
+
 class TestEncode:
     def test_zero_params_give_zero_reprs(self):
         params = init_encoder(["a"], 3, 2, seed=0)

@@ -1,9 +1,11 @@
 import sys
 from pathlib import Path
 
+import fewner
+
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tools"))
 
-from output_digests import digest_result, family  # noqa: E402
+from output_digests import digest_result, family, numeric_digests  # noqa: E402
 
 
 def test_family_is_the_first_two_components():
@@ -39,3 +41,14 @@ def test_digest_result_counts_moved_outputs_per_family():
         "run_scheme/lc+st": {"moved": 1, "total": 2},
     }
     assert list(result["families"]) == sorted(result["families"])
+
+
+def test_numeric_family_reaches_every_training_error():
+    texts = "\n".join(output for _, output in numeric_digests(fewner))
+    for error in (
+        "non-finite encoder pre-activation",
+        "linear-head logit bound reached 1e+300",
+        "non-finite gradient in parameter block 'head.weights'",
+        "non-finite token weight sum",
+    ):
+        assert f"NumericError: {error}\n" in texts, error

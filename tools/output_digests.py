@@ -53,12 +53,17 @@ Prints one ``name sha256`` line per output:
 * the per-epoch losses and the checkpoint text of ``train_prototype`` on
   ``SKIP_CORPUS``, where some but not all episodes have no in-scope query
   token and take no step (4 of 9 on each of seeds 0-2);
-* the checkpoint text, or the NumericError text, of ``train_linear`` and
+* the checkpoint text, or the NumericError text, of runs where training
+  overflows, run under ``np.errstate(all="ignore")``, each followed by the
+  number of ``training.adam_step`` calls the run made, so a run that raises
+  one step earlier or later moves its digest: ``train_linear`` and
   ``train_prototype`` on ``make_corpus(30, seed)`` with
   ``TrainConfig.five_shot(seed, epochs=2, learning_rate=lr)`` at lr 1e200,
-  1e300 and 1e308, run under ``np.errstate(all="ignore")``, on seeds 0-2,
-  each followed by the number of ``training.adam_step`` calls the run made,
-  so a run that raises one step earlier or later moves its digest;
+  1e300 and 1e308 (each overflows an encoder pre-activation), and
+  ``train_linear`` with ``freeze_encoder`` set at lr 1e300 (the head's
+  logit bound) and 1e308 (the head's gradient), on seeds 0-2; and
+  ``self_train`` on ``make_corpus(30, 0)`` with one unlabeled sentence and
+  ``lambda_u`` 1e308, whose student token weight sum overflows;
 * the ``to_dict()`` JSON of ``entity_f1`` reports under BIO and IO scoring,
   for predictions that include types outside the gold label set and for an
   empty test corpus, and of ``repeated_eval`` on a small ``Experiment``
@@ -398,9 +403,9 @@ def loss_digests(fewner):
 
 
 def numeric_digests(fewner):
-    """The checkpoints, or the NumericError texts, of runs at learning rates
-    where training overflows, with numpy's warnings off, each followed by
-    the number of Adam steps the run took."""
+    """The checkpoints, or the NumericError texts, of runs where training
+    overflows, with numpy's warnings off, each followed by the number of
+    Adam steps the run took."""
     import numpy as np
     from fewner import training
     from fewner.checkpoint import dumps
@@ -412,6 +417,12 @@ def numeric_digests(fewner):
         steps.append(None)
         return adam_step(*args)
 
+    def digest(run) -> str:
+        steps.clear()
+        with np.errstate(all="ignore"):
+            output = _guarded(fewner, lambda: dumps(run()))
+        return f"{output}\nadam steps: {len(steps)}"
+
     training.adam_step = counted
     try:
         for seed in SEEDS:
@@ -419,11 +430,19 @@ def numeric_digests(fewner):
             for learning_rate in (1e200, 1e300, 1e308):
                 config = fewner.TrainConfig.five_shot(seed, epochs=2, learning_rate=learning_rate)
                 for train in (fewner.train_linear, fewner.train_prototype):
-                    steps.clear()
-                    with np.errstate(all="ignore"):
-                        output = _guarded(fewner, lambda: dumps(train(corpus, config)))
                     name = f"numeric/{train.__name__}/{learning_rate:g}/seed{seed}"
-                    yield name, f"{output}\nadam steps: {len(steps)}"
+                    yield name, digest(lambda: train(corpus, config))
+            # with the encoder frozen, the head's logit bound or gradient overflows first
+            for learning_rate in (1e300, 1e308):
+                config = fewner.TrainConfig.five_shot(
+                    seed, epochs=2, learning_rate=learning_rate, freeze_encoder=True
+                )
+                name = f"numeric/train_linear_frozen/{learning_rate:g}/seed{seed}"
+                yield name, digest(lambda: fewner.train_linear(corpus, config))
+        # a finite lambda_u whose student token weight sum overflows
+        config = fewner.TrainConfig.five_shot(0, epochs=1, lambda_u=1e308)
+        run = lambda: fewner.self_train(make_corpus(30, 0), [("w000", "e00")], config)
+        yield "numeric/self_train/lambda_u1e+308", digest(run)
     finally:
         training.adam_step = adam_step
 
